@@ -554,14 +554,19 @@ AdvisorResult Advisor::TuneStagedBaseline(const Workload& workload,
     return result;  // stage-1 design, uncompressed
   }
 
-  // Stage 2: compress every chosen index, re-estimating sizes (one batch
-  // across the estimation pool) and re-costing the workload with the
-  // per-statement costings fanned across the enumeration pool.
+  // Stage 2: compress every chosen index the codecs can store, re-estimating
+  // sizes (one batch across the estimation pool) and re-costing the workload
+  // with the per-statement costings fanned across the enumeration pool.
   using Clock = std::chrono::steady_clock;
   auto t0 = Clock::now();
   std::vector<IndexDef> compressed;
   for (const PhysicalIndexEstimate& idx : result.config.indexes()) {
-    compressed.push_back(idx.def.WithCompression(kind));
+    const Schema& schema = mvs_ != nullptr
+                               ? mvs_->ObjectSchema(idx.def.object)
+                               : db_->table(idx.def.object).schema();
+    compressed.push_back(idx.def.CompressionFits(schema)
+                             ? idx.def.WithCompression(kind)
+                             : idx.def);
   }
   const std::map<std::string, PhysicalIndexEstimate> sizes =
       EstimateSizes(compressed, &result);

@@ -160,6 +160,9 @@ void CandidateGenerator::AddVariants(const IndexDef& def,
                                      std::vector<IndexDef>* out) const {
   if (!options_->enable_compression) return;
   CAPD_CHECK(def.compression == CompressionKind::kNone);
+  const Schema& schema = mvs_ != nullptr ? mvs_->ObjectSchema(def.object)
+                                         : db_->table(def.object).schema();
+  if (!def.CompressionFits(schema)) return;
   for (CompressionKind kind : options_->compression_variants) {
     if (kind == CompressionKind::kBitmap && !BitmapEligible(def)) continue;
     out->push_back(def.WithCompression(kind));

@@ -38,6 +38,8 @@ class CandidateGenerator {
 
   // Appends the enabled compression variants of `def`. The kBitmap variant
   // is gated by BitmapEligible (low-distinct leading key on a real table).
+  // A structure the codecs cannot store (IndexDef::CompressionFits) gets
+  // no compressed variants: it stays uncompressed.
   void AddVariants(const IndexDef& def, std::vector<IndexDef>* out) const;
 
  private:

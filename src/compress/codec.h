@@ -24,6 +24,12 @@
 
 namespace capd {
 
+// One page's worth of rows, as chosen by Codec::FitRows.
+struct PageFit {
+  size_t rows = 0;     // rows placed on the page (always >= 1)
+  uint64_t bytes = 0;  // MeasurePage of exactly those rows
+};
+
 class Codec {
  public:
   explicit Codec(std::vector<uint32_t> widths) : widths_(std::move(widths)) {
@@ -43,6 +49,17 @@ class Codec {
   // materializing the blob. Size-only kernels: no output buffer, no
   // per-field copies.
   virtual uint64_t MeasurePage(const FlatSpan& span) const = 0;
+
+  // Greedy page fill from row `begin` (< page.num_rows()): the longest run
+  // of rows whose MeasurePage is <= capacity, and its size. At least one
+  // row is always taken; a single row over capacity comes back with its
+  // full size, for the caller to spill. The default is an exponential probe
+  // plus binary search over MeasurePage — O(log n) measurements. It returns
+  // the longest fitting run only when MeasurePage is non-decreasing in span
+  // length (property-tested per codec in page_fit_test). A monotone codec
+  // may override this with a forward pass that returns the same fit.
+  virtual PageFit FitRows(const FlatPage& page, size_t begin,
+                          uint64_t capacity) const;
 
   virtual EncodedPage DecompressPage(std::string_view blob) const = 0;
 
@@ -92,6 +109,10 @@ class RowCodec : public Codec {
   CompressionKind kind() const override { return CompressionKind::kRow; }
   std::string CompressPage(const FlatSpan& span) const override;
   uint64_t MeasurePage(const FlatSpan& span) const override;
+  // Forward pass: rows are sized independently, so each row's NS bytes are
+  // added once.
+  PageFit FitRows(const FlatPage& page, size_t begin,
+                  uint64_t capacity) const override;
   EncodedPage DecompressPage(std::string_view blob) const override;
 };
 

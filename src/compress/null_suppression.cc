@@ -32,20 +32,20 @@ size_t CountLeadingZeros(std::string_view field) {
 }
 
 void NsCompressField(std::string_view field, std::string* out) {
-  CAPD_CHECK_LE(field.size(), 255u);
+  CAPD_CHECK_LE(field.size(), kMaxNsFieldWidth);
   const size_t k = CountLeadingZeros(field);
   out->push_back(static_cast<char>(k));
   out->append(field.data() + k, field.size() - k);
 }
 
 size_t NsFieldSize(std::string_view field) {
-  CAPD_CHECK_LE(field.size(), 255u);
+  CAPD_CHECK_LE(field.size(), kMaxNsFieldWidth);
   return 1 + field.size() - CountLeadingZeros(field);
 }
 
 void NsDecompressField(std::string_view data, size_t* offset, uint32_t width,
                        std::string* out) {
-  CAPD_CHECK_LE(width, 255u);
+  CAPD_CHECK_LE(width, kMaxNsFieldWidth);
   CAPD_CHECK_LT(*offset, data.size());
   const size_t k = static_cast<uint8_t>(data[(*offset)++]);
   CAPD_CHECK_LE(k, width);

@@ -12,6 +12,9 @@
 
 namespace capd {
 
+// Widest field the one-byte count can describe.
+inline constexpr uint32_t kMaxNsFieldWidth = 255;
+
 // Number of leading 0x00 bytes. SWAR kernel: scans 8 bytes per step via
 // unaligned 64-bit loads and finds the first nonzero byte with a single
 // count-zeros instruction, with a scalar tail for the last <8 bytes.

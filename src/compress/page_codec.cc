@@ -1,13 +1,16 @@
 #include "compress/page_codec.h"
 
 #include <cstring>
+#include <iterator>
 #include <map>
+#include <set>
 #include <string_view>
 #include <utility>
 
 #include "common/logging.h"
 #include "compress/null_suppression.h"
 #include "compress/varint.h"
+#include "storage/schema.h"
 
 namespace capd {
 namespace {
@@ -56,6 +59,96 @@ struct ColumnPlan {
     }
   }
 };
+
+// Incremental twin of ColumnPlan for FitRows: the exact byte size of one
+// column's section over a run of rows that grows one cell at a time. With
+// A the anchor length, D the dictionary size, S the NS bytes of every
+// distinct remainder (each is stored once, as a dictionary entry or as its
+// single literal) and k the cells, each paying a one-byte code:
+//   bytes = VarintSize(A) + A + VarintSize(D) + S + k + wide_codes
+// where wide_codes counts the second code byte of cells whose dictionary id
+// is >= 127 (code >= 128). Values are keyed by the full field: all of them
+// share the anchor, so field order is remainder order and the keys survive
+// anchor shrinks. S is recounted when the anchor shrinks; the dictionary
+// order is only tracked once D passes 127.
+class ColumnFit {
+ public:
+  void Add(FieldView v) {
+    if (cells_ == 0) {
+      anchor_ = v;
+      anchor_len_ = v.size();
+    }
+    size_t common = 0;
+    while (common < anchor_len_ && v[common] == anchor_[common]) ++common;
+    const bool shrunk = common < anchor_len_;
+    anchor_len_ = common;
+    ++cells_;
+    const uint32_t count = ++counts_[v];
+    if (count == 1 && !shrunk) {
+      ns_bytes_ += NsFieldSize(v.substr(anchor_len_));
+    } else if (count == 2) {
+      AddDictEntry(v);
+    } else if (count > 2 && dict_size_ > kOneByteCodes && !(v < *pivot_)) {
+      ++wide_codes_;
+    }
+    if (shrunk) {
+      ns_bytes_ = 0;
+      for (const auto& entry : counts_) {
+        ns_bytes_ += NsFieldSize(entry.first.substr(anchor_len_));
+      }
+    }
+  }
+
+  uint64_t bytes() const {
+    return VarintSize(anchor_len_) + anchor_len_ + VarintSize(dict_size_) +
+           ns_bytes_ + cells_ + wide_codes_;
+  }
+
+ private:
+  // Dictionary ids 0..126 encode as one-byte codes 1..127.
+  static constexpr size_t kOneByteCodes = 127;
+
+  void AddDictEntry(FieldView v) {
+    ++dict_size_;
+    if (dict_size_ <= kOneByteCodes) return;
+    if (dict_size_ == kOneByteCodes + 1) {
+      // First two-byte code: lay out the dictionary order once. The new
+      // entry set is exactly the counts_ keys seen at least twice.
+      for (const auto& [key, count] : counts_) {
+        if (count >= 2) dict_.insert(dict_.end(), key);
+      }
+      pivot_ = std::prev(dict_.end());
+      wide_codes_ = counts_.find(*pivot_)->second;
+      return;
+    }
+    dict_.insert(v);
+    if (v < *pivot_) {
+      // Every entry after v moves up one id: the entry just below the old
+      // pivot crosses to id 127.
+      --pivot_;
+      wide_codes_ += counts_.find(*pivot_)->second;
+    } else {
+      wide_codes_ += 2;
+    }
+  }
+
+  FieldView anchor_;  // the first cell; the anchor is its prefix
+  size_t anchor_len_ = 0;
+  uint64_t cells_ = 0;
+  uint64_t ns_bytes_ = 0;
+  size_t dict_size_ = 0;
+  uint64_t wide_codes_ = 0;
+  std::map<FieldView, uint32_t> counts_;
+  std::set<FieldView> dict_;             // id order, once D > 127
+  std::set<FieldView>::iterator pivot_;  // the entry with id 127
+};
+
+// The incremental sizes track codes of up to two bytes (dictionary ids
+// below 16383). A third byte needs >= 16384 entries, hence >= 32768 cells
+// of one code byte each: no page under this capacity ever holds one.
+constexpr uint64_t kIncrementalFitCapacity = 32768;
+static_assert(kPageCapacity < kIncrementalFitCapacity,
+              "PackPages' capacity must stay within PAGE's FitRows limit");
 
 }  // namespace
 
@@ -107,6 +200,27 @@ uint64_t PageCodec::MeasurePage(const FlatSpan& span) const {
     }
   }
   return total;
+}
+
+PageFit PageCodec::FitRows(const FlatPage& page, size_t begin,
+                           uint64_t capacity) const {
+  CAPD_CHECK_LT(capacity, kIncrementalFitCapacity);
+  ValidateSpan(page.span());
+  const size_t n = page.num_rows();
+  CAPD_CHECK_LT(begin, n);
+  std::vector<ColumnFit> columns(num_columns());
+  PageFit fit;
+  for (size_t r = begin; r < n; ++r) {
+    uint64_t bytes = VarintSize(fit.rows + 1);
+    for (size_t c = 0; c < columns.size(); ++c) {
+      columns[c].Add(page.field(r, c));
+      bytes += columns[c].bytes();
+    }
+    if (fit.rows > 0 && bytes > capacity) break;
+    fit.rows += 1;
+    fit.bytes = bytes;
+  }
+  return fit;
 }
 
 EncodedPage PageCodec::DecompressPage(std::string_view blob) const {

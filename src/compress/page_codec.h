@@ -24,6 +24,12 @@ class PageCodec : public Codec {
   CompressionKind kind() const override { return CompressionKind::kPage; }
   std::string CompressPage(const FlatSpan& span) const override;
   uint64_t MeasurePage(const FlatSpan& span) const override;
+  // One forward pass that updates each column's plan sizes per added row:
+  // O(rows) map probes instead of O(log rows) full ColumnPlan rebuilds.
+  // capacity must be below 32768 (kPageCapacity is), so that no page holds
+  // a three-byte dictionary code.
+  PageFit FitRows(const FlatPage& page, size_t begin,
+                  uint64_t capacity) const override;
   EncodedPage DecompressPage(std::string_view blob) const override;
 };
 

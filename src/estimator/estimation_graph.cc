@@ -172,11 +172,12 @@ void EstimationGraph::GenerateDeductionsFor(size_t node_id) {
 }
 
 void EstimationGraph::RefreshCosts(double f, ThreadPool* pool) {
-  // Each probe scans the object's sample once (filter hit counting); the
-  // probes are independent and the shared sample caches are thread-safe,
-  // so they batch across the pool. Writes go to disjoint nodes. Once a
-  // cancel fires, remaining probes are skipped (cost 0) — the plan built
-  // from them is discarded by the cancelled caller anyway.
+  // Probes are size-only except for partial indexes, which scan the
+  // object's sample once (filter hit counting). The probes are independent
+  // and the shared sample caches are thread-safe, so they batch across the
+  // pool; writes go to disjoint nodes. Once a cancel fires, remaining
+  // probes are skipped (cost 0) — the plan built from them is discarded by
+  // the cancelled caller anyway.
   ParallelFor(pool, nodes_.size(), [&](size_t i) {
     IndexNode& node = nodes_[i];
     node.cost_pages = node.is_existing || Cancelled()

@@ -104,18 +104,20 @@ double SampleCfEstimator::EstimateFullTuples(const IndexDef& def, double f) {
 }
 
 double SampleCfEstimator::PredictCostPages(const IndexDef& def, double f) {
-  const Table& sample = source_->Sample(def.object, f);
-  double sample_tuples = static_cast<double>(sample.num_rows());
-  if (def.filter.has_value() && sample.num_rows() > 0) {
-    uint64_t hits = 0;
+  uint64_t sample_tuples = 0;
+  if (def.filter.has_value()) {
+    const Table& sample = source_->Sample(def.object, f);
     for (const Row& r : sample.rows()) {
-      if (def.filter->Matches(r, sample.schema())) ++hits;
+      if (def.filter->Matches(r, sample.schema())) ++sample_tuples;
     }
-    sample_tuples = static_cast<double>(hits);
+  } else {
+    sample_tuples = source_->SampleRows(def.object, f);
   }
-  const Schema stored = StoredSchemaFor(def, sample.schema());
+  const Schema stored =
+      StoredSchemaFor(def, source_->ObjectSchema(def.object));
   const double row_bytes = stored.RowWidth() + kRowOverhead;
-  return std::max(1.0, std::ceil(sample_tuples * row_bytes / kPageCapacity));
+  return std::max(1.0, std::ceil(static_cast<double>(sample_tuples) *
+                                 row_bytes / kPageCapacity));
 }
 
 Schema StoredSchemaFor(const IndexDef& def, const Schema& base) {

@@ -2,6 +2,9 @@
 // uniform sample per table (via SampleManager), reused for every index on
 // that table; filtered samples for partial indexes; MV samples supplied by
 // a pluggable SampleSource (implemented over join synopses in src/mv).
+// Fraction probes (PredictCostPages) are size-only: pricing a candidate f
+// needs the sample's row count, not its rows, so only the f the plan
+// finally runs at is drawn.
 #ifndef CAPD_ESTIMATOR_SAMPLE_CF_H_
 #define CAPD_ESTIMATOR_SAMPLE_CF_H_
 
@@ -25,6 +28,12 @@ class SampleSource {
 
   // The sample table for `object` at sampling fraction f.
   virtual const Table& Sample(const std::string& object, double f) = 0;
+  // Sample(object, f).num_rows(). The fraction search prices every
+  // candidate f but reads only the chosen one's rows, so its probes are
+  // size-only; sources that know the count without drawing override this.
+  virtual uint64_t SampleRows(const std::string& object, double f) {
+    return Sample(object, f).num_rows();
+  }
   // Estimated number of tuples in the full object (for MVs this is the
   // Adaptive-Estimator prediction, Appendix B.3).
   virtual double FullTuples(const std::string& object) = 0;
@@ -41,6 +50,9 @@ class TableSampleSource : public SampleSource {
 
   const Table& Sample(const std::string& object, double f) override {
     return samples_->GetSample(db_->table(object), f);
+  }
+  uint64_t SampleRows(const std::string& object, double f) override {
+    return samples_->SampleRows(db_->table(object), f);
   }
   double FullTuples(const std::string& object) override {
     return static_cast<double>(db_->table(object).num_rows());

@@ -111,56 +111,17 @@ PackResult PackPages(const std::vector<Row>& rows, const Schema& schema,
     result.pages = 1;  // an index always has at least its root page
     return result;
   }
-  uint64_t pages = 0;
-  uint64_t payload = 0;
-  size_t begin = 0;
-  const size_t n = rows.size();
   // Zero-copy packing: render every field once into one flat columnar
-  // arena, then drive the probe loop through the size-only codec kernels.
-  // Each exponential/binary-search probe is a measurement over an O(1)
-  // span slice — no EncodedPage, no blob, no per-field strings.
-  const FlatPage flat = FlatPage::FromRows(rows, schema, 0, n);
-  auto blob_size = [&](size_t b, size_t e) {
-    return static_cast<size_t>(codec.MeasurePage(flat.span(b, e)));
-  };
-  while (begin < n) {
-    // Exponential probe for an upper bound on rows that fit.
-    size_t lo = 1;  // we always place at least one row per page
-    size_t hi = 1;
-    while (begin + hi <= n && blob_size(begin, begin + hi) <= kPageCapacity) {
-      if (begin + hi == n) break;
-      lo = hi;
-      hi = hi * 2;
-    }
-    size_t take;
-    if (blob_size(begin, begin + std::min(hi, n - begin)) <= kPageCapacity) {
-      take = std::min(hi, n - begin);
-    } else {
-      // Binary search in (lo, hi): lo fits, hi does not.
-      size_t bad = std::min(hi, n - begin);
-      size_t good = lo;
-      while (good + 1 < bad) {
-        const size_t mid = good + (bad - good) / 2;
-        if (blob_size(begin, begin + mid) <= kPageCapacity) {
-          good = mid;
-        } else {
-          bad = mid;
-        }
-      }
-      take = good;
-    }
-    const size_t sz = blob_size(begin, begin + take);
-    payload += sz;
-    if (take == 1 && sz > kPageCapacity) {
-      // One giant row: spill across multiple pages.
-      pages += (sz + kPageCapacity - 1) / kPageCapacity;
-    } else {
-      pages += 1;
-    }
-    begin += take;
+  // arena, then let the codec fit one page at a time from it through its
+  // size-only kernels — no EncodedPage, no blob, no per-field strings.
+  const FlatPage flat = FlatPage::FromRows(rows, schema, 0, rows.size());
+  for (size_t begin = 0; begin < rows.size();) {
+    const PageFit fit = codec.FitRows(flat, begin, kPageCapacity);
+    result.payload_bytes += fit.bytes;
+    // Only a single giant row can exceed a page; it spills across several.
+    result.pages += (fit.bytes + kPageCapacity - 1) / kPageCapacity;
+    begin += fit.rows;
   }
-  result.pages = pages;
-  result.payload_bytes = payload;
   return result;
 }
 

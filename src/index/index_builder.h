@@ -66,9 +66,9 @@ class IndexBuilder {
   uint64_t max_materialize_rows_ = 0;
 };
 
-// Greedy page packing: fills each page with the longest row prefix whose
-// compressed blob fits kPageCapacity (exponential probe + binary search).
-// Oversized single rows spill across ceil(size/capacity) pages.
+// Greedy page packing: fills each page with the rows Codec::FitRows picks —
+// the longest run whose compressed blob fits kPageCapacity. Oversized
+// single rows spill across ceil(size/capacity) pages.
 struct PackResult {
   uint64_t pages = 0;
   uint64_t payload_bytes = 0;  // sum of per-page blob sizes

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "compress/null_suppression.h"
 
 namespace capd {
 
@@ -69,6 +70,14 @@ std::vector<std::string> IndexDef::StoredColumns(
     }
   }
   return cols;
+}
+
+bool IndexDef::CompressionFits(const Schema& base_schema) const {
+  for (const std::string& name : StoredColumns(base_schema)) {
+    const Column& column = base_schema.column(base_schema.ColumnIndex(name));
+    if (column.width > kMaxNsFieldWidth) return false;
+  }
+  return true;
 }
 
 IndexDef IndexDef::WithCompression(CompressionKind kind) const {

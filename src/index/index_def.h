@@ -43,6 +43,11 @@ struct IndexDef {
   // by the builder).
   std::vector<std::string> StoredColumns(const Schema& base_schema) const;
 
+  // Whether the compressed codecs can store this structure: no stored
+  // column is wider than their field limit (kMaxNsFieldWidth). A structure
+  // that fails this may only be built uncompressed.
+  bool CompressionFits(const Schema& base_schema) const;
+
   // The same index with a different compression method.
   IndexDef WithCompression(CompressionKind kind) const;
 

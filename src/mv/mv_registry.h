@@ -43,6 +43,9 @@ class MVRegistry : public SampleSource, public MVMatcher {
 
   // --- SampleSource ---
   const Table& Sample(const std::string& object, double f) override;
+  // Base tables: the SampleManager's size-only count. MVs: the MV sample's
+  // size is known only after aggregation, so it is drawn.
+  uint64_t SampleRows(const std::string& object, double f) override;
   double FullTuples(const std::string& object) override;
   const Schema& ObjectSchema(const std::string& object) override;
 

@@ -167,9 +167,14 @@ double StatementCostCache::CostWithInfos(
   }
   const double cost =
       optimizer_->Cost(workload_->statements[stmt_index], config);
-  misses_.fetch_add(1, std::memory_order_relaxed);
   std::lock_guard<std::mutex> lock(shard.mu);
-  shard.costs.emplace(std::move(key), cost);
+  // Only the inserting call counts as a miss; a concurrent miss that lost
+  // the race counts as the hit it would have been serially.
+  if (shard.costs.emplace(std::move(key), cost).second) {
+    misses_.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+  }
   return cost;
 }
 

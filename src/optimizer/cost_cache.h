@@ -34,7 +34,8 @@ namespace capd {
 // Thread-safe: Enumerate's parallel trial evaluations share one cache.
 // Concurrent misses on the same key both run the (pure, deterministic)
 // optimizer and insert the same value, so results are independent of
-// thread count and interleaving.
+// thread count and interleaving. So are the counters: misses() is the
+// number of distinct keys costed, hits() every other call.
 class StatementCostCache {
  public:
   // All three referents must outlive the cache.

@@ -38,6 +38,12 @@ std::unique_ptr<Table> CreateFilteredSample(const Table& sample,
 // parallel path is bit-identical to the serial one. Returned Table
 // references stay valid for the manager's lifetime (entries are never
 // evicted).
+//
+// Size-only probes: the estimator's fraction search only needs how many
+// rows each candidate fraction's sample would have, and SampleRows answers
+// that arithmetically — no draw, no scan, nothing cached. Samples are
+// seeded per (table, f), so drawing only the fraction finally chosen
+// yields the very rows an eager draw of every fraction would have.
 class SampleManager {
  public:
   explicit SampleManager(uint64_t seed) : seed_(seed) {}
@@ -45,6 +51,9 @@ class SampleManager {
   // Returns the cached sample of `table` at fraction f, creating it on
   // first use.
   const Table& GetSample(const Table& table, double f);
+
+  // GetSample(table, f).num_rows(), without drawing the sample.
+  uint64_t SampleRows(const Table& table, double f) const;
 
   // Filtered sample for a partial index (cached by filter signature).
   const Table& GetFilteredSample(const Table& table, double f,
@@ -55,6 +64,10 @@ class SampleManager {
   size_t num_samples() const;
 
  private:
+  // Floor on every uniform sample's size (tables smaller than it are
+  // sampled whole).
+  static constexpr uint64_t kMinSampleRows = 50;
+
   // Both require mu_ held.
   const Table& GetSampleLocked(const Table& table, double f);
   Random RngFor(const std::string& key) const;

@@ -104,7 +104,8 @@ uint32_t ReadLe32(std::string_view data, size_t* offset) {
 BitmapCodec::BitmapCodec(std::vector<uint32_t> widths)
     : Codec(std::move(widths)) {
   for (uint32_t w : widths_) {
-    CAPD_CHECK_LE(w, 255u) << "BitmapCodec: NS-backed field width exceeds 255";
+    CAPD_CHECK_LE(w, kMaxNsFieldWidth)
+        << "BitmapCodec: NS-backed field width exceeds 255";
   }
 }
 

@@ -9,6 +9,7 @@
 //
 // Regenerate the JSON goldens after an intentional change with:
 //   CAPD_UPDATE_GOLDEN=1 ./build/engine_test
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -23,6 +24,7 @@
 #include "advisor/report.h"
 #include "advisor/report_json.h"
 #include "engine/advisor_engine.h"
+#include "query/sql_parser.h"
 #include "workloads/registry.h"
 
 namespace capd {
@@ -339,6 +341,70 @@ TEST_F(EngineTest, MvEnabledRequestsDoNotLeakAcrossRequests) {
 
   ExpectBitIdentical(fresh, served);
 }
+
+// A CHAR(300) column is wider than the codecs' NS field limit: structures
+// storing it must stay uncompressed instead of aborting the process, and the
+// rest of the design space is tuned as usual. Covers both ways a compressed
+// structure arises: DTAc's candidate variants and the staged baseline's
+// recompression of its stage-1 design.
+class EngineWideColumnTest : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(EngineWideColumnTest, WideColumnTunesWithoutAbort) {
+  Database db;
+  auto sales = std::make_unique<Table>(
+      "sales", Schema({{"order_id", ValueType::kInt64, 8},
+                       {"ship_date", ValueType::kDate, 8},
+                       {"state", ValueType::kString, 300},
+                       {"price", ValueType::kDouble, 8},
+                       {"discount", ValueType::kDouble, 8}}));
+  Random rng(42);
+  const char* kStates[] = {"CA", "NY", "TX", "WA"};
+  for (int i = 0; i < 4000; ++i) {
+    sales->AddRow(
+        {Value::Int64(i), Value::Date(rng.Uniform(10957, 12000)),
+         Value::String(kStates[rng.Next(4)]),
+         Value::Double(static_cast<double>(rng.Uniform(1, 500))),
+         Value::Double(0.01 * static_cast<double>(rng.Uniform(0, 30)))});
+  }
+  db.AddTable(std::move(sales));
+
+  TuningRequest request;
+  for (const char* sql :
+       {"SELECT SUM(price) FROM sales WHERE ship_date BETWEEN "
+        "DATE '2001-01-01' AND DATE '2001-12-31' AND state = 'CA'",
+        "SELECT state, SUM(price), COUNT(*) FROM sales GROUP BY state",
+        "SELECT ship_date, SUM(discount) FROM sales WHERE price >= 250 "
+        "GROUP BY ship_date",
+        "INSERT INTO sales VALUES 400 ROWS"}) {
+    std::string error;
+    const std::optional<Statement> stmt = ParseSql(sql, db, &error);
+    ASSERT_TRUE(stmt.has_value()) << error;
+    request.workload.statements.push_back(*stmt);
+  }
+  request.strategy = GetParam();
+  request.budget = TuningBudget::Fraction(0.25);
+
+  AdvisorEngine engine(db);
+  const TuningResponse response = engine.Tune(request);
+  ASSERT_EQ(response.status, TuningResponse::Status::kOk) << response.error;
+  const AdvisorResult& result = response.result;
+  EXPECT_GT(result.initial_cost, 0.0);
+  EXPECT_LE(result.final_cost, result.initial_cost);
+  EXPECT_FALSE(result.config.indexes().empty());
+  EXPECT_NE(response.report.find("sales"), std::string::npos);
+  const Schema& schema = db.table("sales").schema();
+  for (const PhysicalIndexEstimate& idx : result.config.indexes()) {
+    const std::vector<std::string> stored = idx.def.StoredColumns(schema);
+    if (std::find(stored.begin(), stored.end(), "state") != stored.end()) {
+      EXPECT_EQ(idx.def.compression, CompressionKind::kNone)
+          << idx.def.ToString();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Strategies, EngineWideColumnTest,
+                         ::testing::Values("dtac-both", "staged:row",
+                                           "staged:page"));
 
 TEST_F(EngineTest, JsonReportShapeBasics) {
   AdvisorEngine engine(*built_.db);

@@ -1,11 +1,13 @@
 // Tests for the size-estimation framework: SampleCF, deductions, error
 // model, and the Section 5.2 graph search.
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "estimator/size_estimator.h"
 #include "index/index_builder.h"
+#include "workloads/scale.h"
 #include "workloads/tpch.h"
 
 namespace capd {
@@ -71,7 +73,8 @@ TEST_F(EstimatorTest, SampleCfCostScalesWithWidthAndFraction) {
       Idx({"l_shipdate"}, CompressionKind::kRow,
           {"l_extendedprice", "l_discount", "l_quantity", "l_shipmode"}),
       0.05);
-  const double narrow_big = estimator.PredictCostPages(Idx({"l_shipdate"}), 0.1);
+  const double narrow_big =
+      estimator.PredictCostPages(Idx({"l_shipdate"}), 0.1);
   EXPECT_LT(narrow, wide);
   EXPECT_LT(narrow, narrow_big);
 }
@@ -118,7 +121,8 @@ TEST_F(EstimatorTest, ColExtDeductionOrdIndAccurate) {
   SampleCfEstimator estimator(db_, source_.get());
   DeductionEngine engine(db_, source_.get(), 0.1);
 
-  const IndexDef target = Idx({"l_shipdate", "l_shipmode"}, CompressionKind::kRow);
+  const IndexDef target =
+      Idx({"l_shipdate", "l_shipmode"}, CompressionKind::kRow);
   std::vector<KnownSize> children;
   for (const std::string col : {"l_shipdate", "l_shipmode"}) {
     const IndexDef child = Idx({col}, CompressionKind::kRow);
@@ -140,7 +144,8 @@ TEST_F(EstimatorTest, ColExtOrdDepPenalizesFragmentation) {
   SampleCfEstimator estimator(db_, source_.get());
   DeductionEngine engine(db_, source_.get(), 0.1);
 
-  const IndexDef target = Idx({"l_partkey", "l_shipmode"}, CompressionKind::kPage);
+  const IndexDef target =
+      Idx({"l_partkey", "l_shipmode"}, CompressionKind::kPage);
   std::vector<KnownSize> children;
   double naive_reduction = 0.0;
   for (const std::string col : {"l_partkey", "l_shipmode"}) {
@@ -186,7 +191,8 @@ TEST_F(EstimatorTest, GraphGreedyUsesDeductionWhenLoose) {
 TEST_F(EstimatorTest, GraphTightConstraintForcesSampling) {
   EstimationGraph graph(db_, source_.get(), ErrorModel());
   graph.AddTargets({Idx({"l_shipdate", "l_shipmode"}, CompressionKind::kPage)});
-  graph.Greedy(0.05, /*e=*/0.02, /*q=*/0.99);  // nearly impossible via deduction
+  // Nearly impossible via deduction.
+  graph.Greedy(0.05, /*e=*/0.02, /*q=*/0.99);
   EXPECT_EQ(graph.NumDeduced(), 0u);
   EXPECT_GE(graph.NumSampled(), 1u);
 }
@@ -264,6 +270,109 @@ TEST_F(EstimatorTest, UncompressedSizeDeterministic) {
   EXPECT_DOUBLE_EQ(a.est_bytes, b.est_bytes);
   const double truth = TrueBytes(def);
   EXPECT_LT(std::abs(a.est_bytes - truth) / truth, 0.05);
+}
+
+// Forwards only what a SampleSource must implement, so SampleRows takes the
+// default path and draws the sample: every fraction probe pays a full draw,
+// the way the fraction search ran before its probes were size-only.
+class DrawingSampleSource : public SampleSource {
+ public:
+  explicit DrawingSampleSource(SampleSource* inner) : inner_(inner) {}
+  const Table& Sample(const std::string& object, double f) override {
+    return inner_->Sample(object, f);
+  }
+  double FullTuples(const std::string& object) override {
+    return inner_->FullTuples(object);
+  }
+  const Schema& ObjectSchema(const std::string& object) override {
+    return inner_->ObjectSchema(object);
+  }
+
+ private:
+  SampleSource* inner_;
+};
+
+TEST(SampleRowsTest, MatchesDrawnSampleOnBaseTables) {
+  Database db;
+  // Sizes around the 50-row floor, and fractions landing just under, on and
+  // over it (5000 * 0.0098 rounds to 49, * 0.01 to 50, * 0.0102 to 51).
+  const std::vector<uint64_t> sizes = {0, 1, 30, 49, 50, 51, 99, 5000, 5001};
+  for (const uint64_t n : sizes) {
+    auto t = std::make_unique<Table>("t" + std::to_string(n),
+                                     Schema({{"a", ValueType::kInt64, 8}}));
+    for (uint64_t i = 0; i < n; ++i) {
+      t->AddRow({Value::Int64(static_cast<int64_t>(i))});
+    }
+    db.AddTable(std::move(t));
+  }
+  scale::Options opt;
+  opt.fact_rows = 30000;
+  scale::Build(&db, opt);  // a generated (blocked, never materialized) table
+  ASSERT_FALSE(db.table("events").materialized());
+
+  std::vector<std::string> objects = {"events"};
+  for (const uint64_t n : sizes) objects.push_back("t" + std::to_string(n));
+  const std::vector<double> fs = {0.001, 0.0098, 0.01, 0.0102, 0.1, 1.0};
+
+  SampleManager samples(99);
+  TableSampleSource source(db, &samples);
+  for (const std::string& object : objects) {
+    for (const double f : fs) {
+      source.SampleRows(object, f);
+    }
+  }
+  EXPECT_EQ(samples.num_samples(), 0u) << "SampleRows must not draw";
+  EXPECT_EQ(samples.rows_scanned(), 0u);
+
+  for (const std::string& object : objects) {
+    for (const double f : fs) {
+      EXPECT_EQ(source.SampleRows(object, f),
+                source.Sample(object, f).num_rows())
+          << object << " f=" << f;
+    }
+  }
+}
+
+TEST_F(EstimatorTest, FractionSearchDrawsOnlyTheChosenSample) {
+  std::vector<IndexDef> targets = {
+      Idx({"l_shipdate"}), Idx({"l_shipdate", "l_shipmode"}),
+      Idx({"l_partkey"}, CompressionKind::kPage),
+      Idx({"l_orderkey", "l_quantity"}, CompressionKind::kPage)};
+  IndexDef part;
+  part.object = "part";
+  part.key_columns = {"p_brand", "p_size"};
+  part.compression = CompressionKind::kPage;
+  targets.push_back(part);
+
+  // The size-only run batches its probes and leaves on a pool; the eager
+  // reference runs serially.
+  SizeEstimationOptions options;
+  options.num_threads = 2;
+  SizeEstimator size_only(db_, source_.get(), ErrorModel(), options);
+  const SizeEstimator::BatchResult a = size_only.EstimateAll(targets);
+  EXPECT_EQ(samples_->num_samples(), 2u) << "one sample per object";
+
+  SampleManager eager_samples(1234);
+  TableSampleSource eager_inner(db_, &eager_samples);
+  DrawingSampleSource eager(&eager_inner);
+  SizeEstimator drawing(db_, &eager, ErrorModel(), SizeEstimationOptions{});
+  const SizeEstimator::BatchResult b = drawing.EstimateAll(targets);
+  EXPECT_EQ(eager_samples.num_samples(), 2 * options.fractions.size());
+
+  EXPECT_EQ(std::memcmp(&a.chosen_f, &b.chosen_f, sizeof(double)), 0);
+  EXPECT_EQ(std::memcmp(&a.total_cost_pages, &b.total_cost_pages,
+                        sizeof(double)),
+            0);
+  EXPECT_EQ(a.num_sampled, b.num_sampled);
+  EXPECT_EQ(a.num_deduced, b.num_deduced);
+  ASSERT_EQ(a.estimates.size(), targets.size());
+  ASSERT_EQ(a.estimates.size(), b.estimates.size());
+  for (auto x = a.estimates.begin(), y = b.estimates.begin();
+       x != a.estimates.end(); ++x, ++y) {
+    EXPECT_EQ(x->first, y->first);
+    EXPECT_EQ(std::memcmp(&x->second, &y->second, sizeof(SampleCfResult)), 0)
+        << x->first;
+  }
 }
 
 }  // namespace

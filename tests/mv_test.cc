@@ -39,7 +39,8 @@ TEST_F(MVTest, MaterializeGroupsCorrectly) {
   MVDef def = ShipdateMV();
   auto mv = MaterializeMV(db_, def);
   // Distinct ship dates is the exact group count.
-  EXPECT_EQ(mv->num_rows(), db_.stats("lineitem").column("l_shipdate").distinct);
+  EXPECT_EQ(mv->num_rows(),
+            db_.stats("lineitem").column("l_shipdate").distinct);
   // Total count column sums to fact rows.
   const size_t cpos = mv->schema().ColumnIndex(kMVCountColumn);
   int64_t total = 0;
@@ -80,6 +81,21 @@ TEST_F(MVTest, SampleSourceRoutesMVs) {
             db_.table("lineitem").schema().num_columns());
 }
 
+TEST_F(MVTest, SampleRowsMatchesDrawnSamples) {
+  registry_->Register(ShipdateMV());
+  // Base tables resolve size-only through the registry: nothing is drawn.
+  registry_->SampleRows("lineitem", 0.05);
+  registry_->SampleRows("part", 0.05);
+  EXPECT_EQ(samples_->num_samples(), 0u);
+  for (const double f : {0.01, 0.05, 0.1}) {
+    for (const std::string object : {"mv_ship", "lineitem", "part"}) {
+      EXPECT_EQ(registry_->SampleRows(object, f),
+                registry_->Sample(object, f).num_rows())
+          << object << " f=" << f;
+    }
+  }
+}
+
 TEST_F(MVTest, AdaptiveEstimateBeatsBaselines) {
   // The Table 1 phenomenon in miniature: AE should land near the true
   // group count, Multiply should overshoot badly (dates repeat), the
@@ -99,7 +115,8 @@ TEST_F(MVTest, MatchAcceptsGeneratingQuery) {
   registry_->Register(ShipdateMV());
   std::string err;
   auto stmt = ParseSql(
-      "SELECT l_shipdate, SUM(l_extendedprice) FROM lineitem GROUP BY l_shipdate",
+      "SELECT l_shipdate, SUM(l_extendedprice) FROM lineitem "
+      "GROUP BY l_shipdate",
       db_, &err);
   ASSERT_TRUE(stmt.has_value()) << err;
   IndexDef idx;
@@ -132,7 +149,8 @@ TEST_F(MVTest, MatchRejectsWrongGrouping) {
   registry_->Register(ShipdateMV());
   std::string err;
   auto stmt = ParseSql(
-      "SELECT l_shipmode, SUM(l_extendedprice) FROM lineitem GROUP BY l_shipmode",
+      "SELECT l_shipmode, SUM(l_extendedprice) FROM lineitem "
+      "GROUP BY l_shipmode",
       db_, &err);
   ASSERT_TRUE(stmt.has_value()) << err;
   IndexDef idx;
@@ -171,7 +189,8 @@ TEST_F(MVTest, MatchRejectsMissingAggregate) {
 
 TEST_F(MVTest, FactTableOfReportsMVOwner) {
   registry_->Register(ShipdateMV());
-  EXPECT_EQ(registry_->FactTableOf("mv_ship"), std::optional<std::string>("lineitem"));
+  EXPECT_EQ(registry_->FactTableOf("mv_ship"),
+            std::optional<std::string>("lineitem"));
   EXPECT_EQ(registry_->FactTableOf("lineitem"), std::nullopt);
 }
 

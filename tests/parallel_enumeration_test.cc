@@ -90,6 +90,26 @@ TEST_F(ParallelEnumerationTest, ParallelEnumerateBitIdenticalToSerial) {
   }
 }
 
+// The cost cache's counters are part of the report, so they must not depend
+// on the thread count either: two threads missing on the same key at once
+// count one miss and one hit, as the serial run would.
+TEST_F(ParallelEnumerationTest, CostCacheCountersMatchSerial) {
+  AdvisorOptions serial = AdvisorOptions::DTAcBoth();
+  serial.cost_cache = true;
+  serial.num_threads = 1;
+  const AdvisorResult base = Tune(serial, 0.08);
+  ASSERT_GT(base.stmt_costs_computed, 0u);
+  ASSERT_GT(base.stmt_costs_cached, 0u);
+
+  for (int threads : {4, 4, 8}) {
+    AdvisorOptions parallel = serial;
+    parallel.num_threads = threads;
+    const AdvisorResult r = Tune(parallel, 0.08);
+    EXPECT_EQ(r.stmt_costs_computed, base.stmt_costs_computed) << threads;
+    EXPECT_EQ(r.stmt_costs_cached, base.stmt_costs_cached) << threads;
+  }
+}
+
 TEST_F(ParallelEnumerationTest, DensityGreedyParallelMatchesSerial) {
   AdvisorOptions serial = AdvisorOptions::DTAcBoth();
   serial.enumeration = EnumerationMode::kDensityGreedy;
