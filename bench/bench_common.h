@@ -226,8 +226,8 @@ inline void PrintHeader(const std::string& title) {
 // base data size) and prints an improvement-% table — the shared shape of
 // Figures 12-17. Each (variant, budget) cell records its improvement (a
 // deterministic value), the what-if / statement-costing counters, and its
-// tuning wall time into ctx's report; ctx.flags.threads sets the worker
-// pool for every variant.
+// tuning wall time into ctx's report; every variant borrows the engine's
+// search pool for ctx.flags.threads workers.
 struct Variant {
   std::string name;
   AdvisorOptions options;
@@ -245,7 +245,7 @@ inline void RunImprovementTable(BenchContext* ctx, Stack* s, const Workload& w,
     std::printf("%3.0f%% (%4.0fKB)", frac * 100, kb);
     for (const Variant& v : variants) {
       AdvisorOptions options = v.options;
-      options.num_threads = ctx->flags.threads;
+      options.pool = s->engine->PoolFor(ctx->flags.threads);
       const auto t0 = std::chrono::steady_clock::now();
       const AdvisorResult r = s->Tune(options, frac, w);
       const double ms = Millis(t0, std::chrono::steady_clock::now());

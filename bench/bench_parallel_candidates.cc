@@ -4,11 +4,9 @@
 // per-query candidate selection / enumeration — plus the
 // stmt_costs_{computed,cached} counters showing the selection-phase
 // costings warming (and hitting) the shared StatementCostCache. Every run
-// is checked bit-identical to the serial baseline. (The counters are
-// accounting, not part of that contract: on multicore, concurrent misses
-// on one cache key may each run the optimizer, shifting computed/cached
-// slightly between thread counts while the recommendation stays
-// identical.)
+// is checked bit-identical to the serial baseline, and the counters match
+// the serial run at every thread count too (only the inserting miss of a
+// cache key counts as computed).
 #include <cstring>
 
 #include "bench/bench_common.h"
@@ -62,8 +60,8 @@ void Run(BenchContext& ctx) {
 
   AdvisorOptions base = AdvisorOptions::DTAcBoth();
   // One shared estimation cache: the pool is priced on the first run and
-  // every later run hits it, so the timed phases are selection +
-  // enumeration, not sampling.
+  // every later run serves its SampleCF leaves from it, so the timed
+  // phases are selection + enumeration, not sampling.
   base.size_options.cache = std::make_shared<EstimationCache>();
   s.Tune(base, budget, w);  // warm samples + estimation cache
 
@@ -88,7 +86,7 @@ void Run(BenchContext& ctx) {
   for (int threads : {1, 2, 4, 8}) {
     AdvisorOptions options = base;
     options.cost_cache = true;
-    options.num_threads = threads;
+    options.pool = s.engine->PoolFor(threads);
     const AdvisorResult r = s.Tune(options, budget, w);
     char label[16];
     std::snprintf(label, sizeof(label), "t=%d", threads);
@@ -102,7 +100,7 @@ void Run(BenchContext& ctx) {
   AdvisorResult staged_serial;
   for (int threads : {1, 4}) {
     AdvisorOptions options = base;
-    options.num_threads = threads;
+    options.pool = s.engine->PoolFor(threads);
     SizeEstimator estimator(*s.db, s.mvs(), ErrorModel(),
                             options.size_options);
     Advisor advisor(*s.db, s.optimizer(), &estimator, s.mvs(), options);

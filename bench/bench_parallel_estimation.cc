@@ -1,8 +1,9 @@
 // Scaling benchmark for the parallel batch-estimation engine: the Figure 11
 // estimation workload (full candidate set of the all-features tool over
 // TPC-H) executed with 1/2/4/8 worker threads, verifying byte-identical
-// results at every thread count, plus the cross-round estimation cache
-// (second advisor round priced from cache instead of re-sampled).
+// results at every thread count, plus the cross-round estimation cache: a
+// second round plans the same batch (same fraction, same plan cost) and
+// serves every SampleCF leaf from the cache instead of re-building it.
 #include <cstring>
 
 #include "advisor/candidates.h"
@@ -59,7 +60,7 @@ void Run(BenchContext& ctx) {
   SizeEstimator::BatchResult baseline;
   for (int threads : {1, 2, 4, 8}) {
     SizeEstimationOptions size_options = options.size_options;
-    size_options.num_threads = threads;
+    size_options.pool = s.engine->PoolFor(threads);
     SizeEstimator estimator(*s.db, s.mvs(), ErrorModel(), size_options);
     const auto t0 = std::chrono::steady_clock::now();
     const SizeEstimator::BatchResult batch = estimator.EstimateAll(targets);

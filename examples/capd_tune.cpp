@@ -11,7 +11,8 @@
 // --json prints the versioned JSON report (report_json.h) and nothing
 // else, so the output pipes straight into `python3 -m json.tool`, jq, etc.
 // Bad flags, unknown workloads and unknown strategies exit 2 with a usage
-// message.
+// message, as does any request the engine rejects (e.g. --threads above
+// its 1024-thread bound).
 //
 // --timeout-ms / --priority route the request through the TuningService
 // (deadline enforcement, priority scheduling): a deadline that fires
@@ -43,8 +44,9 @@ void Usage() {
       "  --budget accepts a percentage of the base data size (\"15%%\") or\n"
       "  an absolute byte count (\"1048576\"); --budget-frac takes the\n"
       "  fraction as a float. --threads drives both the search and the\n"
-      "  estimation pools (0 = hardware concurrency). --mv/--partial add\n"
-      "  MV and partial-index candidates on top of the chosen strategy.\n"
+      "  estimation pools (0 = hardware concurrency, at most 1024).\n"
+      "  --mv/--partial add MV and partial-index candidates on top of the\n"
+      "  chosen strategy.\n"
       "  --timeout-ms/--priority run through the TuningService: a deadline\n"
       "  that fires mid-tune prints the best-so-far design and exits 3\n"
       "  (as does an overloaded rejection).\n"

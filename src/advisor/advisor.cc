@@ -21,15 +21,6 @@ double Advisor::ChargedBytes(const Configuration& config) const {
   return charged;
 }
 
-ThreadPool* Advisor::Pool() const {
-  if (options_.pool != nullptr) return options_.pool;
-  if (options_.num_threads == 1) return nullptr;
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-  return pool_.get();
-}
-
 bool Advisor::CancelRequested() const {
   return options_.cancel != nullptr &&
          options_.cancel->load(std::memory_order_relaxed);
@@ -66,7 +57,7 @@ double Advisor::PooledWorkloadCost(const Workload& workload,
     result->stmt_costs_computed += workload.statements.size();
   }
   const std::vector<double> costs = ParallelMap<double>(
-      Pool(), workload.statements.size(), [&](size_t i) {
+      options_.pool, workload.statements.size(), [&](size_t i) {
         // Remaining costings are skipped once a cancel fires; the partial
         // sum is meaningless, so callers must re-check CancelRequested()
         // before consuming the total.
@@ -131,8 +122,9 @@ std::map<std::string, PhysicalIndexEstimate> Advisor::EstimateSizes(
   }
   if (result != nullptr) {
     result->estimation_cost_pages += batch.total_cost_pages;
-    // A fully cache-served batch never picks a fraction (chosen_f == 0);
-    // keep the last real one rather than clobbering the report.
+    // Only an empty (all-uncompressed) batch picks no fraction
+    // (chosen_f == 0); keep the last real one rather than clobbering the
+    // report.
     if (batch.chosen_f > 0.0) result->chosen_f = batch.chosen_f;
     result->num_sampled += batch.num_sampled;
     result->num_deduced += batch.num_deduced;
@@ -167,8 +159,8 @@ std::vector<IndexDef> Advisor::SelectCandidates(
                ? cost_cache->Cost(stmt_index, config)
                : optimizer_->Cost(workload.statements[stmt_index], config);
   };
-  const std::vector<double> costs =
-      ParallelMap<double>(Pool(), selects.size() * stride, [&](size_t j) {
+  const std::vector<double> costs = ParallelMap<double>(
+      options_.pool, selects.size() * stride, [&](size_t j) {
         // Skipped costings yield 0.0, which makes every candidate look
         // irrelevant (cost >= base_cost) — harmless, because Tune discards
         // the selection as soon as it sees the cancel flag. The cost cache
@@ -271,7 +263,7 @@ Configuration Advisor::Enumerate(
       result->stmt_costs_computed += trials * workload.statements.size();
     }
   };
-  ThreadPool* workers = Pool();
+  ThreadPool* workers = options_.pool;
 
   while (true) {
     // Cooperative cancel: between greedy steps the configuration is always

@@ -94,9 +94,9 @@ class Advisor {
   // query's top-k configurations or on its size/cost skyline. The
   // single-index costings go through `cost_cache` (may be null), where
   // they double as warm-up for the first enumeration step; they fan out
-  // over Pool() and are reduced serially in (query, candidate) order, so
-  // the selected pool is bit-identical at any thread count. Public for
-  // tests and tooling.
+  // over the search pool and are reduced serially in (query, candidate)
+  // order, so the selected pool is bit-identical at any thread count.
+  // Public for tests and tooling.
   std::vector<IndexDef> SelectCandidates(
       const Workload& workload, const std::vector<IndexDef>& candidates,
       const std::map<std::string, PhysicalIndexEstimate>& sizes,
@@ -104,8 +104,7 @@ class Advisor {
 
  private:
   // Greedy enumeration with optional backtracking. `cost_cache` may be
-  // null (uncached costing); trial evaluations run on Pool() when the
-  // options enable enumeration threads.
+  // null (uncached costing); trial evaluations run on the search pool.
   Configuration Enumerate(
       const Workload& workload, const std::vector<IndexDef>& pool,
       const std::map<std::string, PhysicalIndexEstimate>& sizes,
@@ -117,17 +116,13 @@ class Advisor {
                       AdvisorResult* result) const;
 
   // Uncached workload costing with the per-statement optimizer calls
-  // fanned across Pool(); the weighted sum is reduced in statement order,
-  // reproducing WhatIfOptimizer::WorkloadCost to the bit.
+  // fanned across the search pool; the weighted sum is reduced in statement
+  // order, reproducing WhatIfOptimizer::WorkloadCost to the bit.
   double PooledWorkloadCost(const Workload& workload,
                             const Configuration& config,
                             AdvisorResult* result) const;
 
   bool CanAdd(const Configuration& config, const IndexDef& def) const;
-
-  // Enumeration thread pool: options_.pool when set, otherwise created on
-  // first use and reused across rounds; null when options_.num_threads == 1.
-  ThreadPool* Pool() const;
 
   // Cooperative cancellation / progress plumbing (no-ops when the options
   // leave them unset).
@@ -139,7 +134,6 @@ class Advisor {
   SizeEstimator* sizes_;
   MVRegistry* mvs_;
   AdvisorOptions options_;
-  mutable std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace capd

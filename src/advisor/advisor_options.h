@@ -51,18 +51,12 @@ struct AdvisorOptions {
   bool backtracking = true;  // Section 6.2 oversize recovery
 
   // --- search-loop performance knobs ---
-  // Worker threads for the advisor's independent what-if costings: the
+  // Borrowed pool for the advisor's independent what-if costings: the
   // per-query single-index costings of SelectCandidates, Enumerate's trial
   // evaluations (the main candidate loop and the backtracking swap
-  // search), and the staged baseline's stage-2 re-costing. 1 = serial,
-  // 0 = hardware concurrency. Results are bit-identical at any thread
-  // count: costings are reduced serially in pool order. Independent of
-  // size_options.num_threads (the estimation pool).
-  int num_threads = 1;
-  // External search pool. When set it is used instead of (and regardless
-  // of) num_threads, and is not owned: the AdvisorEngine shares one search
-  // pool across requests this way. Results stay bit-identical — costings
-  // are reduced serially in pool order whatever executes them.
+  // search), and the staged baseline's stage-2 re-costing. Null = serial.
+  // Results are bit-identical at any pool size: costings are reduced
+  // serially in pool order. Independent of size_options.pool.
   ThreadPool* pool = nullptr;
   // Per-statement what-if cost cache: adding an index only changes the
   // cost of statements touching its object, so unchanged statements reuse
@@ -98,12 +92,12 @@ struct AdvisorOptions {
   bool enable_merging = true;   // index merging [8]
 
   // Size-estimation knobs (Section 5 framework). Noteworthy fields:
-  //   size_options.num_threads — parallel batch estimation: independent
-  //     SampleCF runs execute across this many workers (1 = serial,
-  //     0 = hardware concurrency) with bit-identical results.
-  //   size_options.cache — shared cross-round EstimationCache: indexes
-  //     priced in an earlier advisor round (initial pool, merged pool,
-  //     staged baseline) are reused instead of re-sampled.
+  //   size_options.pool — parallel batch estimation: independent SampleCF
+  //     runs execute across this borrowed pool (null = serial) with
+  //     bit-identical results.
+  //   size_options.cache — shared cross-round EstimationCache: SampleCF
+  //     leaves priced in an earlier advisor round (initial pool, merged
+  //     pool, staged baseline) are reused instead of re-sampled.
   // Callers that construct the SizeEstimator themselves must build it from
   // this struct for the knobs to take effect (see bench/bench_common.h).
   SizeEstimationOptions size_options;

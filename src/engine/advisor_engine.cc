@@ -6,6 +6,7 @@
 
 #include "advisor/report.h"
 #include "advisor/report_json.h"
+#include "common/logging.h"
 
 namespace capd {
 
@@ -14,30 +15,20 @@ AdvisorEngine::AdvisorEngine(const Database& db, EngineOptions options)
       options_(std::move(options)),
       samples_(options_.sample_seed),
       mvs_(db, &samples_),
-      optimizer_(db, CostModelParams{}) {
+      optimizer_(db, CostModelParams{}),
+      estimation_cache_(std::make_shared<EstimationCache>(
+          options_.estimation_cache_capacity_bytes)) {
   optimizer_.set_mv_matcher(&mvs_);
-  if (options_.share_estimation_cache) {
-    estimation_cache_ = std::make_shared<EstimationCache>(
-        options_.estimation_cache_capacity_bytes);
-  }
 }
 
 ThreadPool* AdvisorEngine::PoolFor(int threads) {
   if (threads == 1) return nullptr;
   if (threads < 0) threads = 0;  // normalize: 0 = hardware concurrency
+  CAPD_CHECK_LE(threads, kMaxTuningThreads);
   std::lock_guard<std::mutex> lock(pools_mu_);
   std::unique_ptr<ThreadPool>& pool = pools_[threads];
   if (pool == nullptr) pool = std::make_unique<ThreadPool>(threads);
   return pool.get();
-}
-
-void AdvisorEngine::LendPools(AdvisorOptions* options) {
-  if (options->pool == nullptr) {
-    options->pool = PoolFor(options->num_threads);
-  }
-  if (options->size_options.pool == nullptr) {
-    options->size_options.pool = PoolFor(options->size_options.num_threads);
-  }
 }
 
 TuningResponse AdvisorEngine::Tune(const TuningRequest& request) {
@@ -62,24 +53,36 @@ TuningResponse AdvisorEngine::Tune(const TuningRequest& request) {
       static_cast<double>(db_->BaseDataBytes()));
   response.budget_bytes = budget_bytes;
 
+  // Bound the thread counts before any pool exists (kMaxTuningThreads).
+  const int search_threads = request.search_threads >= 0
+                                 ? request.search_threads
+                                 : options_.search_threads;
+  const int estimation_threads = request.estimation_threads >= 0
+                                     ? request.estimation_threads
+                                     : options_.estimation_threads;
+  auto too_many = [&](const char* field, int threads) {
+    if (threads <= kMaxTuningThreads) return false;
+    response.status = TuningResponse::Status::kError;
+    response.error = std::string("invalid ") + field + ": " +
+                     std::to_string(threads) + " threads, at most " +
+                     std::to_string(kMaxTuningThreads);
+    return true;
+  };
+  if (too_many("search_threads", search_threads) ||
+      too_many("estimation_threads", estimation_threads)) {
+    return response;
+  }
+
   // Strategy base options + request knobs + engine-owned collaborators.
   AdvisorOptions options = strategy->MakeOptions();
-  options.num_threads = request.search_threads >= 0 ? request.search_threads
-                                                    : options_.search_threads;
-  options.size_options.num_threads = request.estimation_threads >= 0
-                                         ? request.estimation_threads
-                                         : options_.estimation_threads;
+  options.pool = PoolFor(search_threads);
+  options.size_options.pool = PoolFor(estimation_threads);
+  options.size_options.cache = estimation_cache_;
   options.cost_cache =
       request.cost_cache >= 0 ? request.cost_cache != 0 : options_.cost_cache;
   if (request.enable_mv >= 0) options.enable_mv = request.enable_mv != 0;
   if (request.enable_partial >= 0) {
     options.enable_partial = request.enable_partial != 0;
-  }
-  if (request.use_shared_estimation_cache && estimation_cache_ != nullptr) {
-    options.size_options.cache = estimation_cache_;
-    // Fraction-exact mode: warmth must never change what a request
-    // computes — see the determinism contract in the header.
-    options.size_options.cache_fraction_exact = true;
   }
   options.trace = options.trace || request.trace;
   options.cancel = request.cancel.flag();
@@ -89,7 +92,6 @@ TuningResponse AdvisorEngine::Tune(const TuningRequest& request) {
   options.size_options.cancel = options.cancel;
   options.progress = request.progress;
   options.fault_hook = request.fault_hook;
-  LendPools(&options);
 
   RequestScope scope = ScopeFor(options);
   try {
@@ -143,11 +145,9 @@ AdvisorEngine::RequestScope AdvisorEngine::ScopeFor(
 AdvisorResult AdvisorEngine::TuneWithOptions(const Workload& workload,
                                              double budget_bytes,
                                              const AdvisorOptions& options) {
-  AdvisorOptions wired = options;
-  LendPools(&wired);
-  RequestScope scope = ScopeFor(wired);
-  SizeEstimator estimator(*db_, scope.mvs, ErrorModel(), wired.size_options);
-  Advisor advisor(*db_, *scope.optimizer, &estimator, scope.mvs, wired);
+  RequestScope scope = ScopeFor(options);
+  SizeEstimator estimator(*db_, scope.mvs, ErrorModel(), options.size_options);
+  Advisor advisor(*db_, *scope.optimizer, &estimator, scope.mvs, options);
   return advisor.Tune(workload, budget_bytes);
 }
 

@@ -13,13 +13,15 @@
 //   TuningResponse response = engine.Tune(request);
 //   if (response.ok()) std::cout << response.json;
 //
-// Determinism contract (extends the PR 1-3 guarantees): concurrent Tune()
-// calls on one engine are safe, and every response — the AdvisorResult,
-// the text report, and the JSON report, bytes included — is identical to
-// running that request alone on a freshly wired stack. Shared caches only
-// memoize pure computations (samples are seeded per cache key; the
-// estimation cache runs in fraction-exact mode; the statement cost cache
-// is per-request), so warmth changes latency, never results.
+// Determinism contract: concurrent Tune() calls on one engine are safe,
+// and every response — the AdvisorResult, the text report, and the JSON
+// report, bytes included — is identical to running that request alone on
+// a freshly wired stack. Shared caches only memoize pure computations
+// (samples are seeded per cache key; the estimation cache memoizes
+// SampleCF leaves at the fraction an uncached run would pick; the
+// statement cost cache is per-request), and the shared pools only change
+// who runs a costing, never the order it is reduced in, so warmth and
+// thread counts change latency, never results.
 //
 // The raw Advisor (advisor/advisor.h) remains the low-level layer for
 // callers that need to hand-wire collaborators; TuneWithOptions() is the
@@ -41,12 +43,17 @@
 
 namespace capd {
 
+// Upper bound on a request's resolved search or estimation thread count.
+// Each count becomes a pool of that many OS threads, and a failed thread
+// spawn aborts the process, so Tune rejects larger counts with a kError.
+inline constexpr int kMaxTuningThreads = 1024;
+
 struct EngineOptions {
   // Default worker threads for a request's search loop (what-if costings)
-  // and estimation batches; 1 = serial, 0 = hardware concurrency.
-  // Requests may override per call. Pools are created lazily, owned by the
-  // engine, and shared across concurrent requests (results stay
-  // bit-identical at any thread count).
+  // and estimation batches; 1 = serial, 0 = hardware concurrency, at most
+  // kMaxTuningThreads. Requests may override per call. Each count maps to
+  // an engine-owned pool (PoolFor) shared across concurrent requests
+  // (results stay bit-identical at any thread count).
   int search_threads = 1;
   int estimation_threads = 1;
 
@@ -54,10 +61,9 @@ struct EngineOptions {
   // key, so any fixed seed gives run-to-run reproducibility.
   uint64_t sample_seed = 4242;
 
-  // Cross-request estimation cache (fraction-exact mode, see
-  // SizeEstimationOptions::cache_fraction_exact): indexes priced by one
-  // request are not re-sampled by the next. 0 capacity = unbounded.
-  bool share_estimation_cache = true;
+  // Memory bound of the cross-request estimation cache, through which
+  // every request's SampleCF leaves flow: indexes priced by one request
+  // are not re-sampled by the next. 0 = unbounded.
   size_t estimation_cache_capacity_bytes = 0;
 
   // Default for TuningRequest::cost_cache (the per-request sharded
@@ -113,6 +119,8 @@ struct TuningRequest {
   TuningBudget budget;  // default: 20% of base data
 
   // --- knobs (engine / strategy defaults when negative) ---
+  // Thread counts as in EngineOptions; above kMaxTuningThreads the request
+  // fails with kError.
   int search_threads = -1;
   int estimation_threads = -1;
   int cost_cache = -1;  // -1 = engine default, 0 = off, 1 = on
@@ -122,10 +130,6 @@ struct TuningRequest {
   // definitions never leak into later requests.
   int enable_mv = -1;
   int enable_partial = -1;
-  // When false this request neither reads nor fills the engine's shared
-  // estimation cache (results are identical either way; this knob exists
-  // for isolation and for benchmarking cold runs).
-  bool use_shared_estimation_cache = true;
   // Prints the advisor's candidate-pool / greedy decisions to stderr
   // (AdvisorOptions::trace; debugging aid).
   bool trace = false;
@@ -184,11 +188,18 @@ class AdvisorEngine {
   TuningResponse Tune(const TuningRequest& request);
 
   // Low-level escape hatch: run Advisor::Tune with caller-built options on
-  // the engine-owned stack (the options are honored verbatim; the engine
-  // only lends its thread pools when the options name no external pool).
-  // Benches use this for ablation variants no registered strategy covers.
+  // the engine-owned stack. The options are used exactly as given: their
+  // pools (null = serial) and their estimation cache (null = none), not
+  // the engine's. Callers borrow engine pools through PoolFor. Benches use
+  // this for ablation variants no registered strategy covers.
   AdvisorResult TuneWithOptions(const Workload& workload, double budget_bytes,
                                 const AdvisorOptions& options);
+
+  // Engine-owned pool of `threads` workers (0 or negative = hardware
+  // concurrency), created on first use and shared by every caller asking
+  // for that count; null when threads == 1 (serial). Thread-safe. The
+  // count must not exceed kMaxTuningThreads.
+  ThreadPool* PoolFor(int threads);
 
   // Registered strategy names (convenience passthrough, sorted).
   std::vector<std::string> Strategies() const;
@@ -197,6 +208,7 @@ class AdvisorEngine {
   SampleManager* samples() { return &samples_; }
   MVRegistry* mvs() { return &mvs_; }
   const WhatIfOptimizer& optimizer() const { return optimizer_; }
+  // The cross-request estimation cache every Tune shares; never null.
   const std::shared_ptr<EstimationCache>& estimation_cache() const {
     return estimation_cache_;
   }
@@ -215,19 +227,12 @@ class AdvisorEngine {
   };
   RequestScope ScopeFor(const AdvisorOptions& options);
 
-  // Engine-owned pool for `threads` workers (lazily created, reused, keyed
-  // by count); null when threads == 1.
-  ThreadPool* PoolFor(int threads);
-
-  // Overlays engine pools (and nothing else) onto per-request options.
-  void LendPools(AdvisorOptions* options);
-
   const Database* db_;
   const EngineOptions options_;
   SampleManager samples_;
   MVRegistry mvs_;
   WhatIfOptimizer optimizer_;
-  std::shared_ptr<EstimationCache> estimation_cache_;  // null when not shared
+  std::shared_ptr<EstimationCache> estimation_cache_;
 
   std::mutex pools_mu_;
   std::map<int, std::unique_ptr<ThreadPool>> pools_;  // by thread count

@@ -46,21 +46,6 @@ std::optional<SampleCfResult> EstimationCache::Lookup(
   return it->second.result;
 }
 
-std::optional<SampleCfResult> EstimationCache::LookupBest(
-    const std::string& signature, const std::vector<double>& fractions) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (auto it = fractions.rbegin(); it != fractions.rend(); ++it) {
-    const auto entry = entries_.find(Key(signature, *it));
-    if (entry != entries_.end()) {
-      ++hits_;
-      TouchLocked(entry->second);
-      return entry->second.result;
-    }
-  }
-  ++misses_;
-  return std::nullopt;
-}
-
 void EstimationCache::Insert(const std::string& signature, double f,
                              const SampleCfResult& r) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -77,30 +62,9 @@ void EstimationCache::Insert(const std::string& signature, double f,
   EvictOverCapacityLocked();
 }
 
-void EstimationCache::set_capacity_bytes(size_t capacity_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  capacity_bytes_ = capacity_bytes;
-  EvictOverCapacityLocked();
-}
-
-size_t EstimationCache::capacity_bytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return capacity_bytes_;
-}
-
 size_t EstimationCache::charged_bytes() const {
   std::lock_guard<std::mutex> lock(mu_);
   return bytes_;
-}
-
-void EstimationCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  entries_.clear();
-  lru_.clear();
-  bytes_ = 0;
-  hits_ = 0;
-  misses_ = 0;
-  evictions_ = 0;
 }
 
 size_t EstimationCache::size() const {

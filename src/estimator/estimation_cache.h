@@ -2,9 +2,9 @@
 // enumeration re-prices overlapping candidate sets round after round
 // (initial pool, merged pool, staged baselines), and every re-estimate of
 // an already-priced index is pure waste — size estimation dominates
-// advisor runtime (Figure 11). Entries are keyed by IndexDef signature +
-// sampling fraction, so a hit reproduces exactly what a fresh SampleCF or
-// deduction at that fraction would have produced.
+// advisor runtime (Figure 11). Entries are SampleCF results keyed by
+// IndexDef signature + sampling fraction, so a hit reproduces exactly what
+// a fresh SampleCF at that fraction would have produced.
 //
 // Optionally memory-bounded: with a capacity, entries are evicted in
 // least-recently-used order (lookups and inserts refresh recency), so
@@ -19,7 +19,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "estimator/sample_cf.h"
 
@@ -35,23 +34,11 @@ class EstimationCache {
   std::optional<SampleCfResult> Lookup(const std::string& signature,
                                        double f) const;
 
-  // Best cached estimate of `signature` across candidate fractions: the
-  // last cached entry in `fractions` wins, so pass them ascending (the
-  // SizeEstimationOptions convention) to prefer the largest f — most
-  // accurate; error shrinks monotonically with f in the Section 5.1
-  // model. Probed once per target per round, hence no defensive sort.
-  std::optional<SampleCfResult> LookupBest(
-      const std::string& signature, const std::vector<double>& fractions) const;
-
   void Insert(const std::string& signature, double f, const SampleCfResult& r);
 
-  // Changing the capacity evicts immediately if the cache is over it.
-  void set_capacity_bytes(size_t capacity_bytes);
-  size_t capacity_bytes() const;
   // Approximate bytes currently held (keys + results + container overhead).
   size_t charged_bytes() const;
 
-  void Clear();
   size_t size() const;
   uint64_t hits() const;
   uint64_t misses() const;
@@ -71,11 +58,11 @@ class EstimationCache {
   void TouchLocked(const Entry& entry) const;
   void EvictOverCapacityLocked();
 
+  const size_t capacity_bytes_;
   mutable std::mutex mu_;
   mutable uint64_t hits_ = 0;
   mutable uint64_t misses_ = 0;
   uint64_t evictions_ = 0;
-  size_t capacity_bytes_ = 0;
   size_t bytes_ = 0;
   // Front = most recently used. Mutable: lookups refresh recency.
   mutable std::list<std::string> lru_;

@@ -505,14 +505,6 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
   std::map<std::string, SampleCfResult> results;  // every known node
   DeductionEngine engine(*db_, source_, f);
 
-  // Leaf entries are namespaced apart from the advisor's per-target entries
-  // (EstimateAll's LookupBest path): only SampleCF-pure values — never
-  // deduced ones — may be served here, or a hit could diverge from what a
-  // fresh run at f computes.
-  auto leaf_key = [](const std::string& signature) {
-    return "scf|" + signature;
-  };
-
   // Phase 1: SAMPLED nodes are independent of each other — these are the
   // leaves of every deduction chain and carry the index-build cost, so
   // they are the parallel section. Compression variants of one structure
@@ -531,7 +523,7 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
     }
     const std::string sig = nodes_[i].def.Signature();
     if (cache != nullptr) {
-      if (std::optional<SampleCfResult> served = cache->Lookup(leaf_key(sig), f)) {
+      if (std::optional<SampleCfResult> served = cache->Lookup(sig, f)) {
         results[sig] = *served;
         if (cache_hits != nullptr) ++(*cache_hits);
         continue;
@@ -577,7 +569,7 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
       const std::string sig = node.def.Signature();
       results[sig] = group_results[g][m];
       if (cache != nullptr && !node.is_existing) {
-        cache->Insert(leaf_key(sig), f, group_results[g][m]);
+        cache->Insert(sig, f, group_results[g][m]);
       }
     }
   }

@@ -6,67 +6,28 @@
 
 namespace capd {
 
-ThreadPool* SizeEstimator::Pool() {
-  if (options_.pool != nullptr) return options_.pool;
-  if (options_.num_threads == 1) return nullptr;
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<ThreadPool>(options_.num_threads);
-  }
-  return pool_.get();
-}
-
 SizeEstimator::BatchResult SizeEstimator::EstimateAll(
     const std::vector<IndexDef>& targets) {
   BatchResult result;
   if (targets.empty()) return result;
 
-  // Cross-round cache, fast mode: pull out every target already priced at
-  // one of the candidate fractions; only the remainder enters the graph.
-  // In fraction-exact mode every target enters the graph instead, and the
-  // cache is consulted per SampleCF leaf at the chosen fraction inside
-  // Execute — slower on full hits, but provably bit-identical to an
-  // uncached run (see SizeEstimationOptions::cache_fraction_exact).
-  EstimationCache* exact_cache =
-      options_.cache_fraction_exact ? options_.cache.get() : nullptr;
-  std::vector<IndexDef> fresh;
-  if (options_.cache != nullptr && exact_cache == nullptr) {
-    fresh.reserve(targets.size());
-    for (const IndexDef& t : targets) {
-      const std::string sig = t.Signature();
-      if (std::optional<SampleCfResult> cached =
-              options_.cache->LookupBest(sig, options_.fractions)) {
-        result.estimates[sig] = *cached;
-        ++result.cache_hits;
-      } else {
-        fresh.push_back(t);
-      }
-    }
-    if (fresh.empty()) return result;  // nothing to estimate, zero cost
-  } else {
-    fresh = targets;
-  }
-
   EstimationGraph graph(*db_, source_, model_);
   // Must precede AddTargets: deduction candidates are generated there.
   graph.set_enable_sort_order(options_.enable_sort_order_deduction);
-  graph.AddTargets(fresh);
+  graph.AddTargets(targets);
   graph.set_cancel(options_.cancel.get());
   auto cancelled = [this] {
     return options_.cancel != nullptr &&
            options_.cancel->load(std::memory_order_relaxed);
   };
 
-  // Runs the assigned plan at f, merges the fresh estimates into the
-  // result (cached entries are already there), and fills the cache.
+  // Runs the assigned plan at f. The cache memoizes its SampleCF leaves
+  // only, at exactly (signature, f): the fraction search above it ran as
+  // if the cache were cold.
   auto execute_plan = [&](double f) {
     result.chosen_f = f;
-    for (auto& [sig, r] :
-         graph.Execute(f, Pool(), exact_cache, &result.cache_hits)) {
-      if (options_.cache != nullptr && exact_cache == nullptr) {
-        options_.cache->Insert(sig, f, r);
-      }
-      result.estimates[sig] = std::move(r);
-    }
+    result.estimates = graph.Execute(f, options_.pool, options_.cache.get(),
+                                     &result.cache_hits);
     result.num_sampled = graph.NumSampled();
     result.num_deduced = graph.NumDeduced();
   };
@@ -78,14 +39,14 @@ SizeEstimator::BatchResult SizeEstimator::EstimateAll(
     double best_f = options_.fractions.back();
     for (double f : options_.fractions) {
       if (cancelled()) return result;  // deadline binds between probes
-      graph.SampleAllTargets(f, Pool());
+      graph.SampleAllTargets(f, options_.pool);
       if (graph.AssignmentSatisfies(options_.e, options_.q, f)) {
         best_f = f;
         break;
       }
     }
     if (cancelled()) return result;
-    result.total_cost_pages = graph.SampleAllTargets(best_f, Pool());
+    result.total_cost_pages = graph.SampleAllTargets(best_f, options_.pool);
     execute_plan(best_f);
     result.num_deduced = 0;
     return result;
@@ -105,7 +66,7 @@ SizeEstimator::BatchResult SizeEstimator::EstimateAll(
     // the batch anyway. The graph also polls inside its own probe and leaf
     // loops, so a deadline binds mid-fraction, not just between fractions.
     if (cancelled()) return result;
-    const double cost = graph.Greedy(f, options_.e, options_.q, Pool());
+    const double cost = graph.Greedy(f, options_.e, options_.q, options_.pool);
     if (!graph.AssignmentSatisfies(options_.e, options_.q, f)) continue;
     if (cost < best_cost) {
       best_cost = cost;
@@ -115,7 +76,7 @@ SizeEstimator::BatchResult SizeEstimator::EstimateAll(
   if (cancelled()) return result;
   // Re-run the winning plan (the graph holds the last run's states).
   result.total_cost_pages =
-      graph.Greedy(best_f, options_.e, options_.q, Pool());
+      graph.Greedy(best_f, options_.e, options_.q, options_.pool);
   execute_plan(best_f);
   return result;
 }
@@ -135,15 +96,16 @@ SampleCfResult SizeEstimator::UncompressedSize(const IndexDef& def) {
 
 std::vector<SampleCfResult> SizeEstimator::UncompressedSizeAll(
     const std::vector<IndexDef>& defs) {
-  return ParallelMap<SampleCfResult>(Pool(), defs.size(), [&](size_t i) {
-    // Skipped entries come back zeroed; a cancelled advisor run discards
-    // the whole batch, so they are never read.
-    if (options_.cancel != nullptr &&
-        options_.cancel->load(std::memory_order_relaxed)) {
-      return SampleCfResult{};
-    }
-    return UncompressedSize(defs[i]);
-  });
+  return ParallelMap<SampleCfResult>(
+      options_.pool, defs.size(), [&](size_t i) {
+        // Skipped entries come back zeroed; a cancelled advisor run
+        // discards the whole batch, so they are never read.
+        if (options_.cancel != nullptr &&
+            options_.cancel->load(std::memory_order_relaxed)) {
+          return SampleCfResult{};
+        }
+        return UncompressedSize(defs[i]);
+      });
 }
 
 }  // namespace capd

@@ -29,39 +29,16 @@ struct SizeEstimationOptions {
   // first sibling's sample instead of each being charged a sampling pass.
   // Off by default so pre-existing batch plans stay byte-identical.
   bool enable_sort_order_deduction = false;
-  // Worker threads for the batch-execution phase (independent SampleCF
-  // runs). 1 = serial, 0 = hardware concurrency. Any value produces
-  // byte-identical results: per-key sample seeding makes the parallel
-  // path bit-equal to the serial one.
-  int num_threads = 1;
-  // Optional cross-round cache: targets already priced at a candidate
-  // fraction are reused instead of re-estimated (see estimation_cache.h).
-  // Shared (and thread-safe), so one cache can serve several estimators.
-  std::shared_ptr<EstimationCache> cache;
-  // How `cache` is consulted.
-  //   false (default, the PR-1 behavior): a target cached at ANY candidate
-  //     fraction is served up front and skips graph planning entirely —
-  //     the cheapest mode, but a warm cache can shift the fraction search
-  //     over the remaining targets, so results are only guaranteed to
-  //     match an uncached run when the cache was filled by identical
-  //     batches.
-  //   true (the AdvisorEngine contract): every target enters the graph,
-  //     the fraction search runs exactly as if the cache were cold, and
-  //     only the SampleCF executions are memoized at (signature, chosen
-  //     f). Estimates, chosen_f, total_cost_pages, and the sampled /
-  //     deduced counts are all bit-identical to an uncached run no matter
-  //     what the cache already holds — the property that lets one warm
-  //     cache serve concurrent tuning requests deterministically.
-  bool cache_fraction_exact = false;
-  // External pool for the batch-execution phase. When set it is used
-  // instead of (and regardless of) num_threads, and is not owned: the
-  // AdvisorEngine shares one estimation pool across requests this way.
+  // Borrowed pool for the batch's parallel phases (fraction probes,
+  // SampleCF leaves, uncompressed sizing); null = serial. Any pool size
+  // gives byte-identical results: samples are seeded per cache key.
   ThreadPool* pool = nullptr;
-  // Memory bound for `cache` (approximate bytes; 0 = unbounded). Applied
-  // to the cache at estimator construction — least-recently-used entries
-  // are evicted once the bound is exceeded, so hundred-thousand-candidate
-  // workloads cannot grow the cache without limit.
-  size_t cache_capacity_bytes = 0;
+  // Optional cross-round cache, shared and thread-safe (see
+  // estimation_cache.h). Every target still enters the graph and the
+  // fraction search runs as if the cache were cold; only the SampleCF
+  // leaves are memoized, at (signature, chosen f). So a batch is
+  // bit-identical to an uncached run whatever the cache already holds.
+  std::shared_ptr<EstimationCache> cache;
   // Cooperative cancellation, polled inside the batch itself (per fraction
   // probe and per SampleCF leaf) so a deadline binds within a long
   // estimation phase, not just at its boundary. On cancel EstimateAll
@@ -80,11 +57,7 @@ class SizeEstimator {
       : db_(&db),
         source_(source),
         model_(std::move(model)),
-        options_(std::move(options)) {
-    if (options_.cache != nullptr && options_.cache_capacity_bytes > 0) {
-      options_.cache->set_capacity_bytes(options_.cache_capacity_bytes);
-    }
-  }
+        options_(std::move(options)) {}
 
   struct BatchResult {
     std::map<std::string, SampleCfResult> estimates;  // by IndexDef signature
@@ -92,8 +65,7 @@ class SizeEstimator {
     double total_cost_pages = 0.0;
     size_t num_sampled = 0;
     size_t num_deduced = 0;
-    // Servings from the cross-round cache: whole targets in the fast mode,
-    // SampleCF leaves (targets or helper nodes) in fraction-exact mode.
+    // SampleCF leaves (targets or helper nodes) served from the cache.
     size_t cache_hits = 0;
   };
 
@@ -115,16 +87,10 @@ class SizeEstimator {
   const ErrorModel& model() const { return model_; }
 
  private:
-  // The pool for EstimateAll's execution phase: options_.pool when set,
-  // otherwise created on first use and reused across batches; null when
-  // options_.num_threads == 1.
-  ThreadPool* Pool();
-
   const Database* db_;
   SampleSource* source_;
   ErrorModel model_;
   SizeEstimationOptions options_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace capd

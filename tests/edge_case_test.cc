@@ -138,8 +138,9 @@ TEST_F(AdvisorEdgeCase, EmptyWorkloadParallelAndStaged) {
   // The parallel selection/enumeration fan-out and the staged baseline's
   // stage 2 must survive a workload with no statements (zero-shard cost
   // cache, zero costing jobs).
+  ThreadPool pool(4);
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.num_threads = 4;
+  options.pool = &pool;
   Advisor advisor(db_, *optimizer_, sizes_.get(), nullptr, options);
   const AdvisorResult tuned = advisor.Tune(Workload{}, 1e9);
   EXPECT_EQ(tuned.config.size(), 0u);
@@ -152,8 +153,9 @@ TEST_F(AdvisorEdgeCase, EmptyWorkloadParallelAndStaged) {
 TEST_F(AdvisorEdgeCase, ZeroStorageBudget) {
   // At a 0-byte budget only configurations that free space (compressed
   // clustered indexes replacing the heap) may be charged.
+  ThreadPool pool(2);
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.num_threads = 2;
+  options.pool = &pool;
   Advisor advisor(db_, *optimizer_, sizes_.get(), nullptr, options);
   const AdvisorResult r = advisor.Tune(workload_, 0.0);
   EXPECT_LE(r.charged_bytes, 1.0);
@@ -165,13 +167,13 @@ TEST_F(AdvisorEdgeCase, SingleStatementWorkloadParallelMatchesSerial) {
   single.statements.push_back(workload_.statements.front());
   ASSERT_EQ(single.statements.front().type, StatementType::kSelect);
 
-  AdvisorOptions serial = AdvisorOptions::DTAcBoth();
-  serial.num_threads = 1;
+  const AdvisorOptions serial = AdvisorOptions::DTAcBoth();
   Advisor a1(db_, *optimizer_, sizes_.get(), nullptr, serial);
   const AdvisorResult base = a1.Tune(single, 1e9);
 
+  ThreadPool pool(8);  // more workers than costing jobs per query
   AdvisorOptions parallel = serial;
-  parallel.num_threads = 8;  // more workers than costing jobs per query
+  parallel.pool = &pool;
   Advisor a2(db_, *optimizer_, sizes_.get(), nullptr, parallel);
   const AdvisorResult r = a2.Tune(single, 1e9);
   EXPECT_DOUBLE_EQ(base.final_cost, r.final_cost);
@@ -181,7 +183,8 @@ TEST_F(AdvisorEdgeCase, SingleStatementWorkloadParallelMatchesSerial) {
 TEST_F(AdvisorEdgeCase, TopKZeroSelectsNothing) {
   AdvisorOptions options = AdvisorOptions::DTAcNone();
   options.top_k = 0;
-  options.num_threads = 2;
+  ThreadPool pool(2);
+  options.pool = &pool;
   Advisor advisor(db_, *optimizer_, sizes_.get(), nullptr, options);
   const AdvisorResult r = advisor.Tune(workload_, 1e9);
   // An empty candidate pool must yield an empty (not crashed) tuning.
@@ -191,13 +194,14 @@ TEST_F(AdvisorEdgeCase, TopKZeroSelectsNothing) {
 }
 
 TEST_F(AdvisorEdgeCase, UnboundedEstimationCacheWithThreads) {
-  // cache_capacity_bytes == 0 means "unbounded", and it must compose with
-  // both thread pools (estimation + search) without crashing or drifting.
+  // A capacity of 0 means "unbounded", and the cache must compose with
+  // both borrowed pools (estimation + search) without crashing or drifting.
+  ThreadPool search_pool(4);
+  ThreadPool estimation_pool(2);
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.num_threads = 4;
-  options.size_options.num_threads = 2;
-  options.size_options.cache = std::make_shared<EstimationCache>();
-  options.size_options.cache_capacity_bytes = 0;
+  options.pool = &search_pool;
+  options.size_options.pool = &estimation_pool;
+  options.size_options.cache = std::make_shared<EstimationCache>(0);
   SizeEstimator estimator(db_, source_.get(), ErrorModel(),
                           options.size_options);
   Advisor advisor(db_, *optimizer_, &estimator, nullptr, options);

@@ -2,10 +2,11 @@
 // concurrent Tune() requests on one engine — shared samples, shared
 // estimation cache, shared pools — are bit-identical (results AND rendered
 // reports, bytes included) to running each request alone on a freshly
-// hand-wired stack. Plus: strategy resolution errors, cooperative
-// cancellation, budget-mode edge cases (fraction vs bytes, 0% / 100% / 0
-// bytes pinning the negative-charge behavior of the paper's Example 1/2),
-// and JSON goldens for all three report strategies on TPC-H.
+// hand-wired, uncached stack. Plus: strategy, budget and thread-count
+// errors, cooperative cancellation, budget-mode edge cases (fraction vs
+// bytes, 0% / 100% / 0 bytes pinning the negative-charge behavior of the
+// paper's Example 1/2), and JSON goldens for all three report strategies
+// on TPC-H.
 //
 // Regenerate the JSON goldens after an intentional change with:
 //   CAPD_UPDATE_GOLDEN=1 ./build/engine_test
@@ -125,42 +126,38 @@ TEST_F(EngineTest, ConcurrentTuneBitIdenticalToFreshStacks) {
                                       BudgetBytes());
   }
 
-  for (const bool shared_cache : {true, false}) {
-    for (const int clients : {1, 2, 4}) {
-      EngineOptions options;
-      options.share_estimation_cache = shared_cache;
-      AdvisorEngine engine(*built_.db, options);
+  for (const int clients : {1, 2, 4}) {
+    AdvisorEngine engine(*built_.db);
 
-      std::vector<TuningResponse> responses(clients);
-      std::vector<std::thread> threads;
-      threads.reserve(clients);
-      for (int c = 0; c < clients; ++c) {
-        threads.emplace_back([&, c] {
-          responses[c] = engine.Tune(MakeRequest(kStrategies[c % 3]));
-        });
-      }
-      for (std::thread& t : threads) t.join();
+    std::vector<TuningResponse> responses(clients);
+    std::vector<std::thread> threads;
+    threads.reserve(clients);
+    for (int c = 0; c < clients; ++c) {
+      threads.emplace_back([&, c] {
+        responses[c] = engine.Tune(MakeRequest(kStrategies[c % 3]));
+      });
+    }
+    for (std::thread& t : threads) t.join();
 
-      for (int c = 0; c < clients; ++c) {
-        const FreshRun& reference = fresh[kStrategies[c % 3]];
-        SCOPED_TRACE(std::string(kStrategies[c % 3]) +
-                     " shared_cache=" + (shared_cache ? "on" : "off") +
-                     " clients=" + std::to_string(clients));
-        ASSERT_TRUE(responses[c].ok()) << responses[c].error;
-        ExpectBitIdentical(reference.result, responses[c].result);
-        // Stronger than the result: the rendered bytes (which include the
-        // cache counters) must not see the shared state either.
-        EXPECT_EQ(reference.report, responses[c].report);
-        EXPECT_EQ(reference.json, responses[c].json);
-      }
+    for (int c = 0; c < clients; ++c) {
+      const FreshRun& reference = fresh[kStrategies[c % 3]];
+      SCOPED_TRACE(std::string(kStrategies[c % 3]) +
+                   " clients=" + std::to_string(clients));
+      ASSERT_TRUE(responses[c].ok()) << responses[c].error;
+      ExpectBitIdentical(reference.result, responses[c].result);
+      // Stronger than the result: the rendered bytes (which include the
+      // cache counters) must not see the shared state either.
+      EXPECT_EQ(reference.report, responses[c].report);
+      EXPECT_EQ(reference.json, responses[c].json);
     }
   }
 }
 
 TEST_F(EngineTest, WarmEngineRendersIdenticalBytes) {
   // Request N is served from caches request N-1 filled; the rendered
-  // report must not change (fraction-exact estimation cache, per-request
-  // cost cache).
+  // report must not change (the estimation cache only serves SampleCF
+  // leaves at the fraction a cold run picks; the cost cache is per
+  // request).
   AdvisorEngine engine(*built_.db);
   const TuningResponse cold = engine.Tune(MakeRequest("dtac-skyline"));
   ASSERT_TRUE(cold.ok()) << cold.error;
@@ -199,6 +196,28 @@ TEST_F(EngineTest, InvalidBudgetErrors) {
   EXPECT_EQ(engine.Tune(request).status, TuningResponse::Status::kError);
   request.budget = TuningBudget::Bytes(-1.0);
   EXPECT_EQ(engine.Tune(request).status, TuningResponse::Status::kError);
+}
+
+TEST_F(EngineTest, InvalidThreadCountErrors) {
+  // Each count becomes a pool of that many OS threads; an unbounded one
+  // would exhaust the process's threads and abort it.
+  AdvisorEngine engine(*built_.db);
+  TuningRequest search = MakeRequest("dtac-topk");
+  search.search_threads = 1 << 20;
+  const TuningResponse a = engine.Tune(search);
+  EXPECT_EQ(a.status, TuningResponse::Status::kError);
+  EXPECT_NE(a.error.find("search_threads"), std::string::npos) << a.error;
+  EXPECT_FALSE(a.retryable);
+
+  TuningRequest estimation = MakeRequest("dtac-topk");
+  estimation.estimation_threads = 1 << 20;
+  const TuningResponse b = engine.Tune(estimation);
+  EXPECT_EQ(b.status, TuningResponse::Status::kError);
+  EXPECT_NE(b.error.find("estimation_threads"), std::string::npos) << b.error;
+
+  // The engine survives and serves a valid request.
+  const TuningResponse ok = engine.Tune(MakeRequest("dtac-topk"));
+  EXPECT_EQ(ok.status, TuningResponse::Status::kOk) << ok.error;
 }
 
 TEST_F(EngineTest, CancellationMidTuneReturnsFlaggedResponse) {

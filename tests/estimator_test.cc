@@ -346,8 +346,9 @@ TEST_F(EstimatorTest, FractionSearchDrawsOnlyTheChosenSample) {
 
   // The size-only run batches its probes and leaves on a pool; the eager
   // reference runs serially.
+  ThreadPool pool(2);
   SizeEstimationOptions options;
-  options.num_threads = 2;
+  options.pool = &pool;
   SizeEstimator size_only(db_, source_.get(), ErrorModel(), options);
   const SizeEstimator::BatchResult a = size_only.EstimateAll(targets);
   EXPECT_EQ(samples_->num_samples(), 2u) << "one sample per object";

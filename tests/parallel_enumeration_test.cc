@@ -77,14 +77,14 @@ TEST_F(ParallelEnumerationTest, CostCacheDoesNotChangeTheResult) {
 TEST_F(ParallelEnumerationTest, ParallelEnumerateBitIdenticalToSerial) {
   AdvisorOptions serial = AdvisorOptions::DTAcBoth();
   serial.cost_cache = false;
-  serial.num_threads = 1;
   const AdvisorResult base = Tune(serial, 0.08);
 
   for (int threads : {2, 4, 8}) {
+    ThreadPool pool(threads);
     for (bool cache : {false, true}) {
       AdvisorOptions parallel = AdvisorOptions::DTAcBoth();
       parallel.cost_cache = cache;
-      parallel.num_threads = threads;
+      parallel.pool = &pool;
       ExpectBitIdentical(base, Tune(parallel, 0.08));
     }
   }
@@ -96,14 +96,14 @@ TEST_F(ParallelEnumerationTest, ParallelEnumerateBitIdenticalToSerial) {
 TEST_F(ParallelEnumerationTest, CostCacheCountersMatchSerial) {
   AdvisorOptions serial = AdvisorOptions::DTAcBoth();
   serial.cost_cache = true;
-  serial.num_threads = 1;
   const AdvisorResult base = Tune(serial, 0.08);
   ASSERT_GT(base.stmt_costs_computed, 0u);
   ASSERT_GT(base.stmt_costs_cached, 0u);
 
   for (int threads : {4, 4, 8}) {
+    ThreadPool pool(threads);
     AdvisorOptions parallel = serial;
-    parallel.num_threads = threads;
+    parallel.pool = &pool;
     const AdvisorResult r = Tune(parallel, 0.08);
     EXPECT_EQ(r.stmt_costs_computed, base.stmt_costs_computed) << threads;
     EXPECT_EQ(r.stmt_costs_cached, base.stmt_costs_cached) << threads;
@@ -116,15 +116,17 @@ TEST_F(ParallelEnumerationTest, DensityGreedyParallelMatchesSerial) {
   serial.cost_cache = false;
   const AdvisorResult base = Tune(serial, 0.05);
 
+  ThreadPool pool(4);
   AdvisorOptions parallel = serial;
   parallel.cost_cache = true;
-  parallel.num_threads = 4;
+  parallel.pool = &pool;
   ExpectBitIdentical(base, Tune(parallel, 0.05));
 }
 
-TEST_F(ParallelEnumerationTest, HardwareConcurrencyKnobWorks) {
+TEST_F(ParallelEnumerationTest, HardwareConcurrencyPoolWorks) {
+  ThreadPool pool;  // hardware concurrency
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.num_threads = 0;  // hardware concurrency
+  options.pool = &pool;
   const AdvisorResult r = Tune(options, 0.10);
   EXPECT_GT(r.what_if_calls, 0u);
 }

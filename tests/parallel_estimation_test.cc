@@ -1,10 +1,17 @@
 // Tests for the parallel batch-estimation engine and the cross-round
-// estimation cache: parallel EstimateAll must be byte-identical to serial,
-// and cached rounds must skip re-estimation entirely.
+// estimation cache. Parallel EstimateAll must be byte-identical to serial
+// at any borrowed pool size. The cache has one contract: whatever it
+// already holds, a batch is byte-identical to an uncached run (same
+// fraction, plan, cost and counts); a warm cache only saves the SampleCF
+// leaf builds it serves.
 #include <cstring>
+#include <memory>
+#include <optional>
+#include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/thread_pool.h"
 #include "estimator/size_estimator.h"
 #include "workloads/tpch.h"
 
@@ -48,6 +55,13 @@ class ParallelEstimationTest : public ::testing::Test {
     return estimator.EstimateAll(Targets());
   }
 
+  // Estimator options that read and fill `cache`.
+  static SizeEstimationOptions Cached(std::shared_ptr<EstimationCache> cache) {
+    SizeEstimationOptions options;
+    options.cache = std::move(cache);
+    return options;
+  }
+
   static void ExpectBitIdentical(const SizeEstimator::BatchResult& a,
                                  const SizeEstimator::BatchResult& b) {
     ASSERT_EQ(a.estimates.size(), b.estimates.size());
@@ -72,14 +86,13 @@ class ParallelEstimationTest : public ::testing::Test {
 };
 
 TEST_F(ParallelEstimationTest, ParallelEstimateAllBitIdenticalToSerial) {
-  SizeEstimationOptions serial;
-  serial.num_threads = 1;
-  const SizeEstimator::BatchResult base = RunBatch(serial);
+  const SizeEstimator::BatchResult base = RunBatch(SizeEstimationOptions{});
   EXPECT_EQ(base.estimates.size(), Targets().size());
 
   for (int threads : {2, 4, 8}) {
+    ThreadPool pool(threads);
     SizeEstimationOptions parallel;
-    parallel.num_threads = threads;
+    parallel.pool = &pool;
     ExpectBitIdentical(base, RunBatch(parallel));
   }
 }
@@ -88,14 +101,16 @@ TEST_F(ParallelEstimationTest, ParallelIdenticalInNoDeductionMode) {
   SizeEstimationOptions serial;
   serial.use_deduction = false;
   const SizeEstimator::BatchResult base = RunBatch(serial);
+  ThreadPool pool(4);
   SizeEstimationOptions parallel = serial;
-  parallel.num_threads = 4;
+  parallel.pool = &pool;
   ExpectBitIdentical(base, RunBatch(parallel));
 }
 
-TEST_F(ParallelEstimationTest, HardwareConcurrencyKnobWorks) {
+TEST_F(ParallelEstimationTest, HardwareConcurrencyPoolWorks) {
+  ThreadPool pool;  // hardware concurrency
   SizeEstimationOptions options;
-  options.num_threads = 0;  // hardware concurrency
+  options.pool = &pool;
   const SizeEstimator::BatchResult r = RunBatch(options);
   EXPECT_EQ(r.estimates.size(), Targets().size());
 }
@@ -103,81 +118,94 @@ TEST_F(ParallelEstimationTest, HardwareConcurrencyKnobWorks) {
 TEST_F(ParallelEstimationTest, RepeatedRunsAreDeterministic) {
   // Same seed, fresh samples: estimates must be reproducible run to run
   // (per-key RNG seeding, not draw-order seeding).
+  ThreadPool pool(4);
   SizeEstimationOptions options;
-  options.num_threads = 4;
+  options.pool = &pool;
   ExpectBitIdentical(RunBatch(options), RunBatch(options));
 }
 
-TEST_F(ParallelEstimationTest, CacheSkipsReEstimation) {
-  SizeEstimationOptions options;
-  options.cache = std::make_shared<EstimationCache>();
+TEST_F(ParallelEstimationTest, PartlyWarmCacheDoesNotChangeTheBatch) {
+  // A cache warmed by a different batch must not steer the fraction
+  // search: every target still enters the graph, so the full batch plans,
+  // costs and estimates exactly as an uncached run does.
+  const SizeEstimator::BatchResult uncached = RunBatch(SizeEstimationOptions{});
 
+  auto cache = std::make_shared<EstimationCache>();
   SampleManager samples(1234);
   TableSampleSource source(db_, &samples);
-  SizeEstimator estimator(db_, &source, ErrorModel(), options);
+  SizeEstimator estimator(db_, &source, ErrorModel(), Cached(cache));
+  const SizeEstimator::BatchResult warm =
+      estimator.EstimateAll({Idx({"l_shipdate"}), Idx({"l_shipmode"})});
+  ASSERT_GT(warm.num_sampled, 0u);
+  ASSERT_GT(cache->size(), 0u);
+
+  const SizeEstimator::BatchResult batch = estimator.EstimateAll(Targets());
+  ExpectBitIdentical(uncached, batch);
+  EXPECT_LE(batch.cache_hits, batch.num_sampled);
+}
+
+TEST_F(ParallelEstimationTest, WarmCacheServesEveryLeafOfARepeatedBatch) {
+  auto cache = std::make_shared<EstimationCache>();
+  SampleManager samples(1234);
+  TableSampleSource source(db_, &samples);
+  SizeEstimator estimator(db_, &source, ErrorModel(), Cached(cache));
 
   const SizeEstimator::BatchResult first = estimator.EstimateAll(Targets());
   EXPECT_EQ(first.cache_hits, 0u);
   EXPECT_GT(first.total_cost_pages, 0.0);
-  EXPECT_GE(options.cache->size(), Targets().size());
+  EXPECT_EQ(cache->size(), first.num_sampled);  // one entry per leaf
+  ExpectBitIdentical(RunBatch(SizeEstimationOptions{}), first);
 
+  // The repeat plans the same batch and builds no sample index: every
+  // SampleCF leaf comes from the cache.
   const SizeEstimator::BatchResult second = estimator.EstimateAll(Targets());
-  EXPECT_EQ(second.cache_hits, Targets().size());
-  EXPECT_EQ(second.num_sampled, 0u);
-  EXPECT_DOUBLE_EQ(second.total_cost_pages, 0.0);
-  // Fully cache-served batches pick no fraction; consumers (the advisor's
-  // bookkeeping) treat 0 as "keep the previous round's f".
-  EXPECT_DOUBLE_EQ(second.chosen_f, 0.0);
-  ASSERT_EQ(second.estimates.size(), first.estimates.size());
-  for (const auto& [sig, r] : first.estimates) {
-    ASSERT_TRUE(second.estimates.count(sig));
-    EXPECT_DOUBLE_EQ(second.estimates.at(sig).est_bytes, r.est_bytes) << sig;
-  }
-}
-
-TEST_F(ParallelEstimationTest, CachePartialHitEstimatesOnlyFreshTargets) {
-  SizeEstimationOptions options;
-  options.cache = std::make_shared<EstimationCache>();
-
-  SampleManager samples(1234);
-  TableSampleSource source(db_, &samples);
-  SizeEstimator estimator(db_, &source, ErrorModel(), options);
-
-  const std::vector<IndexDef> warm = {Idx({"l_shipdate"}), Idx({"l_shipmode"})};
-  estimator.EstimateAll(warm);
-
-  const SizeEstimator::BatchResult batch = estimator.EstimateAll(Targets());
-  EXPECT_EQ(batch.cache_hits, warm.size());
-  EXPECT_EQ(batch.estimates.size(), Targets().size());
-  for (const IndexDef& t : Targets()) {
-    EXPECT_TRUE(batch.estimates.count(t.Signature())) << t.ToString();
-  }
+  ExpectBitIdentical(first, second);
+  EXPECT_EQ(second.cache_hits, first.num_sampled);
 }
 
 TEST_F(ParallelEstimationTest, CacheSharedAcrossEstimators) {
   auto cache = std::make_shared<EstimationCache>();
-  SizeEstimationOptions options;
-  options.cache = cache;
-
   SampleManager samples(1234);
   TableSampleSource source(db_, &samples);
+  SizeEstimator::BatchResult first;
   {
-    SizeEstimator first(db_, &source, ErrorModel(), options);
-    first.EstimateAll(Targets());
+    SizeEstimator estimator(db_, &source, ErrorModel(), Cached(cache));
+    first = estimator.EstimateAll(Targets());
   }
+  ThreadPool pool(4);
+  SizeEstimationOptions options = Cached(cache);
+  options.pool = &pool;
   SizeEstimator second(db_, &source, ErrorModel(), options);
   const SizeEstimator::BatchResult r = second.EstimateAll(Targets());
-  EXPECT_EQ(r.cache_hits, Targets().size());
-  EXPECT_GT(cache->hits(), 0u);
+  ExpectBitIdentical(first, r);
+  EXPECT_EQ(r.cache_hits, first.num_sampled);
+  EXPECT_EQ(cache->hits(), first.num_sampled);
+}
+
+TEST_F(ParallelEstimationTest, TinyCapacityCacheStaysEmpty) {
+  // A bound too small for even one entry: every insert is evicted again,
+  // so the cache never grows — the extreme case of the memory bound — and
+  // the batch still matches an uncached run.
+  auto cache = std::make_shared<EstimationCache>(1);
+  const SizeEstimator::BatchResult batch = RunBatch(Cached(cache));
+  ExpectBitIdentical(RunBatch(SizeEstimationOptions{}), batch);
+  EXPECT_EQ(cache->size(), 0u);
+  EXPECT_EQ(cache->charged_bytes(), 0u);
+  EXPECT_EQ(cache->evictions(), batch.num_sampled);
+}
+
+// Bytes one entry charges; keys of equal length charge equally.
+size_t EntryBytes(const std::string& signature) {
+  EstimationCache probe;
+  probe.Insert(signature, 0.01, SampleCfResult{});
+  return probe.charged_bytes();
 }
 
 TEST(EstimationCacheTest, LruEvictsLeastRecentlyUsed) {
-  EstimationCache cache;
+  EstimationCache cache(3 * EntryBytes("a"));
   SampleCfResult r;
   r.est_bytes = 1.0;
   cache.Insert("a", 0.01, r);
-  const size_t per_entry = cache.charged_bytes();  // same-length keys below
-  cache.set_capacity_bytes(3 * per_entry);
   cache.Insert("b", 0.01, r);
   cache.Insert("c", 0.01, r);
   EXPECT_EQ(cache.size(), 3u);
@@ -194,53 +222,32 @@ TEST(EstimationCacheTest, LruEvictsLeastRecentlyUsed) {
   EXPECT_TRUE(cache.Lookup("d", 0.01).has_value());
 }
 
-TEST(EstimationCacheTest, ShrinkingCapacityEvictsImmediately) {
-  EstimationCache cache;  // unbounded by default
-  SampleCfResult r;
+TEST(EstimationCacheTest, BoundedCacheKeepsTheMostRecentEntries) {
+  const size_t bytes_for_two = 2 * EntryBytes("idx0");
+  EstimationCache cache(bytes_for_two);
   for (int i = 0; i < 8; ++i) {
-    cache.Insert("idx" + std::to_string(i), 0.01, r);
+    cache.Insert("idx" + std::to_string(i), 0.01, SampleCfResult{});
   }
-  EXPECT_EQ(cache.size(), 8u);
-  const size_t bytes_for_two = cache.charged_bytes() / 4;
-  cache.set_capacity_bytes(bytes_for_two);
-  EXPECT_LE(cache.size(), 2u);
+  EXPECT_EQ(cache.size(), 2u);
   EXPECT_LE(cache.charged_bytes(), bytes_for_two);
-  EXPECT_GE(cache.evictions(), 6u);
-  // The survivors are the most recently inserted.
+  EXPECT_EQ(cache.evictions(), 6u);
   EXPECT_TRUE(cache.Lookup("idx7", 0.01).has_value());
+  EXPECT_TRUE(cache.Lookup("idx6", 0.01).has_value());
+  EXPECT_FALSE(cache.Lookup("idx5", 0.01).has_value());
 }
 
-TEST_F(ParallelEstimationTest, CacheCapacityOptionBoundsTheCache) {
-  SizeEstimationOptions options;
-  options.cache = std::make_shared<EstimationCache>();
-  // A bound too small for even one entry: every insert is evicted again,
-  // so the cache never grows — the extreme case of the memory bound.
-  options.cache_capacity_bytes = 1;
-
-  SampleManager samples(1234);
-  TableSampleSource source(db_, &samples);
-  SizeEstimator estimator(db_, &source, ErrorModel(), options);
-  EXPECT_EQ(options.cache->capacity_bytes(), 1u);
-
-  const SizeEstimator::BatchResult batch = estimator.EstimateAll(Targets());
-  EXPECT_EQ(batch.estimates.size(), Targets().size());
-  EXPECT_EQ(options.cache->size(), 0u);
-  EXPECT_GT(options.cache->evictions(), 0u);
-}
-
-TEST(EstimationCacheTest, LookupBestPrefersLargestFraction) {
+TEST(EstimationCacheTest, EntriesAreKeyedByFraction) {
   EstimationCache cache;
   SampleCfResult coarse;
   coarse.est_bytes = 100.0;
-  SampleCfResult fine;
-  fine.est_bytes = 120.0;
   cache.Insert("idx", 0.01, coarse);
-  cache.Insert("idx", 0.10, fine);
-  const auto best = cache.LookupBest("idx", {0.01, 0.025, 0.05, 0.10});
-  ASSERT_TRUE(best.has_value());
-  EXPECT_DOUBLE_EQ(best->est_bytes, 120.0);
-  EXPECT_FALSE(cache.Lookup("idx", 0.05).has_value());
-  EXPECT_FALSE(cache.LookupBest("other", {0.01}).has_value());
+  const std::optional<SampleCfResult> hit = cache.Lookup("idx", 0.01);
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_DOUBLE_EQ(hit->est_bytes, 100.0);
+  EXPECT_FALSE(cache.Lookup("idx", 0.10).has_value());
+  EXPECT_FALSE(cache.Lookup("other", 0.01).has_value());
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.misses(), 2u);
 }
 
 }  // namespace
