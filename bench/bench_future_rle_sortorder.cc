@@ -22,11 +22,11 @@ namespace capd {
 namespace bench {
 namespace {
 
-// Exact value-run count of column c over pre-sorted rows.
-uint64_t CountRuns(const std::vector<Row>& rows, size_t c) {
+// Exact value-run count of column c over a sorted page: the runs RLE sees.
+uint64_t CountRuns(const FlatPage& page, size_t c) {
   uint64_t runs = 0;
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (i == 0 || !(rows[i][c] == rows[i - 1][c])) ++runs;
+  for (size_t i = 0; i < page.num_rows(); ++i) {
+    if (i == 0 || page.field(i, c) != page.field(i - 1, c)) ++runs;
   }
   return runs;
 }
@@ -50,10 +50,10 @@ void SortOrderSweep(BenchContext& ctx, Stack& s) {
     for (const std::string& c : cols) {
       if (c != lead) def.key_columns.push_back(c);
     }
-    const std::vector<Row> rows = builder.MaterializeRows(def);
-    const uint64_t runs = CountRuns(rows, 0);
+    const FlatPage page = builder.MaterializePage(def);
+    const uint64_t runs = CountRuns(page, 0);
     const IndexPhysical none =
-        builder.Pack(def.WithCompression(CompressionKind::kNone), rows);
+        builder.Pack(def.WithCompression(CompressionKind::kNone), page);
     const std::string key = "[lead=" + lead + "]";
     ctx.report.AddCounter("distinct" + key, stats.column(lead).distinct);
     ctx.report.AddCounter("runs" + key, runs);
@@ -65,7 +65,7 @@ void SortOrderSweep(BenchContext& ctx, Stack& s) {
     const char* tags[2] = {"rle", "bitmap"};
     for (int k = 0; k < 2; ++k) {
       const IndexDef variant = def.WithCompression(kinds[k]);
-      const IndexPhysical phys = builder.Pack(variant, rows);
+      const IndexPhysical phys = builder.Pack(variant, page);
       cf[k] = static_cast<double>(phys.fine_bytes()) /
               static_cast<double>(none.fine_bytes());
       const SampleCfResult est = estimator.Estimate(variant, 0.1);
@@ -119,11 +119,11 @@ void DistinctSweep(BenchContext& ctx, Stack& s) {
     uint64_t bytes[4] = {0, 0, 0, 0};
     int slot = 0;
     for (const std::vector<Row>* set : {&rows, &shuffled}) {
+      const FlatPage page = FlatPage::FromRows(*set, schema, 0, set->size());
       for (CompressionKind kind :
            {CompressionKind::kRle, CompressionKind::kBitmap}) {
-        const std::unique_ptr<Codec> codec = MakeCodec(kind, schema, *set);
-        const PackResult packed = PackPages(*set, schema, *codec);
-        bytes[slot++] = packed.payload_bytes;
+        const std::unique_ptr<Codec> codec = MakeCodec(kind, page);
+        bytes[slot++] = PackPages(page, *codec).payload_bytes;
       }
     }
     const std::string key = "[d=" + std::to_string(d) + "]";

@@ -4,11 +4,10 @@
 // decompression (beta) costs, with PAGE > ROW — plus each codec's
 // compression fraction on the bench data (deterministic at a pinned seed).
 //
-// Two compression paths are measured per codec:
-//   - encode+blob: EncodeRows -> CompressPage(EncodedPage) — what the page
-//     packer used to run per size probe (per-field strings + a real blob);
-//   - measure: MeasurePage over a FlatSpan — the zero-copy size-only kernel
-//     the packer runs now. Its allocation counters (page_allocs /
+// Two paths over one rendered FlatPage are measured per codec:
+//   - compress: CompressPage(flat) — the real blob;
+//   - measure: MeasurePage over the same FlatSpan — the zero-copy size-only
+//     kernel the page packer runs. Its allocation counters (page_allocs /
 //     allocs_per_row, via src/common/alloc_tracker) are deterministic and
 //     gate in the perf-trajectory CI job; wall times stay report-only.
 //
@@ -21,7 +20,6 @@
 #include "common/random.h"
 #include "compress/codec_factory.h"
 #include "compress/flat_page.h"
-#include "storage/encoding.h"
 
 namespace capd {
 namespace bench {
@@ -70,53 +68,41 @@ void Run(BenchContext& ctx) {
   const Schema schema = BenchSchema();
   const size_t rows_per_page = static_cast<size_t>(ctx.flags.rows);
   const std::vector<Row> rows = BenchRows(rows_per_page, ctx.flags.seed);
-  const EncodedPage page = EncodeRows(rows, schema, 0, rows.size());
   const FlatPage flat = FlatPage::FromRows(rows, schema, 0, rows.size());
-  const std::unique_ptr<Codec> none =
-      MakeCodec(CompressionKind::kNone, schema, rows);
-  const std::string base = none->CompressPage(page);
+  const std::unique_ptr<Codec> none = MakeCodec(CompressionKind::kNone, flat);
+  const std::string base = none->CompressPage(flat);
 
   PrintHeader("Codec micro-benchmarks (alpha/beta CPU constants)");
-  std::printf("%-12s %13s %12s %14s %7s %18s\n", "codec", "compress[us]",
-              "measure[us]", "decompress[us]", "cf", "allocs/row blob|meas");
+  std::printf("%-12s %13s %12s %14s %7s %12s\n", "codec", "compress[us]",
+              "measure[us]", "decompress[us]", "cf", "allocs/row");
   uint64_t sink = 0;
   for (CompressionKind kind :
        {CompressionKind::kNone, CompressionKind::kRow, CompressionKind::kPage,
         CompressionKind::kGlobalDict, CompressionKind::kRle}) {
-    const std::unique_ptr<Codec> codec = MakeCodec(kind, schema, rows);
-    const std::string blob = codec->CompressPage(page);
+    const std::unique_ptr<Codec> codec = MakeCodec(kind, flat);
+    const std::string blob = codec->CompressPage(flat);
     // The measure/compress contract, asserted before timing it.
     CAPD_CHECK_EQ(codec->MeasurePage(flat), blob.size());
 
     const double compress_us =
-        TimeUsPerCall([&] { codec->CompressPage(page); });
+        TimeUsPerCall([&] { codec->CompressPage(flat); });
     const double measure_us =
         TimeUsPerCall([&] { sink += codec->MeasurePage(flat); });
     const double decompress_us =
         TimeUsPerCall([&] { codec->DecompressPage(blob); });
 
-    // Allocation cost of one size probe, old world vs new: the packer used
-    // to EncodeRows + CompressPage per probe; now it measures a flat span.
-    uint64_t a0 = AllocCount();
-    {
-      const EncodedPage probe = EncodeRows(rows, schema, 0, rows.size());
-      const std::string probe_blob = codec->CompressPage(probe);
-      sink += probe_blob.size();
-    }
-    const uint64_t blob_allocs = AllocCount() - a0;
-    a0 = AllocCount();
+    // Allocation cost of one size probe: the packer measures a flat span.
+    const uint64_t a0 = AllocCount();
     sink += codec->MeasurePage(flat);
     const uint64_t measure_allocs = AllocCount() - a0;
 
     const double cf =
         static_cast<double>(blob.size()) / static_cast<double>(base.size());
-    const double blob_apr =
-        static_cast<double>(blob_allocs) / static_cast<double>(rows_per_page);
     const double measure_apr = static_cast<double>(measure_allocs) /
                                static_cast<double>(rows_per_page);
-    std::printf("%-12s %13.2f %12.2f %14.2f %7.3f %11.2f | %4.2f\n",
+    std::printf("%-12s %13.2f %12.2f %14.2f %7.3f %12.2f\n",
                 CompressionKindName(kind), compress_us, measure_us,
-                decompress_us, cf, blob_apr, measure_apr);
+                decompress_us, cf, measure_apr);
     const std::string key =
         std::string("[codec=") + CompressionKindName(kind) + "]";
     ctx.report.AddTimeMs("compress_us_per_page" + key, compress_us);
@@ -131,10 +117,6 @@ void Run(BenchContext& ctx) {
                           measure_allocs);
     ctx.report.AddValue("allocs_per_row" + key + "[path=measure]",
                         measure_apr);
-    // The old probe path's churn is the headline being deleted; its count
-    // is allocator/stdlib shaped, so report-only (time kind).
-    ctx.report.AddTimeMs("allocs_per_row" + key + "[path=encode+blob]",
-                         blob_apr);
     ctx.report.AddTimeMs("measure_speedup_vs_compress" + key,
                          measure_us > 0 ? compress_us / measure_us : 0.0);
   }

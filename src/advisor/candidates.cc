@@ -202,12 +202,8 @@ std::vector<IndexDef> CandidateGenerator::MergeCandidates(
                                                        : b.key_columns;
       const Schema& schema = db_->table(a.object).schema();
       std::vector<std::string> cols;
-      for (const std::string& c : a.StoredColumns(schema)) {
-        if (c != "__rowid") AddUnique(&cols, c);
-      }
-      for (const std::string& c : b.StoredColumns(schema)) {
-        if (c != "__rowid") AddUnique(&cols, c);
-      }
+      for (const std::string& c : a.StoredColumns(schema)) AddUnique(&cols, c);
+      for (const std::string& c : b.StoredColumns(schema)) AddUnique(&cols, c);
       m.include_columns = Minus(cols, m.key_columns);
       std::vector<IndexDef> with_variants;
       with_variants.push_back(m);

@@ -15,10 +15,6 @@ void Codec::ValidateSpan(const FlatSpan& span) const {
   }
 }
 
-std::string Codec::CompressPage(const EncodedPage& page) const {
-  return CompressPage(FlatPage::FromEncodedPage(page, widths_).span());
-}
-
 PageFit Codec::FitRows(const FlatPage& page, size_t begin,
                        uint64_t capacity) const {
   const size_t n = page.num_rows();
@@ -75,21 +71,17 @@ uint64_t NoneCodec::MeasurePage(const FlatSpan& span) const {
   return VarintSize(n) + n * (row_width() + kRowOverhead);
 }
 
-EncodedPage NoneCodec::DecompressPage(std::string_view blob) const {
+FlatPage NoneCodec::DecompressPage(std::string_view blob) const {
   size_t offset = 0;
   const uint64_t n = GetVarint(blob, &offset);
-  EncodedPage page;
-  page.rows.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    std::vector<std::string> fields;
-    fields.reserve(num_columns());
-    for (uint32_t w : widths_) {
-      CAPD_CHECK_LE(offset + w, blob.size());
-      fields.emplace_back(blob.substr(offset, w));
-      offset += w;
+  FlatPage page(widths_, n);
+  for (uint64_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < num_columns(); ++c) {
+      CAPD_CHECK_LE(offset + widths_[c], blob.size());
+      page.SetField(r, c, blob.substr(offset, widths_[c]));
+      offset += widths_[c];
     }
     offset += kRowOverhead;
-    page.rows.push_back(std::move(fields));
   }
   return page;
 }
@@ -150,21 +142,17 @@ PageFit RowCodec::FitRows(const FlatPage& page, size_t begin,
   return {k, VarintSize(k) + payload};
 }
 
-EncodedPage RowCodec::DecompressPage(std::string_view blob) const {
+FlatPage RowCodec::DecompressPage(std::string_view blob) const {
   size_t offset = 0;
   const uint64_t n = GetVarint(blob, &offset);
-  EncodedPage page;
-  page.rows.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    std::vector<std::string> fields;
-    fields.reserve(num_columns());
-    for (uint32_t w : widths_) {
-      std::string field;
-      field.reserve(w);
-      NsDecompressField(blob, &offset, w, &field);
-      fields.push_back(std::move(field));
+  FlatPage page(widths_, n);
+  std::string field;  // one scratch; its capacity settles at the widest
+  for (uint64_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < num_columns(); ++c) {
+      field.clear();
+      NsDecompressField(blob, &offset, widths_[c], &field);
+      page.SetField(r, c, field);
     }
-    page.rows.push_back(std::move(fields));
   }
   return page;
 }

@@ -1,7 +1,8 @@
 // Page codec interface plus the trivial (NONE) and ROW (null suppression)
 // codecs. A codec turns one flat columnar span (FlatSpan: rows with fixed
-// width fields in a single arena) into a self-describing byte blob and back;
-// blob size is what the index builder packs against the 8 KiB page capacity.
+// width fields in a single arena) into a self-describing byte blob, and the
+// blob back into a FlatPage; blob size is what the index builder packs
+// against the 8 KiB page capacity.
 //
 // Two entry points per codec, with a pinned contract:
 //   - CompressPage(span): materializes the blob (round-trips through
@@ -20,7 +21,6 @@
 
 #include "compress/compression_kind.h"
 #include "compress/flat_page.h"
-#include "storage/encoding.h"
 
 namespace capd {
 
@@ -61,11 +61,8 @@ class Codec {
   virtual PageFit FitRows(const FlatPage& page, size_t begin,
                           uint64_t capacity) const;
 
-  virtual EncodedPage DecompressPage(std::string_view blob) const = 0;
-
-  // Legacy row-major entry point: flattens and delegates. Byte-identical to
-  // compressing the equivalent FlatSpan.
-  std::string CompressPage(const EncodedPage& page) const;
+  // Inverse of CompressPage: the page whose span was compressed.
+  virtual FlatPage DecompressPage(std::string_view blob) const = 0;
 
   // Storage charged once per index regardless of page count (e.g. the
   // global dictionary). Zero for page-local codecs.
@@ -92,11 +89,10 @@ class NoneCodec : public Codec {
  public:
   explicit NoneCodec(std::vector<uint32_t> widths) : Codec(std::move(widths)) {}
 
-  using Codec::CompressPage;
   CompressionKind kind() const override { return CompressionKind::kNone; }
   std::string CompressPage(const FlatSpan& span) const override;
   uint64_t MeasurePage(const FlatSpan& span) const override;
-  EncodedPage DecompressPage(std::string_view blob) const override;
+  FlatPage DecompressPage(std::string_view blob) const override;
 };
 
 // ROW compression: every field null-suppressed independently. Order
@@ -105,7 +101,6 @@ class RowCodec : public Codec {
  public:
   explicit RowCodec(std::vector<uint32_t> widths) : Codec(std::move(widths)) {}
 
-  using Codec::CompressPage;
   CompressionKind kind() const override { return CompressionKind::kRow; }
   std::string CompressPage(const FlatSpan& span) const override;
   uint64_t MeasurePage(const FlatSpan& span) const override;
@@ -113,7 +108,7 @@ class RowCodec : public Codec {
   // added once.
   PageFit FitRows(const FlatPage& page, size_t begin,
                   uint64_t capacity) const override;
-  EncodedPage DecompressPage(std::string_view blob) const override;
+  FlatPage DecompressPage(std::string_view blob) const override;
 };
 
 }  // namespace capd

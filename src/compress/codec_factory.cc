@@ -8,21 +8,20 @@
 
 namespace capd {
 
-std::unique_ptr<Codec> MakeCodec(CompressionKind kind, const Schema& schema,
-                                 const std::vector<Row>& rows) {
+std::unique_ptr<Codec> MakeCodec(CompressionKind kind, const FlatPage& page) {
   switch (kind) {
     case CompressionKind::kNone:
-      return std::make_unique<NoneCodec>(ColumnWidths(schema));
+      return std::make_unique<NoneCodec>(page.widths());
     case CompressionKind::kRow:
-      return std::make_unique<RowCodec>(ColumnWidths(schema));
+      return std::make_unique<RowCodec>(page.widths());
     case CompressionKind::kPage:
-      return std::make_unique<PageCodec>(ColumnWidths(schema));
+      return std::make_unique<PageCodec>(page.widths());
     case CompressionKind::kGlobalDict:
-      return GlobalDictCodec::Build(rows, schema);
+      return GlobalDictCodec::Build(page);
     case CompressionKind::kRle:
-      return std::make_unique<RleCodec>(ColumnWidths(schema));
+      return std::make_unique<RleCodec>(page.widths());
     case CompressionKind::kBitmap:
-      return std::make_unique<BitmapCodec>(ColumnWidths(schema));
+      return std::make_unique<BitmapCodec>(page.widths());
   }
   CAPD_CHECK(false) << "unknown compression kind";
   return nullptr;

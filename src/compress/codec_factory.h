@@ -1,18 +1,16 @@
 // Codec construction helper. Global dictionary needs the index's rows to
-// build its dictionaries, so the factory takes them (ignored by the
-// page-local codecs).
+// build its dictionaries, so the factory takes the whole rendered index
+// page; the page-local codecs read only its column widths.
 #ifndef CAPD_COMPRESS_CODEC_FACTORY_H_
 #define CAPD_COMPRESS_CODEC_FACTORY_H_
 
 #include <memory>
-#include <vector>
 
 #include "compress/codec.h"
 
 namespace capd {
 
-std::unique_ptr<Codec> MakeCodec(CompressionKind kind, const Schema& schema,
-                                 const std::vector<Row>& rows);
+std::unique_ptr<Codec> MakeCodec(CompressionKind kind, const FlatPage& page);
 
 }  // namespace capd
 

@@ -1,6 +1,9 @@
 #include "compress/flat_page.h"
 
+#include <cstring>
+
 #include "common/logging.h"
+#include "storage/encoding.h"
 
 namespace capd {
 
@@ -12,7 +15,16 @@ FlatPage::FlatPage(std::vector<uint32_t> widths, size_t rows)
     row_width_ += w;
   }
   // Exactly one arena allocation per page, regardless of cell count.
-  arena_.reserve(row_width_ * rows_);
+  arena_.assign(row_width_ * rows_, '\0');
+}
+
+void FlatPage::SetField(size_t r, size_t c, FieldView bytes) {
+  CAPD_CHECK_LT(r, rows_);
+  CAPD_CHECK_LT(c, widths_.size());
+  CAPD_CHECK_EQ(bytes.size(), static_cast<size_t>(widths_[c]))
+      << "field of column " << c << " has the wrong width";
+  std::memcpy(arena_.data() + col_offsets_[c] + r * widths_[c], bytes.data(),
+              bytes.size());
 }
 
 FlatSpan FlatPage::span(size_t begin, size_t end) const {
@@ -26,6 +38,7 @@ FlatPage FlatPage::FromRows(const std::vector<Row>& rows, const Schema& schema,
   CAPD_CHECK_LE(begin, end);
   CAPD_CHECK_LE(end, rows.size());
   FlatPage page(ColumnWidths(schema), end - begin);
+  page.arena_.clear();  // re-rendered by appending; keeps the allocation
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     const Column& col = schema.column(c);
     for (size_t i = begin; i < end; ++i) {
@@ -44,6 +57,7 @@ FlatPage FlatPage::FromBlock(const ColumnBlock& block, const Schema& schema) {
   CAPD_CHECK_EQ(block.num_columns(), schema.num_columns());
   const size_t n = static_cast<size_t>(block.num_rows());
   FlatPage page(ColumnWidths(schema), n);
+  page.arena_.clear();  // re-rendered by appending; keeps the allocation
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     const Column& col = schema.column(c);
     for (size_t r = 0; r < n; ++r) {
@@ -52,33 +66,6 @@ FlatPage FlatPage::FromBlock(const ColumnBlock& block, const Schema& schema) {
   }
   CAPD_CHECK_EQ(page.arena_.size(), page.row_width_ * page.rows_);
   return page;
-}
-
-FlatPage FlatPage::FromEncodedPage(const EncodedPage& encoded,
-                                   const std::vector<uint32_t>& widths) {
-  FlatPage page(widths, encoded.rows.size());
-  for (size_t c = 0; c < widths.size(); ++c) {
-    for (const auto& row : encoded.rows) {
-      CAPD_CHECK_EQ(row.size(), widths.size());
-      CAPD_CHECK_EQ(row[c].size(), static_cast<size_t>(widths[c]));
-      page.arena_.append(row[c]);
-    }
-  }
-  return page;
-}
-
-EncodedPage FlatPage::ToEncodedPage() const {
-  EncodedPage out;
-  out.rows.reserve(rows_);
-  for (size_t r = 0; r < rows_; ++r) {
-    std::vector<std::string> fields;
-    fields.reserve(num_columns());
-    for (size_t c = 0; c < num_columns(); ++c) {
-      fields.emplace_back(field(r, c));
-    }
-    out.rows.push_back(std::move(fields));
-  }
-  return out;
 }
 
 std::vector<uint32_t> ColumnWidths(const Schema& schema) {

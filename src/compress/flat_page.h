@@ -1,12 +1,13 @@
-// Flat columnar page representation: the zero-copy input format of the
-// compression codecs. A FlatPage renders a batch of rows into ONE
-// arena-backed byte buffer laid out column-major (all of column 0's
-// fixed-width cells, then column 1's, ...), with a per-column offset array
-// into the arena. Cells are addressed as string_view FieldViews straight
-// into the arena — building a page costs a handful of allocations total
-// (arena + offset vectors) instead of one std::string per field, and a
-// FlatSpan lets the page packer probe any contiguous row range without
-// copying or re-encoding anything.
+// Flat columnar page representation: the one page type of the codec layer.
+// A FlatPage renders a batch of rows into ONE arena-backed byte buffer laid
+// out column-major (all of column 0's fixed-width cells, then column 1's,
+// ...), with a per-column offset array into the arena. Cells are addressed
+// as string_view FieldViews straight into the arena — building a page costs
+// a handful of allocations total (arena + offset vectors) instead of one
+// std::string per field, and a FlatSpan lets the page packer probe any
+// contiguous row range without copying or re-encoding anything. Codecs
+// compress FlatSpans and decompress back into a FlatPage, so a round trip
+// compares whole pages.
 #ifndef CAPD_COMPRESS_FLAT_PAGE_H_
 #define CAPD_COMPRESS_FLAT_PAGE_H_
 
@@ -17,7 +18,6 @@
 #include <vector>
 
 #include "storage/block.h"
-#include "storage/encoding.h"
 #include "storage/schema.h"
 
 namespace capd {
@@ -59,6 +59,10 @@ class FlatSpan {
 
 class FlatPage {
  public:
+  // An all-zero page of `rows` rows under `widths`: what the decoders fill
+  // cell by cell through SetField.
+  FlatPage(std::vector<uint32_t> widths, size_t rows);
+
   // Encodes rows[begin, end) under `schema` straight into the arena,
   // column-major. The arena is reserved to its exact final size up front:
   // one allocation regardless of row count or column widths.
@@ -68,11 +72,6 @@ class FlatPage {
   // Converter from the blocked-storage scratch (PR 8's ColumnBlock): encodes
   // the block's rows without materializing Row vectors or per-field strings.
   static FlatPage FromBlock(const ColumnBlock& block, const Schema& schema);
-
-  // Converter from the legacy row-major representation. Validates that every
-  // field has exactly its column width (the old ValidatePage contract).
-  static FlatPage FromEncodedPage(const EncodedPage& page,
-                                  const std::vector<uint32_t>& widths);
 
   size_t num_rows() const { return rows_; }
   size_t num_columns() const { return widths_.size(); }
@@ -89,6 +88,11 @@ class FlatPage {
     return arena_.data() + col_offsets_[c];
   }
 
+  // Overwrites cell (r, c). Aborts unless `bytes` is exactly width(c)
+  // long: a page's widths are structural, so this is the one place a
+  // mis-sized field can be caught.
+  void SetField(size_t r, size_t c, FieldView bytes);
+
   FlatSpan span() const { return FlatSpan(this, 0, rows_); }
   // View of rows [begin, end).
   FlatSpan span(size_t begin, size_t end) const;
@@ -96,12 +100,13 @@ class FlatPage {
   // Whole-page view; lets FlatPage be passed wherever a FlatSpan is taken.
   operator FlatSpan() const { return span(); }  // NOLINT(runtime/explicit)
 
-  // Back-conversion for tests and decompress comparisons.
-  EncodedPage ToEncodedPage() const;
+  // Same widths, row count and cell bytes.
+  bool operator==(const FlatPage& other) const {
+    return widths_ == other.widths_ && rows_ == other.rows_ &&
+           arena_ == other.arena_;
+  }
 
  private:
-  FlatPage(std::vector<uint32_t> widths, size_t rows);
-
   std::vector<uint32_t> widths_;
   std::vector<size_t> col_offsets_;  // arena byte offset of column c
   size_t rows_ = 0;

@@ -2,7 +2,6 @@
 
 #include "common/logging.h"
 #include "compress/varint.h"
-#include "storage/encoding.h"
 
 namespace capd {
 namespace {
@@ -19,33 +18,27 @@ uint32_t BytesFor(uint64_t distinct) {
 
 }  // namespace
 
-std::unique_ptr<GlobalDictCodec> GlobalDictCodec::Build(
-    const std::vector<Row>& rows, const Schema& schema) {
-  auto codec = std::unique_ptr<GlobalDictCodec>(
-      new GlobalDictCodec(ColumnWidths(schema)));
-  const size_t ncols = schema.num_columns();
+std::unique_ptr<GlobalDictCodec> GlobalDictCodec::Build(const FlatPage& page) {
+  auto codec =
+      std::unique_ptr<GlobalDictCodec>(new GlobalDictCodec(page.widths()));
+  const size_t ncols = page.num_columns();
   codec->dicts_.resize(ncols);
   codec->rdicts_.resize(ncols);
   codec->ptr_widths_.resize(ncols);
-  // One scratch encoding buffer: repeated values (the common case) probe
-  // the dictionary without allocating; only first occurrences copy into a
-  // map key, which rdicts_ then views (map keys are address-stable).
-  std::string scratch;
-  for (const Row& row : rows) {
-    CAPD_CHECK_EQ(row.size(), ncols);
-    for (size_t c = 0; c < ncols; ++c) {
-      scratch.clear();
-      EncodeField(row[c], schema.column(c), &scratch);
-      auto& dict = codec->dicts_[c];
-      if (dict.find(std::string_view(scratch)) == dict.end()) {
-        const auto [it, inserted] = dict.emplace(
-            scratch, static_cast<uint32_t>(codec->rdicts_[c].size()));
+  // Repeated cells (the common case) probe the dictionary in place; only
+  // first occurrences copy into a map key, which rdicts_ then views (map
+  // keys are address-stable). Ids follow each column's first appearances.
+  for (size_t c = 0; c < ncols; ++c) {
+    auto& dict = codec->dicts_[c];
+    for (size_t r = 0; r < page.num_rows(); ++r) {
+      const FieldView cell = page.field(r, c);
+      if (dict.find(cell) == dict.end()) {
+        const uint32_t id = static_cast<uint32_t>(codec->rdicts_[c].size());
+        const auto [it, inserted] = dict.emplace(std::string(cell), id);
         CAPD_CHECK(inserted);
         codec->rdicts_[c].push_back(it->first);
       }
     }
-  }
-  for (size_t c = 0; c < ncols; ++c) {
     codec->ptr_widths_[c] =
         BytesFor(std::max<uint64_t>(1, codec->rdicts_[c].size()));
   }
@@ -85,12 +78,10 @@ uint64_t GlobalDictCodec::MeasurePage(const FlatSpan& span) const {
   return total;
 }
 
-EncodedPage GlobalDictCodec::DecompressPage(std::string_view blob) const {
+FlatPage GlobalDictCodec::DecompressPage(std::string_view blob) const {
   size_t offset = 0;
   const uint64_t n = GetVarint(blob, &offset);
-  EncodedPage page;
-  page.rows.resize(n);
-  for (auto& row : page.rows) row.resize(num_columns());
+  FlatPage page(widths_, n);
   for (size_t c = 0; c < num_columns(); ++c) {
     const uint32_t pw = ptr_widths_[c];
     for (uint64_t i = 0; i < n; ++i) {
@@ -100,7 +91,7 @@ EncodedPage GlobalDictCodec::DecompressPage(std::string_view blob) const {
         id = (id << 8) | static_cast<uint8_t>(blob[offset++]);
       }
       CAPD_CHECK_LT(id, rdicts_[c].size());
-      page.rows[i][c].assign(rdicts_[c][id]);
+      page.SetField(i, c, rdicts_[c][id]);
     }
   }
   return page;

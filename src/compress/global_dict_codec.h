@@ -15,22 +15,19 @@
 #include <vector>
 
 #include "compress/codec.h"
-#include "storage/table.h"
 
 namespace capd {
 
 class GlobalDictCodec : public Codec {
  public:
-  // Builds per-column dictionaries over the given rows (the rows the index
-  // will contain, already projected to the index schema).
-  static std::unique_ptr<GlobalDictCodec> Build(const std::vector<Row>& rows,
-                                                const Schema& schema);
+  // Builds per-column dictionaries over `page` (the rows the index will
+  // contain, rendered under the index schema), interning its cells.
+  static std::unique_ptr<GlobalDictCodec> Build(const FlatPage& page);
 
-  using Codec::CompressPage;
   CompressionKind kind() const override { return CompressionKind::kGlobalDict; }
   std::string CompressPage(const FlatSpan& span) const override;
   uint64_t MeasurePage(const FlatSpan& span) const override;
-  EncodedPage DecompressPage(std::string_view blob) const override;
+  FlatPage DecompressPage(std::string_view blob) const override;
   uint64_t IndexOverheadBytes() const override;
 
   // Pointer width (bytes) used for column c.

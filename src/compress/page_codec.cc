@@ -223,13 +223,12 @@ PageFit PageCodec::FitRows(const FlatPage& page, size_t begin,
   return fit;
 }
 
-EncodedPage PageCodec::DecompressPage(std::string_view blob) const {
+FlatPage PageCodec::DecompressPage(std::string_view blob) const {
   size_t offset = 0;
   const uint64_t n = GetVarint(blob, &offset);
-  EncodedPage page;
-  page.rows.resize(n);
-  for (auto& row : page.rows) row.resize(num_columns());
+  FlatPage page(widths_, n);
   std::vector<std::string> dict;  // reused across columns
+  std::string field;              // one cell: anchor + remainder
   for (size_t c = 0; c < num_columns(); ++c) {
     const uint64_t anchor_len = GetVarint(blob, &offset);
     CAPD_CHECK_LE(offset + anchor_len, blob.size());
@@ -249,8 +248,6 @@ EncodedPage PageCodec::DecompressPage(std::string_view blob) const {
 
     for (uint64_t i = 0; i < n; ++i) {
       const uint64_t code = GetVarint(blob, &offset);
-      std::string& field = page.rows[i][c];
-      field.reserve(widths_[c]);
       field.assign(anchor);
       if (code == 0) {
         NsDecompressField(blob, &offset, rem_width, &field);
@@ -258,6 +255,7 @@ EncodedPage PageCodec::DecompressPage(std::string_view blob) const {
         CAPD_CHECK_LE(code, dict.size());
         field.append(dict[code - 1]);
       }
+      page.SetField(i, c, field);
     }
   }
   return page;

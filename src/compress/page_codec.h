@@ -20,7 +20,6 @@ class PageCodec : public Codec {
  public:
   explicit PageCodec(std::vector<uint32_t> widths) : Codec(std::move(widths)) {}
 
-  using Codec::CompressPage;
   CompressionKind kind() const override { return CompressionKind::kPage; }
   std::string CompressPage(const FlatSpan& span) const override;
   uint64_t MeasurePage(const FlatSpan& span) const override;
@@ -30,7 +29,7 @@ class PageCodec : public Codec {
   // a three-byte dictionary code.
   PageFit FitRows(const FlatPage& page, size_t begin,
                   uint64_t capacity) const override;
-  EncodedPage DecompressPage(std::string_view blob) const override;
+  FlatPage DecompressPage(std::string_view blob) const override;
 };
 
 }  // namespace capd

@@ -57,12 +57,10 @@ uint64_t RleCodec::MeasurePage(const FlatSpan& span) const {
   return total;
 }
 
-EncodedPage RleCodec::DecompressPage(std::string_view blob) const {
+FlatPage RleCodec::DecompressPage(std::string_view blob) const {
   size_t offset = 0;
   const uint64_t n = GetVarint(blob, &offset);
-  EncodedPage page;
-  page.rows.resize(n);
-  for (auto& row : page.rows) row.resize(num_columns());
+  FlatPage page(widths_, n);
   // One value scratch reused across runs: capacity sticks at the column
   // width, so steady state decodes without per-run allocation.
   std::string value;
@@ -75,7 +73,7 @@ EncodedPage RleCodec::DecompressPage(std::string_view blob) const {
       CAPD_CHECK_LE(filled + run, n);
       value.clear();
       NsDecompressField(blob, &offset, widths_[c], &value);
-      for (uint64_t k = 0; k < run; ++k) page.rows[filled++][c] = value;
+      for (uint64_t k = 0; k < run; ++k) page.SetField(filled++, c, value);
     }
   }
   return page;

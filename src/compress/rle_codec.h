@@ -18,11 +18,10 @@ class RleCodec : public Codec {
  public:
   explicit RleCodec(std::vector<uint32_t> widths) : Codec(std::move(widths)) {}
 
-  using Codec::CompressPage;
   CompressionKind kind() const override { return CompressionKind::kRle; }
   std::string CompressPage(const FlatSpan& span) const override;
   uint64_t MeasurePage(const FlatSpan& span) const override;
-  EncodedPage DecompressPage(std::string_view blob) const override;
+  FlatPage DecompressPage(std::string_view blob) const override;
 };
 
 }  // namespace capd

@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "common/logging.h"
-#include "index/index_builder.h"
 #include "stats/distinct_estimator.h"
 
 namespace capd {
@@ -68,8 +67,7 @@ double DeductionEngine::EstimateDistinct(
 
 double DeductionEngine::TuplesPerPage(const IndexDef& idx) const {
   const Table& sample = source_->Sample(idx.object, f_);
-  IndexBuilder builder(sample);
-  const Schema stored = builder.StoredSchema(idx);
+  const Schema stored = idx.StoredSchema(sample.schema());
   const double row_bytes = stored.RowWidth() + kRowOverhead;
   return std::max(1.0, std::floor(kPageCapacity / row_bytes));
 }
@@ -145,7 +143,6 @@ double DeductionEngine::DeduceColExt(const IndexDef& target,
       double num = 0.0;
       double den = 0.0;
       for (const std::string& col : child.def.StoredColumns(base)) {
-        if (col == "__rowid") continue;
         const double w = base.column(base.ColumnIndex(col)).width;
         num += w * FragmentationF(target, col, target_tuples);
         den += w * FragmentationF(child.def, col, child.tuples > 0

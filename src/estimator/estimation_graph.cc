@@ -9,13 +9,6 @@
 namespace capd {
 namespace {
 
-// Stored columns minus the implicit row locator.
-std::vector<std::string> UserColumns(const IndexDef& def, const Schema& base) {
-  std::vector<std::string> cols = def.StoredColumns(base);
-  cols.erase(std::remove(cols.begin(), cols.end(), "__rowid"), cols.end());
-  return cols;
-}
-
 bool IsSubset(const std::vector<std::string>& a,
               const std::vector<std::string>& b) {
   for (const std::string& x : a) {
@@ -48,7 +41,7 @@ size_t EstimationGraph::AddNode(const IndexDef& def, bool is_target) {
   node.is_target = is_target;
   node.is_existing = db_->IsExistingIndex(def);
   node.num_stored_columns =
-      UserColumns(def, source_->ObjectSchema(def.object)).size();
+      def.StoredColumns(source_->ObjectSchema(def.object)).size();
   if (node.is_existing) node.state = NodeState::kSampled;  // free + exact
   nodes_.push_back(std::move(node));
   by_signature_[sig] = nodes_.size() - 1;
@@ -78,7 +71,7 @@ void EstimationGraph::AddTargets(const std::vector<IndexDef>& targets) {
 void EstimationGraph::GenerateDeductionsFor(size_t node_id) {
   const IndexDef def = nodes_[node_id].def;  // copy: nodes_ may reallocate
   const Schema base = source_->ObjectSchema(def.object);
-  const std::vector<std::string> cols = UserColumns(def, base);
+  const std::vector<std::string> cols = def.StoredColumns(base);
   if (cols.size() <= 1) return;  // singleton: nothing to extrapolate from
 
   // --- ColSet: any other node with the same column set, for ORD-IND. ---
@@ -153,7 +146,7 @@ void EstimationGraph::GenerateDeductionsFor(size_t node_id) {
         (other.filter.has_value() && def.filter.has_value() &&
          other.filter->ToString() == def.filter->ToString());
     if (!same_filter) continue;
-    const std::vector<std::string> other_cols = UserColumns(other, base);
+    const std::vector<std::string> other_cols = other.StoredColumns(base);
     if (other_cols.size() <= 1 || other_cols.size() >= cols.size()) continue;
     if (!IsSubset(other_cols, cols)) continue;
     DeductionNode d;

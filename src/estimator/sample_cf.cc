@@ -28,10 +28,11 @@ std::vector<SampleCfResult> SampleCfEstimator::EstimateGroup(
   builder.set_max_materialize_rows(sample.num_rows());
 
   // The structure (object/keys/includes/filter/clustered-ness) is shared,
-  // so the materialized rows and the uncompressed reference pack are too.
-  const std::vector<Row> rows = builder.MaterializeRows(defs.front());
+  // so the sorted sample is rendered once and every pack below — the
+  // uncompressed reference, each variant, the NS baseline — reads it.
+  const FlatPage page = builder.MaterializePage(defs.front());
   const IndexPhysical plain =
-      builder.Pack(defs.front().WithCompression(CompressionKind::kNone), rows);
+      builder.Pack(defs.front().WithCompression(CompressionKind::kNone), page);
   // The ORD-DEP estimate needs the null-suppression (kRow) pack as its
   // order-independent baseline; computed once for the whole group, lazily.
   std::optional<IndexPhysical> ns;
@@ -44,7 +45,7 @@ std::vector<SampleCfResult> SampleCfEstimator::EstimateGroup(
   for (const IndexDef& def : defs) {
     CAPD_CHECK(def.StructureSignature() == defs.front().StructureSignature())
         << def.ToString() << " vs " << defs.front().ToString();
-    const IndexPhysical compressed = builder.Pack(def, rows);
+    const IndexPhysical compressed = builder.Pack(def, page);
 
     SampleCfResult result;
     // Byte-granularity ratio: page counts quantize to 1 page on small
@@ -57,7 +58,7 @@ std::vector<SampleCfResult> SampleCfEstimator::EstimateGroup(
     // object's (estimated) tuple count.
     double filter_frac = 1.0;
     if (def.filter.has_value() && sample_rows > 0) {
-      filter_frac = static_cast<double>(rows.size()) / sample_rows;
+      filter_frac = static_cast<double>(page.num_rows()) / sample_rows;
     }
     result.est_tuples = full_rows * filter_frac;
 
@@ -66,7 +67,7 @@ std::vector<SampleCfResult> SampleCfEstimator::EstimateGroup(
     result.est_bytes = result.est_uncompressed_bytes * result.cf;
     if (IsOrderDependent(def.compression)) {
       if (!ns.has_value()) {
-        ns = builder.Pack(def.WithCompression(CompressionKind::kRow), rows);
+        ns = builder.Pack(def.WithCompression(CompressionKind::kRow), page);
       }
       const double cf_ns =
           static_cast<double>(ns->fine_bytes()) /
@@ -84,8 +85,7 @@ double SampleCfEstimator::UncompressedFullBytes(const IndexDef& def,
                                                 double tuples) const {
   // Byte granularity throughout (page-count quantization would bury the
   // sampling error on laptop-scale data); consumers derive pages from it.
-  const Schema stored =
-      StoredSchemaFor(def, source_->ObjectSchema(def.object));
+  const Schema stored = def.StoredSchema(source_->ObjectSchema(def.object));
   const double row_bytes = stored.RowWidth() + kRowOverhead;
   return std::max(static_cast<double>(kPageCapacity), tuples * row_bytes);
 }
@@ -113,20 +113,10 @@ double SampleCfEstimator::PredictCostPages(const IndexDef& def, double f) {
   } else {
     sample_tuples = source_->SampleRows(def.object, f);
   }
-  const Schema stored =
-      StoredSchemaFor(def, source_->ObjectSchema(def.object));
+  const Schema stored = def.StoredSchema(source_->ObjectSchema(def.object));
   const double row_bytes = stored.RowWidth() + kRowOverhead;
   return std::max(1.0, std::ceil(static_cast<double>(sample_tuples) *
                                  row_bytes / kPageCapacity));
-}
-
-Schema StoredSchemaFor(const IndexDef& def, const Schema& base) {
-  std::vector<Column> cols;
-  for (const std::string& name : def.StoredColumns(base)) {
-    cols.push_back(base.column(base.ColumnIndex(name)));
-  }
-  if (!def.clustered) cols.push_back(Column{"__rowid", ValueType::kInt64, 8});
-  return Schema(std::move(cols));
 }
 
 }  // namespace capd

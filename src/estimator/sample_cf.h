@@ -90,11 +90,12 @@ class SampleCfEstimator {
   SampleCfResult Estimate(const IndexDef& def, double f);
 
   // SampleCF for several compression variants of ONE structure (all defs
-  // must share StructureSignature()): the materialized sample rows, the
-  // uncompressed reference pack and the null-suppression pack are computed
-  // once and shared, so a group of N variants costs one materialize +
-  // one plain pack + N compressed packs instead of N of each. Results are
-  // bit-identical to calling Estimate() per def. Output in input order.
+  // must share StructureSignature()): the sorted sample is rendered into
+  // one FlatPage, and the uncompressed reference pack and the
+  // null-suppression pack are computed once and shared, so a group of N
+  // variants costs one materialize + one render + one plain pack + N
+  // compressed packs instead of N of each. Results are bit-identical to
+  // calling Estimate() per def. Output in input order.
   std::vector<SampleCfResult> EstimateGroup(const std::vector<IndexDef>& defs,
                                             double f);
 
@@ -117,10 +118,6 @@ class SampleCfEstimator {
   const Database* db_;
   SampleSource* source_;
 };
-
-// Physically stored schema of `def` over a base schema (keys, then includes
-// or remaining columns, plus the row locator for secondary indexes).
-Schema StoredSchemaFor(const IndexDef& def, const Schema& base);
 
 }  // namespace capd
 

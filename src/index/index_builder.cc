@@ -5,15 +5,9 @@
 #include "common/logging.h"
 #include "compress/codec_factory.h"
 #include "compress/flat_page.h"
-#include "storage/encoding.h"
 
 namespace capd {
 namespace {
-
-// Implicit row locator appended to secondary (non-clustered) indexes.
-Column RowLocatorColumn() {
-  return Column{"__rowid", ValueType::kInt64, 8};
-}
 
 // Locator values are page:slot style pointers in a real engine — high
 // entropy, incompressible, and (critically for SampleCF) with the same
@@ -25,16 +19,6 @@ int64_t MixLocator(int64_t rowid) {
 }
 
 }  // namespace
-
-Schema IndexBuilder::StoredSchema(const IndexDef& def) const {
-  const Schema& base = table_->schema();
-  std::vector<Column> cols;
-  for (const std::string& name : def.StoredColumns(base)) {
-    cols.push_back(base.column(base.ColumnIndex(name)));
-  }
-  if (!def.clustered) cols.push_back(RowLocatorColumn());
-  return Schema(std::move(cols));
-}
 
 std::vector<Row> IndexBuilder::MaterializeRows(const IndexDef& def) const {
   const Schema& base = table_->schema();
@@ -76,17 +60,25 @@ std::vector<Row> IndexBuilder::MaterializeRows(const IndexDef& def) const {
   return rows;
 }
 
+FlatPage IndexBuilder::MaterializePage(const IndexDef& def) const {
+  const std::vector<Row> rows = MaterializeRows(def);
+  return FlatPage::FromRows(rows, def.StoredSchema(table_->schema()), 0,
+                            rows.size());
+}
+
 IndexPhysical IndexBuilder::Build(const IndexDef& def) const {
-  return Pack(def, MaterializeRows(def));
+  return Pack(def, MaterializePage(def));
 }
 
 IndexPhysical IndexBuilder::Pack(const IndexDef& def,
-                                 const std::vector<Row>& rows) const {
-  const Schema stored = StoredSchema(def);
-  std::unique_ptr<Codec> codec = MakeCodec(def.compression, stored, rows);
+                                 const FlatPage& page) const {
+  CAPD_CHECK(page.widths() ==
+             ColumnWidths(def.StoredSchema(table_->schema())))
+      << "page does not match the stored schema of " << def.ToString();
+  std::unique_ptr<Codec> codec = MakeCodec(def.compression, page);
   IndexPhysical phys;
-  phys.tuples = rows.size();
-  const PackResult packed = PackPages(rows, stored, *codec);
+  phys.tuples = page.num_rows();
+  const PackResult packed = PackPages(page, *codec);
   phys.data_pages = packed.pages;
   phys.payload_bytes = packed.payload_bytes;
   phys.overhead_bytes = codec->IndexOverheadBytes();
@@ -94,29 +86,27 @@ IndexPhysical IndexBuilder::Pack(const IndexDef& def,
 }
 
 double IndexBuilder::TrueCompressionFraction(const IndexDef& def) const {
-  const std::vector<Row> rows = MaterializeRows(def);
-  const IndexPhysical compressed = Pack(def, rows);
+  const FlatPage page = MaterializePage(def);
+  const IndexPhysical compressed = Pack(def, page);
   const IndexPhysical plain =
-      Pack(def.WithCompression(CompressionKind::kNone), rows);
+      Pack(def.WithCompression(CompressionKind::kNone), page);
   CAPD_CHECK_GT(plain.fine_bytes(), 0u);
   // Byte granularity: page counts quantize small indexes to CF = 1.
   return static_cast<double>(compressed.fine_bytes()) /
          static_cast<double>(plain.fine_bytes());
 }
 
-PackResult PackPages(const std::vector<Row>& rows, const Schema& schema,
-                     const Codec& codec) {
+PackResult PackPages(const FlatPage& page, const Codec& codec) {
   PackResult result;
-  if (rows.empty()) {
+  const size_t n = page.num_rows();
+  if (n == 0) {
     result.pages = 1;  // an index always has at least its root page
     return result;
   }
-  // Zero-copy packing: render every field once into one flat columnar
-  // arena, then let the codec fit one page at a time from it through its
-  // size-only kernels — no EncodedPage, no blob, no per-field strings.
-  const FlatPage flat = FlatPage::FromRows(rows, schema, 0, rows.size());
-  for (size_t begin = 0; begin < rows.size();) {
-    const PageFit fit = codec.FitRows(flat, begin, kPageCapacity);
+  // The codec fits one page at a time from the rendered rows through its
+  // size-only kernels: no blob, no per-field strings.
+  for (size_t begin = 0; begin < n;) {
+    const PageFit fit = codec.FitRows(page, begin, kPageCapacity);
     result.payload_bytes += fit.bytes;
     // Only a single giant row can exceed a page; it spills across several.
     result.pages += (fit.bytes + kPageCapacity - 1) / kPageCapacity;

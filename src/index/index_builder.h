@@ -1,7 +1,9 @@
 // Materializes an index over a table's rows and measures its exact physical
 // size: rows are filtered (partial indexes), projected to the stored
-// columns, sorted by key, and packed page-by-page under the chosen codec.
-// This is the ground truth that SampleCF and the deduction methods estimate.
+// columns, sorted by key, rendered once into a FlatPage, and packed
+// page-by-page under the chosen codec. Every compressed variant of one
+// structure packs from the same rendered page. This is the ground truth
+// that SampleCF and the deduction methods estimate.
 #ifndef CAPD_INDEX_INDEX_BUILDER_H_
 #define CAPD_INDEX_INDEX_BUILDER_H_
 
@@ -41,22 +43,23 @@ class IndexBuilder {
     max_materialize_rows_ = budget;
   }
 
-  // Schema of the physically stored rows (stored columns; secondary indexes
-  // additionally carry an 8-byte row locator).
-  Schema StoredSchema(const IndexDef& def) const;
-
-  // Filter + project + sort. Exposed so callers (SampleCF, global dict
-  // construction, tests) can reuse the materialized rows. Streams the table
-  // block-by-block: only the filtered+projected rows are retained, never a
-  // second copy of the base table.
+  // Filter + project + sort. Streams the table block-by-block: only the
+  // filtered+projected rows are retained, never a second copy of the base
+  // table.
   std::vector<Row> MaterializeRows(const IndexDef& def) const;
+
+  // MaterializeRows rendered under def.StoredSchema: the page every
+  // compression variant of def's structure packs from.
+  FlatPage MaterializePage(const IndexDef& def) const;
 
   // Full build: returns the measured physical size.
   IndexPhysical Build(const IndexDef& def) const;
 
-  // Packs pre-materialized rows (must match StoredSchema(def)). Avoids
-  // re-sorting when measuring several compression variants of one index.
-  IndexPhysical Pack(const IndexDef& def, const std::vector<Row>& rows) const;
+  // Packs a rendered page of the index's rows under def's codec. The
+  // page's widths must match def.StoredSchema (CHECKed). Avoids re-sorting
+  // and re-rendering when measuring several compression variants of one
+  // index.
+  IndexPhysical Pack(const IndexDef& def, const FlatPage& page) const;
 
   // Exact compression fraction: size(compressed variant)/size(uncompressed).
   double TrueCompressionFraction(const IndexDef& def) const;
@@ -73,8 +76,7 @@ struct PackResult {
   uint64_t pages = 0;
   uint64_t payload_bytes = 0;  // sum of per-page blob sizes
 };
-PackResult PackPages(const std::vector<Row>& rows, const Schema& schema,
-                     const Codec& codec);
+PackResult PackPages(const FlatPage& page, const Codec& codec);
 
 }  // namespace capd
 

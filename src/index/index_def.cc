@@ -72,6 +72,15 @@ std::vector<std::string> IndexDef::StoredColumns(
   return cols;
 }
 
+Schema IndexDef::StoredSchema(const Schema& base_schema) const {
+  std::vector<Column> cols;
+  for (const std::string& name : StoredColumns(base_schema)) {
+    cols.push_back(base_schema.column(base_schema.ColumnIndex(name)));
+  }
+  if (!clustered) cols.push_back(Column{"__rowid", ValueType::kInt64, 8});
+  return Schema(std::move(cols));
+}
+
 bool IndexDef::CompressionFits(const Schema& base_schema) const {
   for (const std::string& name : StoredColumns(base_schema)) {
     const Column& column = base_schema.column(base_schema.ColumnIndex(name));

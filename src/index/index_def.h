@@ -39,9 +39,12 @@ struct IndexDef {
   std::optional<ColumnFilter> filter;  // partial index predicate
 
   // All columns physically stored: for clustered indexes every table column;
-  // otherwise keys + includes (+ an implicit 8-byte row locator, accounted
-  // by the builder).
+  // otherwise keys + includes. Never the row locator (see StoredSchema).
   std::vector<std::string> StoredColumns(const Schema& base_schema) const;
+
+  // Schema of the physically stored rows: the StoredColumns, plus an
+  // implicit 8-byte row locator last for secondary (non-clustered) indexes.
+  Schema StoredSchema(const Schema& base_schema) const;
 
   // Whether the compressed codecs can store this structure: no stored
   // column is wider than their field limit (kMaxNsFieldWidth). A structure

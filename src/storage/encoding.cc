@@ -103,46 +103,4 @@ Value DecodeField(std::string_view data, const Column& col) {
   return Value();
 }
 
-std::string EncodeRow(const Row& row, const Schema& schema) {
-  CAPD_CHECK_EQ(row.size(), schema.num_columns());
-  std::string out;
-  out.reserve(schema.RowWidth());
-  for (size_t c = 0; c < row.size(); ++c) {
-    EncodeField(row[c], schema.column(c), &out);
-  }
-  return out;
-}
-
-Row DecodeRow(std::string_view data, const Schema& schema) {
-  CAPD_CHECK_EQ(data.size(), static_cast<size_t>(schema.RowWidth()));
-  Row row;
-  row.reserve(schema.num_columns());
-  size_t offset = 0;
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    const Column& col = schema.column(c);
-    row.push_back(DecodeField(data.substr(offset, col.width), col));
-    offset += col.width;
-  }
-  return row;
-}
-
-EncodedPage EncodeRows(const std::vector<Row>& rows, const Schema& schema,
-                       size_t begin, size_t end) {
-  CAPD_CHECK_LE(begin, end);
-  CAPD_CHECK_LE(end, rows.size());
-  EncodedPage page;
-  page.rows.reserve(end - begin);
-  for (size_t i = begin; i < end; ++i) {
-    const Row& row = rows[i];
-    CAPD_CHECK_EQ(row.size(), schema.num_columns());
-    std::vector<std::string> fields;
-    fields.reserve(row.size());
-    for (size_t c = 0; c < row.size(); ++c) {
-      fields.push_back(EncodeFieldToString(row[c], schema.column(c)));
-    }
-    page.rows.push_back(std::move(fields));
-  }
-  return page;
-}
-
 }  // namespace capd

@@ -8,11 +8,14 @@
 // for the numeric types and for equal-length strings (variable-length
 // strings order by (length, content) — the index builder sorts on Value
 // order, so this only affects how well the prefix codec's anchors line up).
+// These are per-field primitives: whole pages are rendered into one
+// columnar arena by FlatPage (src/compress/flat_page.h), the only page
+// representation the codecs read and write.
 #ifndef CAPD_STORAGE_ENCODING_H_
 #define CAPD_STORAGE_ENCODING_H_
 
 #include <string>
-#include <vector>
+#include <string_view>
 
 #include "storage/schema.h"
 #include "storage/value.h"
@@ -28,25 +31,6 @@ std::string EncodeFieldToString(const Value& v, const Column& col);
 // Decodes a field previously produced by EncodeField. `data` must hold
 // exactly col.width bytes.
 Value DecodeField(std::string_view data, const Column& col);
-
-// Encodes a whole row under `schema` (fields concatenated per column order).
-// Field boundaries are implied by the schema widths.
-std::string EncodeRow(const Row& row, const Schema& schema);
-Row DecodeRow(std::string_view data, const Schema& schema);
-
-// Legacy row-major page representation: a batch of rows with each field
-// rendered to its fixed width as its own std::string. Still produced by
-// DecompressPage (and by EncodeRows for tests/benches); the codecs'
-// compression and measurement hot paths run on the flat columnar
-// FlatPage/FlatSpan in src/compress/flat_page.h instead, which renders a
-// whole page into one arena.
-struct EncodedPage {
-  // rows[i][c] is the encoded bytes of column c of row i (width widths[c]).
-  std::vector<std::vector<std::string>> rows;
-};
-
-EncodedPage EncodeRows(const std::vector<Row>& rows, const Schema& schema,
-                       size_t begin, size_t end);
 
 }  // namespace capd
 

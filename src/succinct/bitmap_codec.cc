@@ -162,12 +162,10 @@ std::string BitmapCodec::CompressPage(const FlatSpan& span) const {
   return blob;
 }
 
-EncodedPage BitmapCodec::DecompressPage(std::string_view blob) const {
+FlatPage BitmapCodec::DecompressPage(std::string_view blob) const {
   size_t offset = 0;
   const uint64_t n = GetVarint(blob, &offset);
-  EncodedPage page;
-  page.rows.resize(n);
-  for (auto& row : page.rows) row.resize(num_columns());
+  FlatPage page(widths_, n);
   std::string value;
   for (size_t c = 0; c < num_columns(); ++c) {
     CAPD_CHECK_LT(offset, blob.size()) << "truncated bitmap blob";
@@ -176,7 +174,7 @@ EncodedPage BitmapCodec::DecompressPage(std::string_view blob) const {
       for (uint64_t r = 0; r < n; ++r) {
         value.clear();
         NsDecompressField(blob, &offset, widths_[c], &value);
-        page.rows[r][c] = value;
+        page.SetField(r, c, value);
       }
       continue;
     }
@@ -200,7 +198,7 @@ EncodedPage BitmapCodec::DecompressPage(std::string_view blob) const {
       const BitVector bv = bm.ToBitVector();
       const size_t ones = bv.num_ones();
       for (size_t i = 0; i < ones; ++i) {
-        page.rows[bv.Select1(i)][c] = value;
+        page.SetField(bv.Select1(i), c, value);
       }
       placed += ones;
     }

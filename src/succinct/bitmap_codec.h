@@ -35,11 +35,10 @@ class BitmapCodec : public Codec {
 
   explicit BitmapCodec(std::vector<uint32_t> widths);
 
-  using Codec::CompressPage;
   CompressionKind kind() const override { return CompressionKind::kBitmap; }
   std::string CompressPage(const FlatSpan& span) const override;
   uint64_t MeasurePage(const FlatSpan& span) const override;
-  EncodedPage DecompressPage(std::string_view blob) const override;
+  FlatPage DecompressPage(std::string_view blob) const override;
 };
 
 }  // namespace capd

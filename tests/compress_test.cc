@@ -30,12 +30,8 @@ std::vector<Row> MakeRows(int n, int distinct_a, Random* rng) {
   return rows;
 }
 
-bool PagesEqual(const EncodedPage& a, const EncodedPage& b) {
-  if (a.rows.size() != b.rows.size()) return false;
-  for (size_t i = 0; i < a.rows.size(); ++i) {
-    if (a.rows[i] != b.rows[i]) return false;
-  }
-  return true;
+FlatPage Render(const std::vector<Row>& rows, const Schema& schema) {
+  return FlatPage::FromRows(rows, schema, 0, rows.size());
 }
 
 TEST(VarintTest, RoundTrip) {
@@ -81,11 +77,11 @@ TEST_P(CodecRoundTrip, RandomPages) {
   const Schema schema = TwoColSchema();
   for (int trial = 0; trial < 20; ++trial) {
     std::vector<Row> rows = MakeRows(1 + static_cast<int>(rng.Next(200)), 5, &rng);
-    std::unique_ptr<Codec> codec = MakeCodec(GetParam(), schema, rows);
-    const EncodedPage page = EncodeRows(rows, schema, 0, rows.size());
+    const FlatPage page = Render(rows, schema);
+    std::unique_ptr<Codec> codec = MakeCodec(GetParam(), page);
     const std::string blob = codec->CompressPage(page);
-    const EncodedPage back = codec->DecompressPage(blob);
-    EXPECT_TRUE(PagesEqual(page, back)) << CompressionKindName(GetParam());
+    EXPECT_EQ(codec->DecompressPage(blob), page)
+        << CompressionKindName(GetParam());
   }
 }
 
@@ -95,27 +91,26 @@ TEST_P(CodecRoundTrip, MeasureMatchesCompressedSize) {
   for (int trial = 0; trial < 10; ++trial) {
     std::vector<Row> rows =
         MakeRows(1 + static_cast<int>(rng.Next(150)), 5, &rng);
-    std::unique_ptr<Codec> codec = MakeCodec(GetParam(), schema, rows);
-    const FlatPage page = FlatPage::FromRows(rows, schema, 0, rows.size());
+    const FlatPage page = Render(rows, schema);
+    std::unique_ptr<Codec> codec = MakeCodec(GetParam(), page);
     EXPECT_EQ(codec->MeasurePage(page), codec->CompressPage(page.span()).size())
         << CompressionKindName(GetParam());
   }
 }
 
 TEST_P(CodecRoundTrip, EmptyPage) {
-  const Schema schema = TwoColSchema();
-  std::vector<Row> rows;
-  std::unique_ptr<Codec> codec = MakeCodec(GetParam(), schema, rows);
-  const EncodedPage page;
-  const EncodedPage back = codec->DecompressPage(codec->CompressPage(page));
-  EXPECT_EQ(back.rows.size(), 0u);
+  const FlatPage page = Render({}, TwoColSchema());
+  std::unique_ptr<Codec> codec = MakeCodec(GetParam(), page);
+  const FlatPage back = codec->DecompressPage(codec->CompressPage(page));
+  EXPECT_EQ(back.num_rows(), 0u);
+  EXPECT_EQ(back, page);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, CodecRoundTrip,
     ::testing::Values(CompressionKind::kNone, CompressionKind::kRow,
                       CompressionKind::kPage, CompressionKind::kGlobalDict,
-                      CompressionKind::kRle),
+                      CompressionKind::kRle, CompressionKind::kBitmap),
     [](const auto& info) {
       std::string n = CompressionKindName(info.param);
       n.erase(std::remove_if(n.begin(), n.end(),
@@ -128,7 +123,7 @@ TEST(RowCodecTest, SmallIntsCompress) {
   const Schema schema({{"a", ValueType::kInt64, 8}});
   std::vector<Row> rows;
   for (int i = 0; i < 100; ++i) rows.push_back({Value::Int64(i % 3)});
-  const EncodedPage page = EncodeRows(rows, schema, 0, rows.size());
+  const FlatPage page = Render(rows, schema);
   NoneCodec none(ColumnWidths(schema));
   RowCodec row(ColumnWidths(schema));
   EXPECT_LT(row.CompressPage(page).size(), none.CompressPage(page).size() / 2);
@@ -139,11 +134,9 @@ TEST(RowCodecTest, OrderIndependentSize) {
   const Schema schema = TwoColSchema();
   std::vector<Row> rows = MakeRows(150, 4, &rng);
   RowCodec codec(ColumnWidths(schema));
-  const size_t size1 =
-      codec.CompressPage(EncodeRows(rows, schema, 0, rows.size())).size();
+  const size_t size1 = codec.CompressPage(Render(rows, schema)).size();
   std::shuffle(rows.begin(), rows.end(), rng.engine());
-  const size_t size2 =
-      codec.CompressPage(EncodeRows(rows, schema, 0, rows.size())).size();
+  const size_t size2 = codec.CompressPage(Render(rows, schema)).size();
   EXPECT_EQ(size1, size2);  // NS size is a function of the multiset only
 }
 
@@ -156,9 +149,9 @@ TEST(PageCodecTest, DuplicatesGoToDictionary) {
   }
   PageCodec codec(ColumnWidths(schema));
   const size_t uniform_size =
-      codec.CompressPage(EncodeRows(uniform, schema, 0, uniform.size())).size();
+      codec.CompressPage(Render(uniform, schema)).size();
   const size_t distinct_size =
-      codec.CompressPage(EncodeRows(distinct, schema, 0, distinct.size())).size();
+      codec.CompressPage(Render(distinct, schema)).size();
   EXPECT_LT(uniform_size, distinct_size / 3);
 }
 
@@ -175,10 +168,8 @@ TEST(PageCodecTest, OrderDependentSize) {
                                  std::to_string(i))});
   }
   PageCodec codec(ColumnWidths(schema));
-  const size_t close_size =
-      codec.CompressPage(EncodeRows(close, schema, 0, close.size())).size();
-  const size_t far_size =
-      codec.CompressPage(EncodeRows(far, schema, 0, far.size())).size();
+  const size_t close_size = codec.CompressPage(Render(close, schema)).size();
+  const size_t far_size = codec.CompressPage(Render(far, schema)).size();
   EXPECT_LT(close_size, far_size);
 }
 
@@ -188,11 +179,9 @@ TEST(RleCodecTest, SortedBeatsShuffled) {
   std::vector<Row> rows;
   for (int i = 0; i < 200; ++i) rows.push_back({Value::Int64(i / 50)});
   RleCodec codec(ColumnWidths(schema));
-  const size_t sorted_size =
-      codec.CompressPage(EncodeRows(rows, schema, 0, rows.size())).size();
+  const size_t sorted_size = codec.CompressPage(Render(rows, schema)).size();
   std::shuffle(rows.begin(), rows.end(), rng.engine());
-  const size_t shuffled_size =
-      codec.CompressPage(EncodeRows(rows, schema, 0, rows.size())).size();
+  const size_t shuffled_size = codec.CompressPage(Render(rows, schema)).size();
   EXPECT_LT(sorted_size, shuffled_size / 4);
 }
 
@@ -203,8 +192,8 @@ TEST(GlobalDictTest, PointerWidthGrowsWithDistincts) {
     few.push_back({Value::Int64(i % 10)});
     many.push_back({Value::Int64(i)});
   }
-  auto few_codec = GlobalDictCodec::Build(few, schema);
-  auto many_codec = GlobalDictCodec::Build(many, schema);
+  auto few_codec = GlobalDictCodec::Build(Render(few, schema));
+  auto many_codec = GlobalDictCodec::Build(Render(many, schema));
   EXPECT_EQ(few_codec->PointerWidth(0), 1u);
   EXPECT_EQ(many_codec->PointerWidth(0), 2u);
   EXPECT_EQ(few_codec->DictionarySize(0), 10u);
@@ -215,7 +204,7 @@ TEST(GlobalDictTest, DictionaryChargedAsOverhead) {
   const Schema schema({{"a", ValueType::kInt64, 8}});
   std::vector<Row> rows;
   for (int i = 0; i < 100; ++i) rows.push_back({Value::Int64(i % 10)});
-  auto codec = GlobalDictCodec::Build(rows, schema);
+  auto codec = GlobalDictCodec::Build(Render(rows, schema));
   EXPECT_GT(codec->IndexOverheadBytes(), 0u);
 }
 

@@ -7,6 +7,7 @@
 #include "compress/codec_factory.h"
 #include "compress/null_suppression.h"
 #include "query/sql_parser.h"
+#include "storage/encoding.h"
 #include "workloads/tpch.h"
 
 namespace capd {

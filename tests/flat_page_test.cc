@@ -1,9 +1,10 @@
-// Tests for the zero-copy compression path: FlatPage/FlatSpan layout and
-// converters, the SWAR CountLeadingZeros kernel, the pinned
-// MeasurePage(s) == CompressPage(s).size() contract for every codec across
-// widths and null densities (including width-255 and all-zero fields), and
-// the randomized compress->decompress round-trip property on the same
-// matrix. Also the NS width>255 CHECK death tests.
+// Tests for the zero-copy compression path: FlatPage/FlatSpan layout,
+// renderers and the width-checked cell setter, the SWAR CountLeadingZeros
+// kernel, the pinned MeasurePage(s) == CompressPage(s).size() contract for
+// every codec across widths and null densities (including width-255 and
+// all-zero fields), and the randomized compress->decompress round-trip
+// property on the same matrix, comparing whole pages. Also the NS
+// width>255 CHECK death tests.
 #include <algorithm>
 #include <memory>
 #include <string>
@@ -15,6 +16,7 @@
 #include "compress/codec_factory.h"
 #include "compress/flat_page.h"
 #include "compress/null_suppression.h"
+#include "storage/encoding.h"
 
 namespace capd {
 namespace {
@@ -47,14 +49,6 @@ std::vector<Row> RandomRows(size_t n, double zero_density, Random* rng) {
          zero ? Value::Int64(0) : Value::Int64(rng->Uniform(0, 1 << 30))});
   }
   return rows;
-}
-
-bool PagesEqual(const EncodedPage& a, const EncodedPage& b) {
-  if (a.rows.size() != b.rows.size()) return false;
-  for (size_t i = 0; i < a.rows.size(); ++i) {
-    if (a.rows[i] != b.rows[i]) return false;
-  }
-  return true;
 }
 
 TEST(FlatPageTest, LayoutMatchesEncodeField) {
@@ -102,9 +96,12 @@ TEST(FlatPageTest, SpanSlicesAddressSubranges) {
   }
   // Slicing matches FromRows over the same subrange.
   const FlatPage sub = FlatPage::FromRows(rows, schema, 10, 35);
-  EXPECT_TRUE(PagesEqual(
-      sub.ToEncodedPage(),
-      FlatPage::FromRows(rows, schema, 10, 35).ToEncodedPage()));
+  ASSERT_EQ(sub.num_rows(), span.num_rows());
+  for (size_t r = 0; r < span.num_rows(); ++r) {
+    for (size_t c = 0; c < span.num_columns(); ++c) {
+      EXPECT_EQ(sub.field(r, c), span.field(r, c));
+    }
+  }
 }
 
 TEST(FlatPageTest, FromBlockMatchesFromRows) {
@@ -116,18 +113,32 @@ TEST(FlatPageTest, FromBlockMatchesFromRows) {
   for (const Row& r : rows) block.AppendRow(r);
   const FlatPage from_block = FlatPage::FromBlock(block, schema);
   const FlatPage from_rows = FlatPage::FromRows(rows, schema, 0, rows.size());
-  EXPECT_TRUE(
-      PagesEqual(from_block.ToEncodedPage(), from_rows.ToEncodedPage()));
+  EXPECT_EQ(from_block, from_rows);
 }
 
-TEST(FlatPageTest, EncodedPageRoundTrip) {
+TEST(FlatPageTest, SetFieldFillsAZeroPage) {
   Random rng(15);
   const Schema schema = WideSchema();
   const std::vector<Row> rows = RandomRows(25, 0.5, &rng);
-  const EncodedPage encoded = EncodeRows(rows, schema, 0, rows.size());
-  const FlatPage flat =
-      FlatPage::FromEncodedPage(encoded, ColumnWidths(schema));
-  EXPECT_TRUE(PagesEqual(flat.ToEncodedPage(), encoded));
+  const FlatPage rendered = FlatPage::FromRows(rows, schema, 0, rows.size());
+  FlatPage filled(ColumnWidths(schema), rows.size());
+  EXPECT_EQ(filled.field(3, 2), std::string(255, '\0'));
+  // Row-major fill order, as the row-wise decoders write.
+  for (size_t r = 0; r < rows.size(); ++r) {
+    for (size_t c = 0; c < schema.num_columns(); ++c) {
+      filled.SetField(r, c, rendered.field(r, c));
+    }
+  }
+  EXPECT_EQ(filled, rendered);
+}
+
+TEST(FlatPageDeathTest, SetFieldRejectsWrongWidth) {
+  FlatPage page({8, 4}, 2);
+  page.SetField(1, 1, "abcd");
+  EXPECT_EQ(page.field(1, 1), "abcd");
+  EXPECT_DEATH(page.SetField(0, 1, "abc"), "wrong width");
+  EXPECT_DEATH(page.SetField(0, 1, "abcde"), "wrong width");
+  EXPECT_DEATH(page.SetField(0, 0, std::string(4, 'x')), "wrong width");
 }
 
 TEST(CountLeadingZerosTest, MatchesScalarReference) {
@@ -168,8 +179,7 @@ TEST(NullSuppressionDeathTest, FieldWiderThan255Aborts) {
 }
 
 // The pinned contract: MeasurePage(s) == CompressPage(s).size() for every
-// codec, span, width mix, and null density — and the flat compressor is
-// byte-identical to the legacy row-major entry point.
+// codec, span, width mix, and null density.
 class MeasureEqualsCompress
     : public ::testing::TestWithParam<CompressionKind> {};
 
@@ -178,8 +188,8 @@ TEST_P(MeasureEqualsCompress, AcrossSpansAndNullDensities) {
   const Schema schema = WideSchema();
   for (const double density : {0.0, 0.4, 1.0}) {
     const std::vector<Row> rows = RandomRows(60, density, &rng);
-    const std::unique_ptr<Codec> codec = MakeCodec(GetParam(), schema, rows);
     const FlatPage flat = FlatPage::FromRows(rows, schema, 0, rows.size());
+    const std::unique_ptr<Codec> codec = MakeCodec(GetParam(), flat);
     const size_t n = flat.num_rows();
     const size_t spans[][2] = {{0, n}, {0, 1}, {n / 3, 2 * n / 3}, {n, n}};
     for (const auto& range : spans) {
@@ -189,9 +199,6 @@ TEST_P(MeasureEqualsCompress, AcrossSpansAndNullDensities) {
           << CompressionKindName(GetParam()) << " density=" << density
           << " span=[" << range[0] << "," << range[1] << ")";
     }
-    // Legacy row-major entry point produces identical bytes.
-    const EncodedPage encoded = EncodeRows(rows, schema, 0, rows.size());
-    EXPECT_EQ(codec->CompressPage(encoded), codec->CompressPage(flat.span()));
   }
 }
 
@@ -202,10 +209,9 @@ TEST_P(MeasureEqualsCompress, RoundTripIdentity) {
     for (int trial = 0; trial < 5; ++trial) {
       const std::vector<Row> rows =
           RandomRows(1 + rng.Next(80), density, &rng);
-      const std::unique_ptr<Codec> codec = MakeCodec(GetParam(), schema, rows);
       const FlatPage flat = FlatPage::FromRows(rows, schema, 0, rows.size());
-      const EncodedPage back = codec->DecompressPage(codec->CompressPage(flat));
-      EXPECT_TRUE(PagesEqual(back, flat.ToEncodedPage()))
+      const std::unique_ptr<Codec> codec = MakeCodec(GetParam(), flat);
+      EXPECT_EQ(codec->DecompressPage(codec->CompressPage(flat)), flat)
           << CompressionKindName(GetParam()) << " density=" << density;
     }
   }
@@ -218,11 +224,11 @@ TEST_P(MeasureEqualsCompress, AllZeroFields) {
     rows.push_back({Value::Int64(0), Value::String(""), Value::String(""),
                     Value::Int64(0)});
   }
-  const std::unique_ptr<Codec> codec = MakeCodec(GetParam(), schema, rows);
   const FlatPage flat = FlatPage::FromRows(rows, schema, 0, rows.size());
+  const std::unique_ptr<Codec> codec = MakeCodec(GetParam(), flat);
   const std::string blob = codec->CompressPage(flat);
   EXPECT_EQ(codec->MeasurePage(flat), blob.size());
-  EXPECT_TRUE(PagesEqual(codec->DecompressPage(blob), flat.ToEncodedPage()));
+  EXPECT_EQ(codec->DecompressPage(blob), flat);
 }
 
 INSTANTIATE_TEST_SUITE_P(

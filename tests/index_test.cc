@@ -95,19 +95,28 @@ TEST(IndexBuilderTest, MaterializedRowsAreSortedByKey) {
 
 TEST(IndexBuilderTest, SecondaryCarriesRowLocator) {
   const Table t = MakeTable(10);
-  IndexBuilder builder(t);
-  const Schema stored = builder.StoredSchema(Idx({"a"}));
+  const Schema stored = Idx({"a"}).StoredSchema(t.schema());
   EXPECT_EQ(stored.column(stored.num_columns() - 1).name, "__rowid");
 }
 
 TEST(IndexBuilderTest, ClusteredHasNoLocator) {
   const Table t = MakeTable(10);
-  IndexBuilder builder(t);
   IndexDef def = Idx({"a"});
   def.clustered = true;
-  const Schema stored = builder.StoredSchema(def);
+  const Schema stored = def.StoredSchema(t.schema());
   EXPECT_FALSE(stored.HasColumn("__rowid"));
   EXPECT_EQ(stored.num_columns(), 4u);
+}
+
+TEST(IndexBuilderDeathTest, PackRejectsAPageOfAnotherSchema) {
+  const Table t = MakeTable(50);
+  IndexBuilder builder(t);
+  const FlatPage page = builder.MaterializePage(Idx({"a"}));
+  // Any variant of the same structure packs from the page...
+  EXPECT_EQ(builder.Pack(Idx({"a"}, {}, CompressionKind::kRow), page).tuples,
+            50u);
+  // ...a structure with other stored columns does not.
+  EXPECT_DEATH(builder.Pack(Idx({"a", "b"}), page), "stored schema");
 }
 
 TEST(IndexBuilderTest, PartialIndexFiltersRows) {
@@ -191,12 +200,10 @@ TEST(PackPagesTest, EveryPageBlobFitsCapacity) {
   const Table t = MakeTable(5000);
   IndexBuilder builder(t);
   const IndexDef def = Idx({"a", "b", "c"}, {}, CompressionKind::kPage);
-  const std::vector<Row> rows = builder.MaterializeRows(def);
-  const Schema stored = builder.StoredSchema(def);
-  std::unique_ptr<Codec> codec = MakeCodec(def.compression, stored, rows);
-  const std::string whole =
-      codec->CompressPage(EncodeRows(rows, stored, 0, rows.size()));
-  const PackResult packed = PackPages(rows, stored, *codec);
+  const FlatPage page = builder.MaterializePage(def);
+  std::unique_ptr<Codec> codec = MakeCodec(def.compression, page);
+  const std::string whole = codec->CompressPage(page);
+  const PackResult packed = PackPages(page, *codec);
   EXPECT_GE(packed.pages, whole.size() / kPageCapacity);
   // And packing cannot be catastrophically wasteful either (pages are at
   // least half full on average for smooth data like this).

@@ -23,6 +23,7 @@
 #include "compress/codec_factory.h"
 #include "compress/flat_page.h"
 #include "index/index_builder.h"
+#include "storage/encoding.h"
 
 namespace capd {
 namespace {
@@ -129,8 +130,8 @@ TEST_P(PageFitTest, MeasureIsMonotoneInSpanLength) {
   for (const DataCase& dc : Cases()) {
     const Schema schema = StringSchema(dc.widths);
     const std::vector<Row> rows = MakeRows(dc, ++seed);
-    const std::unique_ptr<Codec> codec = MakeCodec(GetParam(), schema, rows);
     const FlatPage flat = FlatPage::FromRows(rows, schema, 0, rows.size());
+    const std::unique_ptr<Codec> codec = MakeCodec(GetParam(), flat);
     const size_t n = flat.num_rows();
     for (const size_t begin : {size_t{0}, n / 3}) {
       uint64_t prev = codec->MeasurePage(flat.span(begin, begin));
@@ -209,8 +210,9 @@ PackResult SearchPackPages(const std::vector<Row>& rows, const Schema& schema,
 
 void ExpectSamePack(const std::vector<Row>& rows, const Schema& schema,
                     CompressionKind kind, const std::string& label) {
-  const std::unique_ptr<Codec> codec = MakeCodec(kind, schema, rows);
-  const PackResult got = PackPages(rows, schema, *codec);
+  const FlatPage flat = FlatPage::FromRows(rows, schema, 0, rows.size());
+  const std::unique_ptr<Codec> codec = MakeCodec(kind, flat);
+  const PackResult got = PackPages(flat, *codec);
   const PackResult want = SearchPackPages(rows, schema, *codec);
   EXPECT_EQ(got.pages, want.pages) << label;
   EXPECT_EQ(got.payload_bytes, want.payload_bytes) << label;
@@ -254,8 +256,9 @@ TEST_P(PageFitTest, GiantRowsSpillLikeTheSearch) {
     }
   }
   if (GetParam() != CompressionKind::kGlobalDict) {
-    const std::unique_ptr<Codec> codec = MakeCodec(GetParam(), schema, rows);
-    EXPECT_EQ(PackPages(rows, schema, *codec).pages, 2 * rows.size());
+    const FlatPage flat = FlatPage::FromRows(rows, schema, 0, rows.size());
+    const std::unique_ptr<Codec> codec = MakeCodec(GetParam(), flat);
+    EXPECT_EQ(PackPages(flat, *codec).pages, 2 * rows.size());
   }
   ExpectSamePack(rows, schema, GetParam(), "giant");
 }
@@ -267,8 +270,8 @@ TEST_P(PageFitTest, FitRowsMatchesDefaultSearch) {
   for (const DataCase& dc : PackCases()) {
     const Schema schema = StringSchema(dc.widths);
     const std::vector<Row> rows = MakeRows(dc, ++seed);
-    const std::unique_ptr<Codec> codec = MakeCodec(GetParam(), schema, rows);
     const FlatPage flat = FlatPage::FromRows(rows, schema, 0, rows.size());
+    const std::unique_ptr<Codec> codec = MakeCodec(GetParam(), flat);
     for (const uint64_t capacity : {16u, 300u, 2000u, 20000u}) {
       for (size_t begin = 0; begin < flat.num_rows();) {
         const PageFit got = codec->FitRows(flat, begin, capacity);

@@ -170,17 +170,6 @@ INSTANTIATE_TEST_SUITE_P(AllTypes, EncodingOrder,
                                            ValueType::kDouble,
                                            ValueType::kString));
 
-TEST(EncodingTest, RowRoundTrip) {
-  Schema s({{"a", ValueType::kInt64, 8},
-            {"b", ValueType::kString, 10},
-            {"c", ValueType::kDouble, 8}});
-  Row row = {Value::Int64(42), Value::String("hello"), Value::Double(2.75)};
-  const std::string enc = EncodeRow(row, s);
-  EXPECT_EQ(enc.size(), s.RowWidth());
-  const Row back = DecodeRow(enc, s);
-  for (size_t i = 0; i < row.size(); ++i) EXPECT_EQ(back[i].Compare(row[i]), 0);
-}
-
 TEST(TableTest, HeapPagesMatchesRowMath) {
   Schema s({{"a", ValueType::kInt64, 8}});  // 8+2 bytes per row
   Table t("t", s);

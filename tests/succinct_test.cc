@@ -283,9 +283,7 @@ TEST(BitmapCodecTest, HighDistinctFallsBackToNs) {
   const FlatPage flat = FlatPage::FromRows(rows, schema, 0, rows.size());
   const std::string blob = codec.CompressPage(flat);
   EXPECT_EQ(codec.MeasurePage(flat), blob.size());
-  const EncodedPage back = codec.DecompressPage(blob);
-  ASSERT_EQ(back.rows.size(), rows.size());
-  EXPECT_EQ(back.rows[7][0], flat.field(7, 0));
+  EXPECT_EQ(codec.DecompressPage(blob), flat);
 }
 
 TEST(BitmapCodecDeathTest, FieldWiderThan255Aborts) {
