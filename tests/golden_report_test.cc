@@ -5,7 +5,9 @@
 // counters, estimation statistics, recommended DDL — is deterministic
 // under the fixed seeds, so any drift (an advisor change, a cost-model
 // tweak, -O3 float divergence) fails loudly here instead of silently
-// shifting recommendations.
+// shifting recommendations. The dtac_both goldens run skyline selection
+// plus the Section 6.2 backtracking, which sales and tpcds take at the 15%
+// budget (tpch does not).
 //
 // Regenerate after an intentional change with:
 //   CAPD_UPDATE_GOLDEN=1 ./build/golden_report_test
@@ -38,6 +40,7 @@ std::string GoldenPath(const std::string& name) {
 std::string StrategyFor(const std::string& tag) {
   if (tag == "dtac_topk") return "dtac-topk";
   if (tag == "dtac_skyline") return "dtac-skyline";
+  if (tag == "dtac_both") return "dtac-both";
   return "staged:page";
 }
 
@@ -49,12 +52,18 @@ std::string StrategyFor(const std::string& tag) {
 struct GoldenStack {
   workloads::BuiltWorkload built;
 
-  std::string Render(const std::string& tag) {
+  // `mv_and_partial` adds MV and partial-index candidates on top of the
+  // strategy (the MV-match and partial-index cost paths).
+  std::string Render(const std::string& tag, bool mv_and_partial = false) {
     AdvisorEngine engine(*built.db);
     TuningRequest request;
     request.workload = built.workload;
     request.strategy = StrategyFor(tag);
     request.budget = TuningBudget::Fraction(kBudgetFrac);
+    if (mv_and_partial) {
+      request.enable_mv = 1;
+      request.enable_partial = 1;
+    }
     const TuningResponse response = engine.Tune(request);
     EXPECT_TRUE(response.ok()) << response.error;
     return response.report;
@@ -69,20 +78,10 @@ void BuildStack(const std::string& workload_name, GoldenStack* s) {
   ASSERT_TRUE(workloads::Build(spec, &s->built, &error)) << error;
 }
 
-class GoldenReportTest
-    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {
-};
-
-TEST_P(GoldenReportTest, ReportMatchesGoldenByteForByte) {
-  const std::string workload_name = std::get<0>(GetParam());
-  const std::string strategy = std::get<1>(GetParam());
-  const std::string name = workload_name + "_" + strategy;
-
-  GoldenStack stack;
-  BuildStack(workload_name, &stack);
-  const std::string report = stack.Render(strategy);
+// Compares `report` with the golden `name` (or rewrites the golden under
+// CAPD_UPDATE_GOLDEN=1).
+void ExpectMatchesGolden(const std::string& name, const std::string& report) {
   ASSERT_FALSE(report.empty());
-
   const std::string path = GoldenPath(name);
   if (UpdateGoldenMode()) {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
@@ -103,15 +102,37 @@ TEST_P(GoldenReportTest, ReportMatchesGoldenByteForByte) {
          "review the diff";
 }
 
+class GoldenReportTest
+    : public ::testing::TestWithParam<std::tuple<const char*, const char*>> {
+};
+
+TEST_P(GoldenReportTest, ReportMatchesGoldenByteForByte) {
+  const std::string workload_name = std::get<0>(GetParam());
+  const std::string strategy = std::get<1>(GetParam());
+
+  GoldenStack stack;
+  BuildStack(workload_name, &stack);
+  ExpectMatchesGolden(workload_name + "_" + strategy, stack.Render(strategy));
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllStrategiesAllWorkloads, GoldenReportTest,
     ::testing::Combine(::testing::Values("tpch", "sales", "tpcds"),
                        ::testing::Values("dtac_topk", "dtac_skyline",
-                                         "staged")),
+                                         "dtac_both", "staged")),
     [](const ::testing::TestParamInfo<GoldenReportTest::ParamType>& info) {
       return std::string(std::get<0>(info.param)) + "_" +
              std::get<1>(info.param);
     });
+
+// The full DTAc search with MV and partial-index candidates: pins the
+// MV-match and partial-index what-if cost paths under backtracking.
+TEST(GoldenReportMvPartial, TpchDtacBothMatchesGoldenByteForByte) {
+  GoldenStack stack;
+  BuildStack("tpch", &stack);
+  ExpectMatchesGolden("tpch_dtac_both_mv_partial",
+                      stack.Render("dtac_both", /*mv_and_partial=*/true));
+}
 
 // Rendering twice from independently built stacks must be byte-identical —
 // the precondition for golden pinning (and a canary for any nondeterminism
