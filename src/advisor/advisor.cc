@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <limits>
 #include <set>
+#include <unordered_map>
 
 #include "common/logging.h"
 
@@ -13,10 +14,16 @@ namespace capd {
 double Advisor::ChargedBytes(const Configuration& config) const {
   double charged = 0.0;
   for (const PhysicalIndexEstimate& idx : config.indexes()) {
-    charged += idx.bytes;
-    if (idx.def.clustered && db_->HasTable(idx.def.object)) {
-      charged -= static_cast<double>(db_->table(idx.def.object).HeapBytes());
-    }
+    charged = ChargedWith(charged, idx);
+  }
+  return charged;
+}
+
+double Advisor::ChargedWith(double charged,
+                            const PhysicalIndexEstimate& idx) const {
+  charged += idx.bytes;
+  if (idx.def.clustered && db_->HasTable(idx.def.object)) {
+    charged -= static_cast<double>(db_->table(idx.def.object).HeapBytes());
   }
   return charged;
 }
@@ -71,19 +78,6 @@ double Advisor::PooledWorkloadCost(const Workload& workload,
     total += workload.statements[i].weight * costs[i];
   }
   return total;
-}
-
-bool Advisor::CanAdd(const Configuration& config, const IndexDef& def) const {
-  if (config.Contains(def.Signature())) return false;
-  // At most one clustered index per object.
-  if (def.clustered && config.HasClusteredOn(def.object)) return false;
-  // The same structure with a different compression is a competing index:
-  // physically legal but never useful together with its sibling for our
-  // optimizer, and it bloats enumeration, so forbid duplicates.
-  for (const PhysicalIndexEstimate& idx : config.indexes()) {
-    if (idx.def.StructureSignature() == def.StructureSignature()) return false;
-  }
-  return true;
 }
 
 std::map<std::string, PhysicalIndexEstimate> Advisor::EstimateSizes(
@@ -154,11 +148,23 @@ std::vector<IndexDef> Advisor::SelectCandidates(
   }
   const size_t stride = 1 + candidates.size();  // base cost + one per index
 
+  // Each candidate's one-index configuration and its budget charge, built
+  // once and shared by every query.
+  std::vector<Configuration> singles(candidates.size());
+  std::vector<double> charges(candidates.size());
+  for (size_t c = 0; c < candidates.size(); ++c) {
+    const auto it = sizes.find(candidates[c].Signature());
+    CAPD_CHECK(it != sizes.end()) << candidates[c].ToString();
+    singles[c].Add(it->second);
+    charges[c] = ChargedBytes(singles[c]);
+  }
+
   auto stmt_cost = [&](size_t stmt_index, const Configuration& config) {
     return cost_cache != nullptr
                ? cost_cache->Cost(stmt_index, config)
                : optimizer_->Cost(workload.statements[stmt_index], config);
   };
+  const Configuration empty;
   const std::vector<double> costs = ParallelMap<double>(
       options_.pool, selects.size() * stride, [&](size_t j) {
         // Skipped costings yield 0.0, which makes every candidate look
@@ -168,12 +174,7 @@ std::vector<IndexDef> Advisor::SelectCandidates(
         if (CancelRequested()) return 0.0;
         const size_t si = selects[j / stride];
         const size_t c = j % stride;
-        if (c == 0) return stmt_cost(si, Configuration());
-        const auto it = sizes.find(candidates[c - 1].Signature());
-        CAPD_CHECK(it != sizes.end());
-        Configuration config;
-        config.Add(it->second);
-        return stmt_cost(si, config);
+        return stmt_cost(si, c == 0 ? empty : singles[c - 1]);
       });
   if (result != nullptr) {
     result->what_if_calls += selects.size() * candidates.size();
@@ -185,40 +186,38 @@ std::vector<IndexDef> Advisor::SelectCandidates(
   for (size_t q = 0; q < selects.size(); ++q) {
     // Serial reduction over this query's precomputed costs.
     struct Entry {
-      const IndexDef* def;
+      size_t c;  // candidate position
       double cost;
       double bytes;
     };
     std::vector<Entry> entries;
     const double base_cost = costs[q * stride];
     for (size_t c = 0; c < candidates.size(); ++c) {
-      const IndexDef& def = candidates[c];
       const double cost = costs[q * stride + 1 + c];
       if (cost >= base_cost) continue;  // irrelevant to this query
       // Size dimension of the skyline is the *budget charge*: a clustered
       // index replaces the heap, so its effective footprint can be tiny (or
       // negative when compressed) even though the structure is large.
-      Configuration config;
-      config.Add(sizes.at(def.Signature()));
-      entries.push_back(Entry{&def, cost, ChargedBytes(config)});
+      entries.push_back(Entry{c, cost, charges[c]});
     }
+    auto keep = [&](size_t c) {
+      if (kept.insert(singles[c].signature(0)).second) {
+        selected.push_back(candidates[c]);
+      }
+    };
 
     if (options_.selection == CandidateSelectionMode::kTopK) {
       std::sort(entries.begin(), entries.end(),
                 [](const Entry& a, const Entry& b) { return a.cost < b.cost; });
       const size_t k = std::min<size_t>(options_.top_k, entries.size());
-      for (size_t i = 0; i < k; ++i) {
-        if (kept.insert(entries[i].def->Signature()).second) {
-          selected.push_back(*entries[i].def);
-        }
-      }
+      for (size_t i = 0; i < k; ++i) keep(entries[i].c);
     } else {
       // Skyline of (bytes, cost): keep entries no other entry dominates
       // (smaller AND faster). O(n^2), negligible next to what-if calls.
       for (const Entry& e : entries) {
         bool dominated = false;
         for (const Entry& o : entries) {
-          if (o.def == e.def) continue;
+          if (o.c == e.c) continue;
           const bool better_or_equal = o.cost <= e.cost && o.bytes <= e.bytes;
           const bool strictly_better = o.cost < e.cost || o.bytes < e.bytes;
           if (better_or_equal && strictly_better) {
@@ -226,9 +225,7 @@ std::vector<IndexDef> Advisor::SelectCandidates(
             break;
           }
         }
-        if (!dominated && kept.insert(e.def->Signature()).second) {
-          selected.push_back(*e.def);
-        }
+        if (!dominated) keep(e.c);
       }
     }
   }
@@ -243,10 +240,23 @@ Configuration Advisor::Enumerate(
   Configuration config;
   double current_cost = WorkloadCost(workload, config, cost_cache, result);
 
-  auto size_of = [&sizes](const IndexDef& def) -> const PhysicalIndexEstimate& {
-    const auto it = sizes.find(def.Signature());
-    CAPD_CHECK(it != sizes.end()) << def.ToString();
-    return it->second;
+  // Every pool entry's signatures and size estimate, rendered and looked
+  // up once per call. Configuration members always come from the pool, so
+  // `position` maps a member's recorded signature back to its entry.
+  std::vector<std::string> signatures(pool.size());
+  std::vector<std::string> structures(pool.size());
+  std::vector<const PhysicalIndexEstimate*> ests(pool.size());
+  std::unordered_map<std::string, size_t> position;
+  for (size_t i = 0; i < pool.size(); ++i) {
+    signatures[i] = pool[i].Signature();
+    structures[i] = pool[i].StructureSignature();
+    const auto it = sizes.find(signatures[i]);
+    CAPD_CHECK(it != sizes.end()) << pool[i].ToString();
+    ests[i] = &it->second;
+    position.emplace(signatures[i], i);
+  }
+  auto structure_of = [&](const std::string& signature) -> const std::string& {
+    return structures[position.at(signature)];
   };
 
   // Trial costing, callable from pool workers (the cache and the optimizer
@@ -272,15 +282,27 @@ Configuration Advisor::Enumerate(
       if (result != nullptr) result->cancelled = true;
       break;
     }
+    // An entry is addable unless a member shares its structure (the entry
+    // itself, or a compressed variant: those compete and are never useful
+    // together for our optimizer) or it is a second clustered index.
+    std::vector<const std::string*> taken;  // the members' structures
+    for (size_t m = 0; m < config.size(); ++m) {
+      taken.push_back(&structure_of(config.signature(m)));
+    }
+    std::vector<size_t> addable;
+    addable.reserve(pool.size());
+    for (size_t i = 0; i < pool.size(); ++i) {
+      const bool shares = std::any_of(
+          taken.begin(), taken.end(),
+          [&](const std::string* s) { return *s == structures[i]; });
+      const bool second_clustered =
+          pool[i].clustered && config.HasClusteredOn(pool[i].object);
+      if (!shares && !second_clustered) addable.push_back(i);
+    }
     // Evaluate every addable candidate. The trials are independent, so
     // they fan out across the pool; the reduction below walks them in pool
     // order with the same comparisons as the serial loop, which makes the
     // parallel result bit-identical at any thread count.
-    std::vector<size_t> addable;
-    addable.reserve(pool.size());
-    for (size_t i = 0; i < pool.size(); ++i) {
-      if (CanAdd(config, pool[i])) addable.push_back(i);
-    }
     const std::vector<double> trial_costs =
         ParallelMap<double>(workers, addable.size(), [&](size_t k) {
           // Infinity reads as "no benefit", so skipped trials can never be
@@ -290,11 +312,12 @@ Configuration Advisor::Enumerate(
             return std::numeric_limits<double>::infinity();
           }
           Configuration trial = config;
-          trial.Add(size_of(pool[addable[k]]));
+          trial.Add(*ests[addable[k]]);
           return trial_cost(trial);
         });
     charge_calls(addable.size());
 
+    const double charged = ChargedBytes(config);
     int best_fit = -1;       // best candidate that fits the budget
     double best_fit_score = 0.0;
     double best_fit_cost = current_cost;
@@ -303,16 +326,13 @@ Configuration Advisor::Enumerate(
 
     for (size_t k = 0; k < addable.size(); ++k) {
       const size_t i = addable[k];
-      const IndexDef& def = pool[i];
       const double cost = trial_costs[k];
       const double benefit = current_cost - cost;
       if (benefit <= 1e-9) continue;
-      Configuration trial = config;
-      trial.Add(size_of(def));
-      const bool fits = ChargedBytes(trial) <= budget_bytes;
+      const bool fits = ChargedWith(charged, *ests[i]) <= budget_bytes;
       const double score =
           options_.enumeration == EnumerationMode::kDensityGreedy
-              ? benefit / std::max(1.0, size_of(def).bytes)
+              ? benefit / std::max(1.0, ests[i]->bytes)
               : benefit;
       if (fits && score > best_fit_score) {
         best_fit_score = score;
@@ -336,89 +356,87 @@ Configuration Advisor::Enumerate(
     // variants. Swaps are applied greedily until the configuration fits:
     // prefer a swap that fits immediately with the best workload cost,
     // otherwise the one freeing the most space (to converge).
-    if (options_.backtracking && best_any >= 0 && best_any != best_fit) {
-      Configuration oversized = config;
-      oversized.Add(size_of(pool[best_any]));
-      if (ChargedBytes(oversized) > budget_bytes) {
-        Configuration best_recovered;
-        double best_recovered_cost = std::numeric_limits<double>::infinity();
-        Configuration work = oversized;
-        for (int round = 0; round < 8; ++round) {
-          // Viable swaps are gathered serially (cheap size/signature
-          // checks), the in-budget ones are what-if costed across the
-          // pool, and the winner is reduced in (member, replacement) scan
-          // order — the exact tie-breaking of the serial loop.
-          std::vector<Configuration> fit_swaps;
-          int reduce_member = -1, reduce_repl = -1;
-          double reduce_amount = 0.0;
-          const auto& members = work.indexes();
-          for (int m = 0; m < static_cast<int>(members.size()); ++m) {
-            const PhysicalIndexEstimate& member = members[m];
-            for (int p = 0; p < static_cast<int>(pool.size()); ++p) {
-              const IndexDef& repl = pool[p];
-              if (repl.StructureSignature() != member.def.StructureSignature())
-                continue;
-              if (repl.Signature() == member.def.Signature()) continue;
-              const PhysicalIndexEstimate& repl_est = size_of(repl);
-              if (repl_est.bytes >= member.bytes) continue;
-              Configuration trial = work;
-              CAPD_CHECK(trial.Remove(member.def.Signature()));
-              trial.Add(repl_est);
-              if (ChargedBytes(trial) <= budget_bytes) {
-                fit_swaps.push_back(std::move(trial));
-              } else if (member.bytes - repl_est.bytes > reduce_amount) {
-                reduce_amount = member.bytes - repl_est.bytes;
-                reduce_member = m;
-                reduce_repl = p;
+    if (options_.backtracking && best_any >= 0 && best_any != best_fit &&
+        ChargedWith(charged, *ests[best_any]) > budget_bytes) {
+      Configuration best_recovered;
+      double best_recovered_cost = std::numeric_limits<double>::infinity();
+      Configuration work = config;
+      work.Add(*ests[best_any]);
+      for (int round = 0; round < 8; ++round) {
+        // Viable swaps are gathered serially (cheap size/signature checks),
+        // the in-budget ones are what-if costed across the pool, and the
+        // winner is reduced in (member, replacement) scan order — the exact
+        // tie-breaking of the serial loop.
+        std::vector<Configuration> fit_swaps;
+        int reduce_member = -1, reduce_repl = -1;
+        double reduce_amount = 0.0;
+        const auto& members = work.indexes();
+        for (int m = 0; m < static_cast<int>(members.size()); ++m) {
+          const PhysicalIndexEstimate& member = members[m];
+          const std::string& member_signature = work.signature(m);
+          const std::string& member_structure = structure_of(member_signature);
+          for (int p = 0; p < static_cast<int>(pool.size()); ++p) {
+            if (structures[p] != member_structure) continue;
+            if (signatures[p] == member_signature) continue;
+            const PhysicalIndexEstimate& repl_est = *ests[p];
+            if (repl_est.bytes >= member.bytes) continue;
+            Configuration trial = work;
+            CAPD_CHECK(trial.Remove(member_signature));
+            trial.Add(repl_est);
+            if (ChargedBytes(trial) <= budget_bytes) {
+              fit_swaps.push_back(std::move(trial));
+            } else if (member.bytes - repl_est.bytes > reduce_amount) {
+              reduce_amount = member.bytes - repl_est.bytes;
+              reduce_member = m;
+              reduce_repl = p;
+            }
+          }
+        }
+        const std::vector<double> swap_costs =
+            ParallelMap<double>(workers, fit_swaps.size(), [&](size_t k) {
+              // Infinite swap costs can never beat best_fit/current, so a
+              // cancel mid-backtrack leaves the configuration untouched.
+              if (CancelRequested()) {
+                return std::numeric_limits<double>::infinity();
               }
-            }
+              return trial_cost(fit_swaps[k]);
+            });
+        charge_calls(fit_swaps.size());
+        int fit_swap = -1;
+        double fit_swap_cost = std::numeric_limits<double>::infinity();
+        for (size_t k = 0; k < fit_swaps.size(); ++k) {
+          if (swap_costs[k] < fit_swap_cost) {
+            fit_swap_cost = swap_costs[k];
+            fit_swap = static_cast<int>(k);
           }
-          const std::vector<double> swap_costs =
-              ParallelMap<double>(workers, fit_swaps.size(), [&](size_t k) {
-                // Infinite swap costs can never beat best_fit/current, so a
-                // cancel mid-backtrack leaves the configuration untouched.
-                if (CancelRequested()) {
-                  return std::numeric_limits<double>::infinity();
-                }
-                return trial_cost(fit_swaps[k]);
-              });
-          charge_calls(fit_swaps.size());
-          int fit_swap = -1;
-          double fit_swap_cost = std::numeric_limits<double>::infinity();
-          for (size_t k = 0; k < fit_swaps.size(); ++k) {
-            if (swap_costs[k] < fit_swap_cost) {
-              fit_swap_cost = swap_costs[k];
-              fit_swap = static_cast<int>(k);
-            }
+        }
+        if (fit_swap >= 0) {
+          if (fit_swap_cost < best_recovered_cost) {
+            best_recovered_cost = fit_swap_cost;
+            best_recovered = std::move(fit_swaps[fit_swap]);
           }
-          if (fit_swap >= 0) {
-            if (fit_swap_cost < best_recovered_cost) {
-              best_recovered_cost = fit_swap_cost;
-              best_recovered = std::move(fit_swaps[fit_swap]);
-            }
-            break;
-          }
-          if (reduce_member < 0) break;  // no further swaps possible
-          const std::string gone = members[reduce_member].def.Signature();
-          work.Remove(gone);
-          work.Add(size_of(pool[reduce_repl]));
+          break;
         }
-        if (options_.trace) {
-          std::fprintf(stderr, "[enum] backtrack: recovered=%s cost=%.1f vs fit=%.1f cur=%.1f\n",
-                       best_recovered.size() > 0 ? best_recovered.ToString().c_str() : "-",
-                       best_recovered_cost, best_fit_cost, current_cost);
-        }
-        if (best_recovered.size() > 0 &&
-            best_recovered_cost < std::min(best_fit_cost, current_cost)) {
-          config = best_recovered;
-          current_cost = best_recovered_cost;
-          continue;
-        }
+        if (reduce_member < 0) break;  // no further swaps possible
+        const std::string gone = work.signature(reduce_member);
+        work.Remove(gone);
+        work.Add(*ests[reduce_repl]);
+      }
+      if (options_.trace) {
+        std::fprintf(stderr, "[enum] backtrack: recovered=%s cost=%.1f vs fit=%.1f cur=%.1f\n",
+                     best_recovered.size() > 0 ? best_recovered.ToString().c_str() : "-",
+                     best_recovered_cost, best_fit_cost, current_cost);
+      }
+      if (best_recovered.size() > 0 &&
+          best_recovered_cost < std::min(best_fit_cost, current_cost)) {
+        config = best_recovered;
+        current_cost = best_recovered_cost;
+        continue;
       }
     }
 
     if (best_fit < 0) break;
-    config.Add(size_of(pool[best_fit]));
+    config.Add(*ests[best_fit]);
     current_cost = best_fit_cost;
   }
   return config;

@@ -46,6 +46,8 @@ const ForeignKey* Database::FindForeignKey(const std::string& fact,
 }
 
 const TableStats& Database::stats(const std::string& table_name) const {
+  // Map nodes never move, so the returned reference outlives the lock.
+  std::lock_guard<std::mutex> lock(stats_mu_);
   auto it = stats_cache_.find(table_name);
   if (it == stats_cache_.end()) {
     it = stats_cache_.emplace(table_name, TableStats::Compute(table(table_name)))

@@ -7,6 +7,7 @@
 
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -37,7 +38,8 @@ class Database {
   const ForeignKey* FindForeignKey(const std::string& fact,
                                    const std::string& fk_column) const;
 
-  // Stats are computed on first use and cached per table.
+  // Stats are computed on first use and cached per table; safe to call
+  // from concurrent threads.
   const TableStats& stats(const std::string& table_name) const;
 
   // Pre-existing physical indexes (size known exactly from the catalog).
@@ -54,6 +56,7 @@ class Database {
  private:
   std::map<std::string, std::unique_ptr<Table>> tables_;
   std::vector<ForeignKey> fks_;
+  mutable std::mutex stats_mu_;  // guards stats_cache_
   mutable std::map<std::string, TableStats> stats_cache_;
   std::map<std::string, uint64_t> existing_;  // IndexDef signature -> bytes
 };

@@ -72,6 +72,15 @@ std::vector<std::string> IndexDef::StoredColumns(
   return cols;
 }
 
+bool IndexDef::Stores(const Schema& base_schema,
+                      const std::string& column) const {
+  auto in = [&column](const std::vector<std::string>& cols) {
+    return std::find(cols.begin(), cols.end(), column) != cols.end();
+  };
+  if (in(key_columns)) return true;
+  return clustered ? base_schema.HasColumn(column) : in(include_columns);
+}
+
 Schema IndexDef::StoredSchema(const Schema& base_schema) const {
   std::vector<Column> cols;
   for (const std::string& name : StoredColumns(base_schema)) {

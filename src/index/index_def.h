@@ -41,6 +41,9 @@ struct IndexDef {
   // All columns physically stored: for clustered indexes every table column;
   // otherwise keys + includes. Never the row locator (see StoredSchema).
   std::vector<std::string> StoredColumns(const Schema& base_schema) const;
+  // Whether StoredColumns(base_schema) contains `column`, without building
+  // it: a key column, else any base column if clustered, else an include.
+  bool Stores(const Schema& base_schema, const std::string& column) const;
 
   // Schema of the physically stored rows: the StoredColumns, plus an
   // implicit 8-byte row locator last for secondary (non-clustered) indexes.

@@ -1,5 +1,6 @@
 #include "optimizer/configuration.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/logging.h"
@@ -7,35 +8,24 @@
 namespace capd {
 
 void Configuration::Add(PhysicalIndexEstimate idx) {
-  CAPD_CHECK(!Contains(idx.def.Signature()))
+  std::string signature = idx.def.Signature();
+  CAPD_CHECK(!Contains(signature))
       << "duplicate index in configuration: " << idx.def.ToString();
   indexes_.push_back(std::move(idx));
+  signatures_.push_back(std::move(signature));
 }
 
 bool Configuration::Remove(const std::string& signature) {
-  for (auto it = indexes_.begin(); it != indexes_.end(); ++it) {
-    if (it->def.Signature() == signature) {
-      indexes_.erase(it);
-      return true;
-    }
-  }
-  return false;
+  const auto it = std::find(signatures_.begin(), signatures_.end(), signature);
+  if (it == signatures_.end()) return false;
+  indexes_.erase(indexes_.begin() + (it - signatures_.begin()));
+  signatures_.erase(it);
+  return true;
 }
 
 bool Configuration::Contains(const std::string& signature) const {
-  for (const PhysicalIndexEstimate& idx : indexes_) {
-    if (idx.def.Signature() == signature) return true;
-  }
-  return false;
-}
-
-std::vector<const PhysicalIndexEstimate*> Configuration::IndexesOn(
-    const std::string& object) const {
-  std::vector<const PhysicalIndexEstimate*> out;
-  for (const PhysicalIndexEstimate& idx : indexes_) {
-    if (idx.def.object == object) out.push_back(&idx);
-  }
-  return out;
+  return std::find(signatures_.begin(), signatures_.end(), signature) !=
+         signatures_.end();
 }
 
 bool Configuration::HasClusteredOn(const std::string& object) const {

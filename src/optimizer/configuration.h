@@ -25,14 +25,15 @@ class Configuration {
  public:
   Configuration() = default;
 
+  // Adds `idx`, recording its signature; CHECK-fails on a duplicate.
   void Add(PhysicalIndexEstimate idx);
   // Removes the index with this signature; returns true if present.
   bool Remove(const std::string& signature);
   bool Contains(const std::string& signature) const;
 
   const std::vector<PhysicalIndexEstimate>& indexes() const { return indexes_; }
-  std::vector<const PhysicalIndexEstimate*> IndexesOn(
-      const std::string& object) const;
+  // indexes()[i].def.Signature(), rendered once when the index was added.
+  const std::string& signature(size_t i) const { return signatures_[i]; }
   // True if some clustered index on `object` is present.
   bool HasClusteredOn(const std::string& object) const;
 
@@ -43,6 +44,7 @@ class Configuration {
 
  private:
   std::vector<PhysicalIndexEstimate> indexes_;
+  std::vector<std::string> signatures_;  // parallel to indexes_
 };
 
 }  // namespace capd

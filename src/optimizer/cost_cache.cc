@@ -25,44 +25,16 @@ StatementCostCache::StatementCostCache(const Database& db,
       optimizer_(&optimizer),
       workload_(&workload),
       shards_(workload.statements.size()) {
-  scopes_.reserve(workload.statements.size());
+  prepared_.reserve(workload.statements.size());
   for (const Statement& stmt : workload.statements) {
-    StatementScope scope;
-    switch (stmt.type) {
-      case StatementType::kSelect: {
-        const SelectQuery& q = stmt.select;
-        auto add_table = [&](const std::string& t) -> TableScope& {
-          for (TableScope& ts : scope.tables) {
-            if (ts.table == t) return ts;
-          }
-          TableScope ts;
-          ts.table = t;
-          ts.preds = q.PredicatesOn(t, db);
-          ts.cols_used = q.ColumnsUsedOn(t, db);
-          scope.tables.push_back(std::move(ts));
-          return scope.tables.back();
-        };
-        add_table(q.table);
-        for (const JoinClause& j : q.joins) {
-          add_table(j.dim_table).join_keys.push_back(j.dim_key);
-        }
-        break;
-      }
-      case StatementType::kInsert: {
-        scope.is_insert = true;
-        TableScope ts;
-        ts.table = stmt.insert.table;
-        scope.tables.push_back(std::move(ts));
-        break;
-      }
-    }
-    scopes_.push_back(std::move(scope));
+    prepared_.push_back(optimizer.Prepare(stmt));
   }
 }
 
 bool StatementCostCache::ComputeRelevant(size_t stmt_index,
                                          const IndexDef& idx) const {
-  const StatementScope& scope = scopes_[stmt_index];
+  const PreparedStatement& stmt = prepared_[stmt_index];
+  const bool is_insert = stmt.stmt->type == StatementType::kInsert;
   if (!db_->HasTable(idx.object)) {
     // Index on a materialized view: invisible to the optimizer without a
     // matcher; otherwise it may answer any SELECT, and an INSERT maintains
@@ -70,20 +42,17 @@ bool StatementCostCache::ComputeRelevant(size_t stmt_index,
     // CostSelect/CostInsert exactly).
     const MVMatcher* matcher = optimizer_->mv_matcher();
     if (matcher == nullptr) return false;
-    if (!scope.is_insert) return true;
-    return matcher->FactTableOf(idx.object) == scope.tables.front().table;
+    if (!is_insert) return true;
+    return matcher->FactTableOf(idx.object) == stmt.stmt->insert.table;
   }
 
-  const TableScope* ts = nullptr;
-  for (const TableScope& t : scope.tables) {
-    if (t.table == idx.object) {
-      ts = &t;
-      break;
-    }
+  const PreparedTable* ts = nullptr;
+  for (const PreparedTable& t : stmt.tables) {
+    if (t.table->name() == idx.object) ts = &t;
   }
   if (ts == nullptr) return false;  // statement never touches the object
   // Every index on the loaded table is maintained by a bulk INSERT.
-  if (scope.is_insert) return true;
+  if (is_insert) return true;
   // A clustered index replaces the heap, changing the base access path
   // whether or not it is itself chosen.
   if (idx.clustered) return true;
@@ -110,16 +79,14 @@ bool StatementCostCache::ComputeRelevant(size_t stmt_index,
     }
   }
   // Covering: every column the statement uses on this table is stored.
-  const std::vector<std::string> stored =
-      idx.StoredColumns(db_->table(idx.object).schema());
+  const Schema& base = ts->table->schema();
   return std::all_of(
       ts->cols_used.begin(), ts->cols_used.end(),
-      [&stored](const std::string& c) { return Contains(stored, c); });
+      [&](const std::string& c) { return idx.Stores(base, c); });
 }
 
 const StatementCostCache::IndexInfo& StatementCostCache::InfoFor(
-    const IndexDef& idx) {
-  const std::string signature = idx.Signature();
+    const std::string& signature, const IndexDef& idx) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     const auto it = index_info_.find(signature);
@@ -140,8 +107,18 @@ const StatementCostCache::IndexInfo& StatementCostCache::InfoFor(
   return it->second;
 }
 
+std::vector<const StatementCostCache::IndexInfo*> StatementCostCache::InfosFor(
+    const Configuration& config) {
+  std::vector<const IndexInfo*> infos;
+  infos.reserve(config.size());
+  for (size_t i = 0; i < config.size(); ++i) {
+    infos.push_back(&InfoFor(config.signature(i), config.indexes()[i].def));
+  }
+  return infos;
+}
+
 bool StatementCostCache::Relevant(size_t stmt_index, const IndexDef& idx) {
-  return InfoFor(idx).relevant[stmt_index] != 0;
+  return InfoFor(idx.Signature(), idx).relevant[stmt_index] != 0;
 }
 
 double StatementCostCache::CostWithInfos(
@@ -165,8 +142,7 @@ double StatementCostCache::CostWithInfos(
       return it->second;
     }
   }
-  const double cost =
-      optimizer_->Cost(workload_->statements[stmt_index], config);
+  const double cost = optimizer_->Cost(prepared_[stmt_index], config);
   std::lock_guard<std::mutex> lock(shard.mu);
   // Only the inserting call counts as a miss; a concurrent miss that lost
   // the race counts as the hit it would have been serially.
@@ -180,22 +156,12 @@ double StatementCostCache::CostWithInfos(
 
 double StatementCostCache::Cost(size_t stmt_index,
                                 const Configuration& config) {
-  std::vector<const IndexInfo*> infos;
-  infos.reserve(config.indexes().size());
-  for (const PhysicalIndexEstimate& idx : config.indexes()) {
-    infos.push_back(&InfoFor(idx.def));
-  }
-  return CostWithInfos(stmt_index, config, infos);
+  return CostWithInfos(stmt_index, config, InfosFor(config));
 }
 
 double StatementCostCache::WorkloadCost(const Configuration& config) {
-  // Signatures are rendered (and relevance computed) once per call, not
-  // once per statement — the dominant key-building cost.
-  std::vector<const IndexInfo*> infos;
-  infos.reserve(config.indexes().size());
-  for (const PhysicalIndexEstimate& idx : config.indexes()) {
-    infos.push_back(&InfoFor(idx.def));
-  }
+  // Relevance is looked up once per call, not once per statement.
+  const std::vector<const IndexInfo*> infos = InfosFor(config);
   double total = 0.0;
   for (size_t i = 0; i < workload_->statements.size(); ++i) {
     total += workload_->statements[i].weight * CostWithInfos(i, config, infos);

@@ -60,18 +60,6 @@ class StatementCostCache {
   bool Relevant(size_t stmt_index, const IndexDef& idx);
 
  private:
-  // Per touched table: the statement's predicates, used columns and join
-  // keys there — everything the relevance gates need, precomputed once.
-  struct TableScope {
-    std::string table;
-    std::vector<ColumnFilter> preds;
-    std::vector<std::string> cols_used;
-    std::vector<std::string> join_keys;  // dim keys when joined as dimension
-  };
-  struct StatementScope {
-    std::vector<TableScope> tables;
-    bool is_insert = false;
-  };
   // Interned per distinct index signature: a compact id for key building
   // plus the per-statement relevance bitmap. Cache keys are byte strings of
   // ids, so building one costs no signature re-rendering.
@@ -81,14 +69,18 @@ class StatementCostCache {
   };
 
   bool ComputeRelevant(size_t stmt_index, const IndexDef& idx) const;
-  const IndexInfo& InfoFor(const IndexDef& idx);
+  const IndexInfo& InfoFor(const std::string& signature, const IndexDef& idx);
+  // InfoFor of every index of `config`, by its recorded signature.
+  std::vector<const IndexInfo*> InfosFor(const Configuration& config);
   double CostWithInfos(size_t stmt_index, const Configuration& config,
                        const std::vector<const IndexInfo*>& infos);
 
   const Database* db_;
   const WhatIfOptimizer* optimizer_;
   const Workload* workload_;
-  std::vector<StatementScope> scopes_;
+  // Each statement bound to the catalog once: the misses cost from it and
+  // the relevance gates read its table scopes.
+  std::vector<PreparedStatement> prepared_;
 
   // Cost entries are sharded per statement (the statement index is the
   // natural partition of every key), so the selection/enumeration fan-out

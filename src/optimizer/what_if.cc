@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "common/logging.h"
 
@@ -32,10 +31,6 @@ void FilterRange(const ColumnFilter& f, const ColumnStats& cs, double* lo,
       *hi = f.hi.NumericKey();
       return;
   }
-}
-
-bool Contains(const std::vector<std::string>& v, const std::string& s) {
-  return std::find(v.begin(), v.end(), s) != v.end();
 }
 
 }  // namespace
@@ -97,44 +92,72 @@ double WhatIfOptimizer::Selectivity(
   return sel;
 }
 
-PlanCost WhatIfOptimizer::HeapScanCost(
-    const std::string& table, const std::vector<ColumnFilter>& preds) const {
-  (void)preds;  // a heap scan always reads everything
-  const Table& t = db_->table(table);
-  PlanCost cost;
-  cost.io = params_.seq_page_io * static_cast<double>(t.HeapPages());
-  cost.cpu = params_.cpu_per_tuple_read * static_cast<double>(t.num_rows());
-  cost.access_path = "heap scan(" + table + ")";
-  return cost;
+PreparedStatement WhatIfOptimizer::Prepare(const Statement& stmt) const {
+  PreparedStatement prepared;
+  prepared.stmt = &stmt;
+  const bool select = stmt.type == StatementType::kSelect;
+  // Entry of `name` in prepared.tables, bound on first sight.
+  auto bind = [&](const std::string& name) -> size_t {
+    for (size_t i = 0; i < prepared.tables.size(); ++i) {
+      if (prepared.tables[i].table->name() == name) return i;
+    }
+    PreparedTable t;
+    t.table = &db_->table(name);
+    t.rows = static_cast<double>(t.table->num_rows());
+    // A heap scan always reads everything.
+    t.heap_io = params_.seq_page_io * static_cast<double>(t.table->HeapPages());
+    t.heap_cpu = params_.cpu_per_tuple_read * t.rows;
+    if (select) {
+      t.preds = stmt.select.PredicatesOn(name, *db_);
+      for (const ColumnFilter& p : t.preds) {
+        t.pred_sel.push_back(FilterSelectivity(name, p));
+      }
+      t.cols_used = stmt.select.ColumnsUsedOn(name, *db_);
+    }
+    prepared.tables.push_back(std::move(t));
+    return prepared.tables.size() - 1;
+  };
+  if (!select) {
+    bind(stmt.insert.table);
+    return prepared;
+  }
+  bind(stmt.select.table);
+  for (const JoinClause& j : stmt.select.joins) {
+    const size_t t = bind(j.dim_table);
+    prepared.tables[t].join_keys.push_back(j.dim_key);
+    prepared.join_tables.push_back(t);
+  }
+  for (const double s : prepared.tables.front().pred_sel) {
+    prepared.root_sel *= s;
+  }
+  return prepared;
 }
 
-std::optional<PlanCost> WhatIfOptimizer::IndexAccessCost(
-    const SelectQuery& q, const std::string& table,
-    const PhysicalIndexEstimate& idx, const std::vector<ColumnFilter>& preds,
-    const std::vector<std::string>& cols_used) const {
-  (void)q;
-  if (idx.def.object != table) return std::nullopt;
+std::optional<WhatIfOptimizer::Plan> WhatIfOptimizer::IndexAccessCost(
+    const PreparedTable& table, const PhysicalIndexEstimate& idx) const {
+  const std::vector<ColumnFilter>& preds = table.preds;
 
   // Partial index: usable only when the query cannot need rows outside it.
   double filter_sel = 1.0;
   if (idx.def.filter.has_value()) {
     if (!PredicatesSubsumeFilter(preds, *idx.def.filter)) return std::nullopt;
-    filter_sel = FilterSelectivity(table, *idx.def.filter);
+    filter_sel = FilterSelectivity(table.table->name(), *idx.def.filter);
   }
 
-  const Schema& base = db_->table(table).schema();
-  const std::vector<std::string> stored = idx.def.StoredColumns(base);
-  const bool covering = std::all_of(
-      cols_used.begin(), cols_used.end(),
-      [&stored](const std::string& c) { return Contains(stored, c); });
+  const Schema& base = table.table->schema();
+  size_t used_in_index = 0;
+  for (const std::string& c : table.cols_used) {
+    if (idx.def.Stores(base, c)) ++used_in_index;
+  }
+  const bool covering = used_in_index == table.cols_used.size();
 
-  // Selectivity of a predicate *within the index's population*: for the
+  // Selectivity of predicate k *within the index's population*: for the
   // partial-index filter column the filter is already applied, so condition
   // on it; other columns are treated as independent of the filter.
-  auto sel_in_index = [&](const ColumnFilter& p) {
-    double s = FilterSelectivity(table, p);
-    if (idx.def.filter.has_value() && p.column == idx.def.filter->column &&
-        filter_sel > 0.0) {
+  auto sel_in_index = [&](size_t k) {
+    double s = table.pred_sel[k];
+    if (idx.def.filter.has_value() &&
+        preds[k].column == idx.def.filter->column && filter_sel > 0.0) {
       s = std::min(1.0, s / filter_sel);
     }
     return s;
@@ -148,10 +171,10 @@ std::optional<PlanCost> WhatIfOptimizer::IndexAccessCost(
   size_t sargable = 0;
   for (const std::string& key_col : idx.def.key_columns) {
     bool found = false;
-    for (const ColumnFilter& p : preds) {
-      if (p.column != key_col) continue;
-      if (bitmap && p.op != FilterOp::kEq) continue;
-      prefix_frac *= sel_in_index(p);
+    for (size_t k = 0; k < preds.size(); ++k) {
+      if (preds[k].column != key_col) continue;
+      if (bitmap && preds[k].op != FilterOp::kEq) continue;
+      prefix_frac *= sel_in_index(k);
       found = true;
       break;
     }
@@ -164,34 +187,29 @@ std::optional<PlanCost> WhatIfOptimizer::IndexAccessCost(
   // Fraction of index entries satisfying every predicate resolvable inside
   // the index (these survive to the RID-lookup stage).
   double stored_frac = 1.0;
-  for (const ColumnFilter& p : preds) {
-    if (Contains(stored, p.column)) stored_frac *= sel_in_index(p);
+  for (size_t k = 0; k < preds.size(); ++k) {
+    if (idx.def.Stores(base, preds[k].column)) stored_frac *= sel_in_index(k);
   }
 
   const double tuples = std::max(idx.tuples, 1.0);
   const double pages = std::max(idx.pages(), 1.0);
-  const size_t used_in_index =
-      static_cast<size_t>(std::count_if(cols_used.begin(), cols_used.end(),
-                                        [&stored](const std::string& c) {
-                                          return Contains(stored, c);
-                                        }));
   const double beta = params_.Beta(idx.def.compression);
 
-  PlanCost best;
+  Plan best;
   best.io = std::numeric_limits<double>::infinity();
 
   if (covering) {
-    PlanCost scan;
+    Plan scan;
     scan.io = params_.seq_page_io * pages;
     scan.cpu = tuples * (params_.cpu_per_tuple_read +
                          static_cast<double>(used_in_index) * beta);
-    scan.access_path = "index scan(" + idx.def.ToString() + ")";
+    scan.path = Plan::Path::kIndexScan;
     if (scan.total() < best.total()) best = scan;
   }
 
   if (seekable) {
     const double entries = tuples * prefix_frac;
-    PlanCost seek;
+    Plan seek;
     seek.io = params_.random_page_io * 2.0 +
               params_.seq_page_io * std::max(1.0, pages * prefix_frac);
     seek.cpu = entries * (params_.cpu_per_tuple_read +
@@ -200,80 +218,79 @@ std::optional<PlanCost> WhatIfOptimizer::IndexAccessCost(
       // One WAH expansion + rank/select AND per sargable equality key.
       seek.cpu += params_.bitmap_probe_cpu * static_cast<double>(sargable);
     }
+    seek.path = Plan::Path::kIndexSeek;
     if (!covering) {
       const double lookups = tuples * std::min(1.0, stored_frac);
       seek.io += params_.random_page_io * lookups;
       seek.cpu += params_.cpu_per_tuple_read * lookups;
-      seek.access_path = "index seek+lookup(" + idx.def.ToString() + ")";
-    } else {
-      seek.access_path = "index seek(" + idx.def.ToString() + ")";
+      seek.path = Plan::Path::kIndexSeekLookup;
     }
     if (seek.total() < best.total()) best = seek;
   }
 
   if (best.io == std::numeric_limits<double>::infinity()) return std::nullopt;
+  best.index = &idx.def;
   return best;
 }
 
-PlanCost WhatIfOptimizer::BestTableAccess(const SelectQuery& q,
-                                          const std::string& table,
-                                          const Configuration& config) const {
-  const std::vector<ColumnFilter> preds = q.PredicatesOn(table, *db_);
-  const std::vector<std::string> cols_used = q.ColumnsUsedOn(table, *db_);
-
-  PlanCost best;
+WhatIfOptimizer::Plan WhatIfOptimizer::BestTableAccess(
+    const PreparedTable& table, const Configuration& config) const {
+  const std::string& name = table.table->name();
+  Plan best;
   bool have = false;
   // The heap exists unless a clustered index replaced it.
-  if (!config.HasClusteredOn(table)) {
-    best = HeapScanCost(table, preds);
+  if (!config.HasClusteredOn(name)) {
+    best = Plan{table.heap_io, table.heap_cpu, Plan::Path::kHeapScan,
+                table.table};
     have = true;
   }
-  for (const PhysicalIndexEstimate* idx : config.IndexesOn(table)) {
-    std::optional<PlanCost> c = IndexAccessCost(q, table, *idx, preds, cols_used);
+  for (const PhysicalIndexEstimate& idx : config.indexes()) {
+    if (idx.def.object != name) continue;
+    std::optional<Plan> c = IndexAccessCost(table, idx);
     if (c.has_value() && (!have || c->total() < best.total())) {
       best = *c;
       have = true;
     }
   }
-  CAPD_CHECK(have) << "no access path for table " << table
+  CAPD_CHECK(have) << "no access path for table " << name
                    << " (clustered index removed the heap but is unusable?)";
   return best;
 }
 
-PlanCost WhatIfOptimizer::CostSelect(const SelectQuery& q,
-                                     const Configuration& config) const {
+WhatIfOptimizer::Plan WhatIfOptimizer::CostSelect(
+    const PreparedStatement& stmt, const Configuration& config) const {
+  const SelectQuery& q = stmt.stmt->select;
+  const PreparedTable& root = stmt.tables.front();
   // Base relational plan: root access + one join at a time.
-  PlanCost plan = BestTableAccess(q, q.table, config);
-  const double root_sel = Selectivity(q.table, q.PredicatesOn(q.table, *db_));
-  const double root_rows =
-      static_cast<double>(db_->table(q.table).num_rows()) * root_sel;
+  Plan plan = BestTableAccess(root, config);
+  const double root_rows = root.rows * stmt.root_sel;
 
-  for (const JoinClause& j : q.joins) {
-    const PlanCost dim_scan = BestTableAccess(q, j.dim_table, config);
-    const double dim_rows = static_cast<double>(db_->table(j.dim_table).num_rows());
+  for (size_t j = 0; j < q.joins.size(); ++j) {
+    const PreparedTable& dim = stmt.tables[stmt.join_tables[j]];
+    const Plan dim_scan = BestTableAccess(dim, config);
     // Hash join: build on the dimension side, probe with root rows.
-    PlanCost hash = dim_scan;
-    hash.cpu += params_.cpu_per_tuple_read * (dim_rows + root_rows);
+    Plan hash = dim_scan;
+    hash.cpu += params_.cpu_per_tuple_read * (dim.rows + root_rows);
 
     // Index nested loops: per-row seek into a dimension index keyed on the
     // join key, if the configuration has one.
-    PlanCost nl;
+    Plan nl;
     nl.io = std::numeric_limits<double>::infinity();
-    for (const PhysicalIndexEstimate* idx : config.IndexesOn(j.dim_table)) {
-      if (idx->def.key_columns.empty() || idx->def.key_columns[0] != j.dim_key)
+    for (const PhysicalIndexEstimate& idx : config.indexes()) {
+      if (idx.def.object != q.joins[j].dim_table) continue;
+      if (idx.def.key_columns.empty() ||
+          idx.def.key_columns[0] != q.joins[j].dim_key)
         continue;
-      if (idx->def.filter.has_value()) continue;
-      PlanCost c;
+      if (idx.def.filter.has_value()) continue;
+      Plan c;
       c.io = root_rows * params_.random_page_io;
-      const double beta = params_.Beta(idx->def.compression);
-      const std::vector<std::string> dim_cols = q.ColumnsUsedOn(j.dim_table, *db_);
+      const double beta = params_.Beta(idx.def.compression);
       c.cpu = root_rows * (params_.cpu_per_tuple_read +
-                           static_cast<double>(dim_cols.size()) * beta);
-      c.access_path = "index NL(" + idx->def.ToString() + ")";
+                           static_cast<double>(dim.cols_used.size()) * beta);
       if (c.total() < nl.total()) nl = c;
     }
 
-    const PlanCost& join = nl.total() < hash.total() ? nl : hash;
+    const Plan& join = nl.total() < hash.total() ? nl : hash;
     plan.io += join.io;
     plan.cpu += join.cpu;
   }
@@ -288,7 +305,7 @@ PlanCost WhatIfOptimizer::CostSelect(const SelectQuery& q,
     for (const PhysicalIndexEstimate& idx : config.indexes()) {
       std::optional<MVMatcher::MVAccess> access = mv_matcher_->Match(idx.def, q);
       if (!access.has_value()) continue;
-      PlanCost mv_plan;
+      Plan mv_plan;
       const double mv_pages = std::max(idx.pages(), 1.0);
       const double frac = access->selected_frac;
       if (access->leading_key_seek && frac < 1.0) {
@@ -301,19 +318,22 @@ PlanCost WhatIfOptimizer::CostSelect(const SelectQuery& q,
       mv_plan.cpu = access->mv_tuples * frac *
                     (params_.cpu_per_tuple_read +
                      static_cast<double>(access->used_columns) * beta);
-      mv_plan.access_path = "MV " + idx.def.ToString();
+      mv_plan.path = Plan::Path::kMV;
+      mv_plan.index = &idx.def;
       if (mv_plan.total() < plan.total()) plan = mv_plan;
     }
   }
   return plan;
 }
 
-PlanCost WhatIfOptimizer::CostInsert(const InsertStatement& ins,
-                                     const Configuration& config) const {
-  const Table& t = db_->table(ins.table);
+WhatIfOptimizer::Plan WhatIfOptimizer::CostInsert(
+    const PreparedStatement& stmt, const Configuration& config) const {
+  const InsertStatement& ins = stmt.stmt->insert;
+  const Table& t = *stmt.tables.front().table;
   const double rows = static_cast<double>(ins.num_rows);
-  PlanCost plan;
-  plan.access_path = "bulk insert(" + ins.table + ")";
+  Plan plan;
+  plan.path = Plan::Path::kBulkInsert;
+  plan.table = &t;
 
   // Heap (or clustered index) append.
   const double heap_row_bytes = t.schema().RowWidth() + kRowOverhead;
@@ -353,20 +373,36 @@ PlanCost WhatIfOptimizer::CostInsert(const InsertStatement& ins,
   return plan;
 }
 
+WhatIfOptimizer::Plan WhatIfOptimizer::CostPlan(
+    const PreparedStatement& stmt, const Configuration& config) const {
+  return stmt.stmt->type == StatementType::kInsert ? CostInsert(stmt, config)
+                                                   : CostSelect(stmt, config);
+}
+
 PlanCost WhatIfOptimizer::CostWithPlan(const Statement& stmt,
                                        const Configuration& config) const {
-  switch (stmt.type) {
-    case StatementType::kSelect:
-      return CostSelect(stmt.select, config);
-    case StatementType::kInsert:
-      return CostInsert(stmt.insert, config);
-  }
-  return PlanCost{};
+  static const char* const kPathPrefix[] = {  // indexed by Plan::Path
+      "heap scan(", "index scan(", "index seek(", "index seek+lookup(",
+      "MV ",        "bulk insert("};
+  const Plan plan = CostPlan(Prepare(stmt), config);
+  PlanCost cost;
+  cost.io = plan.io;
+  cost.cpu = plan.cpu;
+  cost.access_path =
+      kPathPrefix[static_cast<int>(plan.path)] +
+      (plan.index != nullptr ? plan.index->ToString() : plan.table->name()) +
+      (plan.path == Plan::Path::kMV ? "" : ")");
+  return cost;
+}
+
+double WhatIfOptimizer::Cost(const PreparedStatement& stmt,
+                             const Configuration& config) const {
+  return CostPlan(stmt, config).total();
 }
 
 double WhatIfOptimizer::Cost(const Statement& stmt,
                              const Configuration& config) const {
-  return CostWithPlan(stmt, config).total();
+  return Cost(Prepare(stmt), config);
 }
 
 double WhatIfOptimizer::WorkloadCost(const Workload& workload,

@@ -54,6 +54,31 @@ struct PlanCost {
   double total() const { return io + cpu; }
 };
 
+// One table a statement touches, bound to the catalog: everything the cost
+// model reads about it that no configuration can change.
+struct PreparedTable {
+  const Table* table = nullptr;
+  std::vector<ColumnFilter> preds;  // predicates on this table, query order
+  std::vector<double> pred_sel;     // FilterSelectivity of each predicate
+  std::vector<std::string> cols_used;
+  std::vector<std::string> join_keys;  // dim keys when joined as dimension
+  double rows = 0.0;
+  double heap_io = 0.0;  // heap-scan cost
+  double heap_cpu = 0.0;
+};
+
+// A statement bound once (WhatIfOptimizer::Prepare) and then costed under
+// any number of configurations. References the statement and the
+// database's tables, which must outlive it.
+struct PreparedStatement {
+  const Statement* stmt = nullptr;
+  // SELECT: the root table first, then each distinct dimension table;
+  // INSERT: the loaded table.
+  std::vector<PreparedTable> tables;
+  std::vector<size_t> join_tables;  // per join clause, its entry in tables
+  double root_sel = 1.0;  // SELECT: product of the root predicates' sel
+};
+
 class WhatIfOptimizer {
  public:
   WhatIfOptimizer(const Database& db, CostModelParams params)
@@ -63,9 +88,15 @@ class WhatIfOptimizer {
   void set_mv_matcher(const MVMatcher* matcher) { mv_matcher_ = matcher; }
   const MVMatcher* mv_matcher() const { return mv_matcher_; }
 
+  // Binds `stmt` to the catalog: predicates, their selectivities, used
+  // columns, row counts and heap-scan costs per touched table.
+  PreparedStatement Prepare(const Statement& stmt) const;
+
   // Optimizer-estimated cost of the statement under the configuration
-  // (unweighted; callers apply Statement::weight).
+  // (unweighted; callers apply Statement::weight). The prepared overload
+  // does no catalog, histogram or string work; all three agree to the bit.
   double Cost(const Statement& stmt, const Configuration& config) const;
+  double Cost(const PreparedStatement& stmt, const Configuration& config) const;
   PlanCost CostWithPlan(const Statement& stmt, const Configuration& config) const;
 
   // Sum of weight * Cost over the workload.
@@ -83,23 +114,33 @@ class WhatIfOptimizer {
   const CostModelParams& params() const { return params_; }
 
  private:
-  PlanCost CostSelect(const SelectQuery& q, const Configuration& config) const;
-  PlanCost CostInsert(const InsertStatement& ins,
-                      const Configuration& config) const;
+  // A costed plan and how it reads its data; only CostWithPlan renders the
+  // description into PlanCost::access_path.
+  struct Plan {
+    enum class Path { kHeapScan, kIndexScan, kIndexSeek, kIndexSeekLookup,
+                      kMV, kBulkInsert };
+    double io = 0.0;
+    double cpu = 0.0;
+    Path path = Path::kHeapScan;
+    const Table* table = nullptr;     // heap scan / bulk insert
+    const IndexDef* index = nullptr;  // every other path
 
-  // Best access path for the sub-query restricted to `table`: returns the
-  // cost of producing `out_tuples` qualifying rows with `cols` available.
-  PlanCost BestTableAccess(const SelectQuery& q, const std::string& table,
-                           const Configuration& config) const;
+    double total() const { return io + cpu; }
+  };
 
-  PlanCost HeapScanCost(const std::string& table,
-                        const std::vector<ColumnFilter>& preds) const;
+  Plan CostPlan(const PreparedStatement& stmt,
+                const Configuration& config) const;
+  Plan CostSelect(const PreparedStatement& stmt,
+                  const Configuration& config) const;
+  Plan CostInsert(const PreparedStatement& stmt,
+                  const Configuration& config) const;
+
+  // Cheapest access path producing this table's portion of the query.
+  Plan BestTableAccess(const PreparedTable& table,
+                       const Configuration& config) const;
   // Cost of using `idx` for this table's portion, or nullopt if unusable.
-  std::optional<PlanCost> IndexAccessCost(
-      const SelectQuery& q, const std::string& table,
-      const PhysicalIndexEstimate& idx,
-      const std::vector<ColumnFilter>& preds,
-      const std::vector<std::string>& cols_used) const;
+  std::optional<Plan> IndexAccessCost(const PreparedTable& table,
+                                      const PhysicalIndexEstimate& idx) const;
 
   const Database* db_;
   CostModelParams params_;
