@@ -77,9 +77,6 @@ class Advisor {
   // so they are charged (size - heap size), which can be negative — that is
   // how DTAc frees space at a 0% budget by compressing base data.
   double ChargedBytes(const Configuration& config) const;
-  // `charged` plus `idx`'s own charge: ChargedBytes(config + idx) ==
-  // ChargedWith(ChargedBytes(config), idx), to the bit.
-  double ChargedWith(double charged, const PhysicalIndexEstimate& idx) const;
 
   // The naive staged baseline of Example 1/2: tune without compression,
   // then compress every chosen index with `kind`.
@@ -124,6 +121,10 @@ class Advisor {
   double PooledWorkloadCost(const Workload& workload,
                             const Configuration& config,
                             AdvisorResult* result) const;
+
+  // `charged` plus `idx`'s own charge: ChargedBytes(config + idx) ==
+  // ChargedWith(ChargedBytes(config), idx), to the bit.
+  double ChargedWith(double charged, const PhysicalIndexEstimate& idx) const;
 
   // Cooperative cancellation / progress plumbing (no-ops when the options
   // leave them unset).

@@ -80,9 +80,10 @@ bool StatementCostCache::ComputeRelevant(size_t stmt_index,
   }
   // Covering: every column the statement uses on this table is stored.
   const Schema& base = ts->table->schema();
-  return std::all_of(
-      ts->cols_used.begin(), ts->cols_used.end(),
-      [&](const std::string& c) { return idx.Stores(base, c); });
+  for (const std::string& c : ts->cols_used) {
+    if (!idx.Stores(base, c)) return false;
+  }
+  return true;
 }
 
 const StatementCostCache::IndexInfo& StatementCostCache::InfoFor(

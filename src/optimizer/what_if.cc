@@ -85,13 +85,6 @@ double WhatIfOptimizer::FilterSelectivity(const std::string& table,
   return cs.histogram.SelectivityBetween(lo, hi);
 }
 
-double WhatIfOptimizer::Selectivity(
-    const std::string& table, const std::vector<ColumnFilter>& filters) const {
-  double sel = 1.0;
-  for (const ColumnFilter& f : filters) sel *= FilterSelectivity(table, f);
-  return sel;
-}
-
 PreparedStatement WhatIfOptimizer::Prepare(const Statement& stmt) const {
   PreparedStatement prepared;
   prepared.stmt = &stmt;
@@ -241,7 +234,7 @@ WhatIfOptimizer::Plan WhatIfOptimizer::BestTableAccess(
   // The heap exists unless a clustered index replaced it.
   if (!config.HasClusteredOn(name)) {
     best = Plan{table.heap_io, table.heap_cpu, Plan::Path::kHeapScan,
-                table.table};
+                table.table, nullptr};
     have = true;
   }
   for (const PhysicalIndexEstimate& idx : config.indexes()) {

@@ -76,7 +76,7 @@ struct PreparedStatement {
   // INSERT: the loaded table.
   std::vector<PreparedTable> tables;
   std::vector<size_t> join_tables;  // per join clause, its entry in tables
-  double root_sel = 1.0;  // SELECT: product of the root predicates' sel
+  double root_sel = 1.0;  // SELECT: product of tables[0].pred_sel, in order
 };
 
 class WhatIfOptimizer {
@@ -103,11 +103,9 @@ class WhatIfOptimizer {
   double WorkloadCost(const Workload& workload,
                       const Configuration& config) const;
 
-  // Estimated combined selectivity of `filters` on `table` (independence
-  // across columns, histograms within a column). Exposed for candidate
-  // generation and partial-index size estimation.
-  double Selectivity(const std::string& table,
-                     const std::vector<ColumnFilter>& filters) const;
+  // Estimated selectivity of `filter` on `table` (histograms within a
+  // column; a conjunction multiplies, assuming independent columns).
+  // Exposed for candidate generation and partial-index size estimation.
   double FilterSelectivity(const std::string& table,
                            const ColumnFilter& filter) const;
 

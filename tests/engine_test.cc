@@ -153,6 +153,55 @@ TEST_F(EngineTest, ConcurrentTuneBitIdenticalToFreshStacks) {
   }
 }
 
+// Concurrent first requests on a freshly built Database: the lazily filled
+// table statistics are computed under the requests themselves (run under
+// TSan in CI). Each response must equal a serial reference computed on a
+// second Database built from the same spec.
+TEST(EngineFreshDatabaseTest, ConcurrentFirstTunesMatchSerialReferences) {
+  workloads::WorkloadSpec spec;
+  spec.name = "tpch";
+  spec.rows = kRows;
+  workloads::BuiltWorkload serial;
+  workloads::BuiltWorkload fresh;
+  std::string error;
+  ASSERT_TRUE(workloads::Build(spec, &serial, &error)) << error;
+  ASSERT_TRUE(workloads::Build(spec, &fresh, &error)) << error;
+  auto request_for = [](const workloads::BuiltWorkload& built,
+                        const char* strategy) {
+    TuningRequest request;
+    request.workload = built.workload;
+    request.strategy = strategy;
+    request.budget = TuningBudget::Fraction(kBudgetFrac);
+    return request;
+  };
+
+  constexpr int kClients = 3;
+  std::vector<TuningResponse> references;
+  for (int c = 0; c < kClients; ++c) {
+    AdvisorEngine engine(*serial.db);
+    references.push_back(engine.Tune(request_for(serial, kStrategies[c])));
+  }
+
+  AdvisorEngine engine(*fresh.db);
+  std::vector<TuningResponse> responses(kClients);
+  std::vector<std::thread> threads;
+  for (int c = 0; c < kClients; ++c) {
+    threads.emplace_back([&, c] {
+      responses[c] = engine.Tune(request_for(fresh, kStrategies[c]));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (int c = 0; c < kClients; ++c) {
+    SCOPED_TRACE(kStrategies[c]);
+    ASSERT_TRUE(references[c].ok()) << references[c].error;
+    ASSERT_TRUE(responses[c].ok()) << responses[c].error;
+    ExpectBitIdentical(references[c].result, responses[c].result);
+    EXPECT_EQ(references[c].report, responses[c].report);
+    EXPECT_EQ(references[c].json, responses[c].json);
+  }
+}
+
 TEST_F(EngineTest, WarmEngineRendersIdenticalBytes) {
   // Request N is served from caches request N-1 filled; the rendered
   // report must not change (the estimation cache only serves SampleCF

@@ -68,8 +68,11 @@ TEST_F(OptimizerTest, EqualitySelectivityUsesDistinct) {
 TEST_F(OptimizerTest, ConjunctionMultiplies) {
   ColumnFilter a{"l_shipmode", FilterOp::kEq, Value::String("AIR"), {}};
   ColumnFilter b{"l_returnflag", FilterOp::kEq, Value::String("R"), {}};
-  const double sel = optimizer_->Selectivity("lineitem", {a, b});
-  EXPECT_NEAR(sel,
+  const Statement q = Parse(
+      "SELECT SUM(l_quantity) FROM lineitem "
+      "WHERE l_shipmode = 'AIR' AND l_returnflag = 'R'");
+  const PreparedStatement prepared = optimizer_->Prepare(q);
+  EXPECT_NEAR(prepared.root_sel,
               optimizer_->FilterSelectivity("lineitem", a) *
                   optimizer_->FilterSelectivity("lineitem", b),
               1e-12);
@@ -250,6 +253,39 @@ TEST_F(OptimizerTest, ConfigurationBookkeeping) {
   EXPECT_TRUE(c.Remove(Idx({"l_shipdate"}).Signature()));
   EXPECT_EQ(c.size(), 0u);
   EXPECT_FALSE(c.Remove(Idx({"l_shipdate"}).Signature()));
+
+  // The recorded signatures follow their indexes through Adds and Removes.
+  const IndexDef a = Idx({"l_shipdate"});
+  const IndexDef b = Idx({"l_partkey"}, {"l_quantity"});
+  const IndexDef a_row = Idx({"l_shipdate"}, {}, CompressionKind::kRow);
+  const IndexDef d = Idx({"l_orderkey"}, {}, CompressionKind::kPage);
+  c.Add(Est(a, kPageSize, 10));
+  c.Add(Est(b, kPageSize, 10));
+  c.Add(Est(a_row, kPageSize, 10));
+  EXPECT_TRUE(c.Remove(b.Signature()));
+  c.Add(Est(d, kPageSize, 10));
+  EXPECT_TRUE(c.Remove(a.Signature()));
+  c.Add(Est(a, kPageSize, 10));
+  ASSERT_EQ(c.size(), 3u);
+  for (size_t i = 0; i < c.size(); ++i) {
+    EXPECT_EQ(c.signature(i), c.indexes()[i].def.Signature()) << i;
+  }
+  EXPECT_EQ(c.signature(0), a_row.Signature());
+  EXPECT_EQ(c.signature(1), d.Signature());
+  EXPECT_EQ(c.signature(2), a.Signature());
+  EXPECT_FALSE(c.Contains(b.Signature()));
+}
+
+using OptimizerDeathTest = OptimizerTest;
+
+TEST_F(OptimizerDeathTest, DuplicateAddCheckFails) {
+  Configuration c;
+  c.Add(Est(Idx({"l_shipdate"}), kPageSize, 10));
+  // A compressed variant is a different index...
+  c.Add(Est(Idx({"l_shipdate"}, {}, CompressionKind::kRow), kPageSize, 10));
+  // ...the same index twice is not.
+  EXPECT_DEATH(c.Add(Est(Idx({"l_shipdate"}), 2 * kPageSize, 20)),
+               "duplicate index");
 }
 
 }  // namespace

@@ -103,6 +103,19 @@ TEST_F(WhatIfCacheTest, CachedMatchesUncachedOnRandomConfigs) {
     // memcmp, not ==: the criterion is bit-identical doubles.
     EXPECT_EQ(std::memcmp(&cached, &direct, sizeof(double)), 0)
         << "trial " << trial << " config " << config.ToString();
+    // Per statement, every costing entry point agrees to the bit: costing a
+    // prepared statement and skipping the access-path string must not
+    // change the number.
+    for (const Statement& stmt : workload_.statements) {
+      const double cost = optimizer_->Cost(stmt, config);
+      const double prepared =
+          optimizer_->Cost(optimizer_->Prepare(stmt), config);
+      const double planned = optimizer_->CostWithPlan(stmt, config).total();
+      EXPECT_EQ(std::memcmp(&cost, &prepared, sizeof(double)), 0)
+          << "trial " << trial << " " << stmt.id;
+      EXPECT_EQ(std::memcmp(&cost, &planned, sizeof(double)), 0)
+          << "trial " << trial << " " << stmt.id;
+    }
   }
   // The random-order configs revisit relevant subsequences, so the cache
   // must have produced hits — and every one of them matched bitwise above.
