@@ -158,6 +158,11 @@ std::vector<IndexDef> Advisor::SelectCandidates(
     singles[c].Add(it->second);
     charges[c] = ChargedBytes(singles[c]);
   }
+  auto keep = [&](size_t c) {
+    if (kept.insert(singles[c].signature(0)).second) {
+      selected.push_back(candidates[c]);
+    }
+  };
 
   auto stmt_cost = [&](size_t stmt_index, const Configuration& config) {
     return cost_cache != nullptr
@@ -200,11 +205,6 @@ std::vector<IndexDef> Advisor::SelectCandidates(
       // negative when compressed) even though the structure is large.
       entries.push_back(Entry{c, cost, charges[c]});
     }
-    auto keep = [&](size_t c) {
-      if (kept.insert(singles[c].signature(0)).second) {
-        selected.push_back(candidates[c]);
-      }
-    };
 
     if (options_.selection == CandidateSelectionMode::kTopK) {
       std::sort(entries.begin(), entries.end(),

@@ -375,8 +375,8 @@ WhatIfOptimizer::Plan WhatIfOptimizer::CostPlan(
 PlanCost WhatIfOptimizer::CostWithPlan(const Statement& stmt,
                                        const Configuration& config) const {
   static const char* const kPathPrefix[] = {  // indexed by Plan::Path
-      "heap scan(", "index scan(", "index seek(", "index seek+lookup(",
-      "MV ",        "bulk insert("};
+      "heap scan(", "index scan(", "index seek(", "index seek+lookup(", "MV ",
+      "bulk insert("};
   const Plan plan = CostPlan(Prepare(stmt), config);
   PlanCost cost;
   cost.io = plan.io;
