@@ -302,7 +302,10 @@ Configuration Advisor::Enumerate(
     // Evaluate every addable candidate. The trials are independent, so
     // they fan out across the pool; the reduction below walks them in pool
     // order with the same comparisons as the serial loop, which makes the
-    // parallel result bit-identical at any thread count.
+    // parallel result bit-identical at any thread count. Cached trials
+    // re-cost only the statements their added entry is relevant to.
+    StatementCostCache::Step step;
+    if (cost_cache != nullptr) step = cost_cache->BeginStep(config);
     const std::vector<double> trial_costs =
         ParallelMap<double>(workers, addable.size(), [&](size_t k) {
           // Infinity reads as "no benefit", so skipped trials can never be
@@ -311,9 +314,13 @@ Configuration Advisor::Enumerate(
           if (CancelRequested()) {
             return std::numeric_limits<double>::infinity();
           }
+          const size_t i = addable[k];
+          if (cost_cache != nullptr) {
+            return cost_cache->WorkloadCostWith(step, *ests[i], signatures[i]);
+          }
           Configuration trial = config;
-          trial.Add(*ests[addable[k]]);
-          return trial_cost(trial);
+          trial.Add(*ests[i]);
+          return optimizer_->WorkloadCost(workload, trial);
         });
     charge_calls(addable.size());
 

@@ -49,18 +49,6 @@ double ProbWithinTolerance(double bias, double variance, double e) {
   return NormalProbBetween(mean, stddev, 1.0 / (1.0 + e), 1.0 + e);
 }
 
-double VarianceOfProduct(const std::vector<double>& means,
-                         const std::vector<double>& variances) {
-  CAPD_CHECK_EQ(means.size(), variances.size());
-  double prod_full = 1.0;
-  double prod_means_sq = 1.0;
-  for (size_t i = 0; i < means.size(); ++i) {
-    prod_full *= variances[i] + means[i] * means[i];
-    prod_means_sq *= means[i] * means[i];
-  }
-  return prod_full - prod_means_sq;
-}
-
 double FitLogCoefficient(const std::vector<double>& xs,
                          const std::vector<double>& ys) {
   CAPD_CHECK_EQ(xs.size(), ys.size());

@@ -36,12 +36,6 @@ double NormalProbBetween(double mean, double stddev, double lo, double hi);
 // E[X] = 1 + bias and Var[X] = variance; returns P(1/(1+e) <= X <= 1+e).
 double ProbWithinTolerance(double bias, double variance, double e);
 
-// Goodman (1962): for independent X_i with means m_i and variances v_i,
-// Var(prod X_i) = prod(v_i + m_i^2) - prod(m_i^2).
-// Inputs are parallel vectors of means and variances.
-double VarianceOfProduct(const std::vector<double>& means,
-                         const std::vector<double>& variances);
-
 // Least-squares fit of y = c * ln(x) through the data (no intercept), the
 // form used in Table 2 of the paper. Returns c.
 double FitLogCoefficient(const std::vector<double>& xs,

@@ -7,30 +7,21 @@
 
 namespace capd {
 
-ErrorStats ComposeErrors(const std::vector<ErrorStats>& terms) {
-  std::vector<double> means;
-  std::vector<double> variances;
-  means.reserve(terms.size());
-  variances.reserve(terms.size());
-  double mean = 1.0;
-  for (const ErrorStats& t : terms) {
-    means.push_back(1.0 + t.bias);
-    variances.push_back(t.variance);
-    mean *= 1.0 + t.bias;
-  }
+ErrorStats ErrorProduct::Result() const {
   ErrorStats out;
-  out.bias = mean - 1.0;
-  out.variance = VarianceOfProduct(means, variances);
-  if (std::isnan(out.bias) || std::isnan(out.variance) ||
-      std::isinf(out.bias)) {
-    std::string dump;
-    for (const ErrorStats& t : terms) {
-      dump += "(b=" + std::to_string(t.bias) + ",v=" + std::to_string(t.variance) + ") ";
-    }
-    CAPD_CHECK(false) << "bad composition from " << terms.size()
-                      << " terms: " << dump;
-  }
+  out.bias = mean_ - 1.0;
+  out.variance = second_moment_ - mean_sq_;
+  CAPD_CHECK(!std::isnan(out.bias) && !std::isnan(out.variance) &&
+             !std::isinf(out.bias))
+      << "bad error composition: bias=" << out.bias
+      << " var=" << out.variance;
   return out;
+}
+
+ErrorStats ComposeErrors(const std::vector<ErrorStats>& terms) {
+  ErrorProduct product;
+  for (const ErrorStats& t : terms) product.Add(t);
+  return product.Result();
 }
 
 double ErrorWithinProbability(const ErrorStats& err, double e) {

@@ -20,7 +20,27 @@ struct ErrorStats {
   double variance = 0.0;
 };
 
-// Composes independent multiplicative error terms (Goodman 1962).
+// Product of independent multiplicative error terms (Goodman 1962),
+// accumulated term by term without storage: with m_i = 1 + bias_i,
+// E[prod X_i] = prod m_i and Var[prod X_i] = prod(v_i + m_i^2) - prod(m_i^2).
+class ErrorProduct {
+ public:
+  void Add(const ErrorStats& term) {
+    const double mean = 1.0 + term.bias;
+    mean_ *= mean;
+    second_moment_ *= term.variance + mean * mean;
+    mean_sq_ *= mean * mean;
+  }
+  // The composed error; CHECK-fails on a NaN or infinite result.
+  ErrorStats Result() const;
+
+ private:
+  double mean_ = 1.0;
+  double second_moment_ = 1.0;
+  double mean_sq_ = 1.0;
+};
+
+// ErrorProduct over `terms`, in order.
 ErrorStats ComposeErrors(const std::vector<ErrorStats>& terms);
 
 // P(1/(1+e) <= X <= 1+e) under a normal approximation.

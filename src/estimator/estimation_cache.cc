@@ -1,13 +1,14 @@
 #include "estimator/estimation_cache.h"
 
-#include <cstdio>
+#include <cstring>
 
 namespace capd {
 
 std::string EstimationCache::Key(const std::string& signature, double f) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "@%.6g", f);
-  return signature + buf;
+  // The exact bits of f: fractions that merely print alike never share.
+  char bits[sizeof(double)];
+  std::memcpy(bits, &f, sizeof(bits));
+  return signature + '@' + std::string(bits, sizeof(bits));
 }
 
 size_t EstimationCache::EntryBytes(const std::string& key) {

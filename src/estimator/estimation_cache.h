@@ -3,7 +3,7 @@
 // (initial pool, merged pool, staged baselines), and every re-estimate of
 // an already-priced index is pure waste — size estimation dominates
 // advisor runtime (Figure 11). Entries are SampleCF results keyed by
-// IndexDef signature + sampling fraction, so a hit reproduces exactly what
+// IndexDef signature + the exact sampling fraction, so a hit reproduces what
 // a fresh SampleCF at that fraction would have produced.
 //
 // Optionally memory-bounded: with a capacity, entries are evicted in

@@ -2,19 +2,29 @@
 
 #include <algorithm>
 #include <limits>
-#include <set>
+#include <optional>
 
 #include "common/logging.h"
 
 namespace capd {
 namespace {
 
-bool IsSubset(const std::vector<std::string>& a,
-              const std::vector<std::string>& b) {
-  for (const std::string& x : a) {
-    if (std::find(b.begin(), b.end(), x) == b.end()) return false;
+// (a & ~b) == 0, word by word; both sets are over one object's schema.
+bool IsSubsetOf(const std::vector<uint64_t>& a,
+                const std::vector<uint64_t>& b) {
+  for (size_t w = 0; w < a.size(); ++w) {
+    if ((a[w] & ~b[w]) != 0) return false;
   }
   return true;
+}
+
+// Same object, clustering, compression, stored-column set and filter: the
+// ColSet / SortOrder donor relation.
+bool SameColumnSet(const IndexNode& a, const IndexNode& b) {
+  return a.def.compression == b.def.compression &&
+         a.def.clustered == b.def.clustered &&
+         a.column_bits == b.column_bits && a.def.object == b.def.object &&
+         a.filter == b.filter;
 }
 
 }  // namespace
@@ -23,38 +33,62 @@ EstimationGraph::EstimationGraph(const Database& db, SampleSource* source,
                                  const ErrorModel& model)
     : db_(&db), source_(source), model_(model), sampler_(db, source) {}
 
-std::optional<size_t> EstimationGraph::FindNode(
-    const std::string& signature) const {
-  const auto it = by_signature_.find(signature);
-  if (it == by_signature_.end()) return std::nullopt;
-  return it->second;
-}
-
 size_t EstimationGraph::AddNode(const IndexDef& def, bool is_target) {
-  const std::string sig = def.Signature();
-  if (std::optional<size_t> existing = FindNode(sig); existing.has_value()) {
-    if (is_target) nodes_[*existing].is_target = true;
-    return *existing;
+  std::string sig = def.Signature();
+  if (const auto it = by_signature_.find(sig); it != by_signature_.end()) {
+    if (is_target) nodes_[it->second].is_target = true;
+    return it->second;
   }
+  const Schema& base = source_->ObjectSchema(def.object);
   IndexNode node;
   node.def = def;
   node.is_target = is_target;
-  node.is_existing = db_->IsExistingIndex(def);
-  node.num_stored_columns =
-      def.StoredColumns(source_->ObjectSchema(def.object)).size();
+  node.is_existing = db_->existing_index_bytes().count(sig) > 0;
   if (node.is_existing) node.state = NodeState::kSampled;  // free + exact
+  node.column_bits.assign((base.num_columns() + 63) / 64, 0);
+  for (const std::string& name : def.StoredColumns(base)) {
+    const size_t column = base.ColumnIndex(name);
+    node.columns.push_back(column);
+    node.column_bits[column / 64] |= uint64_t{1} << (column % 64);
+  }
+  if (def.filter.has_value()) node.filter = def.filter->ToString();
+  node.row_bytes = sampler_.RowBytes(def);
+  const size_t id = nodes_.size();
+  if (!def.clustered && def.key_columns.size() == 1 &&
+      def.include_columns.empty()) {
+    singletons_.emplace(std::make_tuple(def.object, def.compression,
+                                        node.filter, node.columns[0]),
+                        id);
+  }
   nodes_.push_back(std::move(node));
-  by_signature_[sig] = nodes_.size() - 1;
-  return nodes_.size() - 1;
+  by_signature_.emplace(std::move(sig), id);
+  return id;
+}
+
+size_t EstimationGraph::Singleton(size_t node_id, size_t column) {
+  const IndexDef& def = nodes_[node_id].def;
+  const auto it = singletons_.find(std::forward_as_tuple(
+      def.object, def.compression, nodes_[node_id].filter, column));
+  if (it != singletons_.end()) return it->second;
+  IndexDef s;
+  s.object = def.object;
+  s.key_columns = {source_->ObjectSchema(def.object).column(column).name};
+  s.compression = def.compression;
+  s.filter = def.filter;
+  return AddNode(s, /*is_target=*/false);
+}
+
+void EstimationGraph::AddDeduction(DeductionType type, size_t parent,
+                                   std::vector<size_t> children) {
+  deductions_.push_back(DeductionNode{type, parent, std::move(children)});
+  deductions_by_parent_[parent].push_back(deductions_.size() - 1);
 }
 
 void EstimationGraph::AddTargets(const std::vector<IndexDef>& targets) {
-  std::vector<size_t> ids;
-  ids.reserve(targets.size());
   for (const IndexDef& t : targets) {
     CAPD_CHECK(t.compression != CompressionKind::kNone)
         << "only compressed indexes need size estimation: " << t.ToString();
-    ids.push_back(AddNode(t, /*is_target=*/true));
+    AddNode(t, /*is_target=*/true);
   }
   // Helper singleton nodes + deductions. Do this after all targets exist so
   // subset-target deductions are discoverable. New helper nodes appended
@@ -68,99 +102,57 @@ void EstimationGraph::AddTargets(const std::vector<IndexDef>& targets) {
   }
 }
 
+// Singleton() may grow nodes_, so node_id is re-read by index throughout.
 void EstimationGraph::GenerateDeductionsFor(size_t node_id) {
-  const IndexDef def = nodes_[node_id].def;  // copy: nodes_ may reallocate
-  const Schema base = source_->ObjectSchema(def.object);
-  const std::vector<std::string> cols = def.StoredColumns(base);
-  if (cols.size() <= 1) return;  // singleton: nothing to extrapolate from
+  const size_t width = nodes_[node_id].columns.size();
+  if (width <= 1) return;  // singleton: nothing to extrapolate from
 
-  // --- ColSet: any other node with the same column set, for ORD-IND. ---
-  if (!IsOrderDependent(def.compression)) {
-    const std::string colset_sig = def.ColumnSetSignature(base);
-    for (size_t j = 0; j < nodes_.size(); ++j) {
-      if (j == node_id) continue;
-      const IndexDef& other = nodes_[j].def;
-      if (other.compression != def.compression) continue;
-      if (other.ColumnSetSignature(base) != colset_sig) continue;
-      DeductionNode d;
-      d.type = DeductionType::kColSet;
-      d.parent = node_id;
-      d.children = {j};
-      deductions_.push_back(d);
-      deductions_by_parent_[node_id].push_back(deductions_.size() - 1);
-    }
-  }
-
-  // --- SortOrder: same column set under a different key order, ORD-DEP
+  // --- ColSet: any other node with the same column set, for ORD-IND.
+  // SortOrder: the same column set under a different key order, ORD-DEP
   // only. The donor's sampled build leaves the materialized sample rows in
   // the shared caches, so this node's exact-on-sample recompute costs no
   // further sample I/O. Donor pairs are symmetric; the greedy ready-check
   // (child must already be known) breaks the tie, so the first member of a
   // sort-order clique always samples. ---
-  if (enable_sort_order_ && IsOrderDependent(def.compression)) {
-    const std::string colset_sig = def.ColumnSetSignature(base);
+  const bool order_dependent =
+      IsOrderDependent(nodes_[node_id].def.compression);
+  if (!order_dependent || enable_sort_order_) {
+    const DeductionType type =
+        order_dependent ? DeductionType::kSortOrder : DeductionType::kColSet;
     for (size_t j = 0; j < nodes_.size(); ++j) {
-      if (j == node_id) continue;
-      const IndexDef& other = nodes_[j].def;
-      if (other.compression != def.compression) continue;
-      if (other.ColumnSetSignature(base) != colset_sig) continue;
-      DeductionNode d;
-      d.type = DeductionType::kSortOrder;
-      d.parent = node_id;
-      d.children = {j};
-      deductions_.push_back(d);
-      deductions_by_parent_[node_id].push_back(deductions_.size() - 1);
+      if (j != node_id && SameColumnSet(nodes_[j], nodes_[node_id])) {
+        AddDeduction(type, node_id, {j});
+      }
     }
   }
 
   // --- ColExt: all-singletons partition. ---
-  auto singleton_def = [&](const std::string& col) {
-    IndexDef s;
-    s.object = def.object;
-    s.key_columns = {col};
-    s.clustered = false;
-    s.compression = def.compression;
-    s.filter = def.filter;
-    return s;
-  };
-  {
-    DeductionNode d;
-    d.type = DeductionType::kColExt;
-    d.parent = node_id;
-    for (const std::string& col : cols) {
-      d.children.push_back(AddNode(singleton_def(col), /*is_target=*/false));
-    }
-    deductions_.push_back(d);
-    deductions_by_parent_[node_id].push_back(deductions_.size() - 1);
+  std::vector<size_t> singletons;
+  for (size_t k = 0; k < width; ++k) {
+    singletons.push_back(Singleton(node_id, nodes_[node_id].columns[k]));
   }
+  AddDeduction(DeductionType::kColExt, node_id, std::move(singletons));
 
-  // --- ColExt: subset-node + singletons-of-remainder partitions. ---
+  // --- ColExt: subset-node + singletons-of-remainder partitions. Clustered
+  // donors only via ColSet. ---
   for (size_t j = 0; j < nodes_.size(); ++j) {
-    if (j == node_id) continue;
-    const IndexDef& other = nodes_[j].def;
-    if (other.object != def.object) continue;
-    if (other.compression != def.compression) continue;
-    if (other.clustered) continue;  // clustered donors only via ColSet
-    const bool same_filter =
-        (!other.filter.has_value() && !def.filter.has_value()) ||
-        (other.filter.has_value() && def.filter.has_value() &&
-         other.filter->ToString() == def.filter->ToString());
-    if (!same_filter) continue;
-    const std::vector<std::string> other_cols = other.StoredColumns(base);
-    if (other_cols.size() <= 1 || other_cols.size() >= cols.size()) continue;
-    if (!IsSubset(other_cols, cols)) continue;
-    DeductionNode d;
-    d.type = DeductionType::kColExt;
-    d.parent = node_id;
-    d.children.push_back(j);
-    for (const std::string& col : cols) {
-      if (std::find(other_cols.begin(), other_cols.end(), col) ==
-          other_cols.end()) {
-        d.children.push_back(AddNode(singleton_def(col), /*is_target=*/false));
+    const IndexNode& other = nodes_[j];
+    const IndexNode& node = nodes_[node_id];
+    if (j == node_id || other.def.clustered ||
+        other.def.compression != node.def.compression ||
+        other.def.object != node.def.object || other.filter != node.filter ||
+        other.columns.size() <= 1 || other.columns.size() >= width ||
+        !IsSubsetOf(other.column_bits, node.column_bits)) {
+      continue;
+    }
+    std::vector<size_t> children = {j};
+    for (size_t k = 0; k < width; ++k) {
+      const size_t column = nodes_[node_id].columns[k];
+      if (((nodes_[j].column_bits[column / 64] >> (column % 64)) & 1) == 0) {
+        children.push_back(Singleton(node_id, column));
       }
     }
-    deductions_.push_back(d);
-    deductions_by_parent_[node_id].push_back(deductions_.size() - 1);
+    AddDeduction(DeductionType::kColExt, node_id, std::move(children));
   }
 }
 
@@ -173,25 +165,27 @@ void EstimationGraph::RefreshCosts(double f, ThreadPool* pool) {
   // the cancelled caller anyway.
   ParallelFor(pool, nodes_.size(), [&](size_t i) {
     IndexNode& node = nodes_[i];
-    node.cost_pages = node.is_existing || Cancelled()
-                          ? 0.0
-                          : sampler_.PredictCostPages(node.def, f);
+    node.cost_pages =
+        node.is_existing || Cancelled()
+            ? 0.0
+            : sampler_.PredictCostPages(node.def, f, node.row_bytes);
   });
 }
 
-ErrorStats EstimationGraph::DeductionError(
-    const DeductionNode& d, size_t parent, double f,
-    std::vector<ErrorStats> child_terms) const {
+ErrorStats EstimationGraph::DeductionError(const DeductionNode& d,
+                                           size_t parent, double f,
+                                           ErrorProduct child_terms) const {
+  const CompressionKind kind = nodes_[parent].def.compression;
   if (d.type == DeductionType::kSortOrder) {
     // Executed as a SampleCF recompute on the donor's sample: accuracy is
     // exactly a sampled run's, independent of the donor's own error.
-    return model_.SampleCf(nodes_[parent].def.compression, f);
+    return model_.SampleCf(kind, f);
   }
-  child_terms.push_back(d.type == DeductionType::kColSet
-                            ? model_.ColSet(nodes_[parent].def.compression)
-                            : model_.ColExt(nodes_[parent].def.compression,
-                                            static_cast<int>(d.children.size())));
-  return ComposeErrors(child_terms);
+  child_terms.Add(d.type == DeductionType::kColSet
+                      ? model_.ColSet(kind)
+                      : model_.ColExt(kind,
+                                      static_cast<int>(d.children.size())));
+  return child_terms.Result();
 }
 
 ErrorStats EstimationGraph::NodeError(size_t i, double f) const {
@@ -203,11 +197,11 @@ ErrorStats EstimationGraph::NodeError(size_t i, double f) const {
     case NodeState::kDeduced: {
       CAPD_CHECK_GE(node.chosen_deduction, 0);
       const DeductionNode& d = deductions_[node.chosen_deduction];
-      std::vector<ErrorStats> terms;
+      ErrorProduct terms;
       if (d.type != DeductionType::kSortOrder) {
-        for (size_t c : d.children) terms.push_back(NodeError(c, f));
+        for (size_t c : d.children) terms.Add(NodeError(c, f));
       }
-      return DeductionError(d, i, f, std::move(terms));
+      return DeductionError(d, i, f, terms);
     }
     case NodeState::kNone:
       break;
@@ -259,7 +253,7 @@ void EstimationGraph::PruneUnused() {
   std::vector<size_t> order(nodes_.size());
   for (size_t i = 0; i < order.size(); ++i) order[i] = i;
   std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-    return nodes_[a].num_stored_columns > nodes_[b].num_stored_columns;
+    return nodes_[a].columns.size() > nodes_[b].columns.size();
   });
   for (size_t i : order) {
     IndexNode& node = nodes_[i];
@@ -292,7 +286,7 @@ double EstimationGraph::Greedy(double f, double e, double q,
     }
   }
   std::sort(targets.begin(), targets.end(), [this](size_t a, size_t b) {
-    return nodes_[a].num_stored_columns < nodes_[b].num_stored_columns;
+    return nodes_[a].columns.size() < nodes_[b].columns.size();
   });
 
   for (size_t t : targets) {
@@ -307,17 +301,17 @@ double EstimationGraph::Greedy(double f, double e, double q,
       for (size_t di : dit->second) {
         const DeductionNode& d = deductions_[di];
         bool ready = true;
-        std::vector<ErrorStats> terms;
+        ErrorProduct terms;
         for (size_t c : d.children) {
           if (nodes_[c].state == NodeState::kNone) {
             ready = false;
             break;
           }
-          terms.push_back(NodeError(c, f));
+          terms.Add(NodeError(c, f));
         }
         if (!ready) continue;
-        const double prob = ErrorWithinProbability(
-            DeductionError(d, t, f, std::move(terms)), e);
+        const double prob =
+            ErrorWithinProbability(DeductionError(d, t, f, terms), e);
         if (prob >= q && prob > best_prob) {
           best_prob = prob;
           best_ded = static_cast<int>(di);
@@ -338,17 +332,17 @@ double EstimationGraph::Greedy(double f, double e, double q,
       for (size_t di : dit->second) {
         const DeductionNode& d = deductions_[di];
         double extra = 0.0;
-        std::vector<ErrorStats> terms;
+        ErrorProduct terms;
         for (size_t c : d.children) {
           if (nodes_[c].state == NodeState::kNone) {
             extra += nodes_[c].cost_pages;
-            terms.push_back(model_.SampleCf(nodes_[c].def.compression, f));
+            terms.Add(model_.SampleCf(nodes_[c].def.compression, f));
           } else {
-            terms.push_back(NodeError(c, f));
+            terms.Add(NodeError(c, f));
           }
         }
-        const double prob = ErrorWithinProbability(
-            DeductionError(d, t, f, std::move(terms)), e);
+        const double prob =
+            ErrorWithinProbability(DeductionError(d, t, f, terms), e);
         if (prob >= q && extra < best_enable_cost) {
           best_enable_cost = extra;
           best_enable = static_cast<int>(di);
@@ -434,19 +428,18 @@ void EstimationGraph::OptimalRecurse(const std::vector<size_t>& order,
     for (size_t di : dit->second) {
       const DeductionNode& d = deductions_[di];
       bool cyclic = false;
-      std::vector<ErrorStats> terms;
+      ErrorProduct terms;
       for (size_t c : d.children) {
         if (DependsOn(c, i)) {
           cyclic = true;
           break;
         }
-        terms.push_back(nodes_[c].is_existing
-                            ? ErrorStats{}
-                            : model_.SampleCf(nodes_[c].def.compression, f));
+        terms.Add(nodes_[c].is_existing
+                      ? ErrorStats{}
+                      : model_.SampleCf(nodes_[c].def.compression, f));
       }
       if (cyclic) continue;
-      if (ErrorWithinProbability(DeductionError(d, i, f, std::move(terms)), e) <
-          q) {
+      if (ErrorWithinProbability(DeductionError(d, i, f, terms), e) < q) {
         continue;
       }
 
@@ -477,7 +470,7 @@ double EstimationGraph::Optimal(double f, double e, double q,
   // Widest first so deduction children (narrower) are decided after their
   // parents.
   std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
-    return nodes_[a].num_stored_columns > nodes_[b].num_stored_columns;
+    return nodes_[a].columns.size() > nodes_[b].columns.size();
   });
   std::vector<char> required(nodes_.size(), 0);
   double best_cost = std::numeric_limits<double>::infinity();
@@ -495,7 +488,7 @@ double EstimationGraph::Optimal(double f, double e, double q,
 
 std::map<std::string, SampleCfResult> EstimationGraph::Execute(
     double f, ThreadPool* pool, EstimationCache* cache, size_t* cache_hits) {
-  std::map<std::string, SampleCfResult> results;  // every known node
+  std::vector<std::optional<SampleCfResult>> results(nodes_.size());
   DeductionEngine engine(*db_, source_, f);
 
   // Phase 1: SAMPLED nodes are independent of each other — these are the
@@ -514,10 +507,9 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
       groups.push_back({i});
       continue;
     }
-    const std::string sig = nodes_[i].def.Signature();
     if (cache != nullptr) {
-      if (std::optional<SampleCfResult> served = cache->Lookup(sig, f)) {
-        results[sig] = *served;
+      results[i] = cache->Lookup(nodes_[i].def.Signature(), f);
+      if (results[i].has_value()) {
         if (cache_hits != nullptr) ++(*cache_hits);
         continue;
       }
@@ -558,18 +550,25 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
   for (size_t g = 0; g < groups.size(); ++g) {
     if (group_results[g].size() != groups[g].size()) continue;  // cancelled
     for (size_t m = 0; m < groups[g].size(); ++m) {
-      const IndexNode& node = nodes_[groups[g][m]];
-      const std::string sig = node.def.Signature();
-      results[sig] = group_results[g][m];
-      if (cache != nullptr && !node.is_existing) {
-        cache->Insert(sig, f, group_results[g][m]);
+      const size_t i = groups[g][m];
+      results[i] = group_results[g][m];
+      if (cache != nullptr && !nodes_[i].is_existing) {
+        cache->Insert(nodes_[i].def.Signature(), f, group_results[g][m]);
       }
     }
   }
   // A cancelled batch returns the completed leaves only; deduction would
   // compose from missing children, so the caller gets the partial map and
   // is expected to discard it (EstimateAll reports the cancellation).
-  if (Cancelled()) return results;
+  std::map<std::string, SampleCfResult> estimates;
+  if (Cancelled()) {
+    for (size_t i = 0; i < nodes_.size(); ++i) {
+      if (results[i].has_value()) {
+        estimates[nodes_[i].def.Signature()] = *results[i];
+      }
+    }
+    return estimates;
+  }
 
   // Phase 2: DEDUCED nodes compose their children's results via the
   // deduction formulas — cheap arithmetic, run serially in dependency
@@ -580,7 +579,7 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
     if (nodes_[i].state == NodeState::kDeduced) pending.push_back(i);
   }
   std::sort(pending.begin(), pending.end(), [this](size_t a, size_t b) {
-    return nodes_[a].num_stored_columns < nodes_[b].num_stored_columns;
+    return nodes_[a].columns.size() < nodes_[b].columns.size();
   });
   size_t stall_guard = 0;
   while (!pending.empty()) {
@@ -588,29 +587,19 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
         << "cyclic deduction plan";
     const size_t i = pending.front();
     pending.erase(pending.begin());
-    IndexNode& node = nodes_[i];
-    {
-      const DeductionNode& dd = deductions_[node.chosen_deduction];
-      bool ready = true;
-      for (size_t c : dd.children) {
-        if (results.find(nodes_[c].def.Signature()) == results.end()) {
-          ready = false;
-          break;
-        }
-      }
-      if (!ready) {
-        pending.push_back(i);  // retry after its children
-        continue;
-      }
-    }
-    const std::string sig = node.def.Signature();
+    const IndexNode& node = nodes_[i];
     const DeductionNode& d = deductions_[node.chosen_deduction];
+    if (!std::all_of(d.children.begin(), d.children.end(),
+                     [&](size_t c) { return results[c].has_value(); })) {
+      pending.push_back(i);  // retry after its children
+      continue;
+    }
     if (d.type == DeductionType::kSortOrder) {
       // Exact-on-sample recompute: the donor's build already materialized
       // and cached the sample, so only this node's own pack runs — charged
       // zero additional sampling I/O. Bit-for-bit equal to fresh sampling
       // by construction (samples are seeded per cache key).
-      results[sig] = sampler_.EstimateSortOrderDeduced(node.def, f);
+      results[i] = sampler_.EstimateSortOrderDeduced(node.def, f);
       continue;
     }
     SampleCfResult r;
@@ -618,12 +607,11 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
     r.est_uncompressed_bytes =
         sampler_.UncompressedFullBytes(node.def, r.est_tuples);
     if (d.type == DeductionType::kColSet) {
-      const SampleCfResult& donor = results.at(nodes_[d.children[0]].def.Signature());
-      r.est_bytes = donor.est_bytes;
+      r.est_bytes = results[d.children[0]]->est_bytes;
     } else {
       std::vector<KnownSize> children;
       for (size_t c : d.children) {
-        const SampleCfResult& cr = results.at(nodes_[c].def.Signature());
+        const SampleCfResult& cr = *results[c];
         KnownSize k;
         k.def = nodes_[c].def;
         k.compressed_bytes = cr.est_bytes;
@@ -637,19 +625,18 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
     }
     r.cf = r.est_bytes / std::max(1.0, r.est_uncompressed_bytes);
     r.cost_pages = 0.0;
-    results[sig] = r;
+    results[i] = r;
   }
 
   // Return only targets.
-  std::map<std::string, SampleCfResult> targets;
-  for (const IndexNode& node : nodes_) {
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    const IndexNode& node = nodes_[i];
     if (!node.is_target) continue;
-    const auto it = results.find(node.def.Signature());
-    CAPD_CHECK(it != results.end())
+    CAPD_CHECK(results[i].has_value())
         << "target not estimated: " << node.def.ToString();
-    targets[node.def.Signature()] = it->second;
+    estimates[node.def.Signature()] = *results[i];
   }
-  return targets;
+  return estimates;
 }
 
 size_t EstimationGraph::NumSampled() const {

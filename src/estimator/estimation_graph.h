@@ -7,9 +7,11 @@
 #define CAPD_ESTIMATOR_ESTIMATION_GRAPH_H_
 
 #include <atomic>
+#include <cstdint>
+#include <functional>
 #include <map>
-#include <optional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "catalog/database.h"
@@ -45,7 +47,11 @@ struct IndexNode {
   NodeState state = NodeState::kNone;
   int chosen_deduction = -1;  // index into deductions() when kDeduced
   double cost_pages = 0.0;    // sampling cost at the current f
-  size_t num_stored_columns = 0;
+  // Interned by AddNode; planning compares these, never rendered strings.
+  std::vector<size_t> columns;        // stored columns, as schema positions
+  std::vector<uint64_t> column_bits;  // the same set, one bit per position
+  std::string filter;                 // rendered partial-index filter or ""
+  double row_bytes = 0.0;             // uncompressed stored row width
 };
 
 class EstimationGraph {
@@ -133,13 +139,17 @@ class EstimationGraph {
     return cancel_ != nullptr && cancel_->load(std::memory_order_relaxed);
   }
   size_t AddNode(const IndexDef& def, bool is_target);
-  std::optional<size_t> FindNode(const std::string& signature) const;
+  // The single-column helper on `column` sharing node_id's object,
+  // compression and filter, added on first use.
+  size_t Singleton(size_t node_id, size_t column);
+  void AddDeduction(DeductionType type, size_t parent,
+                    std::vector<size_t> children);
   void GenerateDeductionsFor(size_t node_id);
   // Composed error of deduction `d` for parent node `parent`, given the
   // children's error terms. kSortOrder short-circuits to the parent's own
   // SampleCf error (execution recomputes on the donor's sample).
   ErrorStats DeductionError(const DeductionNode& d, size_t parent, double f,
-                            std::vector<ErrorStats> child_terms) const;
+                            ErrorProduct child_terms) const;
   void PruneUnused();
   double TotalSampledCost() const;
   void RefreshCosts(double f, ThreadPool* pool);
@@ -165,6 +175,10 @@ class EstimationGraph {
   std::vector<IndexNode> nodes_;
   std::vector<DeductionNode> deductions_;
   std::map<std::string, size_t> by_signature_;
+  // Single-column helpers by (object, compression, filter, column).
+  std::map<std::tuple<std::string, CompressionKind, std::string, size_t>,
+           size_t, std::less<>>
+      singletons_;
   // deductions_ indexes grouped by parent node.
   std::map<size_t, std::vector<size_t>> deductions_by_parent_;
 };

@@ -85,9 +85,12 @@ double SampleCfEstimator::UncompressedFullBytes(const IndexDef& def,
                                                 double tuples) const {
   // Byte granularity throughout (page-count quantization would bury the
   // sampling error on laptop-scale data); consumers derive pages from it.
-  const Schema stored = def.StoredSchema(source_->ObjectSchema(def.object));
-  const double row_bytes = stored.RowWidth() + kRowOverhead;
-  return std::max(static_cast<double>(kPageCapacity), tuples * row_bytes);
+  return std::max(static_cast<double>(kPageCapacity), tuples * RowBytes(def));
+}
+
+double SampleCfEstimator::RowBytes(const IndexDef& def) const {
+  return def.StoredSchema(source_->ObjectSchema(def.object)).RowWidth() +
+         kRowOverhead;
 }
 
 double SampleCfEstimator::EstimateFullTuples(const IndexDef& def, double f) {
@@ -103,7 +106,8 @@ double SampleCfEstimator::EstimateFullTuples(const IndexDef& def, double f) {
          static_cast<double>(sample.num_rows());
 }
 
-double SampleCfEstimator::PredictCostPages(const IndexDef& def, double f) {
+double SampleCfEstimator::PredictCostPages(const IndexDef& def, double f,
+                                           double row_bytes) {
   uint64_t sample_tuples = 0;
   if (def.filter.has_value()) {
     const Table& sample = source_->Sample(def.object, f);
@@ -113,8 +117,6 @@ double SampleCfEstimator::PredictCostPages(const IndexDef& def, double f) {
   } else {
     sample_tuples = source_->SampleRows(def.object, f);
   }
-  const Schema stored = def.StoredSchema(source_->ObjectSchema(def.object));
-  const double row_bytes = stored.RowWidth() + kRowOverhead;
   return std::max(1.0, std::ceil(static_cast<double>(sample_tuples) *
                                  row_bytes / kPageCapacity));
 }

@@ -111,8 +111,14 @@ class SampleCfEstimator {
   double UncompressedFullBytes(const IndexDef& def, double tuples) const;
   double EstimateFullTuples(const IndexDef& def, double f);
 
-  // Cost (in pages) that Estimate() would incur, without running it.
-  double PredictCostPages(const IndexDef& def, double f);
+  // Cost (in pages) that Estimate() would incur, without running it;
+  // `row_bytes` is RowBytes(def), computed once by callers that price a
+  // def at several fractions.
+  double PredictCostPages(const IndexDef& def, double f, double row_bytes);
+
+  // Bytes of one uncompressed stored row of `def`: fixed part plus slot
+  // overhead.
+  double RowBytes(const IndexDef& def) const;
 
  private:
   const Database* db_;

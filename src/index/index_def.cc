@@ -118,16 +118,6 @@ std::string IndexDef::Signature() const {
   return StructureSignature() + "|" + CompressionKindName(compression);
 }
 
-std::string IndexDef::ColumnSetSignature(const Schema& base_schema) const {
-  std::vector<std::string> cols = StoredColumns(base_schema);
-  std::sort(cols.begin(), cols.end());
-  std::ostringstream os;
-  os << object << (clustered ? "|C|" : "|N|");
-  for (const std::string& c : cols) os << c << ",";
-  if (filter.has_value()) os << "|F:" << filter->ToString();
-  return os.str();
-}
-
 std::string IndexDef::ToString() const {
   std::ostringstream os;
   os << (clustered ? "CLUSTERED " : "") << "IDX(" << object << ": ";

@@ -58,13 +58,10 @@ struct IndexDef {
   IndexDef WithCompression(CompressionKind kind) const;
 
   // Identity ignoring compression: same object/keys/includes/clustered/
-  // filter. Used by ColSet deduction and candidate bookkeeping.
+  // filter. Used by candidate bookkeeping.
   std::string StructureSignature() const;
   // Full identity including compression.
   std::string Signature() const;
-  // The unordered column-set identity (ColSet deduction: ORD-IND sizes
-  // depend only on the stored column multiset).
-  std::string ColumnSetSignature(const Schema& base_schema) const;
 
   std::string ToString() const;
 

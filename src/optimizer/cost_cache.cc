@@ -1,6 +1,7 @@
 #include "optimizer/cost_cache.h"
 
 #include <algorithm>
+#include <optional>
 
 namespace capd {
 namespace {
@@ -122,9 +123,8 @@ bool StatementCostCache::Relevant(size_t stmt_index, const IndexDef& idx) {
   return InfoFor(idx.Signature(), idx).relevant[stmt_index] != 0;
 }
 
-double StatementCostCache::CostWithInfos(
-    size_t stmt_index, const Configuration& config,
-    const std::vector<const IndexInfo*>& infos) {
+std::string StatementCostCache::KeyFor(
+    size_t stmt_index, const std::vector<const IndexInfo*>& infos) {
   // The cost of a statement is a function of the *ordered subsequence* of
   // relevant indexes (best-path ties and floating-point sums follow
   // configuration order), so the key preserves that order — never sorts.
@@ -134,22 +134,28 @@ double StatementCostCache::CostWithInfos(
   for (const IndexInfo* info : infos) {
     if (info->relevant[stmt_index]) AppendU32(&key, info->id);
   }
+  return key;
+}
+
+template <typename ConfigFn>
+double StatementCostCache::CostForKey(size_t stmt_index, std::string key,
+                                      ConfigFn&& config, bool count_hit) {
   Shard& shard = shards_[stmt_index];
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     const auto it = shard.costs.find(key);
     if (it != shard.costs.end()) {
-      hits_.fetch_add(1, std::memory_order_relaxed);
+      if (count_hit) hits_.fetch_add(1, std::memory_order_relaxed);
       return it->second;
     }
   }
-  const double cost = optimizer_->Cost(prepared_[stmt_index], config);
+  const double cost = optimizer_->Cost(prepared_[stmt_index], config());
   std::lock_guard<std::mutex> lock(shard.mu);
   // Only the inserting call counts as a miss; a concurrent miss that lost
   // the race counts as the hit it would have been serially.
   if (shard.costs.emplace(std::move(key), cost).second) {
     misses_.fetch_add(1, std::memory_order_relaxed);
-  } else {
+  } else if (count_hit) {
     hits_.fetch_add(1, std::memory_order_relaxed);
   }
   return cost;
@@ -157,16 +163,63 @@ double StatementCostCache::CostWithInfos(
 
 double StatementCostCache::Cost(size_t stmt_index,
                                 const Configuration& config) {
-  return CostWithInfos(stmt_index, config, InfosFor(config));
+  auto given = [&]() -> const Configuration& { return config; };
+  return CostForKey(stmt_index, KeyFor(stmt_index, InfosFor(config)), given);
 }
 
 double StatementCostCache::WorkloadCost(const Configuration& config) {
   // Relevance is looked up once per call, not once per statement.
   const std::vector<const IndexInfo*> infos = InfosFor(config);
+  auto given = [&]() -> const Configuration& { return config; };
   double total = 0.0;
   for (size_t i = 0; i < workload_->statements.size(); ++i) {
-    total += workload_->statements[i].weight * CostWithInfos(i, config, infos);
+    total += workload_->statements[i].weight *
+             CostForKey(i, KeyFor(i, infos), given);
   }
+  return total;
+}
+
+StatementCostCache::Step StatementCostCache::BeginStep(
+    const Configuration& config) {
+  const std::vector<const IndexInfo*> infos = InfosFor(config);
+  auto given = [&]() -> const Configuration& { return config; };
+  Step step;
+  step.config = &config;
+  for (size_t i = 0; i < workload_->statements.size(); ++i) {
+    step.keys.push_back(KeyFor(i, infos));
+    step.costs.push_back(
+        CostForKey(i, step.keys.back(), given, /*count_hit=*/false));
+  }
+  return step;
+}
+
+double StatementCostCache::WorkloadCostWith(const Step& step,
+                                            const PhysicalIndexEstimate& added,
+                                            const std::string& signature) {
+  const IndexInfo& info = InfoFor(signature, added.def);
+  std::string id;  // appended to each relevant statement's step key
+  AppendU32(&id, info.id);
+  std::optional<Configuration> trial;
+  auto make_trial = [&]() -> const Configuration& {
+    if (!trial.has_value()) {
+      trial = *step.config;
+      trial->Add(added);
+    }
+    return *trial;
+  };
+  // Same weighted terms in the same statement order as WorkloadCost.
+  double total = 0.0;
+  uint64_t reused = 0;
+  for (size_t i = 0; i < workload_->statements.size(); ++i) {
+    double cost = step.costs[i];
+    if (info.relevant[i]) {
+      cost = CostForKey(i, step.keys[i] + id, make_trial);
+    } else {
+      ++reused;
+    }
+    total += workload_->statements[i].weight * cost;
+  }
+  hits_.fetch_add(reused, std::memory_order_relaxed);
   return total;
 }
 

@@ -51,6 +51,25 @@ class StatementCostCache {
   // same statement order).
   double WorkloadCost(const Configuration& config);
 
+  // A greedy step's base: one configuration's per-statement costs and
+  // cache keys. `config` must outlive the step.
+  struct Step {
+    const Configuration* config = nullptr;
+    std::vector<double> costs;  // unweighted
+    std::vector<std::string> keys;
+  };
+  // Reads back `config`'s costs. Cached statements (all of them, for a
+  // configuration costed before) are not counted; others are costed and
+  // counted as misses.
+  Step BeginStep(const Configuration& config);
+
+  // WorkloadCost(step.config + added) to the bit; `signature` is added's.
+  // Only statements `added` is relevant to are looked up, building the
+  // extended Configuration only on a miss; every other statement reuses
+  // the step's cost and counts as the hit its lookup would have been.
+  double WorkloadCostWith(const Step& step, const PhysicalIndexEstimate& added,
+                          const std::string& signature);
+
   // Statement costings served from the cache / computed by the optimizer.
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
@@ -72,8 +91,14 @@ class StatementCostCache {
   const IndexInfo& InfoFor(const std::string& signature, const IndexDef& idx);
   // InfoFor of every index of `config`, by its recorded signature.
   std::vector<const IndexInfo*> InfosFor(const Configuration& config);
-  double CostWithInfos(size_t stmt_index, const Configuration& config,
-                       const std::vector<const IndexInfo*>& infos);
+  // Byte key of the relevant subsequence of `infos` for one statement.
+  static std::string KeyFor(size_t stmt_index,
+                            const std::vector<const IndexInfo*>& infos);
+  // Cost of a statement under the configuration `key` describes, which
+  // `config()` yields on a miss; with `count_hit` false a hit is uncounted.
+  template <typename ConfigFn>
+  double CostForKey(size_t stmt_index, std::string key, ConfigFn&& config,
+                    bool count_hit = true);
 
   const Database* db_;
   const WhatIfOptimizer* optimizer_;

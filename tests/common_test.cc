@@ -8,6 +8,7 @@
 #include "common/math_util.h"
 #include "common/random.h"
 #include "common/zipf.h"
+#include "estimator/error_model.h"
 
 namespace capd {
 namespace {
@@ -132,17 +133,19 @@ TEST(MathTest, ProbWithinToleranceBiasHurts) {
   EXPECT_GT(unbiased, biased);
 }
 
-TEST(MathTest, VarianceOfProductMatchesGoodman) {
-  // Two variables: Var(XY) = (v1+m1^2)(v2+m2^2) - m1^2 m2^2.
-  const double v = VarianceOfProduct({1.0, 2.0}, {0.1, 0.2});
-  EXPECT_NEAR(v, (0.1 + 1.0) * (0.2 + 4.0) - 4.0, 1e-12);
+TEST(MathTest, ComposeErrorsMatchesGoodman) {
+  // Two variables: Var(XY) = (v1+m1^2)(v2+m2^2) - m1^2 m2^2, with the
+  // means m = 1 + bias.
+  const ErrorStats xy = ComposeErrors({{0.0, 0.1}, {1.0, 0.2}});
+  EXPECT_NEAR(xy.bias, 1.0, 1e-12);
+  EXPECT_NEAR(xy.variance, (0.1 + 1.0) * (0.2 + 4.0) - 4.0, 1e-12);
 }
 
-TEST(MathTest, VarianceOfProductZeroVariances) {
-  EXPECT_NEAR(VarianceOfProduct({1.5, 2.0}, {0.0, 0.0}), 0.0, 1e-12);
+TEST(MathTest, ComposeErrorsZeroVariances) {
+  EXPECT_NEAR(ComposeErrors({{0.5, 0.0}, {1.0, 0.0}}).variance, 0.0, 1e-12);
 }
 
-TEST(MathTest, VarianceOfProductAgreesWithSimulation) {
+TEST(MathTest, ComposeErrorsAgreesWithSimulation) {
   // Monte-Carlo check of Goodman's formula for independent normals.
   Random rng(123);
   std::normal_distribution<double> n1(1.0, 0.05), n2(1.0, 0.1);
@@ -151,7 +154,7 @@ TEST(MathTest, VarianceOfProductAgreesWithSimulation) {
     prods.push_back(n1(rng.engine()) * n2(rng.engine()));
   }
   const double sim_var = StdDev(prods) * StdDev(prods);
-  const double formula = VarianceOfProduct({1.0, 1.0}, {0.0025, 0.01});
+  const double formula = ComposeErrors({{0.0, 0.0025}, {0.0, 0.01}}).variance;
   EXPECT_NEAR(sim_var, formula, 0.001);
 }
 

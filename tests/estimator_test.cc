@@ -68,15 +68,15 @@ TEST_F(EstimatorTest, SampleCfTuplesForPartialIndex) {
 
 TEST_F(EstimatorTest, SampleCfCostScalesWithWidthAndFraction) {
   SampleCfEstimator estimator(db_, source_.get());
-  const double narrow = estimator.PredictCostPages(Idx({"l_shipdate"}), 0.05);
-  const double wide = estimator.PredictCostPages(
-      Idx({"l_shipdate"}, CompressionKind::kRow,
-          {"l_extendedprice", "l_discount", "l_quantity", "l_shipmode"}),
-      0.05);
-  const double narrow_big =
-      estimator.PredictCostPages(Idx({"l_shipdate"}), 0.1);
-  EXPECT_LT(narrow, wide);
-  EXPECT_LT(narrow, narrow_big);
+  auto cost = [&](const IndexDef& def, double f) {
+    return estimator.PredictCostPages(def, f, estimator.RowBytes(def));
+  };
+  const IndexDef narrow = Idx({"l_shipdate"});
+  IndexDef wide = narrow;
+  wide.include_columns = {"l_extendedprice", "l_discount", "l_quantity",
+                          "l_shipmode"};
+  EXPECT_LT(cost(narrow, 0.05), cost(wide, 0.05));
+  EXPECT_LT(cost(narrow, 0.05), cost(narrow, 0.1));
 }
 
 TEST_F(EstimatorTest, ErrorModelShrinksWithF) {

@@ -57,14 +57,6 @@ TEST(IndexDefTest, SignatureDistinguishesCompression) {
   EXPECT_EQ(a.StructureSignature(), b.StructureSignature());
 }
 
-TEST(IndexDefTest, ColumnSetSignatureIgnoresOrder) {
-  const Table t = MakeTable(5);
-  const IndexDef ab = Idx({"a", "b"});
-  const IndexDef ba = Idx({"b", "a"});
-  EXPECT_EQ(ab.ColumnSetSignature(t.schema()), ba.ColumnSetSignature(t.schema()));
-  EXPECT_NE(ab.StructureSignature(), ba.StructureSignature());
-}
-
 TEST(ColumnFilterTest, MatchOperators) {
   const Table t = MakeTable(1);
   const Row row = {Value::Int64(5), Value::String("red"), Value::Int64(0),

@@ -245,9 +245,11 @@ TEST(EstimationCacheTest, EntriesAreKeyedByFraction) {
   ASSERT_TRUE(hit.has_value());
   EXPECT_DOUBLE_EQ(hit->est_bytes, 100.0);
   EXPECT_FALSE(cache.Lookup("idx", 0.10).has_value());
+  // Keyed on the exact double, not on a rounded rendering of it.
+  EXPECT_FALSE(cache.Lookup("idx", 0.010000001).has_value());
   EXPECT_FALSE(cache.Lookup("other", 0.01).has_value());
   EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 2u);
+  EXPECT_EQ(cache.misses(), 3u);
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 // tables, and — via the process-wide allocation tracker in
 // src/common/alloc_tracker.{h,cc} (activated for this binary by referencing
 // its accessors) — a hard assertion that drawing a sample from a
-// multi-million-row generated table allocates O(sample), not O(table).
+// multi-million-row generated table allocates O(sample), not O(table), and
+// an allocation budget for a warm tuning request.
+#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -14,10 +16,12 @@
 #include "common/alloc_tracker.h"
 #include "common/random.h"
 #include "common/thread_pool.h"
+#include "engine/advisor_engine.h"
 #include "stats/column_stats.h"
 #include "stats/sampler.h"
 #include "storage/block.h"
 #include "storage/table.h"
+#include "workloads/registry.h"
 #include "workloads/scale.h"
 
 namespace capd {
@@ -215,6 +219,33 @@ TEST(ScaleWorkloadTest, BigTableSampleAllocatesOSample) {
   EXPECT_LT(peak_delta, kBudgetBytes)
       << "sample extraction allocated " << peak_delta
       << " bytes — O(table), not O(sample)?";
+}
+
+// A warm request re-plans the estimation graph and re-runs the greedy
+// search, but every SampleCF leaf is served from the engine's cache, so
+// its allocations count planning and what-if overhead, not sampling.
+TEST(AllocationGate, WarmTpchTuneStaysUnderAllocationBudget) {
+  workloads::WorkloadSpec spec;
+  spec.name = "tpch";
+  spec.rows = 2000;
+  workloads::BuiltWorkload built;
+  std::string error;
+  ASSERT_TRUE(workloads::Build(spec, &built, &error)) << error;
+  AdvisorEngine engine(*built.db);  // one search and one estimation thread
+  TuningRequest request;
+  request.workload = built.workload;
+  request.strategy = "dtac-both";
+  request.budget = TuningBudget::Fraction(0.2);
+  ASSERT_TRUE(engine.Tune(request).ok());  // cold: fills the caches
+
+  const uint64_t before = AllocCount();
+  const TuningResponse warm = engine.Tune(request);
+  const uint64_t allocs = AllocCount() - before;
+  ASSERT_TRUE(warm.ok()) << warm.error;
+  std::printf("warm tpch dtac-both tune: %llu allocations\n",
+              static_cast<unsigned long long>(allocs));
+  constexpr uint64_t kAllocBudget = 50000;
+  EXPECT_LE(allocs, kAllocBudget);
 }
 
 }  // namespace

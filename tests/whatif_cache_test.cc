@@ -1,7 +1,9 @@
-// Tests for the per-statement what-if cost cache: cached WorkloadCost must
-// match the uncached optimizer to the bit on randomized configurations,
-// and the relevance gates must mirror the optimizer's own usability rules.
+// Tests for the per-statement what-if cost cache: cached WorkloadCost and
+// the greedy trials' delta path must match the uncached optimizer to the
+// bit on randomized configurations, and the relevance gates must mirror
+// the optimizer's own usability rules.
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -115,6 +117,29 @@ TEST_F(WhatIfCacheTest, CachedMatchesUncachedOnRandomConfigs) {
           << "trial " << trial << " " << stmt.id;
       EXPECT_EQ(std::memcmp(&cost, &planned, sizeof(double)), 0)
           << "trial " << trial << " " << stmt.id;
+    }
+    // The delta path: every one-entry extension costs the uncached double
+    // to the bit and, on fresh caches, advances hits and misses exactly as
+    // costing the whole extended configuration does.
+    StatementCostCache delta(db_, *optimizer_, workload_);
+    StatementCostCache whole(db_, *optimizer_, workload_);
+    delta.WorkloadCost(config);
+    whole.WorkloadCost(config);
+    const StatementCostCache::Step step = cache.BeginStep(config);
+    const StatementCostCache::Step fresh_step = delta.BeginStep(config);
+    for (const PhysicalIndexEstimate& entry : pool) {
+      const std::string signature = entry.def.Signature();
+      if (config.Contains(signature)) continue;
+      Configuration extended = config;
+      extended.Add(entry);
+      const double with = cache.WorkloadCostWith(step, entry, signature);
+      const double reference = optimizer_->WorkloadCost(workload_, extended);
+      EXPECT_EQ(std::memcmp(&with, &reference, sizeof(double)), 0)
+          << "trial " << trial << " + " << entry.def.ToString();
+      delta.WorkloadCostWith(fresh_step, entry, signature);
+      whole.WorkloadCost(extended);
+      EXPECT_EQ(delta.hits(), whole.hits()) << "trial " << trial;
+      EXPECT_EQ(delta.misses(), whole.misses()) << "trial " << trial;
     }
   }
   // The random-order configs revisit relevant subsequences, so the cache
