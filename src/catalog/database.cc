@@ -60,10 +60,6 @@ void Database::AddExistingIndex(const IndexDef& def, uint64_t bytes) {
   existing_[def.Signature()] = bytes;
 }
 
-bool Database::IsExistingIndex(const IndexDef& def) const {
-  return existing_.count(def.Signature()) > 0;
-}
-
 uint64_t Database::BaseDataBytes() const {
   uint64_t bytes = 0;
   for (const auto& [name, t] : tables_) bytes += t->HeapBytes();

@@ -47,7 +47,6 @@ class Database {
   const std::map<std::string, uint64_t>& existing_index_bytes() const {
     return existing_;
   }
-  bool IsExistingIndex(const IndexDef& def) const;
 
   // Total base-data size (heaps of all base tables); the experiments'
   // storage budgets are expressed as a fraction of this.
