@@ -173,8 +173,8 @@ double StatementCostCache::WorkloadCost(const Configuration& config) {
   auto given = [&]() -> const Configuration& { return config; };
   double total = 0.0;
   for (size_t i = 0; i < workload_->statements.size(); ++i) {
-    total += workload_->statements[i].weight *
-             CostForKey(i, KeyFor(i, infos), given);
+    const double cost = CostForKey(i, KeyFor(i, infos), given);
+    total += workload_->statements[i].weight * cost;
   }
   return total;
 }
@@ -187,8 +187,8 @@ StatementCostCache::Step StatementCostCache::BeginStep(
   step.config = &config;
   for (size_t i = 0; i < workload_->statements.size(); ++i) {
     step.keys.push_back(KeyFor(i, infos));
-    step.costs.push_back(
-        CostForKey(i, step.keys.back(), given, /*count_hit=*/false));
+    const double cost = CostForKey(i, step.keys[i], given, /*count_hit=*/false);
+    step.costs.push_back(cost);
   }
   return step;
 }
