@@ -17,7 +17,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -207,9 +209,9 @@ IndexDef WideIdx(std::vector<int> keys, CompressionKind kind,
   return def;
 }
 
-// Permutations and subsets on columns 64..69, a key mixing both sides of
-// position 64, a clustered index storing all 70 columns, and two partial
-// indexes sharing a filter (ColExt only across equal filters).
+// Permutations and subsets on columns 64..69, keys mixing both sides of
+// position 64, a clustered index storing all 70 columns, and partial
+// indexes under two filters (ColExt pairs only equal filters).
 std::vector<IndexDef> WideTargets() {
   std::vector<IndexDef> targets;
   for (CompressionKind kind : {CompressionKind::kRow, CompressionKind::kPage}) {
