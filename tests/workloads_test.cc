@@ -1,9 +1,16 @@
-// Generator invariants: referential integrity, determinism, skew, and the
-// statistical properties the experiments depend on.
+// Generator invariants: referential integrity, determinism, skew, the
+// statistical properties the experiments depend on, and pinned hashes of
+// every generated cell.
+#include <cstdint>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "stats/sampler.h"
+#include "storage/encoding.h"
+#include "workloads/registry.h"
 #include "workloads/sales.h"
 #include "workloads/tpcds_lite.h"
 #include "workloads/tpch.h"
@@ -199,6 +206,116 @@ TEST(WorkloadShape, SelectOnlyStripsInserts) {
   for (const Statement& s : sel.statements) {
     EXPECT_EQ(s.type, StatementType::kSelect);
   }
+}
+
+// FNV-1a over the EncodeField bytes of every cell, read in row order.
+uint64_t TableHash(const Table& table) {
+  const Schema& schema = table.schema();
+  uint64_t hash = 0xcbf29ce484222325ull;
+  std::string field;
+  table.ScanRows([&](uint64_t, const Row& row) {
+    for (size_t c = 0; c < row.size(); ++c) {
+      field.clear();
+      EncodeField(row[c], schema.column(c), &field);
+      for (const char byte : field) {
+        hash ^= static_cast<unsigned char>(byte);
+        hash *= 0x100000001b3ull;
+      }
+    }
+  });
+  return hash;
+}
+
+workloads::BuiltWorkload BuildSpec(const char* name, uint64_t rows,
+                                   uint64_t seed, double skew_z) {
+  workloads::WorkloadSpec spec;
+  spec.name = name;
+  spec.rows = rows;
+  spec.seed = seed;
+  spec.skew_z = skew_z;
+  workloads::BuiltWorkload built;
+  std::string error;
+  EXPECT_TRUE(workloads::Build(spec, &built, &error)) << error;
+  return built;
+}
+
+// Every generated cell is pinned: storage and RNG rewrites must leave each
+// byte where it was. tpch draws through ZipfGenerator only when skewed.
+TEST(GeneratedDataTest, EveryTableHashIsPinned) {
+  struct Pinned {
+    const char* table;
+    uint64_t hash;
+  };
+  struct Case {
+    const char* workload;
+    uint64_t rows;
+    uint64_t seed;  // 0 = the workload's default
+    double skew_z;
+    std::vector<Pinned> tables;  // in Database::tables() order
+  };
+  const Case kCases[] = {
+      {"scale",
+       30000,
+       7,
+       0.0,
+       {{"devices", 0x96a89ffba105cb2cull}, {"events", 0x5674d3a148312ee7ull}}},
+      {"tpch",
+       2000,
+       0,
+       0.0,
+       {{"customer", 0xb16a55725761edfeull},
+        {"lineitem", 0x5fa1c706674c3c9eull},
+        {"nation", 0x678618159908c066ull},
+        {"orders", 0xd9aa6e8df8be8665ull},
+        {"part", 0xdd80f740148b88eaull},
+        {"supplier", 0x508106c6a59515b4ull}}},
+      {"tpch",
+       2000,
+       0,
+       1.0,
+       {{"customer", 0xb16a55725761edfeull},
+        {"lineitem", 0x60ba52db7d3e207dull},
+        {"nation", 0x678618159908c066ull},
+        {"orders", 0x5209847dd2529753ull},
+        {"part", 0xdd80f740148b88eaull},
+        {"supplier", 0x508106c6a59515b4ull}}},
+      {"sales",
+       2000,
+       0,
+       0.0,
+       {{"products", 0x40b5ea740f7c4114ull},
+        {"sales", 0x2ce62c1d477776b4ull},
+        {"stores", 0xef6f3696789677e1ull}}},
+      {"tpcds-lite",
+       2000,
+       0,
+       0.0,
+       {{"item", 0xa5852889a32ed549ull},
+        {"store", 0x2efebfbcf144e5deull},
+        {"store_sales", 0xbb486f6eaffc77eaull}}},
+  };
+  for (const Case& c : kCases) {
+    const workloads::BuiltWorkload built =
+        BuildSpec(c.workload, c.rows, c.seed, c.skew_z);
+    const std::vector<const Table*> tables = built.db->tables();
+    ASSERT_EQ(tables.size(), c.tables.size()) << c.workload;
+    for (size_t i = 0; i < tables.size(); ++i) {
+      EXPECT_EQ(tables[i]->name(), c.tables[i].table);
+      EXPECT_EQ(TableHash(*tables[i]), c.tables[i].hash)
+          << c.workload << " skew_z=" << c.skew_z << " table "
+          << c.tables[i].table;
+    }
+  }
+}
+
+// The 1% events sample a scale-cold request draws (e2ebench's sample seed
+// is the workload seed ^ 0xabcd).
+TEST(GeneratedDataTest, EventsSampleHashIsPinned) {
+  const workloads::BuiltWorkload built = BuildSpec("scale", 30000, 7, 0.0);
+  SampleManager samples(7 ^ 0xabcd);
+  const Table& sample = samples.GetSample(built.db->table("events"), 0.01);
+  EXPECT_EQ(sample.num_rows(), 300u);
+  EXPECT_EQ(TableHash(sample), 0xfdfa6855e58891caull);
 }
 
 }  // namespace
