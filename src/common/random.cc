@@ -7,23 +7,6 @@
 
 namespace capd {
 
-uint64_t Random::Next(uint64_t bound) {
-  CAPD_CHECK_GT(bound, 0u);
-  // Rejection-free modulo is fine for our (non-cryptographic) purposes.
-  return engine_() % bound;
-}
-
-int64_t Random::Uniform(int64_t lo, int64_t hi) {
-  CAPD_CHECK_LE(lo, hi);
-  const uint64_t span = static_cast<uint64_t>(hi - lo) + 1;
-  return lo + static_cast<int64_t>(Next(span));
-}
-
-double Random::NextDouble() {
-  // 53-bit mantissa for uniformity.
-  return static_cast<double>(engine_() >> 11) * (1.0 / 9007199254740992.0);
-}
-
 std::vector<uint64_t> Random::SampleIndices(uint64_t n, uint64_t k) {
   CAPD_CHECK_LE(k, n);
   // Floyd's algorithm: O(k) expected, then sort for increasing order.

@@ -37,11 +37,27 @@ ZipfGenerator::ZipfGenerator(uint64_t n, double theta) : n_(n), theta_(theta) {
   }
   total_ = total;
   for (uint64_t i = 0; i < head; ++i) cdf_[i] /= total;
+
+  uint64_t buckets = 1;
+  while (buckets < std::min(head, kMaxGuideBuckets)) buckets *= 2;
+  guide_.resize(buckets + 1);
+  uint64_t rank = 0;
+  for (uint64_t j = 0; j <= buckets; ++j) {
+    const double edge = static_cast<double>(j) / static_cast<double>(buckets);
+    while (rank < head && cdf_[rank] < edge) ++rank;
+    guide_[j] = static_cast<uint32_t>(rank);
+  }
 }
 
-uint64_t ZipfGenerator::Next(Random* rng) const {
-  const double u = rng->NextDouble();
-  const auto it = std::lower_bound(cdf_.begin(), cdf_.end(), u);
+uint64_t ZipfGenerator::Rank(double u) const {
+  // u lands in bucket floor(u * buckets), and u == 1 in the last one: the
+  // bucket's edges bound lower_bound(cdf_, u) from both sides.
+  const uint64_t buckets = guide_.size() - 1;
+  const uint64_t bucket = std::min(
+      static_cast<uint64_t>(u * static_cast<double>(buckets)), buckets - 1);
+  const auto first = cdf_.begin() + guide_[bucket];
+  const auto last = cdf_.begin() + guide_[bucket + 1];
+  const auto it = std::lower_bound(first, last, u);
   if (it != cdf_.end()) return static_cast<uint64_t>(it - cdf_.begin());
   const uint64_t head = cdf_.size();
   if (n_ <= head) return n_ - 1;  // the original end-of-table fallback

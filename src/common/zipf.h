@@ -21,15 +21,25 @@ namespace capd {
 // uncapped table, so the pinned goldens and bench_service_load's seeded
 // counters are unchanged. Each Next() consumes exactly one uniform double
 // from the engine in either regime.
+//
+// A guide table of up to kMaxGuideBuckets equal-width buckets over [0, 1)
+// records, for each bucket edge e, lower_bound(cdf, e). A draw u then
+// searches only its own bucket's ranks, and the result is exactly the rank
+// a lower_bound over the whole table gives.
 class ZipfGenerator {
  public:
   // Ranks materialized exactly. 2^20 doubles = 8 MiB per generator, the
   // fixed ceiling a 100M-key generator costs too.
   static constexpr uint64_t kCdfCap = 1ull << 20;
+  // A power of two, so u * buckets is exact and so is each bucket edge.
+  static constexpr uint64_t kMaxGuideBuckets = 4096;
 
   ZipfGenerator(uint64_t n, double theta);
 
-  uint64_t Next(Random* rng) const;
+  uint64_t Next(Random* rng) const { return Rank(rng->NextDouble()); }
+
+  // The rank a uniform draw u in [0, 1] maps to.
+  uint64_t Rank(double u) const;
 
   uint64_t n() const { return n_; }
   double theta() const { return theta_; }
@@ -42,6 +52,8 @@ class ZipfGenerator {
   double theta_;
   std::vector<double> cdf_;  // cumulative probabilities, size min(n, kCdfCap)
   double total_ = 0.0;       // unnormalized mass over all n ranks
+  // guide_[j] = lower_bound(cdf_, j / buckets) for j in [0, buckets].
+  std::vector<uint32_t> guide_;
 };
 
 }  // namespace capd

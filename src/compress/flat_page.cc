@@ -53,21 +53,6 @@ FlatPage FlatPage::FromRows(const std::vector<Row>& rows, const Schema& schema,
   return page;
 }
 
-FlatPage FlatPage::FromBlock(const ColumnBlock& block, const Schema& schema) {
-  CAPD_CHECK_EQ(block.num_columns(), schema.num_columns());
-  const size_t n = static_cast<size_t>(block.num_rows());
-  FlatPage page(ColumnWidths(schema), n);
-  page.arena_.clear();  // re-rendered by appending; keeps the allocation
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    const Column& col = schema.column(c);
-    for (size_t r = 0; r < n; ++r) {
-      EncodeField(block.value(c, r), col, &page.arena_);
-    }
-  }
-  CAPD_CHECK_EQ(page.arena_.size(), page.row_width_ * page.rows_);
-  return page;
-}
-
 std::vector<uint32_t> ColumnWidths(const Schema& schema) {
   std::vector<uint32_t> widths;
   widths.reserve(schema.num_columns());

@@ -17,7 +17,6 @@
 #include <string_view>
 #include <vector>
 
-#include "storage/block.h"
 #include "storage/schema.h"
 
 namespace capd {
@@ -68,10 +67,6 @@ class FlatPage {
   // one allocation regardless of row count or column widths.
   static FlatPage FromRows(const std::vector<Row>& rows, const Schema& schema,
                            size_t begin, size_t end);
-
-  // Converter from the blocked-storage scratch (PR 8's ColumnBlock): encodes
-  // the block's rows without materializing Row vectors or per-field strings.
-  static FlatPage FromBlock(const ColumnBlock& block, const Schema& schema);
 
   size_t num_rows() const { return rows_; }
   size_t num_columns() const { return widths_.size(); }

@@ -1,11 +1,13 @@
 #include "compress/page_codec.h"
 
+#include <cstdint>
 #include <cstring>
 #include <iterator>
 #include <map>
 #include <set>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "compress/null_suppression.h"
@@ -60,6 +62,59 @@ struct ColumnPlan {
   }
 };
 
+// A column's cells with their occurrence counts: open addressing over
+// FieldViews (views into the page arena) with linear probing, doubling
+// whenever it would pass half full. Nothing is allocated per cell.
+class CellCounts {
+ public:
+  // Counts one more occurrence of v; returns its count so far.
+  uint32_t Add(FieldView v) {
+    if (2 * (size_ + 1) > slots_.size()) Grow();
+    Slot& slot = Find(v);
+    if (slot.count == 0) {
+      slot.key = v;
+      ++size_;
+    }
+    return ++slot.count;
+  }
+
+  // Occurrences of v, which has been added.
+  uint32_t count(FieldView v) { return Find(v).count; }
+
+  // fn(key, count) for every distinct cell, in table order.
+  template <typename Fn>
+  void ForEach(Fn fn) const {
+    for (const Slot& slot : slots_) {
+      if (slot.count > 0) fn(slot.key, slot.count);
+    }
+  }
+
+ private:
+  struct Slot {
+    FieldView key;
+    uint32_t count = 0;  // 0 marks an empty slot
+  };
+
+  Slot& Find(FieldView v) {
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = std::hash<FieldView>()(v) & mask;; i = (i + 1) & mask) {
+      Slot& slot = slots_[i];
+      if (slot.count == 0 || slot.key == v) return slot;
+    }
+  }
+
+  void Grow() {
+    std::vector<Slot> old(slots_.empty() ? 16 : 2 * slots_.size());
+    old.swap(slots_);
+    for (const Slot& slot : old) {
+      if (slot.count > 0) Find(slot.key) = slot;
+    }
+  }
+
+  std::vector<Slot> slots_;  // size 0 or a power of two
+  size_t size_ = 0;
+};
+
 // Incremental twin of ColumnPlan for FitRows: the exact byte size of one
 // column's section over a run of rows that grows one cell at a time. With
 // A the anchor length, D the dictionary size, S the NS bytes of every
@@ -83,7 +138,7 @@ class ColumnFit {
     const bool shrunk = common < anchor_len_;
     anchor_len_ = common;
     ++cells_;
-    const uint32_t count = ++counts_[v];
+    const uint32_t count = counts_.Add(v);
     if (count == 1 && !shrunk) {
       ns_bytes_ += NsFieldSize(v.substr(anchor_len_));
     } else if (count == 2) {
@@ -93,9 +148,9 @@ class ColumnFit {
     }
     if (shrunk) {
       ns_bytes_ = 0;
-      for (const auto& entry : counts_) {
-        ns_bytes_ += NsFieldSize(entry.first.substr(anchor_len_));
-      }
+      counts_.ForEach([this](FieldView key, uint32_t) {
+        ns_bytes_ += NsFieldSize(key.substr(anchor_len_));
+      });
     }
   }
 
@@ -113,12 +168,12 @@ class ColumnFit {
     if (dict_size_ <= kOneByteCodes) return;
     if (dict_size_ == kOneByteCodes + 1) {
       // First two-byte code: lay out the dictionary order once. The new
-      // entry set is exactly the counts_ keys seen at least twice.
-      for (const auto& [key, count] : counts_) {
-        if (count >= 2) dict_.insert(dict_.end(), key);
-      }
+      // entry set is exactly the counted cells seen at least twice.
+      counts_.ForEach([this](FieldView key, uint32_t count) {
+        if (count >= 2) dict_.insert(key);
+      });
       pivot_ = std::prev(dict_.end());
-      wide_codes_ = counts_.find(*pivot_)->second;
+      wide_codes_ = counts_.count(*pivot_);
       return;
     }
     dict_.insert(v);
@@ -126,7 +181,7 @@ class ColumnFit {
       // Every entry after v moves up one id: the entry just below the old
       // pivot crosses to id 127.
       --pivot_;
-      wide_codes_ += counts_.find(*pivot_)->second;
+      wide_codes_ += counts_.count(*pivot_);
     } else {
       wide_codes_ += 2;
     }
@@ -138,7 +193,7 @@ class ColumnFit {
   uint64_t ns_bytes_ = 0;
   size_t dict_size_ = 0;
   uint64_t wide_codes_ = 0;
-  std::map<FieldView, uint32_t> counts_;
+  CellCounts counts_;
   std::set<FieldView> dict_;             // id order, once D > 127
   std::set<FieldView>::iterator pivot_;  // the entry with id 127
 };

@@ -1,10 +1,15 @@
 #include "index/index_builder.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <numeric>
+#include <string>
+#include <string_view>
 
 #include "common/logging.h"
 #include "compress/codec_factory.h"
 #include "compress/flat_page.h"
+#include "storage/encoding.h"
 
 namespace capd {
 namespace {
@@ -20,50 +25,69 @@ int64_t MixLocator(int64_t rowid) {
 
 }  // namespace
 
-std::vector<Row> IndexBuilder::MaterializeRows(const IndexDef& def) const {
+FlatPage IndexBuilder::MaterializePage(const IndexDef& def) const {
   const Schema& base = table_->schema();
-  const std::vector<std::string> stored = def.StoredColumns(base);
-  std::vector<size_t> positions;
-  positions.reserve(stored.size());
-  for (const std::string& name : stored) {
+  const Schema stored = def.StoredSchema(base);
+  std::vector<size_t> positions;  // base column of each stored non-locator
+  for (const std::string& name : def.StoredColumns(base)) {
     positions.push_back(base.ColumnIndex(name));
   }
+  const size_t num_keys = def.key_columns.size();
 
-  std::vector<Row> rows;
+  // One scan: each kept row's encoded cells go to per-column buffers in
+  // scan order, and only its key Values are kept for the sort.
+  std::vector<std::string> cells(stored.num_columns());
+  std::vector<Value> keys;  // row i's keys at [i * num_keys, (i+1) * num_keys)
   // Pre-size only when the table is already resident; for generated tables
   // the reservation would itself be the O(n) allocation we are avoiding.
-  if (table_->materialized()) rows.reserve(table_->num_rows());
+  if (table_->materialized()) {
+    for (size_t c = 0; c < cells.size(); ++c) {
+      cells[c].reserve(table_->num_rows() * stored.column(c).width);
+    }
+    keys.reserve(table_->num_rows() * num_keys);
+  }
+  uint64_t rows = 0;
   table_->ScanRows([&](uint64_t global_idx, const Row& r) {
-    // rowid stays the historical 1-based position so MixLocator emits the
-    // exact locator stream the goldens pin.
-    const int64_t rowid = static_cast<int64_t>(global_idx) + 1;
     if (def.filter.has_value() && !def.filter->Matches(r, base)) return;
-    Row projected;
-    projected.reserve(positions.size() + 1);
-    for (size_t p : positions) projected.push_back(r[p]);
-    if (!def.clustered) projected.push_back(Value::Int64(MixLocator(rowid)));
-    rows.push_back(std::move(projected));
-    CAPD_CHECK(max_materialize_rows_ == 0 ||
-               rows.size() <= max_materialize_rows_)
+    ++rows;
+    CAPD_CHECK(max_materialize_rows_ == 0 || rows <= max_materialize_rows_)
         << "index materialization exceeded its memory budget of "
         << max_materialize_rows_ << " rows (table " << table_->name() << ")";
+    for (size_t i = 0; i < positions.size(); ++i) {
+      EncodeField(r[positions[i]], stored.column(i), &cells[i]);
+    }
+    // rowid stays the historical 1-based position so MixLocator emits the
+    // exact locator stream the goldens pin.
+    if (!def.clustered) {
+      const int64_t rowid = static_cast<int64_t>(global_idx) + 1;
+      EncodeField(Value::Int64(MixLocator(rowid)),
+                  stored.column(positions.size()), &cells.back());
+    }
+    for (size_t k = 0; k < num_keys; ++k) keys.push_back(r[positions[k]]);
   });
 
-  const size_t num_keys = def.key_columns.size();
-  std::sort(rows.begin(), rows.end(), [num_keys](const Row& a, const Row& b) {
+  // std::sort makes the same comparisons and moves on the permutation as
+  // on the rows themselves, so tied rows land where a row sort put them.
+  CAPD_CHECK_LE(rows, uint64_t{UINT32_MAX}) << "table " << table_->name();
+  std::vector<uint32_t> order(rows);
+  std::iota(order.begin(), order.end(), 0u);
+  std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     for (size_t k = 0; k < num_keys; ++k) {
-      const int c = a[k].Compare(b[k]);
+      const int c = keys[a * num_keys + k].Compare(keys[b * num_keys + k]);
       if (c != 0) return c < 0;
     }
     return false;
   });
-  return rows;
-}
 
-FlatPage IndexBuilder::MaterializePage(const IndexDef& def) const {
-  const std::vector<Row> rows = MaterializeRows(def);
-  return FlatPage::FromRows(rows, def.StoredSchema(table_->schema()), 0,
-                            rows.size());
+  FlatPage page(ColumnWidths(stored), rows);
+  for (size_t c = 0; c < cells.size(); ++c) {
+    const size_t width = stored.column(c).width;
+    const std::string_view column = cells[c];
+    for (size_t i = 0; i < rows; ++i) {
+      page.SetField(i, c, column.substr(order[i] * width, width));
+    }
+  }
+  return page;
 }
 
 IndexPhysical IndexBuilder::Build(const IndexDef& def) const {

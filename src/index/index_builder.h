@@ -35,7 +35,7 @@ class IndexBuilder {
  public:
   explicit IndexBuilder(const Table& table) : table_(&table) {}
 
-  // Memory budget: CHECK-fails if MaterializeRows would retain more than
+  // Memory budget: CHECK-fails if MaterializePage would retain more than
   // this many rows (0 = unlimited). The estimation path sets it to the
   // sample size, making "peak memory is O(sample)" an enforced invariant
   // rather than a hope.
@@ -43,13 +43,11 @@ class IndexBuilder {
     max_materialize_rows_ = budget;
   }
 
-  // Filter + project + sort. Streams the table block-by-block: only the
-  // filtered+projected rows are retained, never a second copy of the base
-  // table.
-  std::vector<Row> MaterializeRows(const IndexDef& def) const;
-
-  // MaterializeRows rendered under def.StoredSchema: the page every
-  // compression variant of def's structure packs from.
+  // Filter + project + sort, rendered under def.StoredSchema: the page
+  // every compression variant of def's structure packs from. Streams the
+  // table block-by-block and keeps only the filtered rows' encoded stored
+  // cells and key Values, never a second copy of the base table; rows tied
+  // on the key keep the order a std::sort of whole rows gives them.
   FlatPage MaterializePage(const IndexDef& def) const;
 
   // Full build: returns the measured physical size.

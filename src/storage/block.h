@@ -9,8 +9,11 @@
 #define CAPD_STORAGE_BLOCK_H_
 
 #include <cstdint>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/logging.h"
 #include "storage/schema.h"
 #include "storage/value.h"
 
@@ -21,10 +24,13 @@ namespace capd {
 // generator setup.
 inline constexpr uint64_t kDefaultBlockRows = 8192;
 
-// One block of rows in columnar (struct-of-arrays) layout. Reused as a
-// scratch buffer across blocks by scanning code: Reset() keeps the per
-// column capacity so a long scan settles into zero steady-state
-// allocation churn.
+// One block of rows in columnar (struct-of-arrays) layout: each column is
+// one typed array (int64_t for INT64 and DATE, double for DOUBLE,
+// std::string for STRING). A source sizes the block with Resize and writes
+// every cell through the typed setters; RowAt is the only place a Value is
+// built. Reused as a scratch buffer across blocks by scanning code: Reset()
+// keeps every column's capacity so a long scan settles into zero
+// steady-state allocation churn.
 class ColumnBlock {
  public:
   explicit ColumnBlock(const Schema& schema);
@@ -32,28 +38,52 @@ class ColumnBlock {
   // Clears the block and pins the global index of its first row.
   void Reset(uint64_t first_row);
 
-  // Appends one row (must match the schema's column count).
-  void AppendRow(const Row& row);
+  // Sizes the block to `count` rows of zero/empty cells.
+  void Resize(uint64_t count);
+
+  // Cell setters. Each CHECKs the column, its type and the row.
+  void SetInt64(size_t c, uint64_t r, int64_t v) {  // INT64 and DATE
+    Checked(c, r, ValueType::kInt64).ints[r] = v;
+  }
+  void SetDouble(size_t c, uint64_t r, double v) {
+    Checked(c, r, ValueType::kDouble).doubles[r] = v;
+  }
+  void SetString(size_t c, uint64_t r, std::string_view v) {
+    Checked(c, r, ValueType::kString).strings[r].assign(v.data(), v.size());
+  }
 
   uint64_t first_row() const { return first_row_; }
   uint64_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return cols_.size(); }
-
-  // Value of column `c` in the block-local row `r`.
-  const Value& value(size_t c, uint64_t r) const { return cols_[c][r]; }
 
   // Reconstructs block-local row `r` into *out (cleared first). Taking a
   // scratch Row lets tight scan loops reuse one allocation.
   void RowAt(uint64_t r, Row* out) const;
 
  private:
+  struct TypedColumn {
+    ValueType type;  // DATE cells live in `ints`, like INT64 ones
+    std::vector<int64_t> ints;
+    std::vector<double> doubles;
+    std::vector<std::string> strings;
+  };
+
+  TypedColumn& Checked(size_t c, uint64_t r, ValueType type) {
+    CAPD_CHECK_LT(c, cols_.size());
+    const ValueType t = cols_[c].type;
+    CAPD_CHECK((t == ValueType::kDate ? ValueType::kInt64 : t) == type)
+        << "column " << c << " is " << ValueTypeName(t);
+    CAPD_CHECK_LT(r, num_rows_);
+    return cols_[c];
+  }
+
   uint64_t first_row_ = 0;
   uint64_t num_rows_ = 0;
-  std::vector<std::vector<Value>> cols_;  // cols_[column][row]
+  std::vector<TypedColumn> cols_;
 };
 
 // Generates the rows of one block. Implementations MUST be deterministic
-// per block — FillBlock(b, ...) always appends the identical rows for a
+// per block — FillBlock(b, ...) always writes the identical rows for a
 // given source, typically by seeding a fresh Random with
 // BlockSeed(table_seed, b) — and thread-safe for concurrent FillBlock
 // calls on distinct blocks (parallel materialization fans blocks across a
@@ -62,8 +92,9 @@ class BlockSource {
  public:
   virtual ~BlockSource() = default;
 
-  // Appends exactly `count` rows (global indices [first_row,
-  // first_row+count)) to *out, which has been Reset(first_row).
+  // Writes exactly `count` rows (global indices [first_row,
+  // first_row+count)) into *out, which has been Reset(first_row): calls
+  // out->Resize(count), then sets every cell.
   virtual void FillBlock(uint64_t block_index, uint64_t first_row,
                          uint64_t count, ColumnBlock* out) const = 0;
 };

@@ -33,43 +33,41 @@ std::string RegionName(uint64_t i) {
 // from a fresh Random seeded by BlockSeed(seed, block), so any block can be
 // produced independently (and concurrently) and always yields the same
 // bytes. The Zipf generators are shared: Next() is const and thread-safe.
+// Cells go straight into the block's typed columns, in schema order.
 class EventsSource : public BlockSource {
  public:
   EventsSource(uint64_t seed, uint64_t n_devices, uint64_t sensor_domain)
       : seed_(seed),
-        n_devices_(n_devices),
         device_zipf_(n_devices, 1.0),
-        sensor_zipf_(sensor_domain, 1.0) {}
+        sensor_zipf_(sensor_domain, 1.0) {
+    for (uint64_t i = 0; i < kNumRegions; ++i) {
+      region_names_.push_back(RegionName(i));
+    }
+  }
 
   void FillBlock(uint64_t block_index, uint64_t first_row, uint64_t count,
                  ColumnBlock* out) const override {
     Random rng(BlockSeed(seed_, block_index));
-    Row row;
-    row.reserve(8);
+    out->Resize(count);
     for (uint64_t r = 0; r < count; ++r) {
       const uint64_t global = first_row + r;
-      row.clear();
-      row.push_back(Value::Int64(static_cast<int64_t>(global) + 1));
-      row.push_back(Value::Int64(
-          static_cast<int64_t>(device_zipf_.Next(&rng)) + 1));
-      row.push_back(Value::Int64(
-          static_cast<int64_t>(sensor_zipf_.Next(&rng)) + 1));
-      row.push_back(Value::Date(rng.Uniform(kDateLo, kDateHi - 1)));
-      row.push_back(Value::Double(static_cast<double>(rng.Uniform(0, 1000))));
+      out->SetInt64(0, r, static_cast<int64_t>(global) + 1);
+      out->SetInt64(1, r, static_cast<int64_t>(device_zipf_.Next(&rng)) + 1);
+      out->SetInt64(2, r, static_cast<int64_t>(sensor_zipf_.Next(&rng)) + 1);
+      out->SetInt64(3, r, rng.Uniform(kDateLo, kDateHi - 1));
+      out->SetDouble(4, r, static_cast<double>(rng.Uniform(0, 1000)));
       // ~90% healthy readings, the rest error/warn/critical.
-      row.push_back(Value::String(
-          rng.Next(10) < 9 ? "O" : kStatuses[rng.Next(3)]));
-      row.push_back(Value::String(RegionName(rng.Next(kNumRegions))));
-      row.push_back(Value::Int64(rng.Uniform(0, 99)));
-      out->AppendRow(row);
+      out->SetString(5, r, rng.Next(10) < 9 ? "O" : kStatuses[rng.Next(3)]);
+      out->SetString(6, r, region_names_[rng.Next(kNumRegions)]);
+      out->SetInt64(7, r, rng.Uniform(0, 99));
     }
   }
 
  private:
   uint64_t seed_;
-  uint64_t n_devices_;
   ZipfGenerator device_zipf_;
   ZipfGenerator sensor_zipf_;
+  std::vector<std::string> region_names_;  // region_names_[i] = RegionName(i)
 };
 
 }  // namespace

@@ -2,6 +2,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -270,6 +271,66 @@ TEST(ZipfTest, NextConsumesExactlyOneDoubleInBothRegimes) {
       b.NextDouble();
     }
     EXPECT_EQ(a.Next(1u << 30), b.Next(1u << 30)) << "n=" << n;
+  }
+}
+
+// Reference for Rank: the constructor's CDF loop, including the analytic
+// tail mass above kCdfCap, searched with a plain lower_bound over the
+// whole table.
+std::vector<double> ReferenceZipfCdf(uint64_t n, double theta) {
+  const uint64_t head = std::min(n, ZipfGenerator::kCdfCap);
+  std::vector<double> cdf(head);
+  double total = 0.0;
+  for (uint64_t i = 0; i < head; ++i) {
+    total += 1.0 / std::pow(static_cast<double>(i + 1), theta);
+    cdf[i] = total;
+  }
+  if (n > head) {
+    const double a = static_cast<double>(head) + 0.5;
+    const double b = static_cast<double>(n) + 0.5;
+    total += theta == 1.0 ? std::log(b / a)
+                          : (std::pow(b, 1.0 - theta) -
+                             std::pow(a, 1.0 - theta)) /
+                                (1.0 - theta);
+  }
+  for (uint64_t i = 0; i < head; ++i) cdf[i] /= total;
+  return cdf;
+}
+
+TEST(ZipfTest, GuidedRankMatchesFullLowerBound) {
+  for (const uint64_t n : {uint64_t{1}, uint64_t{30}, uint64_t{7500},
+                           ZipfGenerator::kCdfCap + 5000}) {
+    for (const double theta : {1.0, 3.0}) {
+      const ZipfGenerator zipf(n, theta);
+      const std::vector<double> cdf = ReferenceZipfCdf(n, theta);
+      ASSERT_EQ(zipf.head_mass(), cdf.back()) << "n=" << n;
+      // Above kCdfCap only draws below the head mass are compared exactly:
+      // the tail path past the table is unchanged, so the others need only
+      // reach it.
+      const bool capped = n > cdf.size();
+      auto check = [&](double u) {
+        const auto it = std::lower_bound(cdf.begin(), cdf.end(), u);
+        if (capped && it == cdf.end()) {
+          ASSERT_GE(zipf.Rank(u), cdf.size()) << "n=" << n << " u=" << u;
+          return;
+        }
+        const uint64_t want =
+            it == cdf.end() ? n - 1 : static_cast<uint64_t>(it - cdf.begin());
+        ASSERT_EQ(zipf.Rank(u), want)
+            << "n=" << n << " theta=" << theta << " u=" << u;
+      };
+      // Every edge of every guide-table size (each is a power of two up to
+      // kMaxGuideBuckets), and the double just below each edge.
+      const uint64_t buckets = ZipfGenerator::kMaxGuideBuckets;
+      for (uint64_t j = 0; j <= buckets; ++j) {
+        const double edge =
+            static_cast<double>(j) / static_cast<double>(buckets);
+        check(edge);
+        if (j > 0) check(std::nextafter(edge, 0.0));
+      }
+      Random rng(n + static_cast<uint64_t>(theta));
+      for (int i = 0; i < 100000; ++i) check(rng.NextDouble());
+    }
   }
 }
 

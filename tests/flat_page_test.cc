@@ -104,18 +104,6 @@ TEST(FlatPageTest, SpanSlicesAddressSubranges) {
   }
 }
 
-TEST(FlatPageTest, FromBlockMatchesFromRows) {
-  Random rng(14);
-  const Schema schema = WideSchema();
-  const std::vector<Row> rows = RandomRows(30, 0.25, &rng);
-  ColumnBlock block(schema);
-  block.Reset(0);
-  for (const Row& r : rows) block.AppendRow(r);
-  const FlatPage from_block = FlatPage::FromBlock(block, schema);
-  const FlatPage from_rows = FlatPage::FromRows(rows, schema, 0, rows.size());
-  EXPECT_EQ(from_block, from_rows);
-}
-
 TEST(FlatPageTest, SetFieldFillsAZeroPage) {
   Random rng(15);
   const Schema schema = WideSchema();

@@ -1,10 +1,16 @@
 // Tests for index definitions and the physical index builder (ground-truth
 // sizes the estimation framework is judged against).
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/random.h"
 #include "compress/codec_factory.h"
+#include "compress/flat_page.h"
 #include "index/index_builder.h"
+#include "storage/encoding.h"
 
 namespace capd {
 namespace {
@@ -71,18 +77,49 @@ TEST(ColumnFilterTest, MatchOperators) {
   EXPECT_TRUE(f.Matches(row, t.schema()));
 }
 
-TEST(IndexBuilderTest, MaterializedRowsAreSortedByKey) {
+TEST(IndexBuilderTest, MaterializedPageIsSortedByKey) {
   const Table t = MakeTable(500);
   IndexBuilder builder(t);
-  const std::vector<Row> rows = builder.MaterializeRows(Idx({"a", "c"}));
-  ASSERT_EQ(rows.size(), 500u);
-  for (size_t i = 1; i < rows.size(); ++i) {
-    const int c = rows[i - 1][0].Compare(rows[i][0]);
+  const IndexDef def = Idx({"a", "c"});
+  const Schema stored = def.StoredSchema(t.schema());
+  const FlatPage page = builder.MaterializePage(def);
+  ASSERT_EQ(page.num_rows(), 500u);
+  ASSERT_EQ(page.num_columns(), 3u);  // a, c, locator
+  for (size_t i = 1; i < page.num_rows(); ++i) {
+    const Value a0 = DecodeField(page.field(i - 1, 0), stored.column(0));
+    const Value a1 = DecodeField(page.field(i, 0), stored.column(0));
+    const int c = a0.Compare(a1);
     EXPECT_LE(c, 0);
     if (c == 0) {
-      EXPECT_LE(rows[i - 1][1].Compare(rows[i][1]), 0);
+      EXPECT_LE(DecodeField(page.field(i - 1, 1), stored.column(1))
+                    .Compare(DecodeField(page.field(i, 1), stored.column(1))),
+                0);
     }
   }
+}
+
+// Rows tied on the key land where a std::sort of the whole projected rows
+// puts them, so the page bytes match that sort's rendering.
+TEST(IndexBuilderTest, MaterializedPageMatchesARowSort) {
+  const Table t = MakeTable(700);
+  IndexDef def = Idx({"b"});  // three distinct keys: long runs of ties
+  def.clustered = true;
+  const Schema stored = def.StoredSchema(t.schema());
+  std::vector<size_t> positions;
+  for (const std::string& name : def.StoredColumns(t.schema())) {
+    positions.push_back(t.schema().ColumnIndex(name));
+  }
+  std::vector<Row> rows;
+  for (const Row& r : t.rows()) {
+    Row projected;
+    for (size_t p : positions) projected.push_back(r[p]);
+    rows.push_back(projected);
+  }
+  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+    return a[0].Compare(b[0]) < 0;
+  });
+  EXPECT_EQ(IndexBuilder(t).MaterializePage(def),
+            FlatPage::FromRows(rows, stored, 0, rows.size()));
 }
 
 TEST(IndexBuilderTest, SecondaryCarriesRowLocator) {

@@ -68,9 +68,10 @@ class PairSource : public BlockSource {
   void FillBlock(uint64_t block_index, uint64_t first_row, uint64_t count,
                  ColumnBlock* out) const override {
     Random rng(BlockSeed(seed_, block_index));
+    out->Resize(count);
     for (uint64_t r = 0; r < count; ++r) {
-      out->AppendRow({Value::Int64(static_cast<int64_t>(first_row + r)),
-                      Value::Int64(rng.Uniform(0, 1000))});
+      out->SetInt64(0, r, static_cast<int64_t>(first_row + r));
+      out->SetInt64(1, r, rng.Uniform(0, 1000));
     }
   }
 
@@ -83,20 +84,52 @@ Schema PairSchema() {
 }
 
 TEST(BlockTest, ColumnBlockRoundTrip) {
-  const Schema schema = PairSchema();
+  const Schema schema({{"i", ValueType::kInt64, 8},
+                       {"d", ValueType::kDate, 8},
+                       {"x", ValueType::kDouble, 8},
+                       {"s", ValueType::kString, 4}});
   ColumnBlock block(schema);
   block.Reset(100);
-  block.AppendRow({Value::Int64(7), Value::Int64(8)});
-  block.AppendRow({Value::Int64(9), Value::Int64(10)});
+  block.Resize(2);
+  block.SetInt64(0, 0, 7);
+  block.SetInt64(1, 0, 18262);
+  block.SetDouble(2, 0, 1.5);
+  block.SetString(3, 0, "ab");
+  block.SetInt64(0, 1, 9);  // row 1 keeps its other cells zero/empty
   EXPECT_EQ(block.first_row(), 100u);
   EXPECT_EQ(block.num_rows(), 2u);
-  EXPECT_EQ(block.num_columns(), 2u);
-  EXPECT_EQ(block.value(1, 0).ToString(), "8");
+  EXPECT_EQ(block.num_columns(), 4u);
   Row out;
+  block.RowAt(0, &out);
+  ASSERT_EQ(out.size(), 4u);
+  EXPECT_EQ(out[0], Value::Int64(7));
+  EXPECT_EQ(out[1].type(), ValueType::kDate);
+  EXPECT_EQ(out[1], Value::Date(18262));
+  EXPECT_EQ(out[2], Value::Double(1.5));
+  EXPECT_EQ(out[3], Value::String("ab"));
   block.RowAt(1, &out);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].ToString(), "9");
-  EXPECT_EQ(out[1].ToString(), "10");
+  EXPECT_EQ(out[0], Value::Int64(9));
+  EXPECT_EQ(out[1], Value::Date(0));
+  EXPECT_EQ(out[3], Value::String(""));
+
+  // Reset then Resize leaves no cell of the previous block behind.
+  block.Reset(200);
+  EXPECT_EQ(block.num_rows(), 0u);
+  block.Resize(1);
+  block.RowAt(0, &out);
+  EXPECT_EQ(out[0], Value::Int64(0));
+  EXPECT_EQ(out[2], Value::Double(0.0));
+  EXPECT_EQ(out[3], Value::String(""));
+}
+
+TEST(BlockDeathTest, SettersCheckColumnTypeAndRow) {
+  ColumnBlock block(PairSchema());
+  block.Reset(0);
+  block.Resize(1);
+  EXPECT_DEATH(block.SetInt64(2, 0, 1), "");
+  EXPECT_DEATH(block.SetDouble(0, 0, 1.0), "is INT64");
+  EXPECT_DEATH(block.SetString(1, 0, "x"), "is INT64");
+  EXPECT_DEATH(block.SetInt64(0, 1, 1), "");
 }
 
 TEST(BlockTest, BlockSeedDecorrelatesNeighbors) {
