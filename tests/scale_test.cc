@@ -5,7 +5,7 @@
 // src/common/alloc_tracker.{h,cc} (activated for this binary by referencing
 // its accessors) — a hard assertion that drawing a sample from a
 // multi-million-row generated table allocates O(sample), not O(table), and
-// an allocation budget for a warm tuning request.
+// allocation budgets for a warm and a cold tuning request.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -278,6 +278,37 @@ TEST(AllocationGate, WarmTpchTuneStaysUnderAllocationBudget) {
   std::printf("warm tpch dtac-both tune: %llu allocations\n",
               static_cast<unsigned long long>(allocs));
   constexpr uint64_t kAllocBudget = 50000;
+  EXPECT_LE(allocs, kAllocBudget);
+}
+
+// A cold request draws the events sample and packs every compressed
+// candidate on it: its allocations count the sample draw, the index
+// renders and the PAGE fits. The Database's TableStats, which every engine
+// on it shares, are filled by a first engine's tune beforehand.
+TEST(AllocationGate, ColdScaleTuneStaysUnderAllocationBudget) {
+  workloads::WorkloadSpec spec;
+  spec.name = "scale";
+  spec.rows = 30000;
+  workloads::BuiltWorkload built;
+  std::string error;
+  ASSERT_TRUE(workloads::Build(spec, &built, &error)) << error;
+  TuningRequest request;
+  request.workload = built.workload;
+  request.strategy = "dtac-both";
+  request.budget = TuningBudget::Fraction(0.2);
+  {
+    AdvisorEngine first(*built.db);
+    ASSERT_TRUE(first.Tune(request).ok());
+  }
+
+  AdvisorEngine engine(*built.db);  // fresh samples and estimation cache
+  const uint64_t before = AllocCount();
+  const TuningResponse cold = engine.Tune(request);
+  const uint64_t allocs = AllocCount() - before;
+  ASSERT_TRUE(cold.ok()) << cold.error;
+  std::printf("cold scale dtac-both tune: %llu allocations\n",
+              static_cast<unsigned long long>(allocs));
+  constexpr uint64_t kAllocBudget = 25000;
   EXPECT_LE(allocs, kAllocBudget);
 }
 
