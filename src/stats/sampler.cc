@@ -1,6 +1,7 @@
 #include "stats/sampler.h"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 
 #include "common/logging.h"
@@ -34,20 +35,6 @@ std::unique_ptr<Table> CreateUniformSample(const Table& table, double f,
   return sample;
 }
 
-std::unique_ptr<Table> CreateFilteredSample(const Table& sample,
-                                            const ColumnFilter& filter) {
-  auto filtered = std::make_unique<Table>(sample.name() + "_flt", sample.schema());
-  const Schema& schema = sample.schema();
-  sample.ScanRows([&](uint64_t, const Row& row) {
-    if (filter.Matches(row, schema)) filtered->AddRow(row);
-  });
-  return filtered;
-}
-
-Random SampleManager::RngFor(const std::string& key) const {
-  return Random(seed_ ^ Fnv1a64(key));
-}
-
 uint64_t SampleManager::rows_scanned() const {
   std::lock_guard<std::mutex> lock(mu_);
   return rows_scanned_;
@@ -58,43 +45,28 @@ size_t SampleManager::num_samples() const {
   return samples_.size();
 }
 
-const Table& SampleManager::GetSampleLocked(const Table& table, double f) {
-  std::ostringstream key;
-  key << table.name() << "|" << f;
-  auto it = samples_.find(key.str());
+const Table& SampleManager::GetSample(const Table& table, double f) {
+  uint64_t bits;
+  std::memcpy(&bits, &f, sizeof(bits));
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = samples_.find({table.name(), bits});
   if (it == samples_.end()) {
     // Drawing the sample scans the base table once. Building under the lock
     // serializes creation, which also keeps rows_scanned_ exact.
     rows_scanned_ += table.num_rows();
-    Random rng = RngFor(key.str());
+    std::ostringstream key;
+    key << table.name() << "|" << f;
+    Random rng(seed_ ^ Fnv1a64(key.str()));
     it = samples_
-             .emplace(key.str(),
+             .emplace(std::make_pair(table.name(), bits),
                       CreateUniformSample(table, f, kMinSampleRows, &rng))
              .first;
   }
   return *it->second;
 }
 
-const Table& SampleManager::GetSample(const Table& table, double f) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return GetSampleLocked(table, f);
-}
-
 uint64_t SampleManager::SampleRows(const Table& table, double f) const {
   return UniformSampleRows(table.num_rows(), f, kMinSampleRows);
-}
-
-const Table& SampleManager::GetFilteredSample(const Table& table, double f,
-                                              const ColumnFilter& filter) {
-  std::ostringstream key;
-  key << table.name() << "|" << f << "|" << filter.ToString();
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = samples_.find(key.str());
-  if (it == samples_.end()) {
-    const Table& base = GetSampleLocked(table, f);
-    it = samples_.emplace(key.str(), CreateFilteredSample(base, filter)).first;
-  }
-  return *it->second;
 }
 
 }  // namespace capd

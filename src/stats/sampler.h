@@ -1,7 +1,7 @@
-// Uniform and filtered samples (Section 4.1 / Appendix B.1). The Sample
-// Manager amortizes the expensive part — drawing a uniform random sample —
-// by taking ONE sample per table and reusing it for every index on that
-// table; filtered samples for partial indexes are derived from it.
+// Uniform samples (Section 4.1 / Appendix B.1). The Sample Manager
+// amortizes the expensive part — drawing a uniform random sample — by
+// taking ONE sample per table and reusing it for every index on that
+// table; partial indexes filter it while they materialize.
 #ifndef CAPD_STATS_SAMPLER_H_
 #define CAPD_STATS_SAMPLER_H_
 
@@ -10,9 +10,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 
 #include "common/random.h"
-#include "index/index_def.h"
 #include "storage/table.h"
 
 namespace capd {
@@ -23,21 +23,16 @@ namespace capd {
 std::unique_ptr<Table> CreateUniformSample(const Table& table, double f,
                                            uint64_t min_rows, Random* rng);
 
-// Applies a partial-index predicate to an existing sample (Appendix B.1:
-// "SELECT * INTO SI1 FROM S_LINEITEM WHERE ...").
-std::unique_ptr<Table> CreateFilteredSample(const Table& sample,
-                                            const ColumnFilter& filter);
-
-// Caches one uniform sample per (table, f) and filtered variants on top.
-// Tracks how many base-table rows were scanned to build samples, the
-// dominant cost the paper's Section 4.1 amortizes away.
+// Caches one uniform sample per (table, exact bits of f). Tracks how many
+// base-table rows were scanned to build samples, the dominant cost the
+// paper's Section 4.1 amortizes away.
 //
 // Thread-safe: the parallel estimation engine calls GetSample from pool
-// workers. Each sample is drawn from its own RNG seeded by (seed, cache
-// key), so sample contents are independent of creation order and the
-// parallel path is bit-identical to the serial one. Returned Table
-// references stay valid for the manager's lifetime (entries are never
-// evicted).
+// workers. Each sample is drawn from its own RNG seeded by (seed, table
+// name, f printed to six significant digits), so sample contents are
+// independent of creation order and the parallel path is bit-identical to
+// the serial one. Returned Table references stay valid for the manager's
+// lifetime (entries are never evicted).
 //
 // Size-only probes: the estimator's fraction search only needs how many
 // rows each candidate fraction's sample would have, and SampleRows answers
@@ -55,10 +50,6 @@ class SampleManager {
   // GetSample(table, f).num_rows(), without drawing the sample.
   uint64_t SampleRows(const Table& table, double f) const;
 
-  // Filtered sample for a partial index (cached by filter signature).
-  const Table& GetFilteredSample(const Table& table, double f,
-                                 const ColumnFilter& filter);
-
   // Total base-table rows scanned to materialize samples so far.
   uint64_t rows_scanned() const;
   size_t num_samples() const;
@@ -68,13 +59,11 @@ class SampleManager {
   // sampled whole).
   static constexpr uint64_t kMinSampleRows = 50;
 
-  // Both require mu_ held.
-  const Table& GetSampleLocked(const Table& table, double f);
-  Random RngFor(const std::string& key) const;
-
   const uint64_t seed_;
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Table>> samples_;
+  // Keyed by (table name, bits of f).
+  std::map<std::pair<std::string, uint64_t>, std::unique_ptr<Table>>
+      samples_;
   uint64_t rows_scanned_ = 0;
 };
 

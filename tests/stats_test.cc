@@ -113,17 +113,6 @@ TEST(SamplerTest, SampleRowsComeFromTable) {
   }
 }
 
-TEST(SamplerTest, FilteredSampleAppliesPredicate) {
-  Table t("t", Schema({{"a", ValueType::kInt64, 8}}));
-  for (int i = 0; i < 1000; ++i) t.AddRow({Value::Int64(i % 100)});
-  Random rng(3);
-  auto sample = CreateUniformSample(t, 0.5, 1, &rng);
-  ColumnFilter f{"a", FilterOp::kLt, Value::Int64(10), {}};
-  auto filtered = CreateFilteredSample(*sample, f);
-  EXPECT_GT(filtered->num_rows(), 0u);
-  for (const Row& r : filtered->rows()) EXPECT_LT(r[0].AsInt64(), 10);
-}
-
 TEST(SampleManagerTest, AmortizesSampling) {
   Table t("t", Schema({{"a", ValueType::kInt64, 8}}));
   for (int i = 0; i < 5000; ++i) t.AddRow({Value::Int64(i)});
@@ -135,6 +124,22 @@ TEST(SampleManagerTest, AmortizesSampling) {
   EXPECT_EQ(mgr.rows_scanned(), scanned_once);  // no rescan
   mgr.GetSample(t, 0.05);                       // new fraction -> rescan
   EXPECT_EQ(mgr.rows_scanned(), 2 * scanned_once);
+}
+
+// Fractions that print alike to six significant digits ("0.0605") are
+// still distinct samples, each as large as SampleRows promises: 61 and 60
+// rows of 1,000.
+TEST(SampleManagerTest, NearbyFractionsAreDistinctSamples) {
+  Table t("t", Schema({{"a", ValueType::kInt64, 8}}));
+  for (int i = 0; i < 1000; ++i) t.AddRow({Value::Int64(i)});
+  SampleManager mgr(7);
+  const Table& a = mgr.GetSample(t, 0.0605);
+  const Table& b = mgr.GetSample(t, 0.06049999);
+  EXPECT_EQ(mgr.num_samples(), 2u);
+  EXPECT_EQ(a.num_rows(), 61u);
+  EXPECT_EQ(b.num_rows(), 60u);
+  EXPECT_EQ(a.num_rows(), mgr.SampleRows(t, 0.0605));
+  EXPECT_EQ(b.num_rows(), mgr.SampleRows(t, 0.06049999));
 }
 
 TEST(JoinSynopsisTest, EveryFactRowMatches) {
