@@ -28,7 +28,8 @@ int64_t MixLocator(int64_t rowid) {
 FlatPage IndexBuilder::MaterializePage(const IndexDef& def) const {
   const Schema& base = table_->schema();
   const Schema stored = def.StoredSchema(base);
-  std::vector<size_t> positions;  // base column of each stored non-locator
+  // Base positions of the stored columns, the locator excepted.
+  std::vector<size_t> positions;
   for (const std::string& name : def.StoredColumns(base)) {
     positions.push_back(base.ColumnIndex(name));
   }

@@ -46,7 +46,7 @@ size_t SampleManager::num_samples() const {
 }
 
 const Table& SampleManager::GetSample(const Table& table, double f) {
-  uint64_t bits;
+  uint64_t bits = 0;
   std::memcpy(&bits, &f, sizeof(bits));
   std::lock_guard<std::mutex> lock(mu_);
   auto it = samples_.find({table.name(), bits});

@@ -29,10 +29,10 @@ std::unique_ptr<Table> CreateUniformSample(const Table& table, double f,
 //
 // Thread-safe: the parallel estimation engine calls GetSample from pool
 // workers. Each sample is drawn from its own RNG seeded by (seed, table
-// name, f printed to six significant digits), so sample contents are
-// independent of creation order and the parallel path is bit-identical to
-// the serial one. Returned Table references stay valid for the manager's
-// lifetime (entries are never evicted).
+// name, f printed to six significant digits, the historical cache key), so
+// sample contents are independent of creation order and the parallel path
+// is bit-identical to the serial one. Returned Table references stay valid
+// for the manager's lifetime (entries are never evicted).
 //
 // Size-only probes: the estimator's fraction search only needs how many
 // rows each candidate fraction's sample would have, and SampleRows answers

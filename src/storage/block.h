@@ -62,7 +62,7 @@ class ColumnBlock {
 
  private:
   struct TypedColumn {
-    ValueType type;  // DATE cells live in `ints`, like INT64 ones
+    ValueType type = ValueType::kInt64;  // DATE cells live in `ints` too
     std::vector<int64_t> ints;
     std::vector<double> doubles;
     std::vector<std::string> strings;

@@ -33,7 +33,6 @@ std::string RegionName(uint64_t i) {
 // from a fresh Random seeded by BlockSeed(seed, block), so any block can be
 // produced independently (and concurrently) and always yields the same
 // bytes. The Zipf generators are shared: Next() is const and thread-safe.
-// Cells go straight into the block's typed columns, in schema order.
 class EventsSource : public BlockSource {
  public:
   EventsSource(uint64_t seed, uint64_t n_devices, uint64_t sensor_domain)
