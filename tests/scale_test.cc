@@ -126,10 +126,10 @@ TEST(BlockDeathTest, SettersCheckColumnTypeAndRow) {
   ColumnBlock block(PairSchema());
   block.Reset(0);
   block.Resize(1);
-  EXPECT_DEATH(block.SetInt64(2, 0, 1), "");
+  EXPECT_DEATH(block.SetInt64(2, 0, 1), "cols_.size");
   EXPECT_DEATH(block.SetDouble(0, 0, 1.0), "is INT64");
   EXPECT_DEATH(block.SetString(1, 0, "x"), "is INT64");
-  EXPECT_DEATH(block.SetInt64(0, 1, 1), "");
+  EXPECT_DEATH(block.SetInt64(0, 1, 1), "num_rows_");
 }
 
 TEST(BlockTest, BlockSeedDecorrelatesNeighbors) {
