@@ -18,6 +18,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -56,8 +57,7 @@ struct FreshRun {
 FreshRun RunOnFreshStack(const Database& db, const Workload& workload,
                          const std::string& strategy_name,
                          double budget_bytes) {
-  const std::shared_ptr<const Strategy> strategy =
-      StrategyRegistry::Global().Find(strategy_name);
+  const auto strategy = StrategyRegistry::Global().Find(strategy_name);
   EXPECT_NE(strategy, nullptr) << strategy_name;
   SampleManager samples(4242);
   MVRegistry mvs(db, &samples);
@@ -236,6 +236,62 @@ TEST_F(EngineTest, UnknownStrategyErrorsCleanly) {
       << "error should list known strategies: " << response.error;
   // The engine survives a failed resolution.
   EXPECT_TRUE(engine.Tune(MakeRequest("dtac-topk")).ok());
+}
+
+TEST_F(EngineTest, StrategyTableHoldsTheBuiltInPresets) {
+  const auto& registry = StrategyRegistry::Global();
+  const std::vector<std::string> names = {
+      "dta",         "dtac-backtrack", "dtac-bitmap",
+      "dtac-both",   "dtac-skyline",   "dtac-topk",
+      "staged:none", "staged:page",    "staged:row"};
+  EXPECT_EQ(registry.Names(), names);
+  EXPECT_EQ(registry.Find("dtac-quantum"), nullptr);
+
+  const std::map<std::string, AdvisorOptions (*)()> presets = {
+      {"dta", &AdvisorOptions::DTA},
+      {"dtac-backtrack", &AdvisorOptions::DTAcBacktrack},
+      {"dtac-bitmap", &AdvisorOptions::DTAcBitmap},
+      {"dtac-both", &AdvisorOptions::DTAcBoth},
+      {"dtac-skyline", &AdvisorOptions::DTAcSkyline},
+      {"dtac-topk", &AdvisorOptions::DTAcNone},
+      {"staged:none", &AdvisorOptions::DTAcNone},
+      {"staged:page", &AdvisorOptions::DTAcNone},
+      {"staged:row", &AdvisorOptions::DTAcNone}};
+  for (const auto& [name, preset] : presets) {
+    const auto strategy = registry.Find(name);
+    ASSERT_NE(strategy, nullptr) << name;
+    const AdvisorOptions got = strategy->MakeOptions();
+    const AdvisorOptions want = preset();
+    EXPECT_EQ(got.selection, want.selection) << name;
+    EXPECT_EQ(got.backtracking, want.backtracking) << name;
+    EXPECT_EQ(got.enable_compression, want.enable_compression) << name;
+    EXPECT_EQ(got.compression_variants, want.compression_variants) << name;
+    EXPECT_EQ(got.size_options.enable_sort_order_deduction,
+              want.size_options.enable_sort_order_deduction)
+        << name;
+  }
+
+  // A staged name runs the staged baseline with its compression kind.
+  const std::pair<const char*, CompressionKind> staged[] = {
+      {"staged:none", CompressionKind::kNone},
+      {"staged:row", CompressionKind::kRow},
+      {"staged:page", CompressionKind::kPage}};
+  for (const auto& [name, kind] : staged) {
+    const FreshRun via_table =
+        RunOnFreshStack(*built_.db, built_.workload, name, BudgetBytes());
+    SampleManager samples(4242);
+    MVRegistry mvs(*built_.db, &samples);
+    WhatIfOptimizer optimizer(*built_.db, CostModelParams{});
+    optimizer.set_mv_matcher(&mvs);
+    const AdvisorOptions options = AdvisorOptions::DTAcNone();
+    SizeEstimator estimator(*built_.db, &mvs, ErrorModel(),
+                            options.size_options);
+    Advisor advisor(*built_.db, optimizer, &estimator, &mvs, options);
+    SCOPED_TRACE(name);
+    ExpectBitIdentical(
+        advisor.TuneStagedBaseline(built_.workload, BudgetBytes(), kind),
+        via_table.result);
+  }
 }
 
 TEST_F(EngineTest, InvalidBudgetErrors) {
