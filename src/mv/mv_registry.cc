@@ -1,6 +1,7 @@
 #include "mv/mv_registry.h"
 
 #include <algorithm>
+#include <cstring>
 #include <set>
 #include <sstream>
 
@@ -29,6 +30,14 @@ bool SameColumnSet(const std::vector<std::string>& a,
          std::set<std::string>(b.begin(), b.end());
 }
 
+// The exact bits of f: fractions that merely print alike never share a
+// synopsis or an MV sample.
+uint64_t FractionBits(double f) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &f, sizeof(bits));
+  return bits;
+}
+
 }  // namespace
 
 void MVRegistry::Register(MVDef def) {
@@ -55,9 +64,8 @@ const Table& MVRegistry::Synopsis(const std::string& fact, double f) {
 }
 
 const Table& MVRegistry::SynopsisLocked(const std::string& fact, double f) {
-  std::ostringstream key;
-  key << fact << "|" << f;
-  auto it = synopses_.find(key.str());
+  const std::pair<std::string, uint64_t> key(fact, FractionBits(f));
+  auto it = synopses_.find(key);
   if (it == synopses_.end()) {
     // Collect every FK edge from this fact table so one synopsis serves all
     // MVs over it.
@@ -65,10 +73,14 @@ const Table& MVRegistry::SynopsisLocked(const std::string& fact, double f) {
     std::vector<const Table*> dims;
     dims.reserve(edges.size());
     for (const ForeignKey& e : edges) dims.push_back(&db_->table(e.dim_table));
-    Random rng(synopsis_seed_ ^ std::hash<std::string>{}(key.str()));
+    // Seeded from fact and f printed to six significant digits (the
+    // historical cache key), so every synopsis keeps its rows.
+    std::ostringstream printed;
+    printed << fact << "|" << f;
+    Random rng(synopsis_seed_ ^ std::hash<std::string>{}(printed.str()));
     it = synopses_
-             .emplace(key.str(), BuildJoinSynopsis(db_->table(fact), dims,
-                                                   edges, f, &rng))
+             .emplace(key, BuildJoinSynopsis(db_->table(fact), dims, edges, f,
+                                             &rng))
              .first;
   }
   return *it->second;
@@ -79,14 +91,12 @@ const Table& MVRegistry::Sample(const std::string& object, double f) {
   // Base tables bypass mu_ entirely: the SampleManager has its own lock,
   // and holding ours here would serialize all base-table sampling too.
   if (def == nullptr) return table_source_.Sample(object, f);
-  std::ostringstream key;
-  key << object << "|" << f;
+  const std::pair<std::string, uint64_t> key(object, FractionBits(f));
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = mv_samples_.find(key.str());
+  auto it = mv_samples_.find(key);
   if (it == mv_samples_.end()) {
     const Table& synopsis = SynopsisLocked(def->fact_table, f);
-    it = mv_samples_.emplace(key.str(), AggregateRows(synopsis, *def, *db_))
-             .first;
+    it = mv_samples_.emplace(key, AggregateRows(synopsis, *def, *db_)).first;
   }
   return *it->second;
 }

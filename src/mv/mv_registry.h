@@ -9,10 +9,12 @@
 #ifndef CAPD_MV_MV_REGISTRY_H_
 #define CAPD_MV_MV_REGISTRY_H_
 
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "estimator/sample_cf.h"
@@ -74,12 +76,16 @@ class MVRegistry : public SampleSource, public MVMatcher {
   std::map<std::string, MVDef> defs_;    // mutated only by Register (setup)
   std::map<std::string, Schema> schemas_;  // mv name; Register-time only
   // Caches below are filled lazily, possibly from pool workers during
-  // parallel estimation: mu_ guards them. Synopses and MV samples are
-  // seeded per cache key, so contents are independent of creation order.
+  // parallel estimation: mu_ guards them. Synopses are seeded per (fact
+  // table, f) and MV samples aggregate them, so contents are independent
+  // of creation order.
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<Table>> synopses_;    // fact|f
-  std::map<std::string, std::unique_ptr<Table>> mv_samples_;  // mv|f
-  std::map<std::string, double> tuple_estimates_;             // mv name
+  // Keyed by (fact table, bits of f) and (mv name, bits of f).
+  std::map<std::pair<std::string, uint64_t>, std::unique_ptr<Table>>
+      synopses_;
+  std::map<std::pair<std::string, uint64_t>, std::unique_ptr<Table>>
+      mv_samples_;
+  std::map<std::string, double> tuple_estimates_;  // mv name
   uint64_t synopsis_seed_ = 0x5eed;
 };
 

@@ -1,6 +1,8 @@
 // Tests for materialized views: materialization, MV samples from join
 // synopses, Adaptive-Estimator tuple counts (Appendix B), and MV matching.
 #include <cmath>
+#include <cstdint>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -208,6 +210,38 @@ TEST_F(MVTest, FullTuplesCachesAEEstimate) {
   const double b = registry_->FullTuples("mv_ship");
   EXPECT_DOUBLE_EQ(a, b);
   EXPECT_GT(a, 0.0);
+}
+
+TEST(MVSampleKeyTest, NearbyFractionsAreDistinctSamples) {
+  // 0.0605 and 0.06049999 print alike to six significant digits, but on a
+  // 1,000-row fact table their samples have 61 and 60 rows. Each MV sample
+  // aggregates its own fraction's synopsis, so its count column sums to
+  // that fraction's sample size.
+  Database db;
+  tpch::Options opt;
+  opt.lineitem_rows = 1000;
+  tpch::Build(&db, opt);
+  SampleManager samples(555);
+  MVRegistry registry(db, &samples);
+  MVDef def;
+  def.name = "mv_ship";
+  def.fact_table = "lineitem";
+  def.group_by = {"l_shipdate"};
+  def.aggregates = {{"l_extendedprice", "SUM"}};
+  registry.Register(def);
+
+  const std::vector<double> fractions = {0.0605, 0.06049999};
+  std::vector<int64_t> sums;
+  for (const double f : fractions) {
+    const Table& mv_sample = registry.Sample("mv_ship", f);
+    const size_t cpos = mv_sample.schema().ColumnIndex(kMVCountColumn);
+    int64_t total = 0;
+    for (const Row& r : mv_sample.rows()) total += r[cpos].AsInt64();
+    sums.push_back(total);
+  }
+  EXPECT_EQ(registry.Sample("lineitem", fractions[0]).num_rows(), 61u);
+  EXPECT_EQ(registry.Sample("lineitem", fractions[1]).num_rows(), 60u);
+  EXPECT_EQ(sums, (std::vector<int64_t>{61, 60}));
 }
 
 }  // namespace
