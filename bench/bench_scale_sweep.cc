@@ -11,7 +11,6 @@
 
 #include "bench/bench_common.h"
 #include "common/alloc_tracker.h"
-#include "common/thread_pool.h"
 #include "workloads/scale.h"
 
 namespace capd {
@@ -120,28 +119,6 @@ void Run(BenchContext& ctx) {
   for (uint64_t n = 10000; n < ctx.flags.rows; n *= 10) scales.push_back(n);
   scales.push_back(ctx.flags.rows);
   for (const uint64_t n : scales) RunScalePoint(ctx, n);
-
-  // Parallel materialization exercise at the smallest scale: blocked ->
-  // row-vector conversion fanned across a pool, bit-identical at any
-  // thread count (asserted in tests/scale_test.cc; timed here).
-  {
-    workloads::WorkloadSpec spec;
-    spec.name = "scale";
-    spec.rows = scales.front();
-    spec.seed = ctx.flags.seed;
-    Stack s = MakeStack(std::move(spec));
-    ThreadPool pool(ctx.flags.threads);
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::unique_ptr<Table> materialized =
-        s.db->table("events").Materialize(&pool);
-    const double ms = Millis(t0, std::chrono::steady_clock::now());
-    ctx.report.AddCounter("materialized_rows" + RowsKey(scales.front()),
-                          materialized->num_rows());
-    ctx.report.AddTimeMs("materialize_ms" + RowsKey(scales.front()), ms);
-    std::printf("\nmaterialize %llu rows (pool of %d): %.1f ms\n",
-                static_cast<unsigned long long>(materialized->num_rows()),
-                pool.size(), ms);
-  }
 
   std::printf("\nShape: sampled/deduced counts, scanned sample rows and "
               "est_pages stay ~flat while rows grow 1000x — estimation cost "

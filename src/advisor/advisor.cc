@@ -209,7 +209,7 @@ std::vector<IndexDef> Advisor::SelectCandidates(
     if (options_.selection == CandidateSelectionMode::kTopK) {
       std::sort(entries.begin(), entries.end(),
                 [](const Entry& a, const Entry& b) { return a.cost < b.cost; });
-      const size_t k = std::min<size_t>(options_.top_k, entries.size());
+      const size_t k = std::min(kTopK, entries.size());
       for (size_t i = 0; i < k; ++i) keep(entries[i].c);
     } else {
       // Skyline of (bytes, cost): keep entries no other entry dominates
@@ -504,19 +504,17 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
   }
 
   // 4. Index merging over the selected pool.
-  if (options_.enable_merging) {
-    std::vector<IndexDef> merged = generator.MergeCandidates(selected);
-    if (!merged.empty()) {
-      t0 = Clock::now();
-      const std::map<std::string, PhysicalIndexEstimate> merged_sizes =
-          EstimateSizes(merged, &result);
-      result.estimation_ms += millis_since(t0);
-      // A cancel inside the merged batch leaves merged_sizes short; merged
-      // candidates are only admitted when every one of them was sized.
-      if (!CancelRequested()) {
-        for (const IndexDef& def : merged) selected.push_back(def);
-        for (const auto& [sig, est] : merged_sizes) sizes[sig] = est;
-      }
+  const std::vector<IndexDef> merged = generator.MergeCandidates(selected);
+  if (!merged.empty()) {
+    t0 = Clock::now();
+    const std::map<std::string, PhysicalIndexEstimate> merged_sizes =
+        EstimateSizes(merged, &result);
+    result.estimation_ms += millis_since(t0);
+    // A cancel inside the merged batch leaves merged_sizes short; merged
+    // candidates are only admitted when every one of them was sized.
+    if (!CancelRequested()) {
+      for (const IndexDef& def : merged) selected.push_back(def);
+      for (const auto& [sig, est] : merged_sizes) sizes[sig] = est;
     }
   }
   result.num_candidates = selected.size();

@@ -5,6 +5,7 @@
 #define CAPD_ADVISOR_ADVISOR_OPTIONS_H_
 
 #include <atomic>
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -34,6 +35,9 @@ enum class CandidateSelectionMode {
   kSkyline,  // full size/cost skyline (Section 6.1)
 };
 
+// Candidates kTopK keeps per query.
+inline constexpr size_t kTopK = 2;
+
 enum class EnumerationMode {
   kGreedy,        // pure benefit greedy
   kDensityGreedy  // benefit/size greedy (Figure 7)
@@ -45,7 +49,6 @@ struct AdvisorOptions {
       CompressionKind::kRow, CompressionKind::kPage};
 
   CandidateSelectionMode selection = CandidateSelectionMode::kSkyline;
-  int top_k = 2;
 
   EnumerationMode enumeration = EnumerationMode::kGreedy;
   bool backtracking = true;  // Section 6.2 oversize recovery
@@ -80,16 +83,8 @@ struct AdvisorOptions {
   // production paths; see src/service/fault_injector.h.
   std::function<void(const std::string& phase)> fault_hook;
 
-  // Leading-key distinct-count ceiling for BITMAP candidate variants:
-  // columns above it never get a bitmap candidate (per-value bitmaps would
-  // outnumber their payoff). Only consulted when compression_variants
-  // contains kBitmap.
-  uint64_t bitmap_max_leading_distinct = 64;
-
-  bool enable_clustered = true;
   bool enable_partial = false;  // partial-index candidates
   bool enable_mv = false;       // MV + MV-index candidates
-  bool enable_merging = true;   // index merging [8]
 
   // Size-estimation knobs (Section 5 framework). Noteworthy fields:
   //   size_options.pool — parallel batch estimation: independent SampleCF

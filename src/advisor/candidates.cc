@@ -60,9 +60,7 @@ void CandidateGenerator::GenerateForTable(const SelectQuery& q,
     if (pred_cols.size() > 1) make({pred_cols[0]}, {}, false);
     // Clustered candidate on the most selective predicate column (fact
     // tables only — the root of the query).
-    if (options_->enable_clustered && table == q.table) {
-      make({pred_cols[0]}, {}, true);
-    }
+    if (table == q.table) make({pred_cols[0]}, {}, true);
   }
 
   // Group/order driven index with covering includes.
@@ -177,7 +175,7 @@ bool CandidateGenerator::BitmapEligible(const IndexDef& def) const {
   if (!db_->HasTable(def.object)) return false;
   const ColumnStats& cs =
       db_->stats(def.object).column(def.key_columns.front());
-  return cs.distinct <= options_->bitmap_max_leading_distinct;
+  return cs.distinct <= kBitmapMaxLeadingDistinct;
 }
 
 std::vector<IndexDef> CandidateGenerator::MergeCandidates(

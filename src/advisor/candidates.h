@@ -5,6 +5,7 @@
 #ifndef CAPD_ADVISOR_CANDIDATES_H_
 #define CAPD_ADVISOR_CANDIDATES_H_
 
+#include <cstdint>
 #include <optional>
 #include <string>
 #include <vector>
@@ -15,6 +16,11 @@
 #include "query/query.h"
 
 namespace capd {
+
+// Leading-key distinct-count ceiling for BITMAP candidate variants: columns
+// above it never get a bitmap candidate (per-value bitmaps would outnumber
+// their payoff).
+inline constexpr uint64_t kBitmapMaxLeadingDistinct = 64;
 
 class CandidateGenerator {
  public:

@@ -37,14 +37,6 @@ std::vector<ForeignKey> Database::ForeignKeysFrom(
   return out;
 }
 
-const ForeignKey* Database::FindForeignKey(const std::string& fact,
-                                           const std::string& fk_column) const {
-  for (const ForeignKey& fk : fks_) {
-    if (fk.fact_table == fact && fk.fk_column == fk_column) return &fk;
-  }
-  return nullptr;
-}
-
 const TableStats& Database::stats(const std::string& table_name) const {
   // Map nodes never move, so the returned reference outlives the lock.
   std::lock_guard<std::mutex> lock(stats_mu_);

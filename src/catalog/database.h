@@ -34,9 +34,6 @@ class Database {
   const std::vector<ForeignKey>& foreign_keys() const { return fks_; }
   // FK edges whose fact side is `fact`.
   std::vector<ForeignKey> ForeignKeysFrom(const std::string& fact) const;
-  // The edge fact.fk_column -> some dimension, if declared.
-  const ForeignKey* FindForeignKey(const std::string& fact,
-                                   const std::string& fk_column) const;
 
   // Stats are computed on first use and cached per table; safe to call
   // from concurrent threads.

@@ -16,8 +16,7 @@ AdvisorEngine::AdvisorEngine(const Database& db, EngineOptions options)
       samples_(options_.sample_seed),
       mvs_(db, &samples_),
       optimizer_(db, CostModelParams{}),
-      estimation_cache_(std::make_shared<EstimationCache>(
-          options_.estimation_cache_capacity_bytes)) {
+      estimation_cache_(std::make_shared<EstimationCache>()) {
   optimizer_.set_mv_matcher(&mvs_);
 }
 
@@ -35,8 +34,7 @@ TuningResponse AdvisorEngine::Tune(const TuningRequest& request) {
   TuningResponse response;
   response.strategy = request.strategy;
 
-  const std::shared_ptr<const Strategy> strategy =
-      StrategyRegistry::Global().Find(request.strategy);
+  const Strategy* strategy = StrategyRegistry::Global().Find(request.strategy);
   if (strategy == nullptr) {
     response.status = TuningResponse::Status::kError;
     response.error =
@@ -78,8 +76,6 @@ TuningResponse AdvisorEngine::Tune(const TuningRequest& request) {
   options.pool = PoolFor(search_threads);
   options.size_options.pool = PoolFor(estimation_threads);
   options.size_options.cache = estimation_cache_;
-  options.cost_cache =
-      request.cost_cache >= 0 ? request.cost_cache != 0 : options_.cost_cache;
   if (request.enable_mv >= 0) options.enable_mv = request.enable_mv != 0;
   if (request.enable_partial >= 0) {
     options.enable_partial = request.enable_partial != 0;
@@ -149,10 +145,6 @@ AdvisorResult AdvisorEngine::TuneWithOptions(const Workload& workload,
   SizeEstimator estimator(*db_, scope.mvs, ErrorModel(), options.size_options);
   Advisor advisor(*db_, *scope.optimizer, &estimator, scope.mvs, options);
   return advisor.Tune(workload, budget_bytes);
-}
-
-std::vector<std::string> AdvisorEngine::Strategies() const {
-  return StrategyRegistry::Global().Names();
 }
 
 }  // namespace capd

@@ -60,15 +60,6 @@ struct EngineOptions {
   // Seed of the engine-owned SampleManager. Samples are seeded per cache
   // key, so any fixed seed gives run-to-run reproducibility.
   uint64_t sample_seed = 4242;
-
-  // Memory bound of the cross-request estimation cache, through which
-  // every request's SampleCF leaves flow: indexes priced by one request
-  // are not re-sampled by the next. 0 = unbounded.
-  size_t estimation_cache_capacity_bytes = 0;
-
-  // Default for TuningRequest::cost_cache (the per-request sharded
-  // statement cost cache).
-  bool cost_cache = true;
 };
 
 // Cooperative cancellation handle. Copies share the flag: keep one, put
@@ -114,7 +105,7 @@ struct TuningBudget {
 struct TuningRequest {
   Workload workload;
   // Strategy name resolved via StrategyRegistry::Global(); unknown names
-  // yield a kError response listing the registered names.
+  // yield a kError response listing the built-in names.
   std::string strategy = "dtac-both";
   TuningBudget budget;  // default: 20% of base data
 
@@ -123,7 +114,6 @@ struct TuningRequest {
   // fails with kError.
   int search_threads = -1;
   int estimation_threads = -1;
-  int cost_cache = -1;  // -1 = engine default, 0 = off, 1 = on
   // Candidate-class toggles overlaying the strategy's base options
   // (-1 = strategy default, 0 = off, 1 = on). MV-enabled requests tune
   // against a request-private MV registry, so their workload-derived view
@@ -191,7 +181,7 @@ class AdvisorEngine {
   // the engine-owned stack. The options are used exactly as given: their
   // pools (null = serial) and their estimation cache (null = none), not
   // the engine's. Callers borrow engine pools through PoolFor. Benches use
-  // this for ablation variants no registered strategy covers.
+  // this for ablation variants no built-in strategy covers.
   AdvisorResult TuneWithOptions(const Workload& workload, double budget_bytes,
                                 const AdvisorOptions& options);
 
@@ -200,9 +190,6 @@ class AdvisorEngine {
   // for that count; null when threads == 1 (serial). Thread-safe. The
   // count must not exceed kMaxTuningThreads.
   ThreadPool* PoolFor(int threads);
-
-  // Registered strategy names (convenience passthrough, sorted).
-  std::vector<std::string> Strategies() const;
 
   const Database& db() const { return *db_; }
   SampleManager* samples() { return &samples_; }

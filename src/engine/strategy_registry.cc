@@ -3,115 +3,61 @@
 #include <utility>
 
 namespace capd {
-namespace {
 
-// Plain Advisor::Tune under a preset's options.
-class TuneStrategy : public Strategy {
- public:
-  TuneStrategy(std::string description, AdvisorOptions (*preset)())
-      : description_(std::move(description)), preset_(preset) {}
-
-  std::string description() const override { return description_; }
-  AdvisorOptions MakeOptions() const override { return preset_(); }
-  AdvisorResult Run(Advisor* advisor, const Workload& workload,
-                    double budget_bytes) const override {
-    return advisor->Tune(workload, budget_bytes);
-  }
-
- private:
-  const std::string description_;
-  AdvisorOptions (*preset_)();
-};
-
-// The naive staged baseline of Example 1/2: tune without compression, then
-// compress every chosen index with `kind`. Base options mirror the
-// golden-report harness (DTAcNone) so "staged:page" reproduces the pinned
-// staged reports.
-class StagedStrategy : public Strategy {
- public:
-  explicit StagedStrategy(CompressionKind kind) : kind_(kind) {}
-
-  std::string description() const override {
-    return std::string("staged baseline: tune uncompressed, then apply ") +
-           CompressionKindName(kind_) + " to every chosen index";
-  }
-  AdvisorOptions MakeOptions() const override {
-    return AdvisorOptions::DTAcNone();
-  }
-  AdvisorResult Run(Advisor* advisor, const Workload& workload,
-                    double budget_bytes) const override {
-    return advisor->TuneStagedBaseline(workload, budget_bytes, kind_);
-  }
-
- private:
-  const CompressionKind kind_;
-};
-
-void RegisterBuiltins(StrategyRegistry* registry) {
-  registry->Register(
-      "dta", std::make_shared<TuneStrategy>(
-                 "classic DTA: top-k selection, no compressed variants",
-                 &AdvisorOptions::DTA));
-  registry->Register(
-      "dtac-topk",
-      std::make_shared<TuneStrategy>(
-          "DTAc with per-query top-k candidate selection",
-          &AdvisorOptions::DTAcNone));
-  registry->Register(
-      "dtac-skyline",
-      std::make_shared<TuneStrategy>(
-          "DTAc with size/cost skyline candidate selection (Section 6.1)",
-          &AdvisorOptions::DTAcSkyline));
-  registry->Register(
-      "dtac-backtrack",
-      std::make_shared<TuneStrategy>(
-          "DTAc with top-k selection + backtracking enumeration "
-          "(Section 6.2)",
-          &AdvisorOptions::DTAcBacktrack));
-  registry->Register(
-      "dtac-both", std::make_shared<TuneStrategy>(
-                       "full DTAc: skyline selection + backtracking",
-                       &AdvisorOptions::DTAcBoth));
-  registry->Register(
-      "dtac-bitmap",
-      std::make_shared<TuneStrategy>(
-          "DTAc + succinct BITMAP variants (low-distinct leading keys) "
-          "with sort-order size deduction",
-          &AdvisorOptions::DTAcBitmap));
-  registry->Register("staged:none", std::make_shared<StagedStrategy>(
-                                        CompressionKind::kNone));
-  registry->Register("staged:row", std::make_shared<StagedStrategy>(
-                                       CompressionKind::kRow));
-  registry->Register("staged:page", std::make_shared<StagedStrategy>(
-                                        CompressionKind::kPage));
+AdvisorResult Strategy::Run(Advisor* advisor, const Workload& workload,
+                            double budget_bytes) const {
+  if (!staged_kind_) return advisor->Tune(workload, budget_bytes);
+  return advisor->TuneStagedBaseline(workload, budget_bytes, *staged_kind_);
 }
 
-}  // namespace
+StrategyRegistry::StrategyRegistry() {
+  auto add = [this](const char* name, Strategy strategy) {
+    strategies_.emplace(name, std::move(strategy));
+  };
+  add("dta", Strategy("classic DTA: top-k selection, no compressed variants",
+                      &AdvisorOptions::DTA));
+  add("dtac-topk", Strategy("DTAc with per-query top-k candidate selection",
+                            &AdvisorOptions::DTAcNone));
+  add("dtac-skyline",
+      Strategy("DTAc with size/cost skyline candidate selection (Section 6.1)",
+               &AdvisorOptions::DTAcSkyline));
+  add("dtac-backtrack",
+      Strategy("DTAc with top-k selection + backtracking enumeration "
+               "(Section 6.2)",
+               &AdvisorOptions::DTAcBacktrack));
+  add("dtac-both", Strategy("full DTAc: skyline selection + backtracking",
+                            &AdvisorOptions::DTAcBoth));
+  add("dtac-bitmap",
+      Strategy("DTAc + succinct BITMAP variants (low-distinct leading keys) "
+               "with sort-order size deduction",
+               &AdvisorOptions::DTAcBitmap));
+  // The naive staged baseline of Example 1/2: tune without compression,
+  // then compress every chosen index with one kind. Base options mirror the
+  // golden-report harness (DTAcNone) so "staged:page" reproduces the pinned
+  // staged reports.
+  const std::pair<const char*, CompressionKind> staged[] = {
+      {"staged:none", CompressionKind::kNone},
+      {"staged:row", CompressionKind::kRow},
+      {"staged:page", CompressionKind::kPage}};
+  for (const auto& [name, kind] : staged) {
+    add(name, Strategy(std::string("staged baseline: tune uncompressed, then "
+                                   "apply ") +
+                           CompressionKindName(kind) + " to every chosen index",
+                       &AdvisorOptions::DTAcNone, kind));
+  }
+}
 
-StrategyRegistry& StrategyRegistry::Global() {
-  static StrategyRegistry* registry = [] {
-    auto* r = new StrategyRegistry();
-    RegisterBuiltins(r);
-    return r;
-  }();
+const StrategyRegistry& StrategyRegistry::Global() {
+  static const StrategyRegistry* const registry = new StrategyRegistry();
   return *registry;
 }
 
-void StrategyRegistry::Register(const std::string& name,
-                                std::shared_ptr<const Strategy> strategy) {
-  std::lock_guard<std::mutex> lock(mu_);
-  strategies_[name] = std::move(strategy);
-}
-
-std::shared_ptr<const Strategy> StrategyRegistry::Find(
-    const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mu_);
+const Strategy* StrategyRegistry::Find(const std::string& name) const {
   const auto it = strategies_.find(name);
-  return it == strategies_.end() ? nullptr : it->second;
+  return it == strategies_.end() ? nullptr : &it->second;
 }
 
 std::vector<std::string> StrategyRegistry::Names() const {
-  std::lock_guard<std::mutex> lock(mu_);
   std::vector<std::string> names;
   names.reserve(strategies_.size());
   for (const auto& [name, strategy] : strategies_) names.push_back(name);

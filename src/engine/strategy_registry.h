@@ -1,12 +1,11 @@
-// String-keyed tuning strategies: the AdvisorEngine resolves
-// TuningRequest::strategy here, and embedders can register their own
-// variants next to the built-ins. Built-in names (registered before the
-// first lookup):
+// The built-in tuning strategies, by name: the AdvisorEngine resolves
+// TuningRequest::strategy here. The table is fixed at compile time:
 //   "dta"            classic DTA, no compression
 //   "dtac-topk"      DTAc, per-query top-k selection
 //   "dtac-skyline"   DTAc, size/cost skyline selection
 //   "dtac-backtrack" DTAc, top-k + Section 6.2 backtracking
 //   "dtac-both"      DTAc, skyline + backtracking (the full tool)
+//   "dtac-bitmap"    dtac-both + BITMAP variants and sort-order deduction
 //   "staged:none"    naive staged baseline (Example 1/2), kind = NONE
 //   "staged:row"     staged baseline, compress chosen indexes with ROW
 //   "staged:page"    staged baseline, compress chosen indexes with PAGE
@@ -14,43 +13,47 @@
 #define CAPD_ENGINE_STRATEGY_REGISTRY_H_
 
 #include <map>
-#include <memory>
-#include <mutex>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "advisor/advisor.h"
 
 namespace capd {
 
-// One tuning strategy: base advisor options (the engine overlays request
-// knobs: threads, caches, cancellation) plus the run itself. Implementations
-// must be stateless/thread-safe — one instance serves concurrent requests.
+// One tuning strategy: a preset's AdvisorOptions (the engine overlays
+// request knobs: threads, caches, cancellation) plus the run itself, either
+// Advisor::Tune or the staged baseline with a fixed compression kind.
+// Immutable, so one instance serves concurrent requests.
 class Strategy {
  public:
-  virtual ~Strategy() = default;
+  Strategy(std::string description, AdvisorOptions (*preset)(),
+           std::optional<CompressionKind> staged_kind = std::nullopt)
+      : description_(std::move(description)),
+        preset_(preset),
+        staged_kind_(staged_kind) {}
 
-  virtual std::string description() const = 0;
-  // Base AdvisorOptions of this strategy (a preset, typically).
-  virtual AdvisorOptions MakeOptions() const = 0;
+  const std::string& description() const { return description_; }
+  AdvisorOptions MakeOptions() const { return preset_(); }
   // Executes the strategy on an advisor already wired with MakeOptions()
   // (plus engine overlays).
-  virtual AdvisorResult Run(Advisor* advisor, const Workload& workload,
-                            double budget_bytes) const = 0;
+  AdvisorResult Run(Advisor* advisor, const Workload& workload,
+                    double budget_bytes) const;
+
+ private:
+  std::string description_;
+  AdvisorOptions (*preset_)();
+  std::optional<CompressionKind> staged_kind_;
 };
 
-// Thread-safe name -> Strategy map. Process-global: built-ins are
-// registered on first access to Global().
+// Name -> Strategy for the built-ins, built on first access to Global().
 class StrategyRegistry {
  public:
-  static StrategyRegistry& Global();
-
-  // Registering an existing name replaces it (latest wins).
-  void Register(const std::string& name,
-                std::shared_ptr<const Strategy> strategy);
+  static const StrategyRegistry& Global();
 
   // Null when unknown.
-  std::shared_ptr<const Strategy> Find(const std::string& name) const;
+  const Strategy* Find(const std::string& name) const;
 
   std::vector<std::string> Names() const;  // sorted
 
@@ -58,10 +61,9 @@ class StrategyRegistry {
   std::string UnknownStrategyMessage(const std::string& name) const;
 
  private:
-  StrategyRegistry() = default;
+  StrategyRegistry();
 
-  mutable std::mutex mu_;
-  std::map<std::string, std::shared_ptr<const Strategy>> strategies_;
+  std::map<std::string, Strategy> strategies_;
 };
 
 }  // namespace capd

@@ -10,25 +10,6 @@
 
 namespace capd {
 
-double LocatorReductionPerTuple(double n) {
-  if (n <= 0) return 0.0;
-  // Locator i in 1..n encodes as zigzag(i) = 2i, big-endian in 8 bytes.
-  // NS saves (leading_zero_bytes - 1) bytes per field. Values needing b
-  // payload bytes are those with 2i < 256^b, i.e. i < 256^b / 2.
-  double total_saved = 0.0;
-  double prev_cap = 0.0;
-  for (int b = 1; b <= 8; ++b) {
-    const double cap = std::min(n, std::pow(256.0, b) / 2.0 - 1.0);
-    if (cap <= prev_cap) continue;
-    const double count = cap - prev_cap;
-    const double saved = 8.0 - b - 1.0;  // lz-1 where lz = 8-b
-    total_saved += count * std::max(0.0, saved);
-    prev_cap = cap;
-    if (cap >= n) break;
-  }
-  return total_saved / n;
-}
-
 double DeductionEngine::EstimateDistinct(
     const std::string& object, const std::vector<std::string>& cols) const {
   std::ostringstream key;

@@ -9,10 +9,11 @@
 //     L(I,y) = N / |prefix-of-y ∪ y| (cardinalities estimated from the
 //     shared sample via the Adaptive Estimator).
 // Two engineering details documented here because the paper glosses them:
-// (1) non-clustered children each carry a row locator whose reduction would
-//     be double-counted; we subtract the analytically-known locator
-//     reduction (a-1) times. (2) multi-column children scale by a width-
-//     weighted mean of per-column F ratios.
+// (1) every compressed format drops the per-row slot overhead, so each of
+//     the a children's reductions includes that saving; DeduceColExt
+//     subtracts it (a-1) times. Row locators are high-entropy page:slot
+//     pointers that save ~nothing, so they need no correction. (2) multi-
+//     column children scale by a width-weighted mean of per-column F ratios.
 #ifndef CAPD_ESTIMATOR_DEDUCTION_H_
 #define CAPD_ESTIMATOR_DEDUCTION_H_
 
@@ -40,20 +41,11 @@ struct KnownSize {
   double tuples = 0.0;
 };
 
-// Average NS bytes saved per row-locator field when locator values are
-// 1..n (zigzag big-endian with a 1-byte NS header).
-double LocatorReductionPerTuple(double n);
-
 class DeductionEngine {
  public:
   // `f` is the sampling fraction used for cardinality estimates.
   DeductionEngine(const Database& db, SampleSource* source, double f)
       : db_(&db), source_(source), f_(f) {}
-
-  // ColSet: the donor has the same stored column set and compression.
-  double DeduceColSet(const KnownSize& donor) const {
-    return donor.compressed_bytes;
-  }
 
   // ColExt: children must partition the target's stored key/include column
   // set (each child an index on the same object with the same compression

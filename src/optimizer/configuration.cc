@@ -35,12 +35,6 @@ bool Configuration::HasClusteredOn(const std::string& object) const {
   return false;
 }
 
-double Configuration::TotalBytes() const {
-  double bytes = 0.0;
-  for (const PhysicalIndexEstimate& idx : indexes_) bytes += idx.bytes;
-  return bytes;
-}
-
 std::string Configuration::ToString() const {
   std::ostringstream os;
   os << "{";

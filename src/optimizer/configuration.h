@@ -37,7 +37,6 @@ class Configuration {
   // True if some clustered index on `object` is present.
   bool HasClusteredOn(const std::string& object) const;
 
-  double TotalBytes() const;
   size_t size() const { return indexes_.size(); }
 
   std::string ToString() const;

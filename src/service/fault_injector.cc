@@ -2,20 +2,6 @@
 
 namespace capd {
 
-const char* FaultKindName(FaultKind kind) {
-  switch (kind) {
-    case FaultKind::kNone:
-      return "none";
-    case FaultKind::kTransient:
-      return "transient";
-    case FaultKind::kForcedTimeout:
-      return "forced-timeout";
-    case FaultKind::kSpuriousCancel:
-      return "spurious-cancel";
-  }
-  return "unknown";
-}
-
 namespace {
 
 // SplitMix64 finalizer: a fixed, platform-independent bit mixer, so the

@@ -23,8 +23,6 @@ namespace capd {
 
 enum class FaultKind { kNone, kTransient, kForcedTimeout, kSpuriousCancel };
 
-const char* FaultKindName(FaultKind kind);
-
 struct FaultInjectorOptions {
   uint64_t seed = 0;
   // Per-phase-boundary probabilities, evaluated in this order from one

@@ -206,7 +206,6 @@ void TuningService::Execute(const std::shared_ptr<Job>& job, bool degraded) {
   TuningRequest base = job->request.tuning;
   if (degraded) {
     base.strategy = options_.degraded_strategy;
-    base.budget.value *= options_.degraded_budget_scale;
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.degraded;
   }

@@ -23,8 +23,8 @@
 //   Priorities — higher priority dequeues first; ties in submission order.
 //   Graceful degradation — while the queue sits above the high watermark
 //     (sticky until it drains below the low watermark), incoming work is
-//     downgraded to a cheaper strategy (default "staged:page") at an
-//     optionally reduced budget; the response records the downgrade.
+//     downgraded to a cheaper strategy (default "staged:page") at the
+//     requested budget; the response records the downgrade.
 //   Retries — retryable failures (TransientTuningError, spurious cancels)
 //     are retried on a fresh cancellation token with capped exponential
 //     backoff, bounded by the remaining deadline.
@@ -69,11 +69,9 @@ struct ServiceOptions {
   // degradation.
   int high_watermark = 48;
   int low_watermark = 16;
-  // The cheaper plan a degraded request runs: strategy override plus a
-  // budget scale (1.0 = keep the requested budget). The response records
-  // what actually ran.
+  // The cheaper strategy a degraded request runs at its requested budget.
+  // The response records what actually ran.
   std::string degraded_strategy = "staged:page";
-  double degraded_budget_scale = 1.0;
 
   // Retry policy for retryable failures. Backoff for attempt k (1-based)
   // is min(backoff_base_ms * 2^(k-1), backoff_cap_ms), additionally capped

@@ -86,8 +86,7 @@ class ColumnBlock {
 // per block — FillBlock(b, ...) always writes the identical rows for a
 // given source, typically by seeding a fresh Random with
 // BlockSeed(table_seed, b) — and thread-safe for concurrent FillBlock
-// calls on distinct blocks (parallel materialization fans blocks across a
-// ThreadPool).
+// calls on distinct blocks.
 class BlockSource {
  public:
   virtual ~BlockSource() = default;

@@ -31,11 +31,4 @@ bool Schema::HasColumn(const std::string& name) const {
   return false;
 }
 
-Schema Schema::Project(const std::vector<size_t>& positions) const {
-  std::vector<Column> cols;
-  cols.reserve(positions.size());
-  for (size_t p : positions) cols.push_back(column(p));
-  return Schema(std::move(cols));
-}
-
 }  // namespace capd

@@ -37,9 +37,6 @@ class Schema {
   // Sum of column widths: the uncompressed fixed part of a row.
   uint32_t RowWidth() const { return row_width_; }
 
-  // Sub-schema over the given column positions, in that order.
-  Schema Project(const std::vector<size_t>& positions) const;
-
  private:
   std::vector<Column> columns_;
   uint32_t row_width_ = 0;

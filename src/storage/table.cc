@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 
 namespace capd {
 
@@ -20,8 +19,7 @@ Table::Table(std::string name, Schema schema, uint64_t num_rows,
 
 const std::vector<Row>& Table::rows() const {
   CAPD_CHECK(materialized())
-      << "table " << name_
-      << " is generated; use ScanRows/CollectRows or Materialize()";
+      << "table " << name_ << " is generated; use ScanRows/CollectRows";
   return rows_;
 }
 
@@ -87,41 +85,6 @@ std::vector<Row> Table::CollectRows(
       block.RowAt(next - first, &scratch);
       out.push_back(scratch);
     }
-  }
-  return out;
-}
-
-std::unique_ptr<Table> Table::Materialize(ThreadPool* pool) const {
-  auto out = std::make_unique<Table>(name_, schema_);
-  out->Reserve(num_rows());
-  if (materialized()) {
-    for (const Row& r : rows_) out->AddRow(r);
-    return out;
-  }
-  const uint64_t n = num_rows();
-  const uint64_t blocks = num_blocks();
-  // Each block is generated independently from its own seed, so the fan-out
-  // is embarrassingly parallel and the block-order splice below makes the
-  // result identical at any thread count.
-  std::vector<std::vector<Row>> per_block(blocks);
-  ParallelFor(pool, blocks, [&](size_t b) {
-    const uint64_t first = static_cast<uint64_t>(b) * block_rows_;
-    const uint64_t count = std::min(block_rows_, n - first);
-    ColumnBlock block(schema_);
-    block.Reset(first);
-    source_->FillBlock(b, first, count, &block);
-    CAPD_CHECK_EQ(block.num_rows(), count)
-        << "table " << name_ << " block " << b;
-    std::vector<Row>& rows = per_block[b];
-    rows.reserve(count);
-    Row scratch;
-    for (uint64_t r = 0; r < count; ++r) {
-      block.RowAt(r, &scratch);
-      rows.push_back(scratch);
-    }
-  });
-  for (std::vector<Row>& rows : per_block) {
-    for (Row& r : rows) out->AddRow(std::move(r));
   }
   return out;
 }

@@ -24,8 +24,6 @@
 
 namespace capd {
 
-class ThreadPool;
-
 class Table {
  public:
   // Materialized (row-vector) table.
@@ -72,12 +70,6 @@ class Table {
   // streaming half of sample extraction: O(|indices| + block) memory.
   std::vector<Row> CollectRows(
       const std::vector<uint64_t>& sorted_indices) const;
-
-  // Fully materializes this table into a row-vector Table with the same
-  // name/schema/contents. Blocks are generated independently, fanned across
-  // `pool` (ParallelFor; null = serial), and spliced in block order, so the
-  // result is bit-identical at any thread count.
-  std::unique_ptr<Table> Materialize(ThreadPool* pool = nullptr) const;
 
   // Uncompressed heap size in pages/bytes (fixed row width + slot overhead).
   uint64_t HeapPages() const;

@@ -32,7 +32,6 @@ class BitVector {
 
   // Number of 1-bits in [0, i). i may equal size(). Requires Finish().
   size_t Rank1(size_t i) const;
-  size_t Rank0(size_t i) const { return i - Rank1(i); }
 
   // Position of the k-th (0-based) set bit. Requires k < num_ones() and
   // Finish().

@@ -294,13 +294,5 @@ Workload MakeWorkload(const Database& db, const Options& options) {
   return w;
 }
 
-Workload SelectOnly(const Workload& w) {
-  Workload out;
-  for (const Statement& s : w.statements) {
-    if (s.type == StatementType::kSelect) out.statements.push_back(s);
-  }
-  return out;
-}
-
 }  // namespace tpch
 }  // namespace capd

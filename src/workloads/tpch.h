@@ -28,9 +28,6 @@ void Build(Database* db, const Options& options);
 // Workload::WithInsertWeight to derive SELECT/INSERT intensive variants.
 Workload MakeWorkload(const Database& db, const Options& options);
 
-// Subset helper: only the queries, or only queries touching lineitem.
-Workload SelectOnly(const Workload& w);
-
 }  // namespace tpch
 }  // namespace capd
 

@@ -172,8 +172,7 @@ TEST_F(CandidateSelectionTest, SkylineEntriesAreMutuallyNonDominated) {
 }
 
 TEST_F(CandidateSelectionTest, TopKIsAPrefixOfTheCostSortedCandidates) {
-  AdvisorOptions options = AdvisorOptions::DTAcNone();
-  options.top_k = 3;
+  const AdvisorOptions options = AdvisorOptions::DTAcNone();
   int checked_queries = 0;
   for (const Statement& stmt : workload_.statements) {
     if (stmt.type != StatementType::kSelect) continue;
@@ -191,8 +190,7 @@ TEST_F(CandidateSelectionTest, TopKIsAPrefixOfTheCostSortedCandidates) {
       if (cost < base_cost) improving.push_back(cost);
     }
     std::sort(improving.begin(), improving.end());
-    ASSERT_EQ(selected.size(),
-              std::min<size_t>(options.top_k, improving.size()));
+    ASSERT_EQ(selected.size(), std::min(kTopK, improving.size()));
     if (selected.empty()) continue;
     ++checked_queries;
 

@@ -181,28 +181,15 @@ TEST_F(AdvisorEdgeCase, SingleStatementWorkloadParallelMatchesSerial) {
   EXPECT_EQ(base.config.size(), r.config.size());
 }
 
-TEST_F(AdvisorEdgeCase, TopKZeroSelectsNothing) {
-  AdvisorOptions options = AdvisorOptions::DTAcNone();
-  options.top_k = 0;
-  ThreadPool pool(2);
-  options.pool = &pool;
-  Advisor advisor(db_, *optimizer_, sizes_.get(), nullptr, options);
-  const AdvisorResult r = advisor.Tune(workload_, 1e9);
-  // An empty candidate pool must yield an empty (not crashed) tuning.
-  EXPECT_EQ(r.config.size(), 0u);
-  EXPECT_EQ(r.num_candidates, 0u);
-  EXPECT_DOUBLE_EQ(r.final_cost, r.initial_cost);
-}
-
 TEST_F(AdvisorEdgeCase, UnboundedEstimationCacheWithThreads) {
-  // A capacity of 0 means "unbounded", and the cache must compose with
-  // both borrowed pools (estimation + search) without crashing or drifting.
+  // The cache must compose with both borrowed pools (estimation + search)
+  // without crashing or drifting.
   ThreadPool search_pool(4);
   ThreadPool estimation_pool(2);
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
   options.pool = &search_pool;
   options.size_options.pool = &estimation_pool;
-  options.size_options.cache = std::make_shared<EstimationCache>(0);
+  options.size_options.cache = std::make_shared<EstimationCache>();
   SizeEstimator estimator(db_, source_.get(), ErrorModel(),
                           options.size_options);
   Advisor advisor(db_, *optimizer_, &estimator, nullptr, options);

@@ -108,13 +108,6 @@ TEST_F(EstimatorTest, ComposeErrorsAccumulates) {
   EXPECT_GT(composed.variance, 0.0029);
 }
 
-TEST_F(EstimatorTest, LocatorReductionMonotoneInN) {
-  // Locator savings per tuple shrink as ids get larger.
-  EXPECT_GT(LocatorReductionPerTuple(100), LocatorReductionPerTuple(100000));
-  EXPECT_GT(LocatorReductionPerTuple(100), 0.0);
-  EXPECT_LE(LocatorReductionPerTuple(1e18), 7.0);
-}
-
 TEST_F(EstimatorTest, ColExtDeductionOrdIndAccurate) {
   // Deduce size of (l_shipdate, l_shipmode) from singleton indexes; check
   // against ground truth within the paper's coarse tolerance.

@@ -182,60 +182,6 @@ TEST_F(ParallelEstimationTest, CacheSharedAcrossEstimators) {
   EXPECT_EQ(cache->hits(), first.num_sampled);
 }
 
-TEST_F(ParallelEstimationTest, TinyCapacityCacheStaysEmpty) {
-  // A bound too small for even one entry: every insert is evicted again,
-  // so the cache never grows — the extreme case of the memory bound — and
-  // the batch still matches an uncached run.
-  auto cache = std::make_shared<EstimationCache>(1);
-  const SizeEstimator::BatchResult batch = RunBatch(Cached(cache));
-  ExpectBitIdentical(RunBatch(SizeEstimationOptions{}), batch);
-  EXPECT_EQ(cache->size(), 0u);
-  EXPECT_EQ(cache->charged_bytes(), 0u);
-  EXPECT_EQ(cache->evictions(), batch.num_sampled);
-}
-
-// Bytes one entry charges; keys of equal length charge equally.
-size_t EntryBytes(const std::string& signature) {
-  EstimationCache probe;
-  probe.Insert(signature, 0.01, SampleCfResult{});
-  return probe.charged_bytes();
-}
-
-TEST(EstimationCacheTest, LruEvictsLeastRecentlyUsed) {
-  EstimationCache cache(3 * EntryBytes("a"));
-  SampleCfResult r;
-  r.est_bytes = 1.0;
-  cache.Insert("a", 0.01, r);
-  cache.Insert("b", 0.01, r);
-  cache.Insert("c", 0.01, r);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.evictions(), 0u);
-
-  // Touch "a" so "b" becomes least recently used, then overflow.
-  EXPECT_TRUE(cache.Lookup("a", 0.01).has_value());
-  cache.Insert("d", 0.01, r);
-  EXPECT_EQ(cache.size(), 3u);
-  EXPECT_EQ(cache.evictions(), 1u);
-  EXPECT_FALSE(cache.Lookup("b", 0.01).has_value());
-  EXPECT_TRUE(cache.Lookup("a", 0.01).has_value());
-  EXPECT_TRUE(cache.Lookup("c", 0.01).has_value());
-  EXPECT_TRUE(cache.Lookup("d", 0.01).has_value());
-}
-
-TEST(EstimationCacheTest, BoundedCacheKeepsTheMostRecentEntries) {
-  const size_t bytes_for_two = 2 * EntryBytes("idx0");
-  EstimationCache cache(bytes_for_two);
-  for (int i = 0; i < 8; ++i) {
-    cache.Insert("idx" + std::to_string(i), 0.01, SampleCfResult{});
-  }
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_LE(cache.charged_bytes(), bytes_for_two);
-  EXPECT_EQ(cache.evictions(), 6u);
-  EXPECT_TRUE(cache.Lookup("idx7", 0.01).has_value());
-  EXPECT_TRUE(cache.Lookup("idx6", 0.01).has_value());
-  EXPECT_FALSE(cache.Lookup("idx5", 0.01).has_value());
-}
-
 TEST(EstimationCacheTest, EntriesAreKeyedByFraction) {
   EstimationCache cache;
   SampleCfResult coarse;

@@ -1,11 +1,12 @@
 // Tests for the blocked/generated Table path and the streaming sampler:
-// byte-identity of streaming vs materialized samples, blocked iteration vs
-// rows(), parallel materialization determinism, sampled stats on generated
-// tables, and — via the process-wide allocation tracker in
+// byte-identity of streaming vs materialized samples, blocked iteration and
+// row collection vs rows filled straight from the source, sampled stats on
+// generated tables, and — via the process-wide allocation tracker in
 // src/common/alloc_tracker.{h,cc} (activated for this binary by referencing
 // its accessors) — a hard assertion that drawing a sample from a
 // multi-million-row generated table allocates O(sample), not O(table), and
 // allocation budgets for a warm and a cold tuning request.
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -15,7 +16,6 @@
 #include "catalog/database.h"
 #include "common/alloc_tracker.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "engine/advisor_engine.h"
 #include "stats/column_stats.h"
 #include "stats/sampler.h"
@@ -83,6 +83,27 @@ Schema PairSchema() {
   return Schema({{"idx", ValueType::kInt64, 8}, {"v", ValueType::kInt64, 8}});
 }
 
+// The first `n` rows of `source`, each block filled into a fresh
+// ColumnBlock: the reference the Table's scans must reproduce.
+std::vector<Row> SourceRows(const Schema& schema, const BlockSource& source,
+                            uint64_t n) {
+  std::vector<Row> rows;
+  rows.reserve(n);
+  Row row;
+  for (uint64_t b = 0; b * kDefaultBlockRows < n; ++b) {
+    const uint64_t first = b * kDefaultBlockRows;
+    const uint64_t count = std::min(kDefaultBlockRows, n - first);
+    ColumnBlock block(schema);
+    block.Reset(first);
+    source.FillBlock(b, first, count, &block);
+    for (uint64_t r = 0; r < count; ++r) {
+      block.RowAt(r, &row);
+      rows.push_back(row);
+    }
+  }
+  return rows;
+}
+
 TEST(BlockTest, ColumnBlockRoundTrip) {
   const Schema schema({{"i", ValueType::kInt64, 8},
                        {"d", ValueType::kDate, 8},
@@ -146,35 +167,22 @@ TEST(GeneratedTableTest, ScanMatchesMaterializedRows) {
   EXPECT_EQ(gen.num_rows(), n);
   EXPECT_EQ(gen.num_blocks(), 4u);
 
-  const std::unique_ptr<Table> mat = gen.Materialize();
-  ASSERT_TRUE(mat->materialized());
-  ASSERT_EQ(mat->num_rows(), n);
+  const std::vector<Row> mat = SourceRows(PairSchema(), PairSource(99), n);
+  ASSERT_EQ(mat.size(), n);
 
   uint64_t visited = 0;
   gen.ScanRows([&](uint64_t idx, const Row& row) {
     EXPECT_EQ(idx, visited);
-    EXPECT_EQ(RowString(row), RowString(mat->rows()[idx]));
+    EXPECT_EQ(RowString(row), RowString(mat[idx]));
     ++visited;
   });
   EXPECT_EQ(visited, n);
 }
 
-TEST(GeneratedTableTest, ParallelMaterializeBitIdentical) {
-  const uint64_t n = 5 * kDefaultBlockRows + 3;
-  Table gen("t", PairSchema(), n, std::make_shared<PairSource>(1234));
-  const std::unique_ptr<Table> serial = gen.Materialize(nullptr);
-  ThreadPool pool(4);
-  const std::unique_ptr<Table> parallel = gen.Materialize(&pool);
-  ASSERT_EQ(serial->num_rows(), parallel->num_rows());
-  for (uint64_t i = 0; i < n; ++i) {
-    ASSERT_EQ(RowString(serial->rows()[i]), RowString(parallel->rows()[i]));
-  }
-}
-
 TEST(GeneratedTableTest, CollectRowsMatchesDirectIndexing) {
   const uint64_t n = 2 * kDefaultBlockRows + 100;
   Table gen("t", PairSchema(), n, std::make_shared<PairSource>(77));
-  const std::unique_ptr<Table> mat = gen.Materialize();
+  const std::vector<Row> mat = SourceRows(PairSchema(), PairSource(77), n);
   const std::vector<uint64_t> picks = {0,
                                        1,
                                        kDefaultBlockRows - 1,
@@ -184,7 +192,7 @@ TEST(GeneratedTableTest, CollectRowsMatchesDirectIndexing) {
   const std::vector<Row> got = gen.CollectRows(picks);
   ASSERT_EQ(got.size(), picks.size());
   for (size_t i = 0; i < picks.size(); ++i) {
-    EXPECT_EQ(RowString(got[i]), RowString(mat->rows()[picks[i]]));
+    EXPECT_EQ(RowString(got[i]), RowString(mat[picks[i]]));
   }
 }
 
@@ -192,13 +200,14 @@ TEST(ScaleWorkloadTest, StreamingSampleMatchesMaterializedSample) {
   const std::unique_ptr<Database> db = BuildScaleDb(10000);
   const Table& gen = db->table("events");
   ASSERT_FALSE(gen.materialized());
-  const std::unique_ptr<Table> mat = gen.Materialize();
+  Table mat(gen.name(), gen.schema());
+  gen.ScanRows([&](uint64_t, const Row& row) { mat.AddRow(row); });
 
   Random rng_gen(4242), rng_mat(4242);
   const std::unique_ptr<Table> from_gen =
       CreateUniformSample(gen, 0.03, /*min_rows=*/50, &rng_gen);
   const std::unique_ptr<Table> from_mat =
-      CreateUniformSample(*mat, 0.03, /*min_rows=*/50, &rng_mat);
+      CreateUniformSample(mat, 0.03, /*min_rows=*/50, &rng_mat);
 
   ASSERT_EQ(from_gen->num_rows(), from_mat->num_rows());
   ASSERT_GT(from_gen->num_rows(), 0u);

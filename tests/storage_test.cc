@@ -40,16 +40,6 @@ TEST(SchemaTest, ColumnIndexFindsByName) {
   EXPECT_FALSE(s.HasColumn("c"));
 }
 
-TEST(SchemaTest, ProjectSelectsAndReorders) {
-  Schema s({{"a", ValueType::kInt64, 8},
-            {"b", ValueType::kString, 10},
-            {"c", ValueType::kDouble, 8}});
-  Schema p = s.Project({2, 0});
-  ASSERT_EQ(p.num_columns(), 2u);
-  EXPECT_EQ(p.column(0).name, "c");
-  EXPECT_EQ(p.column(1).name, "a");
-}
-
 TEST(EncodingTest, FieldWidthIsExact) {
   const Column c{"s", ValueType::kString, 12};
   EXPECT_EQ(EncodeFieldToString(Value::String("abc"), c).size(), 12u);

@@ -482,8 +482,7 @@ TEST_F(BitmapAdvisorTest, BitmapVariantsOnlyOnLowDistinctLeadingKeys) {
     ++bitmap_variants;
     ASSERT_FALSE(d.key_columns.empty());
     const ColumnStats& cs = db_.stats(d.object).column(d.key_columns.front());
-    EXPECT_LE(cs.distinct, options.bitmap_max_leading_distinct)
-        << d.ToString();
+    EXPECT_LE(cs.distinct, kBitmapMaxLeadingDistinct) << d.ToString();
   }
   EXPECT_GT(bitmap_variants, 0u);
 }

@@ -195,19 +195,6 @@ TEST(WorkloadShape, TpchBudgetsAreMeaningful) {
   EXPECT_GT(db.BaseDataBytes(), 50u * kPageSize);
 }
 
-TEST(WorkloadShape, SelectOnlyStripsInserts) {
-  Database db;
-  tpch::Options opt;
-  opt.lineitem_rows = 500;
-  tpch::Build(&db, opt);
-  const Workload w = tpch::MakeWorkload(db, opt);
-  const Workload sel = tpch::SelectOnly(w);
-  EXPECT_EQ(sel.statements.size(), 22u);
-  for (const Statement& s : sel.statements) {
-    EXPECT_EQ(s.type, StatementType::kSelect);
-  }
-}
-
 // FNV-1a over the EncodeField bytes of every cell, read in row order.
 uint64_t TableHash(const Table& table) {
   const Schema& schema = table.schema();
