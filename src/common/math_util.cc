@@ -1,6 +1,7 @@
 #include "common/math_util.h"
 
 #include <cmath>
+#include <cstring>
 
 #include "common/logging.h"
 
@@ -31,6 +32,12 @@ uint64_t Fnv1a64(const std::string& s) {
     h *= 1099511628211ull;
   }
   return h;
+}
+
+uint64_t FractionBits(double f) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &f, sizeof(bits));
+  return bits;
 }
 
 double NormalCdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }

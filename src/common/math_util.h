@@ -25,6 +25,10 @@ uint64_t RoundedFraction(uint64_t n, double f);
 // seeds). Never change this: sample contents are pinned by it.
 uint64_t Fnv1a64(const std::string& s);
 
+// The exact bits of a sampling fraction, for cache keys: fractions that
+// merely print alike never share an entry.
+uint64_t FractionBits(double f);
+
 // Standard normal CDF.
 double NormalCdf(double z);
 

@@ -1,20 +1,13 @@
 #include "estimator/estimation_cache.h"
 
-#include <cstring>
+#include "common/math_util.h"
 
 namespace capd {
-
-std::string EstimationCache::Key(const std::string& signature, double f) {
-  // The exact bits of f: fractions that merely print alike never share.
-  char bits[sizeof(double)];
-  std::memcpy(bits, &f, sizeof(bits));
-  return signature + '@' + std::string(bits, sizeof(bits));
-}
 
 std::optional<SampleCfResult> EstimationCache::Lookup(
     const std::string& signature, double f) const {
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find(Key(signature, f));
+  const auto it = entries_.find({signature, FractionBits(f)});
   if (it == entries_.end()) {
     ++misses_;
     return std::nullopt;
@@ -26,7 +19,7 @@ std::optional<SampleCfResult> EstimationCache::Lookup(
 void EstimationCache::Insert(const std::string& signature, double f,
                              const SampleCfResult& r) {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_[Key(signature, f)] = r;
+  entries_[{signature, FractionBits(f)}] = r;
 }
 
 size_t EstimationCache::size() const {

@@ -14,6 +14,7 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <utility>
 
 #include "estimator/sample_cf.h"
 
@@ -32,12 +33,11 @@ class EstimationCache {
   uint64_t misses() const;
 
  private:
-  static std::string Key(const std::string& signature, double f);
-
   mutable std::mutex mu_;
   mutable uint64_t hits_ = 0;
   mutable uint64_t misses_ = 0;
-  std::map<std::string, SampleCfResult> entries_;
+  // Keyed by (signature, bits of f).
+  std::map<std::pair<std::string, uint64_t>, SampleCfResult> entries_;
 };
 
 }  // namespace capd

@@ -1,11 +1,11 @@
 #include "mv/mv_registry.h"
 
 #include <algorithm>
-#include <cstring>
 #include <set>
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/math_util.h"
 #include "stats/distinct_estimator.h"
 #include "stats/join_synopsis.h"
 
@@ -28,14 +28,6 @@ bool SameColumnSet(const std::vector<std::string>& a,
                    const std::vector<std::string>& b) {
   return std::set<std::string>(a.begin(), a.end()) ==
          std::set<std::string>(b.begin(), b.end());
-}
-
-// The exact bits of f: fractions that merely print alike never share a
-// synopsis or an MV sample.
-uint64_t FractionBits(double f) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &f, sizeof(bits));
-  return bits;
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 #include "stats/sampler.h"
 
 #include <algorithm>
-#include <cstring>
 #include <sstream>
 
 #include "common/logging.h"
@@ -46,8 +45,7 @@ size_t SampleManager::num_samples() const {
 }
 
 const Table& SampleManager::GetSample(const Table& table, double f) {
-  uint64_t bits = 0;
-  std::memcpy(&bits, &f, sizeof(bits));
+  const uint64_t bits = FractionBits(f);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = samples_.find({table.name(), bits});
   if (it == samples_.end()) {
