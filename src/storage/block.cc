@@ -10,11 +10,6 @@ ColumnBlock::ColumnBlock(const Schema& schema) : cols_(schema.num_columns()) {
   }
 }
 
-void ColumnBlock::Reset(uint64_t first_row) {
-  first_row_ = first_row;
-  num_rows_ = 0;
-}
-
 void ColumnBlock::Resize(uint64_t count) {
   num_rows_ = count;
   for (TypedColumn& col : cols_) {

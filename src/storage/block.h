@@ -24,19 +24,16 @@ namespace capd {
 // generator setup.
 inline constexpr uint64_t kDefaultBlockRows = 8192;
 
-// One block of rows in columnar (struct-of-arrays) layout: each column is
-// one typed array (int64_t for INT64 and DATE, double for DOUBLE,
-// std::string for STRING). A source sizes the block with Resize and writes
-// every cell through the typed setters; RowAt is the only place a Value is
-// built. Reused as a scratch buffer across blocks by scanning code: Reset()
-// keeps every column's capacity so a long scan settles into zero
-// steady-state allocation churn.
+// Rows in columnar (struct-of-arrays) layout: each column is one typed
+// array (int64_t for INT64 and DATE, double for DOUBLE, std::string for
+// STRING). A source sizes the block with Resize and writes every cell
+// through the typed setters; RowAt is the only place a Value is built.
+// Reused as a scratch buffer across blocks by scanning code: Resize keeps
+// every column's capacity, so a long scan settles into zero steady-state
+// allocation churn.
 class ColumnBlock {
  public:
   explicit ColumnBlock(const Schema& schema);
-
-  // Clears the block and pins the global index of its first row.
-  void Reset(uint64_t first_row);
 
   // Sizes the block to `count` rows of zero/empty cells.
   void Resize(uint64_t count);
@@ -52,7 +49,6 @@ class ColumnBlock {
     Checked(c, r, ValueType::kString).strings[r].assign(v.data(), v.size());
   }
 
-  uint64_t first_row() const { return first_row_; }
   uint64_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return cols_.size(); }
 
@@ -77,25 +73,28 @@ class ColumnBlock {
     return cols_[c];
   }
 
-  uint64_t first_row_ = 0;
   uint64_t num_rows_ = 0;
   std::vector<TypedColumn> cols_;
 };
 
 // Generates the rows of one block. Implementations MUST be deterministic
-// per block — FillBlock(b, ...) always writes the identical rows for a
-// given source, typically by seeding a fresh Random with
-// BlockSeed(table_seed, b) — and thread-safe for concurrent FillBlock
-// calls on distinct blocks.
+// per block — block b's row r is the same bytes whichever rows a call
+// keeps, typically because a fresh Random seeded with
+// BlockSeed(table_seed, b) makes every row's draws in row order — and
+// thread-safe for concurrent FillBlock calls.
 class BlockSource {
  public:
   virtual ~BlockSource() = default;
 
-  // Writes exactly `count` rows (global indices [first_row,
-  // first_row+count)) into *out, which has been Reset(first_row): calls
-  // out->Resize(count), then sets every cell.
+  // Writes the block-local rows `rows` (ascending; repeats allowed; each
+  // below the block's row count) of block `block_index`, whose first row
+  // has global index `first_row`, into *out: calls out->Resize(rows.size()),
+  // then sets every cell of out row j to block row rows[j]. A source whose
+  // rows follow one RNG stream still draws every row up to the last kept
+  // one, but renders only the kept ones.
   virtual void FillBlock(uint64_t block_index, uint64_t first_row,
-                         uint64_t count, ColumnBlock* out) const = 0;
+                         const std::vector<uint64_t>& rows,
+                         ColumnBlock* out) const = 0;
 };
 
 // splitmix64 mix of (seed, block): decorrelates per-block RNG streams so

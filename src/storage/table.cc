@@ -1,6 +1,7 @@
 #include "storage/table.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "common/logging.h"
 
@@ -36,13 +37,15 @@ void Table::ScanRows(
     return;
   }
   ColumnBlock block(schema_);
+  std::vector<uint64_t> every_row;
   Row scratch;
   const uint64_t n = num_rows();
   for (uint64_t b = 0; b < num_blocks(); ++b) {
     const uint64_t first = b * block_rows_;
     const uint64_t count = std::min(block_rows_, n - first);
-    block.Reset(first);
-    source_->FillBlock(b, first, count, &block);
+    every_row.resize(count);
+    std::iota(every_row.begin(), every_row.end(), uint64_t{0});
+    source_->FillBlock(b, first, every_row, &block);
     CAPD_CHECK_EQ(block.num_rows(), count)
         << "table " << name_ << " block " << b;
     for (uint64_t r = 0; r < count; ++r) {
@@ -54,36 +57,38 @@ void Table::ScanRows(
 
 std::vector<Row> Table::CollectRows(
     const std::vector<uint64_t>& sorted_indices) const {
+  const uint64_t n = num_rows();
+  for (size_t i = 0; i < sorted_indices.size(); ++i) {
+    CAPD_CHECK_LT(sorted_indices[i], n) << "table " << name_;
+    if (i > 0) {
+      CAPD_CHECK_LE(sorted_indices[i - 1], sorted_indices[i])
+          << "table " << name_ << ": indices must be sorted ascending";
+    }
+  }
   std::vector<Row> out;
   out.reserve(sorted_indices.size());
   if (materialized()) {
-    for (uint64_t idx : sorted_indices) {
-      CAPD_CHECK_LT(idx, rows_.size()) << "table " << name_;
-      out.push_back(rows_[idx]);
-    }
+    for (uint64_t idx : sorted_indices) out.push_back(rows_[idx]);
     return out;
   }
-  const uint64_t n = num_rows();
+  // One fill per touched block, keeping only that block's requested rows.
   ColumnBlock block(schema_);
-  Row scratch;
+  std::vector<uint64_t> keep;  // block-local
   size_t i = 0;
   while (i < sorted_indices.size()) {
-    const uint64_t idx = sorted_indices[i];
-    CAPD_CHECK_LT(idx, n) << "table " << name_;
-    const uint64_t b = idx / block_rows_;
+    const uint64_t b = sorted_indices[i] / block_rows_;
     const uint64_t first = b * block_rows_;
-    const uint64_t count = std::min(block_rows_, n - first);
-    block.Reset(first);
-    source_->FillBlock(b, first, count, &block);
-    CAPD_CHECK_EQ(block.num_rows(), count)
+    keep.clear();
+    for (; i < sorted_indices.size() && sorted_indices[i] / block_rows_ == b;
+         ++i) {
+      keep.push_back(sorted_indices[i] - first);
+    }
+    source_->FillBlock(b, first, keep, &block);
+    CAPD_CHECK_EQ(block.num_rows(), keep.size())
         << "table " << name_ << " block " << b;
-    // Drain every requested index that falls inside this block.
-    for (; i < sorted_indices.size(); ++i) {
-      const uint64_t next = sorted_indices[i];
-      CAPD_CHECK_GE(next, idx) << "indices must be sorted ascending";
-      if (next >= first + count) break;
-      block.RowAt(next - first, &scratch);
-      out.push_back(scratch);
+    for (uint64_t j = 0; j < keep.size(); ++j) {
+      out.emplace_back();
+      block.RowAt(j, &out.back());
     }
   }
   return out;

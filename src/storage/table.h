@@ -65,9 +65,11 @@ class Table {
   // the duration of the call.
   void ScanRows(const std::function<void(uint64_t, const Row&)>& fn) const;
 
-  // Copies the rows at `sorted_indices` (ascending, in [0, num_rows())),
-  // generating only the blocks that contain a requested index. This is the
-  // streaming half of sample extraction: O(|indices| + block) memory.
+  // Copies the rows at `sorted_indices`, which must ascend (repeats
+  // allowed) and lie in [0, num_rows()). A generated table fills each block
+  // holding a requested index once and renders only the requested rows of
+  // it. This is the streaming half of sample extraction:
+  // O(|indices| + block) memory.
   std::vector<Row> CollectRows(
       const std::vector<uint64_t>& sorted_indices) const;
 

@@ -32,7 +32,10 @@ std::string RegionName(uint64_t i) {
 // Per-block row generator for the `events` fact table. Each block draws
 // from a fresh Random seeded by BlockSeed(seed, block), so any block can be
 // produced independently (and concurrently) and always yields the same
-// bytes. The Zipf generators are shared: Next() is const and thread-safe.
+// bytes. A row's draws follow its predecessors' in the stream, so a fill
+// makes every row's draws up to the last kept row; only kept rows pay for
+// their Zipf ranks and cells. The Zipf generators are shared: Rank() is
+// const and thread-safe.
 class EventsSource : public BlockSource {
  public:
   EventsSource(uint64_t seed, uint64_t n_devices, uint64_t sensor_domain)
@@ -44,21 +47,33 @@ class EventsSource : public BlockSource {
     }
   }
 
-  void FillBlock(uint64_t block_index, uint64_t first_row, uint64_t count,
+  void FillBlock(uint64_t block_index, uint64_t first_row,
+                 const std::vector<uint64_t>& rows,
                  ColumnBlock* out) const override {
     Random rng(BlockSeed(seed_, block_index));
-    out->Resize(count);
-    for (uint64_t r = 0; r < count; ++r) {
-      const uint64_t global = first_row + r;
-      out->SetInt64(0, r, static_cast<int64_t>(global) + 1);
-      out->SetInt64(1, r, static_cast<int64_t>(device_zipf_.Next(&rng)) + 1);
-      out->SetInt64(2, r, static_cast<int64_t>(sensor_zipf_.Next(&rng)) + 1);
-      out->SetInt64(3, r, rng.Uniform(kDateLo, kDateHi - 1));
-      out->SetDouble(4, r, static_cast<double>(rng.Uniform(0, 1000)));
+    out->Resize(rows.size());
+    size_t j = 0;  // next out row
+    for (uint64_t r = 0; j < rows.size(); ++r) {
+      const double device_u = rng.NextDouble();
+      const double sensor_u = rng.NextDouble();
+      const int64_t ts = rng.Uniform(kDateLo, kDateHi - 1);
+      const int64_t value = rng.Uniform(0, 1000);
       // ~90% healthy readings, the rest error/warn/critical.
-      out->SetString(5, r, rng.Next(10) < 9 ? "O" : kStatuses[rng.Next(3)]);
-      out->SetString(6, r, region_names_[rng.Next(kNumRegions)]);
-      out->SetInt64(7, r, rng.Uniform(0, 99));
+      const char* status = rng.Next(10) < 9 ? "O" : kStatuses[rng.Next(3)];
+      const uint64_t region = rng.Next(kNumRegions);
+      const int64_t payload = rng.Uniform(0, 99);
+      for (; j < rows.size() && rows[j] == r; ++j) {
+        out->SetInt64(0, j, static_cast<int64_t>(first_row + r) + 1);
+        out->SetInt64(1, j,
+                      static_cast<int64_t>(device_zipf_.Rank(device_u)) + 1);
+        out->SetInt64(2, j,
+                      static_cast<int64_t>(sensor_zipf_.Rank(sensor_u)) + 1);
+        out->SetInt64(3, j, ts);
+        out->SetDouble(4, j, static_cast<double>(value));
+        out->SetString(5, j, status);
+        out->SetString(6, j, region_names_[region]);
+        out->SetInt64(7, j, payload);
+      }
     }
   }
 

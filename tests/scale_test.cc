@@ -8,6 +8,7 @@
 // allocation budgets for a warm and a cold tuning request.
 #include <algorithm>
 #include <cstdio>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -65,13 +66,18 @@ class PairSource : public BlockSource {
  public:
   explicit PairSource(uint64_t seed) : seed_(seed) {}
 
-  void FillBlock(uint64_t block_index, uint64_t first_row, uint64_t count,
+  void FillBlock(uint64_t block_index, uint64_t first_row,
+                 const std::vector<uint64_t>& rows,
                  ColumnBlock* out) const override {
     Random rng(BlockSeed(seed_, block_index));
-    out->Resize(count);
-    for (uint64_t r = 0; r < count; ++r) {
-      out->SetInt64(0, r, static_cast<int64_t>(first_row + r));
-      out->SetInt64(1, r, rng.Uniform(0, 1000));
+    out->Resize(rows.size());
+    size_t j = 0;
+    for (uint64_t r = 0; j < rows.size(); ++r) {
+      const int64_t v = rng.Uniform(0, 1000);
+      for (; j < rows.size() && rows[j] == r; ++j) {
+        out->SetInt64(0, j, static_cast<int64_t>(first_row + r));
+        out->SetInt64(1, j, v);
+      }
     }
   }
 
@@ -93,9 +99,10 @@ std::vector<Row> SourceRows(const Schema& schema, const BlockSource& source,
   for (uint64_t b = 0; b * kDefaultBlockRows < n; ++b) {
     const uint64_t first = b * kDefaultBlockRows;
     const uint64_t count = std::min(kDefaultBlockRows, n - first);
+    std::vector<uint64_t> every_row(count);
+    std::iota(every_row.begin(), every_row.end(), uint64_t{0});
     ColumnBlock block(schema);
-    block.Reset(first);
-    source.FillBlock(b, first, count, &block);
+    source.FillBlock(b, first, every_row, &block);
     for (uint64_t r = 0; r < count; ++r) {
       block.RowAt(r, &row);
       rows.push_back(row);
@@ -110,14 +117,12 @@ TEST(BlockTest, ColumnBlockRoundTrip) {
                        {"x", ValueType::kDouble, 8},
                        {"s", ValueType::kString, 4}});
   ColumnBlock block(schema);
-  block.Reset(100);
   block.Resize(2);
   block.SetInt64(0, 0, 7);
   block.SetInt64(1, 0, 18262);
   block.SetDouble(2, 0, 1.5);
   block.SetString(3, 0, "ab");
   block.SetInt64(0, 1, 9);  // row 1 keeps its other cells zero/empty
-  EXPECT_EQ(block.first_row(), 100u);
   EXPECT_EQ(block.num_rows(), 2u);
   EXPECT_EQ(block.num_columns(), 4u);
   Row out;
@@ -133,8 +138,8 @@ TEST(BlockTest, ColumnBlockRoundTrip) {
   EXPECT_EQ(out[1], Value::Date(0));
   EXPECT_EQ(out[3], Value::String(""));
 
-  // Reset then Resize leaves no cell of the previous block behind.
-  block.Reset(200);
+  // Resize leaves no cell of the previous block behind.
+  block.Resize(0);
   EXPECT_EQ(block.num_rows(), 0u);
   block.Resize(1);
   block.RowAt(0, &out);
@@ -145,7 +150,6 @@ TEST(BlockTest, ColumnBlockRoundTrip) {
 
 TEST(BlockDeathTest, SettersCheckColumnTypeAndRow) {
   ColumnBlock block(PairSchema());
-  block.Reset(0);
   block.Resize(1);
   EXPECT_DEATH(block.SetInt64(2, 0, 1), "cols_.size");
   EXPECT_DEATH(block.SetDouble(0, 0, 1.0), "is INT64");
@@ -179,21 +183,68 @@ TEST(GeneratedTableTest, ScanMatchesMaterializedRows) {
   EXPECT_EQ(visited, n);
 }
 
-TEST(GeneratedTableTest, CollectRowsMatchesDirectIndexing) {
-  const uint64_t n = 2 * kDefaultBlockRows + 100;
-  Table gen("t", PairSchema(), n, std::make_shared<PairSource>(77));
-  const std::vector<Row> mat = SourceRows(PairSchema(), PairSource(77), n);
-  const std::vector<uint64_t> picks = {0,
-                                       1,
-                                       kDefaultBlockRows - 1,
-                                       kDefaultBlockRows,
-                                       2 * kDefaultBlockRows + 99,
-                                       n - 1};
-  const std::vector<Row> got = gen.CollectRows(picks);
-  ASSERT_EQ(got.size(), picks.size());
-  for (size_t i = 0; i < picks.size(); ++i) {
-    EXPECT_EQ(RowString(got[i]), RowString(mat[picks[i]]));
+// Pick sets over an n-row table of `block_rows`-row blocks (n spans at
+// least two blocks): none, one row, the first and last row of every block,
+// every row of block 1, a repeated row, all rows, and 20 seeded random
+// sets.
+std::vector<std::vector<uint64_t>> PickSets(uint64_t n, uint64_t block_rows) {
+  std::vector<std::vector<uint64_t>> sets = {{}, {n / 2}};
+  std::vector<uint64_t> edges;
+  for (uint64_t first = 0; first < n; first += block_rows) {
+    edges.push_back(first);
+    edges.push_back(std::min(first + block_rows, n) - 1);
   }
+  sets.push_back(edges);
+  std::vector<uint64_t> block1(std::min(block_rows, n - block_rows));
+  std::iota(block1.begin(), block1.end(), block_rows);
+  sets.push_back(block1);
+  sets.push_back({1, 1, block_rows + 2, block_rows + 2, block_rows + 2});
+  std::vector<uint64_t> all(n);
+  std::iota(all.begin(), all.end(), uint64_t{0});
+  sets.push_back(all);
+  Random rng(1017);
+  for (int s = 0; s < 20; ++s) {
+    sets.push_back(rng.SampleIndices(n, 1 + rng.Next(n / 8)));
+  }
+  return sets;
+}
+
+// A kept-rows fill renders exactly the rows a full fill does.
+void ExpectCollectRowsMatchScan(const Table& table) {
+  std::vector<std::string> scanned;
+  table.ScanRows(
+      [&](uint64_t, const Row& row) { scanned.push_back(RowString(row)); });
+  ASSERT_EQ(scanned.size(), table.num_rows());
+  for (const std::vector<uint64_t>& picks :
+       PickSets(table.num_rows(), table.block_rows())) {
+    const std::vector<Row> got = table.CollectRows(picks);
+    ASSERT_EQ(got.size(), picks.size());
+    for (size_t i = 0; i < picks.size(); ++i) {
+      ASSERT_EQ(RowString(got[i]), scanned[picks[i]])
+          << table.name() << " row " << picks[i] << " of " << picks.size()
+          << " picks";
+    }
+  }
+}
+
+TEST(GeneratedTableTest, CollectRowsMatchesScanRows) {
+  const Table pairs("t", PairSchema(), 3 * kDefaultBlockRows + 17,
+                    std::make_shared<PairSource>(77));
+  ExpectCollectRowsMatchScan(pairs);
+  const std::unique_ptr<Database> db = BuildScaleDb(30000);
+  ExpectCollectRowsMatchScan(db->table("events"));
+}
+
+TEST(GeneratedTableDeathTest, CollectRowsChecksEveryIndexOrder) {
+  // 5 follows 7 inside block 0: each index is checked against its
+  // predecessor, on both kinds of table.
+  const Table gen("t", PairSchema(), 100, std::make_shared<PairSource>(5));
+  EXPECT_DEATH(gen.CollectRows({3, 7, 5}), "sorted ascending");
+  Table mat("m", PairSchema());
+  for (int64_t i = 0; i < 10; ++i) {
+    mat.AddRow({Value::Int64(i), Value::Int64(i)});
+  }
+  EXPECT_DEATH(mat.CollectRows({3, 7, 5}), "sorted ascending");
 }
 
 TEST(ScaleWorkloadTest, StreamingSampleMatchesMaterializedSample) {
