@@ -4,8 +4,10 @@
 // path's cost is sublinear in table size: with a constant absolute sample
 // target the sampled row count, estimation pages, and peak RSS stay ~flat
 // while the table grows 1000x. Data never materializes — the events fact
-// table is a blocked/generated Table, so the only O(n) work is the
-// streaming scan that extracts the sample.
+// table is a blocked/generated Table, so the only O(n) work is the sample
+// draw's RNG stream: each block's rows are drawn up to its last sampled
+// row, but only sampled rows are rendered, in blocks filled across the
+// estimation pool.
 #include <fstream>
 #include <sstream>
 
@@ -122,11 +124,10 @@ void Run(BenchContext& ctx) {
 
   std::printf("\nShape: sampled/deduced counts, scanned sample rows and "
               "est_pages stay ~flat while rows grow 1000x — estimation cost "
-              "is sublinear in table size (the scan itself is the only O(n) "
-              "term, and it streams in O(block) memory). al/row = heap "
-              "allocations per scanned row across Tune; it falls toward the "
-              "streaming scan's constant per-row cost as the fixed tuning "
-              "overhead amortizes.\n");
+              "is sublinear in table size (the sample draw's RNG stream is "
+              "the only O(n) term; only sampled rows are rendered). al/row = "
+              "heap allocations per scanned row across Tune; unsampled rows "
+              "allocate nothing, so it falls as the table grows.\n");
 }
 
 }  // namespace

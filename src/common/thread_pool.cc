@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 
 #include "common/logging.h"
 
@@ -70,34 +71,51 @@ void ParallelFor(ThreadPool* pool, size_t n,
     return;
   }
 
-  std::atomic<size_t> next{0};
-  std::mutex err_mu;
-  std::exception_ptr first_error;
-  auto drain = [&] {
+  // Shared with the helpers, which may start only after the call returned:
+  // such a helper claims no iteration and touches nothing else.
+  struct State {
+    std::atomic<size_t> next{0};
+    std::atomic<size_t> done{0};  // iterations finished or skipped
+    std::atomic<bool> failed{false};
+    // Written once, by the first iteration that throws; its increment of
+    // `done` publishes it to the caller.
+    std::exception_ptr first_error;
+    std::mutex mu;  // for all_done
+    std::condition_variable all_done;
+  };
+  auto state = std::make_shared<State>();
+  // Runs iterations until none is left unclaimed. A claimed iteration
+  // counts as done only after fn returns, so the caller outlives every
+  // fn(i) it waits for.
+  auto drain = [state, n, &fn] {
     size_t i;
-    while ((i = next.fetch_add(1)) < n) {
-      {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (first_error) return;  // fail fast: skip remaining iterations
+    while ((i = state->next.fetch_add(1)) < n) {
+      // Fail fast: once an iteration threw, the rest are skipped.
+      if (!state->failed.load(std::memory_order_relaxed)) {
+        try {
+          fn(i);
+        } catch (...) {
+          if (!state->failed.exchange(true)) {
+            state->first_error = std::current_exception();
+          }
+        }
       }
-      try {
-        fn(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(err_mu);
-        if (!first_error) first_error = std::current_exception();
+      if (state->done.fetch_add(1) + 1 == n) {
+        std::lock_guard<std::mutex> lock(state->mu);
+        state->all_done.notify_all();
       }
     }
   };
 
+  // The caller claims whatever helpers have not, so it never waits on a
+  // helper that has not started: a pool whose workers are all blocked
+  // (say, on a lock the caller holds) cannot stall it.
   const size_t workers = std::min<size_t>(pool->size(), n);
-  std::vector<std::future<void>> futures;
-  futures.reserve(workers - 1);
-  for (size_t t = 0; t + 1 < workers; ++t) {
-    futures.push_back(pool->Submit(drain));
-  }
-  drain();  // the calling thread works too
-  for (std::future<void>& f : futures) f.get();
-  if (first_error) std::rethrow_exception(first_error);
+  for (size_t t = 0; t + 1 < workers; ++t) pool->Submit(drain);
+  drain();
+  std::unique_lock<std::mutex> lock(state->mu);
+  state->all_done.wait(lock, [&] { return state->done == n; });
+  if (state->first_error) std::rethrow_exception(state->first_error);
 }
 
 }  // namespace capd

@@ -1,9 +1,11 @@
 // Fixed-size thread pool plus ParallelFor/ParallelMap helpers. Built for
 // the batch size-estimation engine: many independent, uneven tasks (index
-// builds on samples) distributed via an atomic work counter, no work
-// stealing. The calling thread participates in ParallelFor, and nested
-// ParallelFor calls from inside a worker run inline, so the pool can never
-// deadlock on its own tasks.
+// builds on samples, a sample's blocks) distributed via an atomic work
+// counter, no work stealing. The calling thread participates in
+// ParallelFor and waits only for iterations a started helper claimed, and
+// nested ParallelFor calls from inside a worker run inline, so the pool can
+// never deadlock on its own tasks, nor on workers blocked on a lock the
+// caller holds.
 #ifndef CAPD_COMMON_THREAD_POOL_H_
 #define CAPD_COMMON_THREAD_POOL_H_
 
@@ -46,8 +48,10 @@ class ThreadPool {
 
 // Runs fn(0..n-1) across the pool, the calling thread included. Serial
 // (and allocation-free) when pool is null, has a single thread, n <= 1, or
-// the caller is already a pool worker. Rethrows the first exception any
-// iteration threw after all iterations finish or are skipped.
+// the caller is already a pool worker. The caller runs every iteration no
+// helper has claimed, so it returns even when no helper ever starts.
+// Rethrows the first exception any iteration threw after all iterations
+// finish or are skipped.
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <set>
 
 #include "common/logging.h"
 
@@ -491,14 +492,13 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
   std::vector<std::optional<SampleCfResult>> results(nodes_.size());
   DeductionEngine engine(*db_, source_, f);
 
-  // Phase 1: SAMPLED nodes are independent of each other — these are the
-  // leaves of every deduction chain and carry the index-build cost, so
-  // they are the parallel section. Compression variants of one structure
-  // are grouped so they share the materialized sample rows and the
-  // uncompressed reference pack (one materialize, N compressed packs);
-  // existing (catalog-served) nodes stay singleton groups. Leaves already
-  // in the cross-round cache at exactly this fraction are served up front
-  // and skip the build entirely.
+  // SAMPLED nodes are independent of each other — these are the leaves of
+  // every deduction chain and carry the index-build cost, so they are the
+  // parallel section. Compression variants of one structure are grouped so
+  // they share the materialized sample rows and the uncompressed reference
+  // pack (one materialize, N compressed packs); existing (catalog-served)
+  // nodes stay singleton groups. Leaves already in the cross-round cache at
+  // exactly this fraction are served up front and skip the build entirely.
   std::vector<std::vector<size_t>> groups;
   std::map<std::string, size_t> group_of;  // structure signature -> group
   for (size_t i = 0; i < nodes_.size(); ++i) {
@@ -523,6 +523,19 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
       groups[it->second].push_back(i);
     }
   }
+  // Phase 1: the groups' base-table samples are drawn here, on the calling
+  // thread and across the pool: a draw a leaf started would run on a pool
+  // worker, where ParallelFor runs inline.
+  std::set<std::string> objects;
+  for (const std::vector<size_t>& members : groups) {
+    const IndexNode& first = nodes_[members.front()];
+    if (!first.is_existing) objects.insert(first.def.object);
+  }
+  for (const std::string& object : objects) {
+    if (Cancelled()) break;
+    source_->DrawSample(object, f, pool);
+  }
+  // Phase 2: the leaf groups, across the pool.
   std::vector<std::vector<SampleCfResult>> group_results =
       ParallelMap<std::vector<SampleCfResult>>(
           pool, groups.size(), [&](size_t g) -> std::vector<SampleCfResult> {
@@ -570,7 +583,7 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
     return estimates;
   }
 
-  // Phase 2: DEDUCED nodes compose their children's results via the
+  // Phase 3: DEDUCED nodes compose their children's results via the
   // deduction formulas — cheap arithmetic, run serially in dependency
   // order: a deduced node runs only after all its children have results
   // (narrow-to-wide alone cannot order same-width ColSet pairs).

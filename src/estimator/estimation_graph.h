@@ -89,11 +89,16 @@ class EstimationGraph {
   // for DEDUCED ones. Returns estimates keyed by IndexDef signature
   // (targets only). Also exposes per-node error stats.
   //
-  // With a pool, the independent SampleCF leaf estimations (the dominant
-  // cost: index builds on samples) run concurrently; deduction formulas
-  // then compose serially in dependency order. Output is bit-identical to
-  // the serial path: every node's computation is self-contained and the
-  // shared sample caches seed per key, not per draw order.
+  // Three phases, each using the pool if given:
+  //   1. the base-table sample of every uncached SampleCF leaf group is
+  //      drawn on the calling thread, its blocks filled across the pool
+  //      (SampleSource::DrawSample);
+  //   2. the independent SampleCF leaves (index builds on the samples) run
+  //      concurrently;
+  //   3. deduction formulas compose serially in dependency order.
+  // Output is bit-identical to the serial path: every node's computation is
+  // self-contained and the shared sample caches seed per key, not per draw
+  // order.
   //
   // With a cache, SAMPLED leaves are memoized at exactly (signature, f):
   // a hit skips the index build and a miss fills the cache. Because a

@@ -28,6 +28,13 @@ class SampleSource {
 
   // The sample table for `object` at sampling fraction f.
   virtual const Table& Sample(const std::string& object, double f) = 0;
+  // Draws the sample Sample(object, f) returns, if it is not drawn yet,
+  // filling the base table's blocks across `pool`. The estimation graph
+  // calls this on its calling thread before the SampleCF leaves start: a
+  // draw a leaf starts runs on a pool worker, where ParallelFor runs
+  // inline. Sources without a pooled draw leave it to the first Sample.
+  virtual void DrawSample(const std::string& /*object*/, double /*f*/,
+                          ThreadPool* /*pool*/) {}
   // Sample(object, f).num_rows(). The fraction search prices every
   // candidate f but reads only the chosen one's rows, so its probes are
   // size-only; sources that know the count without drawing override this.
@@ -50,6 +57,10 @@ class TableSampleSource : public SampleSource {
 
   const Table& Sample(const std::string& object, double f) override {
     return samples_->GetSample(db_->table(object), f);
+  }
+  void DrawSample(const std::string& object, double f,
+                  ThreadPool* pool) override {
+    samples_->GetSample(db_->table(object), f, pool);
   }
   uint64_t SampleRows(const std::string& object, double f) override {
     return samples_->SampleRows(db_->table(object), f);

@@ -93,6 +93,11 @@ const Table& MVRegistry::Sample(const std::string& object, double f) {
   return *it->second;
 }
 
+void MVRegistry::DrawSample(const std::string& object, double f,
+                            ThreadPool* pool) {
+  if (Find(object) == nullptr) table_source_.DrawSample(object, f, pool);
+}
+
 uint64_t MVRegistry::SampleRows(const std::string& object, double f) {
   if (Find(object) == nullptr) return table_source_.SampleRows(object, f);
   return SampleSource::SampleRows(object, f);

@@ -45,6 +45,10 @@ class MVRegistry : public SampleSource, public MVMatcher {
 
   // --- SampleSource ---
   const Table& Sample(const std::string& object, double f) override;
+  // Base tables: the SampleManager's pooled draw. An MV sample is cut from
+  // its synopsis by the first Sample call.
+  void DrawSample(const std::string& object, double f,
+                  ThreadPool* pool) override;
   // Base tables: the SampleManager's size-only count. MVs: the MV sample's
   // size is known only after aggregation, so it is drawn.
   uint64_t SampleRows(const std::string& object, double f) override;

@@ -19,16 +19,18 @@ uint64_t UniformSampleRows(uint64_t n, double f, uint64_t min_rows) {
 }  // namespace
 
 std::unique_ptr<Table> CreateUniformSample(const Table& table, double f,
-                                           uint64_t min_rows, Random* rng) {
+                                           uint64_t min_rows, Random* rng,
+                                           ThreadPool* pool) {
   const uint64_t n = table.num_rows();
   const uint64_t k = UniformSampleRows(n, f, min_rows);
   auto sample = std::make_unique<Table>(table.name() + "_sample", table.schema());
   sample->Reserve(k);
   // Streaming extraction: the k indices are drawn up front in sorted order
-  // (O(k) memory), then the table is streamed block-by-block picking the
-  // requested rows — a generated 10^8-row table never materializes, and a
-  // materialized table yields the byte-identical sample it always did.
-  for (Row& row : table.CollectRows(rng->SampleIndices(n, k))) {
+  // (O(k) memory), then each block holding one is filled once, rendering
+  // only its requested rows — a generated 10^8-row table never
+  // materializes, and a materialized table yields the byte-identical sample
+  // it always did.
+  for (Row& row : table.CollectRows(rng->SampleIndices(n, k), pool)) {
     sample->AddRow(std::move(row));
   }
   return sample;
@@ -44,7 +46,8 @@ size_t SampleManager::num_samples() const {
   return samples_.size();
 }
 
-const Table& SampleManager::GetSample(const Table& table, double f) {
+const Table& SampleManager::GetSample(const Table& table, double f,
+                                      ThreadPool* pool) {
   const uint64_t bits = FractionBits(f);
   std::lock_guard<std::mutex> lock(mu_);
   auto it = samples_.find({table.name(), bits});
@@ -57,7 +60,8 @@ const Table& SampleManager::GetSample(const Table& table, double f) {
     Random rng(seed_ ^ Fnv1a64(key.str()));
     it = samples_
              .emplace(std::make_pair(table.name(), bits),
-                      CreateUniformSample(table, f, kMinSampleRows, &rng))
+                      CreateUniformSample(table, f, kMinSampleRows, &rng,
+                                          pool))
              .first;
   }
   return *it->second;

@@ -17,11 +17,15 @@
 
 namespace capd {
 
+class ThreadPool;
+
 // Draws a uniform row sample of fraction f (at least min_rows if the table
 // has them). The sample is itself a Table, so every consumer (index builder,
-// stats) works on it unchanged.
+// stats) works on it unchanged. A generated table's blocks are filled
+// across the borrowed pool; the sample is the same with or without one.
 std::unique_ptr<Table> CreateUniformSample(const Table& table, double f,
-                                           uint64_t min_rows, Random* rng);
+                                           uint64_t min_rows, Random* rng,
+                                           ThreadPool* pool = nullptr);
 
 // Caches one uniform sample per (table, exact bits of f). Tracks how many
 // base-table rows were scanned to build samples, the dominant cost the
@@ -32,7 +36,10 @@ std::unique_ptr<Table> CreateUniformSample(const Table& table, double f,
 // name, f printed to six significant digits, the historical cache key), so
 // sample contents are independent of creation order and the parallel path
 // is bit-identical to the serial one. Returned Table references stay valid
-// for the manager's lifetime (entries are never evicted).
+// for the manager's lifetime (entries are never evicted). A draw runs under
+// the manager's lock, across the pool it is given; ParallelFor never waits
+// on a helper that has not started, so pool workers blocked on that lock
+// cannot stall it.
 //
 // Size-only probes: the estimator's fraction search only needs how many
 // rows each candidate fraction's sample would have, and SampleRows answers
@@ -44,8 +51,9 @@ class SampleManager {
   explicit SampleManager(uint64_t seed) : seed_(seed) {}
 
   // Returns the cached sample of `table` at fraction f, creating it on
-  // first use.
-  const Table& GetSample(const Table& table, double f);
+  // first use with its blocks filled across `pool` (null = serial).
+  const Table& GetSample(const Table& table, double f,
+                         ThreadPool* pool = nullptr);
 
   // GetSample(table, f).num_rows(), without drawing the sample.
   uint64_t SampleRows(const Table& table, double f) const;

@@ -4,6 +4,7 @@
 #include <numeric>
 
 #include "common/logging.h"
+#include "common/thread_pool.h"
 
 namespace capd {
 
@@ -56,7 +57,7 @@ void Table::ScanRows(
 }
 
 std::vector<Row> Table::CollectRows(
-    const std::vector<uint64_t>& sorted_indices) const {
+    const std::vector<uint64_t>& sorted_indices, ThreadPool* pool) const {
   const uint64_t n = num_rows();
   for (size_t i = 0; i < sorted_indices.size(); ++i) {
     CAPD_CHECK_LT(sorted_indices[i], n) << "table " << name_;
@@ -65,32 +66,43 @@ std::vector<Row> Table::CollectRows(
           << "table " << name_ << ": indices must be sorted ascending";
     }
   }
-  std::vector<Row> out;
-  out.reserve(sorted_indices.size());
   if (materialized()) {
+    std::vector<Row> out;
+    out.reserve(sorted_indices.size());
     for (uint64_t idx : sorted_indices) out.push_back(rows_[idx]);
     return out;
   }
-  // One fill per touched block, keeping only that block's requested rows.
-  ColumnBlock block(schema_);
-  std::vector<uint64_t> keep;  // block-local
-  size_t i = 0;
-  while (i < sorted_indices.size()) {
-    const uint64_t b = sorted_indices[i] / block_rows_;
+  // The runs of indices that share a block: run k is
+  // [run_begins[k], run_begins[k + 1]).
+  std::vector<size_t> run_begins;
+  for (size_t i = 0; i < sorted_indices.size(); ++i) {
+    if (i == 0 || sorted_indices[i] / block_rows_ !=
+                      sorted_indices[i - 1] / block_rows_) {
+      run_begins.push_back(i);
+    }
+  }
+  run_begins.push_back(sorted_indices.size());
+  // One fill per touched block, keeping only its requested rows. Blocks
+  // are independent, so they fill across the pool.
+  std::vector<Row> out(sorted_indices.size());
+  ParallelFor(pool, run_begins.size() - 1, [&](size_t k) {
+    const size_t begin = run_begins[k];
+    const size_t end = run_begins[k + 1];
+    const uint64_t b = sorted_indices[begin] / block_rows_;
     const uint64_t first = b * block_rows_;
-    keep.clear();
-    for (; i < sorted_indices.size() && sorted_indices[i] / block_rows_ == b;
-         ++i) {
+    std::vector<uint64_t> keep;  // block-local
+    keep.reserve(end - begin);
+    for (size_t i = begin; i < end; ++i) {
       keep.push_back(sorted_indices[i] - first);
     }
+    ColumnBlock block(schema_);
     source_->FillBlock(b, first, keep, &block);
     CAPD_CHECK_EQ(block.num_rows(), keep.size())
         << "table " << name_ << " block " << b;
-    for (uint64_t j = 0; j < keep.size(); ++j) {
-      out.emplace_back();
-      block.RowAt(j, &out.back());
+    for (size_t j = 0; j < keep.size(); ++j) {
+      block.RowAt(j, &out[begin + j]);
     }
-  }
+  });
   return out;
 }
 

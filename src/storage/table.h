@@ -24,6 +24,8 @@
 
 namespace capd {
 
+class ThreadPool;
+
 class Table {
  public:
   // Materialized (row-vector) table.
@@ -68,10 +70,11 @@ class Table {
   // Copies the rows at `sorted_indices`, which must ascend (repeats
   // allowed) and lie in [0, num_rows()). A generated table fills each block
   // holding a requested index once and renders only the requested rows of
-  // it. This is the streaming half of sample extraction:
-  // O(|indices| + block) memory.
-  std::vector<Row> CollectRows(
-      const std::vector<uint64_t>& sorted_indices) const;
+  // it; with a borrowed pool the blocks fill concurrently, and the rows are
+  // the same. This is the streaming half of sample extraction: no block is
+  // rendered whole, so memory is O(|indices|).
+  std::vector<Row> CollectRows(const std::vector<uint64_t>& sorted_indices,
+                               ThreadPool* pool = nullptr) const;
 
   // Uncompressed heap size in pages/bytes (fixed row width + slot overhead).
   uint64_t HeapPages() const;

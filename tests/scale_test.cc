@@ -1,7 +1,9 @@
 // Tests for the blocked/generated Table path and the streaming sampler:
-// byte-identity of streaming vs materialized samples, blocked iteration and
-// row collection vs rows filled straight from the source, sampled stats on
-// generated tables, and — via the process-wide allocation tracker in
+// byte-identity of streaming vs materialized samples, blocked iteration vs
+// rows filled straight from the source, kept-rows collection (with and
+// without a pool) vs the full scan, sampled stats on generated tables, a
+// cold tune's report at several estimation thread counts, and — via the
+// process-wide allocation tracker in
 // src/common/alloc_tracker.{h,cc} (activated for this binary by referencing
 // its accessors) — a hard assertion that drawing a sample from a
 // multi-million-row generated table allocates O(sample), not O(table), and
@@ -17,6 +19,7 @@
 #include "catalog/database.h"
 #include "common/alloc_tracker.h"
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "engine/advisor_engine.h"
 #include "stats/column_stats.h"
 #include "stats/sampler.h"
@@ -209,20 +212,24 @@ std::vector<std::vector<uint64_t>> PickSets(uint64_t n, uint64_t block_rows) {
   return sets;
 }
 
-// A kept-rows fill renders exactly the rows a full fill does.
+// A kept-rows fill renders exactly the rows a full fill does, with or
+// without a pool.
 void ExpectCollectRowsMatchScan(const Table& table) {
   std::vector<std::string> scanned;
   table.ScanRows(
       [&](uint64_t, const Row& row) { scanned.push_back(RowString(row)); });
   ASSERT_EQ(scanned.size(), table.num_rows());
-  for (const std::vector<uint64_t>& picks :
-       PickSets(table.num_rows(), table.block_rows())) {
-    const std::vector<Row> got = table.CollectRows(picks);
-    ASSERT_EQ(got.size(), picks.size());
-    for (size_t i = 0; i < picks.size(); ++i) {
-      ASSERT_EQ(RowString(got[i]), scanned[picks[i]])
-          << table.name() << " row " << picks[i] << " of " << picks.size()
-          << " picks";
+  ThreadPool two(2);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two}) {
+    for (const std::vector<uint64_t>& picks :
+         PickSets(table.num_rows(), table.block_rows())) {
+      const std::vector<Row> got = table.CollectRows(picks, pool);
+      ASSERT_EQ(got.size(), picks.size());
+      for (size_t i = 0; i < picks.size(); ++i) {
+        ASSERT_EQ(RowString(got[i]), scanned[picks[i]])
+            << table.name() << " row " << picks[i] << " of " << picks.size()
+            << " picks, pool " << (pool != nullptr);
+      }
     }
   }
 }
@@ -312,6 +319,34 @@ TEST(ScaleWorkloadTest, BigTableSampleAllocatesOSample) {
   EXPECT_LT(peak_delta, kBudgetBytes)
       << "sample extraction allocated " << peak_delta
       << " bytes — O(table), not O(sample)?";
+}
+
+// A cold request draws its samples block-parallel across the estimation
+// pool and runs its leaves there: the report is the same at every count.
+TEST(ScaleWorkloadTest, ColdTuneJsonIsIdenticalAcrossEstimationThreads) {
+  workloads::WorkloadSpec spec;
+  spec.name = "scale";
+  spec.rows = 30000;
+  workloads::BuiltWorkload built;
+  std::string error;
+  ASSERT_TRUE(workloads::Build(spec, &built, &error)) << error;
+  TuningRequest request;
+  request.workload = built.workload;
+  request.strategy = "dtac-both";
+  request.budget = TuningBudget::Fraction(0.2);
+  std::string serial;
+  for (const int threads : {1, 2, 4}) {
+    EngineOptions options;
+    options.estimation_threads = threads;
+    AdvisorEngine engine(*built.db, options);  // fresh samples: cold
+    const TuningResponse response = engine.Tune(request);
+    ASSERT_TRUE(response.ok()) << response.error;
+    if (threads == 1) {
+      serial = response.json;
+    } else {
+      EXPECT_EQ(response.json, serial) << threads << " estimation threads";
+    }
+  }
 }
 
 // A warm request re-plans the estimation graph and re-runs the greedy

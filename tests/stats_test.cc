@@ -1,16 +1,20 @@
-// Tests for statistics: histograms, samplers, join synopses, distinct-value
-// estimators.
+// Tests for statistics: histograms, samplers (concurrent pooled draws
+// included), join synopses, distinct-value estimators.
 #include <cmath>
 #include <set>
+#include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/random.h"
+#include "common/thread_pool.h"
 #include "catalog/database.h"
 #include "stats/column_stats.h"
 #include "stats/distinct_estimator.h"
 #include "stats/join_synopsis.h"
 #include "stats/sampler.h"
+#include "workloads/scale.h"
 
 namespace capd {
 namespace {
@@ -140,6 +144,36 @@ TEST(SampleManagerTest, NearbyFractionsAreDistinctSamples) {
   EXPECT_EQ(b.num_rows(), 60u);
   EXPECT_EQ(a.num_rows(), mgr.SampleRows(t, 0.0605));
   EXPECT_EQ(b.num_rows(), mgr.SampleRows(t, 0.06049999));
+}
+
+// Concurrent first requests for one sample: two callers draw through a
+// pool, two serially. Whoever draws holds the manager's lock; all four get
+// the rows a lone serial draw gives, and the table is scanned once.
+TEST(SampleManagerTest, ConcurrentPooledDrawsMatchASerialDraw) {
+  Database db;
+  scale::Options options;
+  options.fact_rows = 30000;
+  scale::Build(&db, options);
+  const Table& events = db.table("events");
+  SampleManager serial(11);
+  const Table& expected = serial.GetSample(events, 0.01);
+
+  SampleManager shared(11);
+  ThreadPool pool(2);
+  std::vector<const Table*> got(4, nullptr);
+  std::vector<std::thread> callers;
+  for (size_t t = 0; t < got.size(); ++t) {
+    callers.emplace_back([&, t] {
+      got[t] = &shared.GetSample(events, 0.01, t < 2 ? &pool : nullptr);
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_EQ(shared.rows_scanned(), events.num_rows());
+  EXPECT_EQ(shared.num_samples(), 1u);
+  for (const Table* sample : got) {
+    ASSERT_EQ(sample->num_rows(), expected.num_rows());
+    EXPECT_EQ(sample->rows(), expected.rows());
+  }
 }
 
 TEST(JoinSynopsisTest, EveryFactRowMatches) {

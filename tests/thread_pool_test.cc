@@ -1,6 +1,9 @@
 // Tests for the concurrency layer: task completion, exception propagation,
-// nested ParallelFor, and ParallelMap ordering.
+// nested ParallelFor, ParallelFor beside blocked workers, and ParallelMap
+// ordering.
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <numeric>
 #include <set>
 #include <stdexcept>
@@ -93,6 +96,27 @@ TEST(ThreadPoolTest, ParallelMapPreservesIndexOrder) {
   for (size_t i = 0; i < out.size(); ++i) {
     EXPECT_EQ(out[i], static_cast<int>(i * i));
   }
+}
+
+TEST(ThreadPoolTest, ParallelForReturnsWhileEveryWorkerIsBlocked) {
+  // The caller runs every iteration no helper claimed and waits for no
+  // helper that never started, so workers blocked elsewhere (here on a
+  // latch; in a sample draw, on a lock the caller holds) cannot stall it.
+  ThreadPool pool(2);
+  std::promise<void> latch;
+  std::shared_future<void> released = latch.get_future().share();
+  for (int i = 0; i < pool.size(); ++i) {
+    pool.Submit([released] { released.wait(); });
+  }
+  std::atomic<int> ran{0};
+  std::future<void> loop = std::async(std::launch::async, [&] {
+    ParallelFor(&pool, 16, [&](size_t) { ++ran; });
+  });
+  const std::future_status status = loop.wait_for(std::chrono::seconds(10));
+  latch.set_value();
+  loop.get();
+  EXPECT_EQ(status, std::future_status::ready);
+  EXPECT_EQ(ran.load(), 16);
 }
 
 TEST(ThreadPoolTest, CallerThreadParticipates) {

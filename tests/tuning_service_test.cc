@@ -4,7 +4,8 @@
 // cancellation through the service, and seeded fault-injection determinism
 // (same seed -> byte-identical response stream). Plus the deep-cancellation
 // pins of the estimator: a cancel flag binds inside a batch estimation, and
-// a wired-but-never-fired flag leaves results bit-identical.
+// a wired-but-never-fired flag leaves results bit-identical. And concurrent
+// cold requests whose sample draws share one estimation pool.
 #include <atomic>
 #include <condition_variable>
 #include <cstring>
@@ -320,6 +321,57 @@ TEST_F(TuningServiceTest, SeededFaultInjectionIsByteDeterministic) {
   EXPECT_EQ(stats_first.retries, stats_second.retries);
 
   EXPECT_EQ(StreamBytes(first), StreamBytes(second));
+}
+
+// Three workers share one cold engine, its SampleManager and its 2-thread
+// estimation pool: a request drawing a sample across the pool holds the
+// manager's lock while other requests' leaves may block on it from the
+// pool's workers. Every response matches the same request run alone and
+// serially.
+TEST(TuningServiceConcurrencyTest, PooledColdDrawsMatchSerialReferences) {
+  workloads::WorkloadSpec spec;
+  spec.name = "scale";
+  spec.rows = 30000;
+  workloads::BuiltWorkload built;
+  std::string error;
+  ASSERT_TRUE(workloads::Build(spec, &built, &error)) << error;
+  std::vector<TuningRequest> requests;
+  for (const char* strategy : {"dtac-both", "dtac-topk"}) {
+    for (const double budget : {0.05, 0.10, 0.20}) {
+      TuningRequest request;
+      request.workload = built.workload;
+      request.strategy = strategy;
+      request.budget = TuningBudget::Fraction(budget);
+      requests.push_back(request);
+    }
+  }
+  std::vector<std::string> serial;
+  for (const TuningRequest& request : requests) {
+    AdvisorEngine engine(*built.db);  // one estimation thread, cold
+    const TuningResponse response = engine.Tune(request);
+    ASSERT_TRUE(response.ok()) << response.error;
+    serial.push_back(response.json);
+  }
+
+  EngineOptions engine_options;
+  engine_options.estimation_threads = 2;
+  AdvisorEngine engine(*built.db, engine_options);
+  ServiceOptions options;
+  options.num_workers = 3;
+  options.high_watermark = 0;  // no degradation
+  TuningService service(&engine, options);
+  std::vector<std::shared_ptr<TuningService::Ticket>> tickets;
+  for (const TuningRequest& request : requests) {
+    ServiceRequest submitted;
+    submitted.tuning = request;
+    tickets.push_back(service.Submit(submitted));
+  }
+  for (size_t i = 0; i < tickets.size(); ++i) {
+    const ServiceResponse response = tickets[i]->Wait();
+    ASSERT_EQ(response.status, ServiceStatus::kOk) << response.error;
+    EXPECT_EQ(response.tuning.json, serial[i])
+        << requests[i].strategy << " at " << requests[i].budget.value;
+  }
 }
 
 // ---- Deep-cancellation pins (the estimator-level contract) ----
