@@ -75,6 +75,16 @@ TuningService::~TuningService() {
     Resolve(job, std::move(response));
   }
   for (std::thread& worker : workers_) worker.join();
+  // The watchdog stops only after the last worker has exited, so runs that
+  // finish during shutdown keep their deadlines, and the threads always
+  // exit in the same order. Were the two exits to race, glibc malloc could
+  // hand the next thread to allocate a fresh arena while the arena the
+  // exited worker grew sat idle and resident, and peak RSS would differ
+  // from one run to the next.
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    watchdog_stop_ = true;
+  }
   watchdog_.join();
 }
 
@@ -164,7 +174,7 @@ void TuningService::WatchdogLoop() {
   while (true) {
     {
       std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) return;
+      if (watchdog_stop_) return;
     }
     {
       std::lock_guard<std::mutex> lock(active_mu_);

@@ -163,7 +163,7 @@ class TuningService {
   TuningService(AdvisorEngine* engine, ServiceOptions options);
   // Stops admission, resolves still-queued requests as kCancelled
   // ("service shutting down"), and joins the workers — in-flight runs
-  // finish normally.
+  // finish normally, deadlines still enforced — and then the watchdog.
   ~TuningService();
 
   TuningService(const TuningService&) = delete;
@@ -232,6 +232,7 @@ class TuningService {
   std::map<std::pair<int64_t, uint64_t>, std::shared_ptr<Job>> queue_;
   bool degraded_mode_ = false;
   bool stopping_ = false;
+  bool watchdog_stop_ = false;  // set once every worker has been joined
   uint64_t next_id_ = 1;
 
   mutable std::mutex active_mu_;
