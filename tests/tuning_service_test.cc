@@ -1,18 +1,21 @@
 // TuningService robustness tests: admission control (queue-full rejection),
 // watermark-driven graceful degradation, deadline enforcement mid-tune
-// (best-so-far, flagged), priority ordering under contention, user
+// (best-so-far, flagged) and on a run in flight at shutdown, priority
+// ordering under contention, user
 // cancellation through the service, and seeded fault-injection determinism
 // (same seed -> byte-identical response stream). Plus the deep-cancellation
 // pins of the estimator: a cancel flag binds inside a batch estimation, and
 // a wired-but-never-fired flag leaves results bit-identical. And concurrent
 // cold requests whose sample draws share one estimation pool.
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -186,6 +189,32 @@ TEST_F(TuningServiceTest, DeadlineMidTuneReturnsBestSoFarFlagged) {
 
   // The service stays healthy: an undeadlined request completes normally.
   EXPECT_EQ(service.Tune(MakeRequest("dtac-topk")).status, ServiceStatus::kOk);
+}
+
+// Shutdown lets in-flight runs finish, and the watchdog stays up until the
+// last of them has: a run still going when the service is destroyed is cut
+// off at its deadline like any other.
+TEST_F(TuningServiceTest, DeadlineBindsOnARunInFlightAtShutdown) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.high_watermark = 0;
+  auto service = std::make_unique<TuningService>(engine_.get(), options);
+
+  Gate gate;
+  ServiceRequest request = GateRequest(&gate);
+  request.timeout_ms = 200.0;
+  auto ticket = service->Submit(request);
+  gate.AwaitEntered();
+  // The destructor stops admission at once, then waits for the worker.
+  std::thread shutdown([&service] { service.reset(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(400));
+  gate.Release();
+  shutdown.join();
+
+  const ServiceResponse& r = ticket->Wait();
+  EXPECT_EQ(r.status, ServiceStatus::kDeadlineExceeded);
+  EXPECT_EQ(r.attempts, 1);
+  EXPECT_TRUE(r.tuning.result.cancelled);
 }
 
 TEST_F(TuningServiceTest, PriorityOrderingUnderContention) {
