@@ -134,6 +134,18 @@ TEST(GoldenReportMvPartial, TpchDtacBothMatchesGoldenByteForByte) {
                       stack.Render("dtac_both", /*mv_and_partial=*/true));
 }
 
+// The one golden over a generated table: 30,000 events rows, so the
+// report rests on the 16,384-row stats draw and on block-drawn samples.
+TEST(GoldenReportScale, ScaleDtacBothMatchesGoldenByteForByte) {
+  GoldenStack stack;
+  workloads::WorkloadSpec spec;
+  spec.name = "scale";
+  spec.rows = 30000;
+  std::string error;
+  ASSERT_TRUE(workloads::Build(spec, &stack.built, &error)) << error;
+  ExpectMatchesGolden("scale_dtac_both", stack.Render("dtac_both"));
+}
+
 // Rendering twice from independently built stacks must be byte-identical —
 // the precondition for golden pinning (and a canary for any nondeterminism
 // creeping into the advisor or the report renderer).

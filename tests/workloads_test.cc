@@ -2,6 +2,7 @@
 // statistical properties the experiments depend on, and pinned hashes of
 // every generated cell.
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -291,6 +292,115 @@ TEST(GeneratedDataTest, EveryTableHashIsPinned) {
       EXPECT_EQ(TableHash(*tables[i]), c.tables[i].hash)
           << c.workload << " skew_z=" << c.skew_z << " table "
           << c.tables[i].table;
+    }
+  }
+}
+
+// FNV-1a over the little-endian bytes of `v`.
+void MixHash(uint64_t v, uint64_t* hash) {
+  for (int shift = 0; shift < 64; shift += 8) {
+    *hash ^= (v >> shift) & 0xff;
+    *hash *= 0x100000001b3ull;
+  }
+}
+
+uint64_t DoubleBits(double d) {
+  uint64_t bits;
+  std::memcpy(&bits, &d, sizeof(bits));
+  return bits;
+}
+
+// FNV-1a over every column's statistics, in schema order: row and
+// distinct counts, the bits of the key range and leading-zero average, the
+// histogram's row total and its SelectivityLe at 17 evenly spaced keys.
+uint64_t StatsHash(const Database& db, const Table& table) {
+  const TableStats& stats = db.stats(table.name());
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const Column& col : table.schema().columns()) {
+    const ColumnStats& cs = stats.column(col.name);
+    MixHash(cs.num_rows, &hash);
+    MixHash(cs.distinct, &hash);
+    MixHash(DoubleBits(cs.min_key), &hash);
+    MixHash(DoubleBits(cs.max_key), &hash);
+    MixHash(DoubleBits(cs.avg_leading_zero_bytes), &hash);
+    MixHash(cs.histogram.total_rows(), &hash);
+    for (int i = 0; i <= 16; ++i) {
+      const double key = cs.min_key + (cs.max_key - cs.min_key) * i / 16.0;
+      MixHash(DoubleBits(cs.histogram.SelectivityLe(key)), &hash);
+    }
+  }
+  return hash;
+}
+
+// The statistics of every table EveryTableHashIsPinned covers. scale's
+// 30,000 events rows exceed TableStats::kSampledStatsRows, so its events
+// statistics pin the 16,384-row stats draw; every other table is profiled
+// over all of its rows.
+TEST(GeneratedDataTest, EveryTableStatsArePinned) {
+  struct Pinned {
+    const char* table;
+    uint64_t hash;
+  };
+  struct Case {
+    const char* workload;
+    uint64_t rows;
+    uint64_t seed;  // 0 = the workload's default
+    double skew_z;
+    std::vector<Pinned> tables;  // in Database::tables() order
+  };
+  const Case kCases[] = {
+      {"scale",
+       30000,
+       7,
+       0.0,
+       {{"devices", 0x663e9409666479edull},
+        {"events", 0x406a6bf03b6ef018ull}}},
+      {"tpch",
+       2000,
+       0,
+       0.0,
+       {{"customer", 0x3b31f83f1f0400faull},
+        {"lineitem", 0xf508d20d5f57b5e2ull},
+        {"nation", 0x8e03f5871ddd0161ull},
+        {"orders", 0xf4dc2d22a348bdd0ull},
+        {"part", 0x302dd82a4f99ede3ull},
+        {"supplier", 0x4d87bdb501dc5433ull}}},
+      {"tpch",
+       2000,
+       0,
+       1.0,
+       {{"customer", 0x3b31f83f1f0400faull},
+        {"lineitem", 0x8ed17292a7397e9bull},
+        {"nation", 0x8e03f5871ddd0161ull},
+        {"orders", 0x56f7201dd09c8ff5ull},
+        {"part", 0x302dd82a4f99ede3ull},
+        {"supplier", 0x4d87bdb501dc5433ull}}},
+      {"sales",
+       2000,
+       0,
+       0.0,
+       {{"products", 0x3517ed12c6bf5d9cull},
+        {"sales", 0xa1563f2cdaf702ccull},
+        {"stores", 0xb15cb5451412a635ull}}},
+      {"tpcds-lite",
+       2000,
+       0,
+       0.0,
+       {{"item", 0x670a29ba040d4b25ull},
+        {"store", 0x5f9545a2694d51c2ull},
+        {"store_sales", 0x47126a4f0a0ab956ull}}},
+  };
+  for (const Case& c : kCases) {
+    const workloads::BuiltWorkload built =
+        BuildSpec(c.workload, c.rows, c.seed, c.skew_z);
+    const std::vector<const Table*> tables = built.db->tables();
+    ASSERT_EQ(tables.size(), c.tables.size()) << c.workload;
+    for (size_t i = 0; i < tables.size(); ++i) {
+      EXPECT_EQ(tables[i]->name(), c.tables[i].table);
+      const uint64_t hash = StatsHash(*built.db, *tables[i]);
+      EXPECT_EQ(hash, c.tables[i].hash)
+          << c.workload << " skew_z=" << c.skew_z << " table "
+          << c.tables[i].table << " stats hash 0x" << std::hex << hash;
     }
   }
 }
