@@ -25,14 +25,16 @@ double DeductionEngine::EstimateDistinct(
     positions.push_back(sample.schema().ColumnIndex(c));
   }
   std::map<std::string, uint64_t> counts;
-  for (const Row& row : sample.rows()) {
-    std::string combo;
-    for (size_t p : positions) {
-      combo.append(row[p].ToString());
-      combo.push_back('\x1f');
+  sample.ScanBlocks([&](uint64_t, const ColumnBlock& block) {
+    for (uint64_t r = 0; r < block.num_rows(); ++r) {
+      std::string combo;
+      for (size_t p : positions) {
+        combo.append(block.ValueAt(p, r).ToString());
+        combo.push_back('\x1f');
+      }
+      ++counts[combo];
     }
-    ++counts[combo];
-  }
+  });
   std::vector<uint64_t> class_counts;
   class_counts.reserve(counts.size());
   for (const auto& [v, c] : counts) class_counts.push_back(c);

@@ -99,9 +99,9 @@ double SampleCfEstimator::EstimateFullTuples(const IndexDef& def, double f) {
   const Table& sample = source_->Sample(def.object, f);
   if (sample.num_rows() == 0) return 0.0;
   uint64_t hits = 0;
-  for (const Row& r : sample.rows()) {
+  sample.ScanRows([&](uint64_t, const Row& r) {
     if (def.filter->Matches(r, sample.schema())) ++hits;
-  }
+  });
   return full_rows * static_cast<double>(hits) /
          static_cast<double>(sample.num_rows());
 }
@@ -111,9 +111,9 @@ double SampleCfEstimator::PredictCostPages(const IndexDef& def, double f,
   uint64_t sample_tuples = 0;
   if (def.filter.has_value()) {
     const Table& sample = source_->Sample(def.object, f);
-    for (const Row& r : sample.rows()) {
+    sample.ScanRows([&](uint64_t, const Row& r) {
       if (def.filter->Matches(r, sample.schema())) ++sample_tuples;
-    }
+    });
   } else {
     sample_tuples = source_->SampleRows(def.object, f);
   }

@@ -36,35 +36,42 @@ FlatPage IndexBuilder::MaterializePage(const IndexDef& def) const {
   const size_t num_keys = def.key_columns.size();
 
   // One scan: each kept row's encoded cells go to per-column buffers in
-  // scan order, and only its key Values are kept for the sort.
+  // scan order, and only its key Values are kept for the sort. Buffers are
+  // sized for the first block (all of a small sample), never O(table).
   std::vector<std::string> cells(stored.num_columns());
   std::vector<Value> keys;  // row i's keys at [i * num_keys, (i+1) * num_keys)
-  // Pre-size only when the table is already resident; for generated tables
-  // the reservation would itself be the O(n) allocation we are avoiding.
-  if (table_->materialized()) {
-    for (size_t c = 0; c < cells.size(); ++c) {
-      cells[c].reserve(table_->num_rows() * stored.column(c).width);
-    }
-    keys.reserve(table_->num_rows() * num_keys);
-  }
+  Row row;                  // a filtered row, for ColumnFilter::Matches
   uint64_t rows = 0;
-  table_->ScanRows([&](uint64_t global_idx, const Row& r) {
-    if (def.filter.has_value() && !def.filter->Matches(r, base)) return;
-    ++rows;
-    CAPD_CHECK(max_materialize_rows_ == 0 || rows <= max_materialize_rows_)
-        << "index materialization exceeded its memory budget of "
-        << max_materialize_rows_ << " rows (table " << table_->name() << ")";
-    for (size_t i = 0; i < positions.size(); ++i) {
-      EncodeField(r[positions[i]], stored.column(i), &cells[i]);
+  table_->ScanBlocks([&](uint64_t first_row, const ColumnBlock& block) {
+    if (first_row == 0) {
+      for (size_t c = 0; c < cells.size(); ++c) {
+        cells[c].reserve(block.num_rows() * stored.column(c).width);
+      }
+      keys.reserve(block.num_rows() * num_keys);
     }
-    // rowid stays the historical 1-based position so MixLocator emits the
-    // exact locator stream the goldens pin.
-    if (!def.clustered) {
-      const int64_t rowid = static_cast<int64_t>(global_idx) + 1;
-      EncodeField(Value::Int64(MixLocator(rowid)),
-                  stored.column(positions.size()), &cells.back());
+    for (uint64_t r = 0; r < block.num_rows(); ++r) {
+      if (def.filter.has_value()) {
+        block.RowAt(r, &row);
+        if (!def.filter->Matches(row, base)) continue;
+      }
+      ++rows;
+      CAPD_CHECK(max_materialize_rows_ == 0 || rows <= max_materialize_rows_)
+          << "index materialization exceeded its memory budget of "
+          << max_materialize_rows_ << " rows (table " << table_->name() << ")";
+      for (size_t i = 0; i < positions.size(); ++i) {
+        block.EncodeCell(positions[i], r, stored.column(i), &cells[i]);
+      }
+      // rowid stays the historical 1-based position so MixLocator emits the
+      // exact locator stream the goldens pin.
+      if (!def.clustered) {
+        const int64_t rowid = static_cast<int64_t>(first_row + r) + 1;
+        EncodeInt64Field(MixLocator(rowid), stored.column(positions.size()),
+                         &cells.back());
+      }
+      for (size_t k = 0; k < num_keys; ++k) {
+        keys.push_back(block.ValueAt(positions[k], r));
+      }
     }
-    for (size_t k = 0; k < num_keys; ++k) keys.push_back(r[positions[k]]);
   });
 
   // std::sort makes the same comparisons and moves on the permutation as

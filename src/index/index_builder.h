@@ -45,9 +45,11 @@ class IndexBuilder {
 
   // Filter + project + sort, rendered under def.StoredSchema: the page
   // every compression variant of def's structure packs from. Streams the
-  // table block-by-block and keeps only the filtered rows' encoded stored
-  // cells and key Values, never a second copy of the base table; rows tied
-  // on the key keep the order a std::sort of whole rows gives them.
+  // table block-by-block, encodes each kept row's stored cells straight
+  // from the typed columns and keeps only those bytes and the key Values,
+  // never a second copy of the base table; only a partial index's filter
+  // test builds a Row. Rows tied on the key keep the order a std::sort of
+  // whole rows gives them.
   FlatPage MaterializePage(const IndexDef& def) const;
 
   // Full build: returns the measured physical size.

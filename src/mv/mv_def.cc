@@ -7,58 +7,6 @@
 #include "stats/join_synopsis.h"
 
 namespace capd {
-namespace {
-
-// Joins the fact table with all dimension tables referenced by `def`
-// (full tables on both sides; used for exact materialization only).
-std::unique_ptr<Table> JoinFull(const Database& db, const MVDef& def) {
-  const Table& fact = db.table(def.fact_table);
-  std::vector<Column> cols = fact.schema().columns();
-  std::vector<const Table*> dims;
-  std::vector<size_t> dim_key_pos;
-  std::vector<size_t> fact_fk_pos;
-  for (const JoinClause& j : def.joins) {
-    const Table& dim = db.table(j.dim_table);
-    dims.push_back(&dim);
-    dim_key_pos.push_back(dim.schema().ColumnIndex(j.dim_key));
-    fact_fk_pos.push_back(fact.schema().ColumnIndex(j.fk_column));
-    for (const Column& c : dim.schema().columns()) {
-      if (c.name == j.dim_key) continue;
-      cols.push_back(c);
-    }
-  }
-  auto joined = std::make_unique<Table>(def.fact_table + "_joined",
-                                        Schema(std::move(cols)));
-  // Dim rows are stored by value: with blocked tables ScanRows hands out a
-  // scratch row, so a pointer into the scan would dangle.
-  std::vector<std::map<std::string, Row>> maps(dims.size());
-  for (size_t d = 0; d < dims.size(); ++d) {
-    dims[d]->ScanRows([&](uint64_t, const Row& row) {
-      maps[d][row[dim_key_pos[d]].ToString()] = row;
-    });
-  }
-  if (fact.materialized()) joined->Reserve(fact.num_rows());
-  fact.ScanRows([&](uint64_t, const Row& frow) {
-    Row out = frow;
-    bool ok = true;
-    for (size_t d = 0; d < dims.size() && ok; ++d) {
-      const auto it = maps[d].find(frow[fact_fk_pos[d]].ToString());
-      if (it == maps[d].end()) {
-        ok = false;
-        break;
-      }
-      const Row& drow = it->second;
-      for (size_t c = 0; c < drow.size(); ++c) {
-        if (c == dim_key_pos[d]) continue;
-        out.push_back(drow[c]);
-      }
-    }
-    if (ok) joined->AddRow(std::move(out));
-  });
-  return joined;
-}
-
-}  // namespace
 
 std::string MVDef::AggColumnName(const AggExpr& agg) {
   std::string fn = agg.func;
@@ -145,12 +93,11 @@ std::unique_ptr<Table> AggregateRows(const Table& input, const MVDef& def,
   });
 
   auto mv = std::make_unique<Table>(def.name, out_schema);
-  mv->Reserve(groups.size());
   for (auto& [key, acc] : groups) {
     Row out = std::move(acc.key);
     for (double s : acc.sums) out.push_back(Value::Double(s));
     out.push_back(Value::Int64(acc.count));
-    mv->AddRow(std::move(out));
+    mv->AddRow(out);
   }
   return mv;
 }
@@ -159,7 +106,14 @@ std::unique_ptr<Table> MaterializeMV(const Database& db, const MVDef& def) {
   if (def.joins.empty()) {
     return AggregateRows(db.table(def.fact_table), def, db);
   }
-  const std::unique_ptr<Table> joined = JoinFull(db, def);
+  std::vector<const Table*> dims;
+  std::vector<ForeignKey> edges;
+  for (const JoinClause& j : def.joins) {
+    dims.push_back(&db.table(j.dim_table));
+    edges.push_back({def.fact_table, j.fk_column, j.dim_table, j.dim_key});
+  }
+  const std::unique_ptr<Table> joined = JoinDimensions(
+      def.fact_table + "_joined", db.table(def.fact_table), dims, edges);
   return AggregateRows(*joined, def, db);
 }
 

@@ -112,11 +112,11 @@ MVTupleEstimates MVRegistry::EstimateTuples(const MVDef& def, double f) {
   std::vector<uint64_t> class_counts;
   class_counts.reserve(smv.num_rows());
   uint64_t r = 0;  // tuples before aggregation (that passed the filter)
-  for (const Row& row : smv.rows()) {
+  smv.ScanRows([&](uint64_t, const Row& row) {
     const uint64_t c = static_cast<uint64_t>(row[count_pos].AsInt64());
     class_counts.push_back(c);
     r += c;
-  }
+  });
   const uint64_t d = smv.num_rows();
   const double filter_factor =
       synopsis.num_rows() > 0

@@ -2,26 +2,25 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
-#include <sstream>
+#include <memory>
 
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "common/random.h"
 #include "compress/null_suppression.h"
 #include "stats/distinct_estimator.h"
-#include "storage/encoding.h"
 
 namespace capd {
 namespace {
 
-// Salt xor'd with the table-name hash to seed the sampled-stats draw.
+// Salt xor'd with the table-name hash to seed a generated table's draw.
 // Fixed (not caller-supplied) so Database::stats() stays reproducible
 // without threading a seed through the catalog.
 constexpr uint64_t kStatsSeedSalt = 0x57A75u;
 
 // GEE estimate of the full-data distinct count from per-class sample
-// counts, clamped to [observed distinct, n].
+// counts, clamped to [observed distinct, n]. With sample_rows = n, GEE's
+// sqrt(n / r) is 1 and the estimate is the exact class count.
 uint64_t ScaledDistinct(const std::map<std::string, uint64_t>& class_counts,
                         uint64_t sample_rows, uint64_t n) {
   if (class_counts.empty()) return 0;
@@ -88,69 +87,43 @@ double Histogram::SelectivityGe(double v) const {
 }
 
 TableStats TableStats::Compute(const Table& table) {
-  if (!table.materialized()) return ComputeSampled(table);
-  TableStats stats;
-  stats.num_rows_ = table.num_rows();
-  const Schema& schema = table.schema();
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    const Column& col = schema.column(c);
-    ColumnStats cs;
-    cs.num_rows = table.num_rows();
-    std::vector<double> keys;
-    keys.reserve(table.num_rows());
-    std::set<std::string> distinct;
-    uint64_t zero_bytes = 0;
-    for (const Row& row : table.rows()) {
-      const Value& v = row[c];
-      keys.push_back(v.NumericKey());
-      std::string enc = EncodeFieldToString(v, col);
-      zero_bytes += CountLeadingZeros(enc);
-      distinct.insert(std::move(enc));
-    }
-    cs.distinct = distinct.size();
-    if (!keys.empty()) {
-      cs.avg_leading_zero_bytes =
-          static_cast<double>(zero_bytes) / static_cast<double>(keys.size());
-    }
-    cs.histogram = Histogram::Build(keys, Histogram::kDefaultBuckets);
-    cs.min_key = cs.histogram.min();
-    cs.max_key = cs.histogram.max();
-    stats.columns_[col.name] = std::move(cs);
-  }
-  return stats;
-}
-
-TableStats TableStats::ComputeSampled(const Table& table) {
-  TableStats stats;
-  stats.sampled_ = true;
   const uint64_t n = table.num_rows();
+  std::unique_ptr<Table> draw;
+  if (table.generated()) {
+    Random rng(kStatsSeedSalt ^ Fnv1a64(table.name()));
+    const uint64_t k = std::min(n, kSampledStatsRows);
+    draw = table.CollectRows(table.name(), rng.SampleIndices(n, k));
+  }
+  const Table& profiled = draw != nullptr ? *draw : table;
+  const uint64_t r = profiled.num_rows();
+  TableStats stats;
   stats.num_rows_ = n;
-  const uint64_t k = std::min(n, kSampledStatsRows);
-  Random rng(kStatsSeedSalt ^ Fnv1a64(table.name()));
-  stats.sample_rows_ = table.CollectRows(rng.SampleIndices(n, k));
-  const uint64_t r = stats.sample_rows_.size();
   const Schema& schema = table.schema();
+  std::string enc;
   for (size_t c = 0; c < schema.num_columns(); ++c) {
     const Column& col = schema.column(c);
-    ColumnStats cs;
-    cs.num_rows = n;  // exact: the generated table knows its cardinality
     std::vector<double> keys;
     keys.reserve(r);
     std::map<std::string, uint64_t> class_counts;
     uint64_t zero_bytes = 0;
-    for (const Row& row : stats.sample_rows_) {
-      const Value& v = row[c];
-      keys.push_back(v.NumericKey());
-      std::string enc = EncodeFieldToString(v, col);
-      zero_bytes += CountLeadingZeros(enc);
-      ++class_counts[std::move(enc)];
-    }
+    profiled.ScanBlocks([&](uint64_t, const ColumnBlock& block) {
+      for (uint64_t i = 0; i < block.num_rows(); ++i) {
+        keys.push_back(block.NumericKey(c, i));
+        enc.clear();
+        block.EncodeCell(c, i, col, &enc);
+        zero_bytes += CountLeadingZeros(enc);
+        ++class_counts[enc];
+      }
+    });
+    ColumnStats cs;
+    cs.num_rows = n;
     cs.distinct = ScaledDistinct(class_counts, r, n);
     if (!keys.empty()) {
       cs.avg_leading_zero_bytes =
           static_cast<double>(zero_bytes) / static_cast<double>(keys.size());
     }
-    cs.histogram = Histogram::Build(keys, Histogram::kDefaultBuckets);
+    cs.histogram =
+        Histogram::Build(std::move(keys), Histogram::kDefaultBuckets);
     cs.min_key = cs.histogram.min();
     cs.max_key = cs.histogram.max();
     stats.columns_[col.name] = std::move(cs);
@@ -162,48 +135,6 @@ const ColumnStats& TableStats::column(const std::string& name) const {
   const auto it = columns_.find(name);
   CAPD_CHECK(it != columns_.end()) << "no stats for column " << name;
   return it->second;
-}
-
-uint64_t TableStats::DistinctOfColumns(
-    const Table& table, const std::vector<std::string>& cols) const {
-  std::ostringstream key;
-  for (const std::string& c : cols) key << c << ",";
-  const auto cached = combo_cache_.find(key.str());
-  if (cached != combo_cache_.end()) return cached->second;
-
-  std::vector<size_t> positions;
-  positions.reserve(cols.size());
-  for (const std::string& c : cols) {
-    positions.push_back(table.schema().ColumnIndex(c));
-  }
-  uint64_t result;
-  if (sampled_) {
-    // GEE-scale the combination's distinct count from the retained stats
-    // sample instead of scanning the generated table.
-    std::map<std::string, uint64_t> class_counts;
-    for (const Row& row : sample_rows_) {
-      std::string combo;
-      for (size_t p : positions) {
-        combo.append(row[p].ToString());
-        combo.push_back('\x1f');
-      }
-      ++class_counts[std::move(combo)];
-    }
-    result = ScaledDistinct(class_counts, sample_rows_.size(), num_rows_);
-  } else {
-    std::set<std::string> distinct;
-    for (const Row& row : table.rows()) {
-      std::string combo;
-      for (size_t p : positions) {
-        combo.append(row[p].ToString());
-        combo.push_back('\x1f');
-      }
-      distinct.insert(std::move(combo));
-    }
-    result = distinct.size();
-  }
-  combo_cache_[key.str()] = result;
-  return result;
 }
 
 }  // namespace capd

@@ -56,40 +56,26 @@ struct ColumnStats {
 
 class TableStats {
  public:
-  // Rows drawn for the sampled-stats path on generated tables. Bounds the
-  // stats memory (and the scan's resident set) regardless of table size.
+  // Rows drawn to profile a generated table. Bounds the stats memory (and
+  // the draw's resident set) regardless of table size.
   static constexpr uint64_t kSampledStatsRows = 16384;
 
   TableStats() = default;
 
-  // Computes stats for every column. Materialized tables are scanned
-  // exactly, as always. Blocked/generated tables are profiled from a
-  // deterministic uniform sample of kSampledStatsRows rows (seeded by the
-  // table name): num_rows stays exact, distinct counts are GEE-scaled
-  // estimates, histograms and leading-zero averages come from the sample —
-  // so profiling a 10^8-row table costs O(sample) memory, never O(table).
+  // Profiles every column in one loop over r of the table's n rows: all of
+  // a resident table's (r = n), or a generated table's uniform draw of
+  // kSampledStatsRows rows seeded by its name, freed on return, so a
+  // 10^8-row table costs O(draw) memory. num_rows is n; distinct counts
+  // are GEE-scaled from the r rows (exact at r = n); histograms and
+  // leading-zero averages come from the r rows.
   static TableStats Compute(const Table& table);
 
   const ColumnStats& column(const std::string& name) const;
   uint64_t num_rows() const { return num_rows_; }
 
-  // Distinct count over a column combination (the |AB|-style cardinality
-  // input to the ORD-DEP deduction). Computed on demand and memoized.
-  // Exact for materialized tables (intended to be called on samples);
-  // GEE-scaled from the retained stats sample for generated tables.
-  uint64_t DistinctOfColumns(const Table& table,
-                             const std::vector<std::string>& cols) const;
-
  private:
-  static TableStats ComputeSampled(const Table& table);
-
   uint64_t num_rows_ = 0;
   std::map<std::string, ColumnStats> columns_;
-  mutable std::map<std::string, uint64_t> combo_cache_;
-  // Sampled-path state: the retained sample rows DistinctOfColumns scales
-  // from. Empty on the exact path.
-  std::vector<Row> sample_rows_;
-  bool sampled_ = false;
 };
 
 }  // namespace capd

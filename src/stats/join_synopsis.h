@@ -22,11 +22,18 @@ struct ForeignKey {
   std::string key_column;
 };
 
-// Builds the synopsis: sample the fact table at fraction f, then join with
-// each dimension table in `edges` (all must emanate from `fact`). Column
-// names must be globally unique across the joined tables (our generators
-// use per-table prefixes, TPC-H style). The dimension join key column is
-// not duplicated — the fact side's FK column carries the value.
+// The one dimension join, shared by the synopsis and exact MV
+// materialization: each fact row, in order, followed by the non-key
+// columns of its match in every dims[d] (hashed on edges[d].key_column's
+// ToString(), resident or generated), into a new resident table `name`.
+// Rows whose foreign key dangles are dropped. Column names must be unique
+// across the joined tables (CHECKed); the fact's FK column carries the key.
+std::unique_ptr<Table> JoinDimensions(std::string name, const Table& fact,
+                                      const std::vector<const Table*>& dims,
+                                      const std::vector<ForeignKey>& edges);
+
+// Builds the synopsis: samples the fact table at fraction f and joins the
+// sample with the FULL dimension tables (every edge must leave `fact`).
 std::unique_ptr<Table> BuildJoinSynopsis(
     const Table& fact, const std::vector<const Table*>& dims,
     const std::vector<ForeignKey>& edges, double f, Random* rng);

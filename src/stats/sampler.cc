@@ -23,17 +23,13 @@ std::unique_ptr<Table> CreateUniformSample(const Table& table, double f,
                                            ThreadPool* pool) {
   const uint64_t n = table.num_rows();
   const uint64_t k = UniformSampleRows(n, f, min_rows);
-  auto sample = std::make_unique<Table>(table.name() + "_sample", table.schema());
-  sample->Reserve(k);
   // Streaming extraction: the k indices are drawn up front in sorted order
-  // (O(k) memory), then each block holding one is filled once, rendering
-  // only its requested rows — a generated 10^8-row table never
-  // materializes, and a materialized table yields the byte-identical sample
-  // it always did.
-  for (Row& row : table.CollectRows(rng->SampleIndices(n, k), pool)) {
-    sample->AddRow(std::move(row));
-  }
-  return sample;
+  // (O(k) memory), then each block holding one is read once, keeping only
+  // its requested rows — a generated 10^8-row table never becomes
+  // resident, and a resident table yields the byte-identical sample it
+  // always did.
+  return table.CollectRows(table.name() + "_sample",
+                           rng->SampleIndices(n, k), pool);
 }
 
 uint64_t SampleManager::rows_scanned() const {

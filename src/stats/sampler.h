@@ -20,9 +20,9 @@ namespace capd {
 class ThreadPool;
 
 // Draws a uniform row sample of fraction f (at least min_rows if the table
-// has them). The sample is itself a Table, so every consumer (index builder,
-// stats) works on it unchanged. A generated table's blocks are filled
-// across the borrowed pool; the sample is the same with or without one.
+// has them) as a resident Table, read through the same scans as any table.
+// A generated table's blocks are filled across the borrowed pool; the
+// sample is the same with or without one.
 std::unique_ptr<Table> CreateUniformSample(const Table& table, double f,
                                            uint64_t min_rows, Random* rng,
                                            ThreadPool* pool = nullptr);

@@ -1,6 +1,7 @@
 #include "storage/block.h"
 
 #include "common/logging.h"
+#include "storage/encoding.h"
 
 namespace capd {
 
@@ -25,21 +26,68 @@ void ColumnBlock::Resize(uint64_t count) {
   }
 }
 
-void ColumnBlock::RowAt(uint64_t r, Row* out) const {
-  CAPD_CHECK_LT(r, num_rows_);
-  out->clear();
-  out->reserve(cols_.size());
-  for (const TypedColumn& col : cols_) {
+void ColumnBlock::AppendRow(const Row& row) {
+  CAPD_CHECK_EQ(row.size(), cols_.size());
+  const uint64_t r = num_rows_++;
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    TypedColumn& col = cols_[c];
+    CAPD_CHECK(row[c].type() == col.type)
+        << "column " << c << " is " << ValueTypeName(col.type);
     if (col.type == ValueType::kString) {
-      out->push_back(Value::String(col.strings[r]));
+      col.strings.resize(r + 1);
+      col.strings[r] = row[c].AsString();
     } else if (col.type == ValueType::kDouble) {
-      out->push_back(Value::Double(col.doubles[r]));
-    } else if (col.type == ValueType::kDate) {
-      out->push_back(Value::Date(col.ints[r]));
+      col.doubles.push_back(row[c].AsDouble());
     } else {
-      out->push_back(Value::Int64(col.ints[r]));
+      col.ints.push_back(row[c].AsInt64());
     }
   }
+}
+
+void ColumnBlock::CopyRow(uint64_t to, const ColumnBlock& from, uint64_t row) {
+  for (size_t c = 0; c < cols_.size(); ++c) {
+    const TypedColumn& col = from.At(c, row);
+    if (col.type == ValueType::kString) {
+      SetString(c, to, col.strings[row]);
+    } else if (col.type == ValueType::kDouble) {
+      SetDouble(c, to, col.doubles[row]);
+    } else {
+      SetInt64(c, to, col.ints[row]);
+    }
+  }
+}
+
+Value ColumnBlock::ValueAt(size_t c, uint64_t r) const {
+  const TypedColumn& col = At(c, r);
+  if (col.type == ValueType::kString) return Value::String(col.strings[r]);
+  if (col.type == ValueType::kDouble) return Value::Double(col.doubles[r]);
+  if (col.type == ValueType::kDate) return Value::Date(col.ints[r]);
+  return Value::Int64(col.ints[r]);
+}
+
+void ColumnBlock::EncodeCell(size_t c, uint64_t r, const Column& col,
+                             std::string* out) const {
+  const TypedColumn& cells = At(c, r);
+  if (cells.type == ValueType::kString) {
+    EncodeStringField(cells.strings[r], col, out);
+  } else if (cells.type == ValueType::kDouble) {
+    EncodeDoubleField(cells.doubles[r], col, out);
+  } else {
+    EncodeInt64Field(cells.ints[r], col, out);
+  }
+}
+
+double ColumnBlock::NumericKey(size_t c, uint64_t r) const {
+  const TypedColumn& col = At(c, r);
+  if (col.type == ValueType::kString) return StringNumericKey(col.strings[r]);
+  if (col.type == ValueType::kDouble) return col.doubles[r];
+  return static_cast<double>(col.ints[r]);
+}
+
+void ColumnBlock::RowAt(uint64_t r, Row* out) const {
+  out->clear();
+  out->reserve(cols_.size());
+  for (size_t c = 0; c < cols_.size(); ++c) out->push_back(ValueAt(c, r));
 }
 
 uint64_t BlockSeed(uint64_t seed, uint64_t block_index) {

@@ -1,8 +1,9 @@
 // Blocked columnar storage. A ColumnBlock holds a fixed-size run of rows
-// column-major (struct-of-arrays); a BlockSource generates the rows of one
-// block on demand from a per-block seed. Together they let Table expose
-// 10^7-10^8-row datasets that are scanned one block at a time — peak memory
-// is O(block), never O(table) — while staying bit-deterministic: block b's
+// column-major (struct-of-arrays) and is the only row storage: a resident
+// Table keeps its rows in ColumnBlocks, and a BlockSource generates the
+// rows of one block on demand from a per-block seed. Generated tables of
+// 10^7-10^8 rows are scanned one block at a time — peak memory is
+// O(block), never O(table) — while staying bit-deterministic: block b's
 // contents depend only on (table seed, b), not on scan order or thread
 // count.
 #ifndef CAPD_STORAGE_BLOCK_H_
@@ -19,24 +20,28 @@
 
 namespace capd {
 
-// Rows per generated block. Small enough that one resident block of a wide
-// schema stays in the low megabytes, large enough to amortize per-block
-// generator setup.
+// Rows per block, resident or generated. Small enough that one block of a
+// wide schema stays in the low megabytes, large enough to amortize
+// per-block generator setup.
 inline constexpr uint64_t kDefaultBlockRows = 8192;
 
 // Rows in columnar (struct-of-arrays) layout: each column is one typed
 // array (int64_t for INT64 and DATE, double for DOUBLE, std::string for
 // STRING). A source sizes the block with Resize and writes every cell
-// through the typed setters; RowAt is the only place a Value is built.
-// Reused as a scratch buffer across blocks by scanning code: Resize keeps
-// every column's capacity, so a long scan settles into zero steady-state
-// allocation churn.
+// through the typed setters; a resident table appends with AppendRow.
+// Only ValueAt and RowAt build Values. Const reads share no scratch, so
+// threads may read one block concurrently. Resize keeps every column's
+// capacity, so a scan reusing one scratch block settles into zero
+// steady-state allocation churn.
 class ColumnBlock {
  public:
   explicit ColumnBlock(const Schema& schema);
 
   // Sizes the block to `count` rows of zero/empty cells.
   void Resize(uint64_t count);
+
+  // Appends one row whose Values match the column types exactly.
+  void AppendRow(const Row& row);
 
   // Cell setters. Each CHECKs the column, its type and the row.
   void SetInt64(size_t c, uint64_t r, int64_t v) {  // INT64 and DATE
@@ -49,8 +54,19 @@ class ColumnBlock {
     Checked(c, r, ValueType::kString).strings[r].assign(v.data(), v.size());
   }
 
+  // Copies every cell of `from`'s row `row` (same schema) into row `to`.
+  void CopyRow(uint64_t to, const ColumnBlock& from, uint64_t row);
+
   uint64_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return cols_.size(); }
+
+  // Cell readers. Each CHECKs the column and the row.
+  Value ValueAt(size_t c, uint64_t r) const;
+  // Appends the cell's EncodeField bytes under `col` (its schema column).
+  void EncodeCell(size_t c, uint64_t r, const Column& col,
+                  std::string* out) const;
+  // The cell's Value::NumericKey, without building the Value.
+  double NumericKey(size_t c, uint64_t r) const;
 
   // Reconstructs block-local row `r` into *out (cleared first). Taking a
   // scratch Row lets tight scan loops reuse one allocation.
@@ -64,12 +80,16 @@ class ColumnBlock {
     std::vector<std::string> strings;
   };
 
-  TypedColumn& Checked(size_t c, uint64_t r, ValueType type) {
+  const TypedColumn& At(size_t c, uint64_t r) const {
     CAPD_CHECK_LT(c, cols_.size());
-    const ValueType t = cols_[c].type;
+    CAPD_CHECK_LT(r, num_rows_);
+    return cols_[c];
+  }
+
+  TypedColumn& Checked(size_t c, uint64_t r, ValueType type) {
+    const ValueType t = At(c, r).type;
     CAPD_CHECK((t == ValueType::kDate ? ValueType::kInt64 : t) == type)
         << "column " << c << " is " << ValueTypeName(t);
-    CAPD_CHECK_LT(r, num_rows_);
     return cols_[c];
   }
 

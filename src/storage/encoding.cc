@@ -55,27 +55,31 @@ void EncodeField(const Value& v, const Column& col, std::string* out) {
   CAPD_CHECK(v.type() == col.type)
       << "value type " << ValueTypeName(v.type()) << " vs column " << col.name
       << " of " << ValueTypeName(col.type);
-  switch (col.type) {
-    case ValueType::kInt64:
-    case ValueType::kDate: {
-      CAPD_CHECK_EQ(col.width, 8u) << "integer columns are 8 bytes wide";
-      AppendBigEndian64(ZigZag(v.AsInt64()), out);
-      return;
-    }
-    case ValueType::kDouble: {
-      CAPD_CHECK_EQ(col.width, 8u);
-      AppendBigEndian64(DoubleToOrderedBits(v.AsDouble()), out);
-      return;
-    }
-    case ValueType::kString: {
-      const std::string& s = v.AsString();
-      const size_t w = col.width;
-      const size_t n = s.size() > w ? w : s.size();
-      out->append(w - n, '\0');  // left pad: redundancy at the front
-      out->append(s.data(), n);  // truncate over-wide strings
-      return;
-    }
+  if (col.type == ValueType::kString) {
+    EncodeStringField(v.AsString(), col, out);
+  } else if (col.type == ValueType::kDouble) {
+    EncodeDoubleField(v.AsDouble(), col, out);
+  } else {
+    EncodeInt64Field(v.AsInt64(), col, out);
   }
+}
+
+void EncodeInt64Field(int64_t v, const Column& col, std::string* out) {
+  CAPD_CHECK_EQ(col.width, 8u) << "integer columns are 8 bytes wide";
+  AppendBigEndian64(ZigZag(v), out);
+}
+
+void EncodeDoubleField(double v, const Column& col, std::string* out) {
+  CAPD_CHECK_EQ(col.width, 8u);
+  AppendBigEndian64(DoubleToOrderedBits(v), out);
+}
+
+void EncodeStringField(std::string_view s, const Column& col,
+                       std::string* out) {
+  const size_t w = col.width;
+  const size_t n = s.size() > w ? w : s.size();
+  out->append(w - n, '\0');  // left pad: redundancy at the front
+  out->append(s.data(), n);  // truncate over-wide strings
 }
 
 std::string EncodeFieldToString(const Value& v, const Column& col) {

@@ -14,6 +14,7 @@
 #ifndef CAPD_STORAGE_ENCODING_H_
 #define CAPD_STORAGE_ENCODING_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 
@@ -24,6 +25,13 @@ namespace capd {
 
 // Encodes `v` into exactly `col.width` bytes (appended to *out).
 void EncodeField(const Value& v, const Column& col, std::string* out);
+
+// EncodeField's typed halves, for ColumnBlock cells (INT64 and DATE, and
+// DOUBLE, are 8 bytes wide, CHECKed).
+void EncodeInt64Field(int64_t v, const Column& col, std::string* out);
+void EncodeDoubleField(double v, const Column& col, std::string* out);
+void EncodeStringField(std::string_view s, const Column& col,
+                       std::string* out);
 
 // Convenience: returns the encoded field as its own string.
 std::string EncodeFieldToString(const Value& v, const Column& col);

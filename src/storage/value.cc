@@ -71,17 +71,19 @@ double Value::NumericKey() const {
       return static_cast<double>(int_);
     case ValueType::kDouble:
       return double_;
-    case ValueType::kString: {
-      // Order-preserving code from the first 6 bytes.
-      double code = 0.0;
-      for (size_t i = 0; i < 6; ++i) {
-        const double b = i < str_.size() ? static_cast<unsigned char>(str_[i]) : 0.0;
-        code = code * 256.0 + b;
-      }
-      return code;
-    }
+    case ValueType::kString:
+      return StringNumericKey(str_);
   }
   return 0.0;
+}
+
+double StringNumericKey(std::string_view s) {
+  double code = 0.0;
+  for (size_t i = 0; i < 6; ++i) {
+    const double b = i < s.size() ? static_cast<unsigned char>(s[i]) : 0.0;
+    code = code * 256.0 + b;
+  }
+  return code;
 }
 
 int Value::Compare(const Value& other) const {

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace capd {
@@ -55,6 +56,10 @@ class Value {
 
 // A row is a positional vector of values matching a Schema.
 using Row = std::vector<Value>;
+
+// Value::NumericKey of a string: an order-preserving code from its first
+// 6 bytes.
+double StringNumericKey(std::string_view s);
 
 }  // namespace capd
 

@@ -71,7 +71,6 @@ void Build(Database* db, const Options& options) {
                        {"price", ValueType::kDouble, 8},
                        {"discount", ValueType::kDouble, 8},
                        {"total", ValueType::kDouble, 8}}));
-  sales_tbl->Reserve(n_fact);
   for (uint64_t i = 1; i <= n_fact; ++i) {
     const double price = static_cast<double>(rng.Uniform(2, 900));
     const int64_t qty = rng.Uniform(1, 12);

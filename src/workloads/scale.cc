@@ -100,7 +100,7 @@ void Build(Database* db, const Options& options) {
   const uint64_t n_fact = options.fact_rows;
   const uint64_t n_devices = NumDevices(n_fact);
 
-  // Dimension: small, materialized as usual.
+  // Dimension: small and resident.
   Random rng(options.seed ^ 0xD1CEull);
   auto devices = std::make_unique<Table>(
       "devices", Schema({{"device_key", ValueType::kInt64, 8},

@@ -1,7 +1,7 @@
 // The "scale" workload: an events/telemetry star schema whose fact table is
-// *generated* (blocked BlockSource-backed Table) instead of materialized, so
-// the data axis can be swept to 10^7-10^8 rows without ever holding the
-// table in memory. This is the workload bench_scale_sweep drives to show
+// *generated* (BlockSource-backed Table) instead of resident, so the data
+// axis can be swept to 10^7-10^8 rows without ever holding the table in
+// memory. This is the workload bench_scale_sweep drives to show
 // estimation cost stays sublinear in table size.
 #ifndef CAPD_WORKLOADS_SCALE_H_
 #define CAPD_WORKLOADS_SCALE_H_
@@ -21,7 +21,7 @@ struct Options {
   uint64_t bulk_rows = 5000;
 };
 
-// Builds the materialized `devices` dimension plus the generated `events`
+// Builds the resident `devices` dimension plus the generated `events`
 // fact table. The fact table costs O(block) memory regardless of fact_rows.
 void Build(Database* db, const Options& options);
 

@@ -55,7 +55,6 @@ void Build(Database* db, const Options& options) {
                              {"ss_ext_discount", ValueType::kDouble, 8},
                              {"ss_promo", ValueType::kString, 8}}));
   const char* kPromos[] = {"NONE", "EMAIL", "TV", "RADIO"};
-  ss->Reserve(n_fact);
   for (uint64_t i = 1; i <= n_fact; ++i) {
     ss->AddRow({Value::Int64(2450000 + rng.Uniform(0, 1800)),
                 Value::Int64(static_cast<int64_t>(item_zipf.Next(&rng)) + 1),

@@ -162,7 +162,6 @@ void Build(Database* db, const Options& options) {
                           {"l_receiptdate", ValueType::kDate, 8},
                           {"l_shipinstruct", ValueType::kString, 12},
                           {"l_shipmode", ValueType::kString, 10}}));
-  lineitem->Reserve(n_lineitem);
   for (uint64_t i = 1; i <= n_lineitem; ++i) {
     const int64_t orderkey = 1 + static_cast<int64_t>((i - 1) / 4) %
                                      static_cast<int64_t>(n_orders);

@@ -300,8 +300,8 @@ TEST(SampleRowsTest, MatchesDrawnSampleOnBaseTables) {
   }
   scale::Options opt;
   opt.fact_rows = 30000;
-  scale::Build(&db, opt);  // a generated (blocked, never materialized) table
-  ASSERT_FALSE(db.table("events").materialized());
+  scale::Build(&db, opt);  // a generated table, never resident
+  ASSERT_TRUE(db.table("events").generated());
 
   std::vector<std::string> objects = {"events"};
   for (const uint64_t n : sizes) objects.push_back("t" + std::to_string(n));

@@ -110,11 +110,11 @@ TEST(IndexBuilderTest, MaterializedPageMatchesARowSort) {
     positions.push_back(t.schema().ColumnIndex(name));
   }
   std::vector<Row> rows;
-  for (const Row& r : t.rows()) {
+  t.ScanRows([&](uint64_t, const Row& r) {
     Row projected;
     for (size_t p : positions) projected.push_back(r[p]);
     rows.push_back(projected);
-  }
+  });
   std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
     return a[0].Compare(b[0]) < 0;
   });

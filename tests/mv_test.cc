@@ -13,6 +13,14 @@
 namespace capd {
 namespace {
 
+// The hidden count column summed over an MV's (or an MV sample's) rows.
+int64_t CountTotal(const Table& mv) {
+  const size_t cpos = mv.schema().ColumnIndex(kMVCountColumn);
+  int64_t total = 0;
+  mv.ScanRows([&](uint64_t, const Row& r) { total += r[cpos].AsInt64(); });
+  return total;
+}
+
 class MVTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -44,10 +52,7 @@ TEST_F(MVTest, MaterializeGroupsCorrectly) {
   EXPECT_EQ(mv->num_rows(),
             db_.stats("lineitem").column("l_shipdate").distinct);
   // Total count column sums to fact rows.
-  const size_t cpos = mv->schema().ColumnIndex(kMVCountColumn);
-  int64_t total = 0;
-  for (const Row& r : mv->rows()) total += r[cpos].AsInt64();
-  EXPECT_EQ(total, 8000);
+  EXPECT_EQ(CountTotal(*mv), 8000);
 }
 
 TEST_F(MVTest, MaterializeWithFilter) {
@@ -55,9 +60,7 @@ TEST_F(MVTest, MaterializeWithFilter) {
   def.name = "mv_ship_r";
   def.predicates = {{"l_returnflag", FilterOp::kEq, Value::String("R"), {}}};
   auto mv = MaterializeMV(db_, def);
-  const size_t cpos = mv->schema().ColumnIndex(kMVCountColumn);
-  int64_t total = 0;
-  for (const Row& r : mv->rows()) total += r[cpos].AsInt64();
+  const int64_t total = CountTotal(*mv);
   EXPECT_LT(total, 8000 / 2);
   EXPECT_GT(total, 8000 / 10);
 }
@@ -233,11 +236,7 @@ TEST(MVSampleKeyTest, NearbyFractionsAreDistinctSamples) {
   const std::vector<double> fractions = {0.0605, 0.06049999};
   std::vector<int64_t> sums;
   for (const double f : fractions) {
-    const Table& mv_sample = registry.Sample("mv_ship", f);
-    const size_t cpos = mv_sample.schema().ColumnIndex(kMVCountColumn);
-    int64_t total = 0;
-    for (const Row& r : mv_sample.rows()) total += r[cpos].AsInt64();
-    sums.push_back(total);
+    sums.push_back(CountTotal(registry.Sample("mv_ship", f)));
   }
   EXPECT_EQ(registry.Sample("lineitem", fractions[0]).num_rows(), 61u);
   EXPECT_EQ(registry.Sample("lineitem", fractions[1]).num_rows(), 60u);

@@ -73,8 +73,9 @@ class CodecProperty : public ::testing::TestWithParam<CodecCase> {};
 TEST_P(CodecProperty, RoundTripAnyDistribution) {
   const auto [kind, dist] = GetParam();
   const Table t = MakeTable(dist, 300, 5);
-  const FlatPage page =
-      FlatPage::FromRows(t.rows(), t.schema(), 0, t.num_rows());
+  std::vector<Row> rows;
+  t.ScanRows([&](uint64_t, const Row& r) { rows.push_back(r); });
+  const FlatPage page = FlatPage::FromRows(rows, t.schema(), 0, rows.size());
   std::unique_ptr<Codec> codec = MakeCodec(kind, page);
   EXPECT_EQ(codec->DecompressPage(codec->CompressPage(page)), page);
 }
@@ -211,7 +212,8 @@ class HistogramProperty : public ::testing::TestWithParam<Distribution> {};
 TEST_P(HistogramProperty, MonotoneNormalizedCdf) {
   const Table t = MakeTable(GetParam(), 3000, 55);
   std::vector<double> keys;
-  for (const Row& r : t.rows()) keys.push_back(r[0].NumericKey());
+  t.ScanRows(
+      [&](uint64_t, const Row& r) { keys.push_back(r[0].NumericKey()); });
   Histogram h = Histogram::Build(keys, 32);
   double prev = 0.0;
   const double span = h.max() - h.min();

@@ -1,13 +1,14 @@
-// Tests for the blocked/generated Table path and the streaming sampler:
-// byte-identity of streaming vs materialized samples, blocked iteration vs
-// rows filled straight from the source, kept-rows collection (with and
+// Tests for column-block tables and the streaming sampler: byte-identity
+// of generated vs resident samples, block iteration vs rows filled straight
+// from the source, resident block geometry, kept-rows collection (with and
 // without a pool) vs the full scan, sampled stats on generated tables, a
 // cold tune's report at several estimation thread counts, and — via the
 // process-wide allocation tracker in
 // src/common/alloc_tracker.{h,cc} (activated for this binary by referencing
 // its accessors) — a hard assertion that drawing a sample from a
-// multi-million-row generated table allocates O(sample), not O(table), and
-// allocation budgets for a warm and a cold tuning request.
+// multi-million-row generated table allocates O(sample), not O(table),
+// allocation budgets for a warm and a cold tuning request, and live/peak
+// byte budgets for resident tpch data and a generated table's stats draw.
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
@@ -166,11 +167,11 @@ TEST(BlockTest, BlockSeedDecorrelatesNeighbors) {
   EXPECT_EQ(BlockSeed(5, 9), BlockSeed(5, 9));
 }
 
-TEST(GeneratedTableTest, ScanMatchesMaterializedRows) {
+TEST(GeneratedTableTest, ScanMatchesSourceRows) {
   // Odd row count exercises the partial final block.
   const uint64_t n = 3 * kDefaultBlockRows + 17;
   Table gen("t", PairSchema(), n, std::make_shared<PairSource>(99));
-  EXPECT_FALSE(gen.materialized());
+  EXPECT_TRUE(gen.generated());
   EXPECT_EQ(gen.num_rows(), n);
   EXPECT_EQ(gen.num_blocks(), 4u);
 
@@ -212,21 +213,39 @@ std::vector<std::vector<uint64_t>> PickSets(uint64_t n, uint64_t block_rows) {
   return sets;
 }
 
-// A kept-rows fill renders exactly the rows a full fill does, with or
-// without a pool.
-void ExpectCollectRowsMatchScan(const Table& table) {
-  std::vector<std::string> scanned;
+// Each row of `table`, rendered by RowString, in order.
+std::vector<std::string> RowStrings(const Table& table) {
+  std::vector<std::string> rows;
   table.ScanRows(
-      [&](uint64_t, const Row& row) { scanned.push_back(RowString(row)); });
+      [&](uint64_t, const Row& row) { rows.push_back(RowString(row)); });
+  return rows;
+}
+
+// A resident copy of `table`, appended row by row.
+std::unique_ptr<Table> ResidentCopy(const Table& table) {
+  auto copy = std::make_unique<Table>(table.name(), table.schema());
+  table.ScanRows([&](uint64_t, const Row& row) { copy->AddRow(row); });
+  return copy;
+}
+
+// A kept-rows read returns exactly the rows a full scan does, with or
+// without a pool, as a resident table of full blocks.
+void ExpectCollectRowsMatchScan(const Table& table) {
+  const std::vector<std::string> scanned = RowStrings(table);
   ASSERT_EQ(scanned.size(), table.num_rows());
   ThreadPool two(2);
   for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &two}) {
     for (const std::vector<uint64_t>& picks :
          PickSets(table.num_rows(), table.block_rows())) {
-      const std::vector<Row> got = table.CollectRows(picks, pool);
-      ASSERT_EQ(got.size(), picks.size());
+      const std::unique_ptr<Table> got =
+          table.CollectRows("picks", picks, pool);
+      EXPECT_FALSE(got->generated());
+      ASSERT_EQ(got->num_rows(), picks.size());
+      EXPECT_EQ(got->num_blocks(),
+                (picks.size() + kDefaultBlockRows - 1) / kDefaultBlockRows);
+      const std::vector<std::string> rows = RowStrings(*got);
       for (size_t i = 0; i < picks.size(); ++i) {
-        ASSERT_EQ(RowString(got[i]), scanned[picks[i]])
+        ASSERT_EQ(rows[i], scanned[picks[i]])
             << table.name() << " row " << picks[i] << " of " << picks.size()
             << " picks, pool " << (pool != nullptr);
       }
@@ -238,40 +257,64 @@ TEST(GeneratedTableTest, CollectRowsMatchesScanRows) {
   const Table pairs("t", PairSchema(), 3 * kDefaultBlockRows + 17,
                     std::make_shared<PairSource>(77));
   ExpectCollectRowsMatchScan(pairs);
+  ExpectCollectRowsMatchScan(*ResidentCopy(pairs));
   const std::unique_ptr<Database> db = BuildScaleDb(30000);
   ExpectCollectRowsMatchScan(db->table("events"));
+}
+
+// A resident table keeps full blocks of kDefaultBlockRows rows and scans
+// them in place, in order.
+TEST(ResidentTableTest, AddRowFillsFullBlocks) {
+  const Table gen("t", PairSchema(), 2 * kDefaultBlockRows + 5,
+                  std::make_shared<PairSource>(3));
+  const std::unique_ptr<Table> resident = ResidentCopy(gen);
+  EXPECT_FALSE(resident->generated());
+  EXPECT_EQ(resident->num_rows(), gen.num_rows());
+  EXPECT_EQ(resident->num_blocks(), 3u);
+  std::vector<uint64_t> block_sizes;
+  resident->ScanBlocks([&](uint64_t first_row, const ColumnBlock& block) {
+    EXPECT_EQ(first_row, block_sizes.size() * kDefaultBlockRows);
+    block_sizes.push_back(block.num_rows());
+  });
+  ASSERT_EQ(block_sizes.size(), 3u);
+  EXPECT_EQ(block_sizes[0], kDefaultBlockRows);
+  EXPECT_EQ(block_sizes[1], kDefaultBlockRows);
+  EXPECT_EQ(block_sizes[2], 5u);
+  EXPECT_EQ(RowStrings(*resident), RowStrings(gen));
 }
 
 TEST(GeneratedTableDeathTest, CollectRowsChecksEveryIndexOrder) {
   // 5 follows 7 inside block 0: each index is checked against its
   // predecessor, on both kinds of table.
   const Table gen("t", PairSchema(), 100, std::make_shared<PairSource>(5));
-  EXPECT_DEATH(gen.CollectRows({3, 7, 5}), "sorted ascending");
-  Table mat("m", PairSchema());
-  for (int64_t i = 0; i < 10; ++i) {
-    mat.AddRow({Value::Int64(i), Value::Int64(i)});
-  }
-  EXPECT_DEATH(mat.CollectRows({3, 7, 5}), "sorted ascending");
+  EXPECT_DEATH(gen.CollectRows("c", {3, 7, 5}), "sorted ascending");
+  EXPECT_DEATH(ResidentCopy(gen)->CollectRows("c", {3, 7, 5}),
+               "sorted ascending");
 }
 
-TEST(ScaleWorkloadTest, StreamingSampleMatchesMaterializedSample) {
+TEST(ResidentTableDeathTest, AddRowChecksTheSchema) {
+  Table resident("r", PairSchema());
+  EXPECT_DEATH(resident.AddRow({Value::Int64(1)}), "cols_.size");
+  EXPECT_DEATH(resident.AddRow({Value::Int64(1), Value::Double(1.0)}),
+               "is INT64");
+  Table gen("t", PairSchema(), 10, std::make_shared<PairSource>(5));
+  EXPECT_DEATH(gen.AddRow({Value::Int64(1), Value::Int64(1)}), "is generated");
+}
+
+TEST(ScaleWorkloadTest, GeneratedSampleMatchesResidentSample) {
   const std::unique_ptr<Database> db = BuildScaleDb(10000);
   const Table& gen = db->table("events");
-  ASSERT_FALSE(gen.materialized());
-  Table mat(gen.name(), gen.schema());
-  gen.ScanRows([&](uint64_t, const Row& row) { mat.AddRow(row); });
+  ASSERT_TRUE(gen.generated());
+  const std::unique_ptr<Table> resident = ResidentCopy(gen);
 
-  Random rng_gen(4242), rng_mat(4242);
+  Random rng_gen(4242), rng_resident(4242);
   const std::unique_ptr<Table> from_gen =
       CreateUniformSample(gen, 0.03, /*min_rows=*/50, &rng_gen);
-  const std::unique_ptr<Table> from_mat =
-      CreateUniformSample(mat, 0.03, /*min_rows=*/50, &rng_mat);
+  const std::unique_ptr<Table> from_resident =
+      CreateUniformSample(*resident, 0.03, /*min_rows=*/50, &rng_resident);
 
-  ASSERT_EQ(from_gen->num_rows(), from_mat->num_rows());
   ASSERT_GT(from_gen->num_rows(), 0u);
-  for (uint64_t i = 0; i < from_gen->num_rows(); ++i) {
-    ASSERT_EQ(RowString(from_gen->rows()[i]), RowString(from_mat->rows()[i]));
-  }
+  EXPECT_EQ(RowStrings(*from_gen), RowStrings(*from_resident));
 }
 
 TEST(ScaleWorkloadTest, SampledStatsOnGeneratedTable) {
@@ -290,11 +333,6 @@ TEST(ScaleWorkloadTest, SampledStatsOnGeneratedTable) {
   // Deterministic: recomputing yields the same estimates.
   const TableStats again = TableStats::Compute(events);
   EXPECT_EQ(again.column("e_id").distinct, id.distinct);
-  // Column combinations scale from the retained sample.
-  const uint64_t combo =
-      stats.DistinctOfColumns(events, {"e_status", "e_region"});
-  EXPECT_GE(combo, 4u);
-  EXPECT_LE(combo, 80u);  // 4 statuses x 20 regions
 }
 
 TEST(ScaleWorkloadTest, BigTableSampleAllocatesOSample) {
@@ -405,6 +443,37 @@ TEST(AllocationGate, ColdScaleTuneStaysUnderAllocationBudget) {
               static_cast<unsigned long long>(allocs));
   constexpr uint64_t kAllocBudget = 25000;
   EXPECT_LE(allocs, kAllocBudget);
+}
+
+// Building tpch at 24,000 rows and computing every table's statistics
+// leaves the rows resident as typed cells: at 8 B per numeric and 32 B per
+// std::string cell they come to about 5.7 MiB.
+TEST(MemoryGate, TpchDataAndStatsStayUnderTenMiBLive) {
+  const long long before = LiveAllocBytes();
+  workloads::WorkloadSpec spec;
+  spec.name = "tpch";
+  spec.rows = 24000;
+  workloads::BuiltWorkload built;
+  std::string error;
+  ASSERT_TRUE(workloads::Build(spec, &built, &error)) << error;
+  for (const Table* table : built.db->tables()) built.db->stats(table->name());
+  const long long live = LiveAllocBytes() - before;
+  std::printf("tpch at 24,000 rows with stats: %lld bytes live\n", live);
+  EXPECT_LE(live, 10ll << 20);
+}
+
+// The first statistics of the 30,000-row events table profile a
+// 16,384-row draw, kept as column blocks and freed before stats() returns.
+TEST(MemoryGate, FirstEventsStatsFreeTheirDraw) {
+  const std::unique_ptr<Database> db = BuildScaleDb(30000);
+  const long long before = LiveAllocBytes();
+  const long long start = ResetPeakAllocBytes();
+  db->stats("events");
+  const long long live = LiveAllocBytes() - before;
+  const long long peak = PeakAllocBytes() - start;
+  std::printf("first events stats: %lld bytes live, %lld peak\n", live, peak);
+  EXPECT_LE(live, 512ll << 10);
+  EXPECT_LE(peak, 6ll << 20);
 }
 
 }  // namespace

@@ -19,6 +19,13 @@
 namespace capd {
 namespace {
 
+// Every row of `table`, in order.
+std::vector<Row> AllRows(const Table& table) {
+  std::vector<Row> rows;
+  table.ScanRows([&](uint64_t, const Row& row) { rows.push_back(row); });
+  return rows;
+}
+
 TEST(HistogramTest, UniformSelectivity) {
   std::vector<double> keys;
   for (int i = 0; i < 10000; ++i) keys.push_back(static_cast<double>(i % 1000));
@@ -60,17 +67,6 @@ TEST(TableStatsTest, DistinctAndRange) {
   EXPECT_GT(stats.column("a").avg_leading_zero_bytes, 6.0);
 }
 
-TEST(TableStatsTest, DistinctOfColumnsCombo) {
-  Table t("t", Schema({{"a", ValueType::kInt64, 8}, {"b", ValueType::kInt64, 8}}));
-  for (int i = 0; i < 100; ++i) {
-    t.AddRow({Value::Int64(i % 4), Value::Int64(i % 6)});
-  }
-  const TableStats stats = TableStats::Compute(t);
-  EXPECT_EQ(stats.DistinctOfColumns(t, {"a"}), 4u);
-  EXPECT_EQ(stats.DistinctOfColumns(t, {"b"}), 6u);
-  EXPECT_EQ(stats.DistinctOfColumns(t, {"a", "b"}), 12u);  // lcm structure
-}
-
 TEST(SamplerTest, FractionRespected) {
   Table t("t", Schema({{"a", ValueType::kInt64, 8}}));
   for (int i = 0; i < 10000; ++i) t.AddRow({Value::Int64(i)});
@@ -94,7 +90,8 @@ TEST(SamplerTest, EdgeFractionsClampWithoutOverflow) {
   Random rng(4);
   auto all = CreateUniformSample(t, 1.0, 1, &rng);
   ASSERT_EQ(all->num_rows(), 100u);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(all->rows()[i][0].AsInt64(), i);
+  const std::vector<Row> rows = AllRows(*all);
+  for (int i = 0; i < 100; ++i) EXPECT_EQ(rows[i][0].AsInt64(), i);
   // Tiny f floors at min_rows, capped at n.
   Random rng2(4);
   auto floor = CreateUniformSample(t, 1e-12, 500, &rng2);
@@ -112,7 +109,7 @@ TEST(SamplerTest, SampleRowsComeFromTable) {
   for (int i = 0; i < 1000; ++i) t.AddRow({Value::Int64(i * 7)});
   Random rng(2);
   auto sample = CreateUniformSample(t, 0.1, 1, &rng);
-  for (const Row& r : sample->rows()) {
+  for (const Row& r : AllRows(*sample)) {
     EXPECT_EQ(r[0].AsInt64() % 7, 0);
   }
 }
@@ -172,7 +169,7 @@ TEST(SampleManagerTest, ConcurrentPooledDrawsMatchASerialDraw) {
   EXPECT_EQ(shared.num_samples(), 1u);
   for (const Table* sample : got) {
     ASSERT_EQ(sample->num_rows(), expected.num_rows());
-    EXPECT_EQ(sample->rows(), expected.rows());
+    EXPECT_EQ(AllRows(*sample), AllRows(expected));
   }
 }
 
@@ -200,6 +197,51 @@ TEST(JoinSynopsisTest, EveryFactRowMatches) {
   EXPECT_EQ(synopsis->num_rows(), 200u);  // join synopses lose no sample rows
   EXPECT_TRUE(synopsis->schema().HasColumn("d_attr"));
   EXPECT_FALSE(synopsis->schema().HasColumn("d_key"));  // carried by f_dkey
+}
+
+// A generated dimension: d_key is the 1-based row, d_attr one of five
+// values drawn per row.
+class DimSource : public BlockSource {
+ public:
+  void FillBlock(uint64_t block_index, uint64_t first_row,
+                 const std::vector<uint64_t>& rows,
+                 ColumnBlock* out) const override {
+    Random rng(BlockSeed(17, block_index));
+    out->Resize(rows.size());
+    size_t j = 0;
+    for (uint64_t r = 0; j < rows.size(); ++r) {
+      const uint64_t attr = rng.Next(5);
+      for (; j < rows.size() && rows[j] == r; ++j) {
+        out->SetInt64(0, j, static_cast<int64_t>(first_row + r) + 1);
+        out->SetString(1, j, "attr" + std::to_string(attr));
+      }
+    }
+  }
+};
+
+// Dimensions are read through the table scan, so a generated dimension
+// (here three blocks) joins exactly like a resident copy of it.
+TEST(JoinSynopsisTest, GeneratedDimensionMatchesResidentCopy) {
+  const Schema dim_schema({{"d_key", ValueType::kInt64, 8},
+                           {"d_attr", ValueType::kString, 8}});
+  const Table generated("dim", dim_schema, 20000,
+                        std::make_shared<DimSource>());
+  Table resident("dim", dim_schema);
+  generated.ScanRows([&](uint64_t, const Row& row) { resident.AddRow(row); });
+  Table fact("fact", Schema({{"f_id", ValueType::kInt64, 8},
+                             {"f_dkey", ValueType::kInt64, 8}}));
+  Random rng(5);
+  for (int i = 0; i < 3000; ++i) {
+    fact.AddRow({Value::Int64(i), Value::Int64(rng.Uniform(1, 20000))});
+  }
+  const std::vector<ForeignKey> edges = {{"fact", "f_dkey", "dim", "d_key"}};
+  Random rng_generated(6), rng_resident(6);
+  const std::unique_ptr<Table> from_generated =
+      BuildJoinSynopsis(fact, {&generated}, edges, 0.1, &rng_generated);
+  const std::unique_ptr<Table> from_resident =
+      BuildJoinSynopsis(fact, {&resident}, edges, 0.1, &rng_resident);
+  EXPECT_EQ(from_generated->num_rows(), 300u);
+  EXPECT_EQ(AllRows(*from_generated), AllRows(*from_resident));
 }
 
 TEST(DistinctEstimatorTest, FrequencyStatsBuilt) {
