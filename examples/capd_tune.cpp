@@ -2,8 +2,8 @@
 // workloads, driving the AdvisorEngine service API — the closest thing in
 // this repo to running DTA from a shell.
 //
-//   capd_tune [--workload tpch|sales|tpcds-lite] [--rows N] [--seed N]
-//             [--strategy NAME] [--budget 15% | --budget BYTES]
+//   capd_tune [--workload tpch|sales|scale|tpcds-lite] [--rows N]
+//             [--seed N] [--strategy NAME] [--budget 15% | --budget BYTES]
 //             [--budget-frac F] [--threads N] [--insert-weight W]
 //             [--timeout-ms MS] [--priority P]
 //             [--mv] [--partial] [--json] [--trace] [--list]
@@ -35,8 +35,9 @@ namespace {
 void Usage() {
   std::fprintf(
       stderr,
-      "usage: capd_tune [--workload tpch|sales|tpcds-lite] [--rows N]\n"
-      "                 [--seed N] [--strategy NAME] [--budget 15%% | BYTES]\n"
+      "usage: capd_tune [--workload tpch|sales|scale|tpcds-lite]\n"
+      "                 [--rows N] [--seed N] [--strategy NAME]\n"
+      "                 [--budget 15%% | BYTES]\n"
       "                 [--budget-frac F] [--threads N] [--insert-weight W]\n"
       "                 [--timeout-ms MS] [--priority P]\n"
       "                 [--mv] [--partial] [--json] [--trace] [--list]\n"
