@@ -25,9 +25,8 @@ std::unique_ptr<Table> CreateUniformSample(const Table& table, double f,
   const uint64_t k = UniformSampleRows(n, f, min_rows);
   // Streaming extraction: the k indices are drawn up front in sorted order
   // (O(k) memory), then each block holding one is read once, keeping only
-  // its requested rows — a generated 10^8-row table never becomes
-  // resident, and a resident table yields the byte-identical sample it
-  // always did.
+  // its requested rows, so a generated 10^8-row table never becomes
+  // resident.
   return table.CollectRows(table.name() + "_sample",
                            rng->SampleIndices(n, k), pool);
 }
