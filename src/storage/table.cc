@@ -113,8 +113,8 @@ std::unique_ptr<Table> Table::CollectRows(
     const ColumnBlock& block = ReadBlock(b, &keep, &scratch);
     for (size_t j = 0; j < keep.size(); ++j) {
       const uint64_t i = begin + j;
-      out->blocks_[i / out->block_rows_].CopyRow(i % out->block_rows_, block,
-                                                 j);
+      ColumnBlock& to = out->blocks_[i / out->block_rows_];
+      to.CopyRow(i % out->block_rows_, block, j);
     }
   });
   return out;
