@@ -4,18 +4,25 @@
 #include <chrono>
 #include <cstdio>
 #include <limits>
-#include <set>
-#include <unordered_map>
 
 #include "common/logging.h"
 
 namespace capd {
+
+using Id = CandidateIds::Id;
 
 double Advisor::ChargedBytes(const Configuration& config) const {
   double charged = 0.0;
   for (const PhysicalIndexEstimate& idx : config.indexes()) {
     charged = ChargedWith(charged, idx);
   }
+  return charged;
+}
+
+double Advisor::ChargedBytes(const CandidateIds& ids,
+                             const std::vector<Id>& config) const {
+  double charged = 0.0;
+  for (const Id id : config) charged = ChargedWith(charged, ids.estimate(id));
   return charged;
 }
 
@@ -40,20 +47,19 @@ void Advisor::ReportProgress(const char* phase) const {
   if (options_.progress) options_.progress(phase);
 }
 
-double Advisor::WorkloadCost(const Workload& workload,
-                             const Configuration& config,
+double Advisor::WorkloadCost(const CandidateIds& ids,
+                             const std::vector<Id>& config,
                              StatementCostCache* cost_cache,
                              AdvisorResult* result) const {
+  const size_t statements = ids.workload().statements.size();
   if (result != nullptr) {
-    result->what_if_calls += workload.statements.size();
+    result->what_if_calls += statements;
     // Cached costings are tallied from the cache's own counters at the end
     // of Tune; only uncached costing is known to run the optimizer here.
-    if (cost_cache == nullptr) {
-      result->stmt_costs_computed += workload.statements.size();
-    }
+    if (cost_cache == nullptr) result->stmt_costs_computed += statements;
   }
   if (cost_cache != nullptr) return cost_cache->WorkloadCost(config);
-  return optimizer_->WorkloadCost(workload, config);
+  return ids.WorkloadCost(config);
 }
 
 double Advisor::PooledWorkloadCost(const Workload& workload,
@@ -126,12 +132,12 @@ std::map<std::string, PhysicalIndexEstimate> Advisor::EstimateSizes(
   return sizes;
 }
 
-std::vector<IndexDef> Advisor::SelectCandidates(
-    const Workload& workload, const std::vector<IndexDef>& candidates,
-    const std::map<std::string, PhysicalIndexEstimate>& sizes,
+std::vector<Id> Advisor::SelectCandidates(
+    const std::vector<IndexDef>& candidates, const CandidateIds& ids,
     StatementCostCache* cost_cache, AdvisorResult* result) const {
-  std::vector<IndexDef> selected;
-  std::set<std::string> kept;
+  const Workload& workload = ids.workload();
+  std::vector<Id> selected;
+  std::vector<char> kept(ids.size());  // by id
 
   // Every costing the loop below needs is independent: per SELECT query,
   // its base (empty-configuration) cost plus one single-index cost per
@@ -149,27 +155,28 @@ std::vector<IndexDef> Advisor::SelectCandidates(
   const size_t stride = 1 + candidates.size();  // base cost + one per index
 
   // Each candidate's one-index configuration and its budget charge, built
-  // once and shared by every query.
-  std::vector<Configuration> singles(candidates.size());
+  // once and shared by every query. Candidates with one signature share
+  // one id, so each is kept once.
+  std::vector<std::vector<Id>> singles(candidates.size());
   std::vector<double> charges(candidates.size());
   for (size_t c = 0; c < candidates.size(); ++c) {
-    const auto it = sizes.find(candidates[c].Signature());
-    CAPD_CHECK(it != sizes.end()) << candidates[c].ToString();
-    singles[c].Add(it->second);
-    charges[c] = ChargedBytes(singles[c]);
+    const Id id = ids.Find(candidates[c].Signature());
+    singles[c] = {id};
+    charges[c] = ChargedWith(0.0, ids.estimate(id));
   }
   auto keep = [&](size_t c) {
-    if (kept.insert(singles[c].signature(0)).second) {
-      selected.push_back(candidates[c]);
+    const Id id = singles[c].front();
+    if (!kept[id]) {
+      kept[id] = 1;
+      selected.push_back(id);
     }
   };
 
-  auto stmt_cost = [&](size_t stmt_index, const Configuration& config) {
-    return cost_cache != nullptr
-               ? cost_cache->Cost(stmt_index, config)
-               : optimizer_->Cost(workload.statements[stmt_index], config);
+  auto stmt_cost = [&](size_t stmt_index, const std::vector<Id>& config) {
+    return cost_cache != nullptr ? cost_cache->Cost(stmt_index, config)
+                                 : ids.Cost(stmt_index, config);
   };
-  const Configuration empty;
+  const std::vector<Id> empty;
   const std::vector<double> costs = ParallelMap<double>(
       options_.pool, selects.size() * stride, [&](size_t j) {
         // Skipped costings yield 0.0, which makes every candidate look
@@ -232,45 +239,27 @@ std::vector<IndexDef> Advisor::SelectCandidates(
   return selected;
 }
 
-Configuration Advisor::Enumerate(
-    const Workload& workload, const std::vector<IndexDef>& pool,
-    const std::map<std::string, PhysicalIndexEstimate>& sizes,
-    double budget_bytes, StatementCostCache* cost_cache,
-    AdvisorResult* result) const {
-  Configuration config;
-  double current_cost = WorkloadCost(workload, config, cost_cache, result);
-
-  // Every pool entry's signatures and size estimate, rendered and looked
-  // up once per call. Configuration members always come from the pool, so
-  // `position` maps a member's recorded signature back to its entry.
-  std::vector<std::string> signatures(pool.size());
-  std::vector<std::string> structures(pool.size());
-  std::vector<const PhysicalIndexEstimate*> ests(pool.size());
-  std::unordered_map<std::string, size_t> position;
-  for (size_t i = 0; i < pool.size(); ++i) {
-    signatures[i] = pool[i].Signature();
-    structures[i] = pool[i].StructureSignature();
-    const auto it = sizes.find(signatures[i]);
-    CAPD_CHECK(it != sizes.end()) << pool[i].ToString();
-    ests[i] = &it->second;
-    position.emplace(signatures[i], i);
-  }
-  auto structure_of = [&](const std::string& signature) -> const std::string& {
-    return structures[position.at(signature)];
-  };
+std::vector<Id> Advisor::Enumerate(const std::vector<Id>& pool,
+                                   const CandidateIds& ids,
+                                   double budget_bytes,
+                                   StatementCostCache* cost_cache,
+                                   AdvisorResult* result) const {
+  const size_t statements = ids.workload().statements.size();
+  std::vector<Id> config;
+  double current_cost = WorkloadCost(ids, config, cost_cache, result);
 
   // Trial costing, callable from pool workers (the cache and the optimizer
   // are both thread-safe). what_if accounting happens serially afterwards
   // so AdvisorResult is never touched concurrently.
-  auto trial_cost = [&](const Configuration& trial) {
+  auto trial_cost = [&](const std::vector<Id>& trial) {
     return cost_cache != nullptr ? cost_cache->WorkloadCost(trial)
-                                 : optimizer_->WorkloadCost(workload, trial);
+                                 : ids.WorkloadCost(trial);
   };
   auto charge_calls = [&](size_t trials) {
     if (result == nullptr) return;
-    result->what_if_calls += trials * workload.statements.size();
+    result->what_if_calls += trials * statements;
     if (cost_cache == nullptr) {
-      result->stmt_costs_computed += trials * workload.statements.size();
+      result->stmt_costs_computed += trials * statements;
     }
   };
   ThreadPool* workers = options_.pool;
@@ -285,19 +274,18 @@ Configuration Advisor::Enumerate(
     // An entry is addable unless a member shares its structure (the entry
     // itself, or a compressed variant: those compete and are never useful
     // together for our optimizer) or it is a second clustered index.
-    std::vector<const std::string*> taken;  // the members' structures
-    for (size_t m = 0; m < config.size(); ++m) {
-      taken.push_back(&structure_of(config.signature(m)));
-    }
     std::vector<size_t> addable;
     addable.reserve(pool.size());
     for (size_t i = 0; i < pool.size(); ++i) {
-      const bool shares = std::any_of(
-          taken.begin(), taken.end(),
-          [&](const std::string* s) { return *s == structures[i]; });
-      const bool second_clustered =
-          pool[i].clustered && config.HasClusteredOn(pool[i].object);
-      if (!shares && !second_clustered) addable.push_back(i);
+      const IndexDef& def = ids.estimate(pool[i]).def;
+      const bool blocked =
+          std::any_of(config.begin(), config.end(), [&](Id m) {
+            const IndexDef& member = ids.estimate(m).def;
+            return ids.structure(m) == ids.structure(pool[i]) ||
+                   (def.clustered && member.clustered &&
+                    member.object == def.object);
+          });
+      if (!blocked) addable.push_back(i);
     }
     // Evaluate every addable candidate. The trials are independent, so
     // they fan out across the pool; the reduction below walks them in pool
@@ -314,17 +302,17 @@ Configuration Advisor::Enumerate(
           if (CancelRequested()) {
             return std::numeric_limits<double>::infinity();
           }
-          const size_t i = addable[k];
+          const Id added = pool[addable[k]];
           if (cost_cache != nullptr) {
-            return cost_cache->WorkloadCostWith(step, *ests[i], signatures[i]);
+            return cost_cache->WorkloadCostWith(step, added);
           }
-          Configuration trial = config;
-          trial.Add(*ests[i]);
-          return optimizer_->WorkloadCost(workload, trial);
+          std::vector<Id> trial = config;
+          trial.push_back(added);
+          return ids.WorkloadCost(trial);
         });
     charge_calls(addable.size());
 
-    const double charged = ChargedBytes(config);
+    const double charged = ChargedBytes(ids, config);
     int best_fit = -1;       // best candidate that fits the budget
     double best_fit_score = 0.0;
     double best_fit_cost = current_cost;
@@ -333,13 +321,14 @@ Configuration Advisor::Enumerate(
 
     for (size_t k = 0; k < addable.size(); ++k) {
       const size_t i = addable[k];
+      const PhysicalIndexEstimate& est = ids.estimate(pool[i]);
       const double cost = trial_costs[k];
       const double benefit = current_cost - cost;
       if (benefit <= 1e-9) continue;
-      const bool fits = ChargedWith(charged, *ests[i]) <= budget_bytes;
+      const bool fits = ChargedWith(charged, est) <= budget_bytes;
       const double score =
           options_.enumeration == EnumerationMode::kDensityGreedy
-              ? benefit / std::max(1.0, ests[i]->bytes)
+              ? benefit / std::max(1.0, est.bytes)
               : benefit;
       if (fits && score > best_fit_score) {
         best_fit_score = score;
@@ -353,9 +342,11 @@ Configuration Advisor::Enumerate(
     }
 
     if (options_.trace) {
+      auto name = [&](int i) {
+        return i >= 0 ? ids.estimate(pool[i]).def.ToString() : "-";
+      };
       std::fprintf(stderr, "[enum] step: best_fit=%s best_any=%s\n",
-                   best_fit >= 0 ? pool[best_fit].ToString().c_str() : "-",
-                   best_any >= 0 ? pool[best_any].ToString().c_str() : "-");
+                   name(best_fit).c_str(), name(best_any).c_str());
     }
 
     // Backtracking (Section 6.2): if the overall-best choice is oversized,
@@ -364,33 +355,31 @@ Configuration Advisor::Enumerate(
     // prefer a swap that fits immediately with the best workload cost,
     // otherwise the one freeing the most space (to converge).
     if (options_.backtracking && best_any >= 0 && best_any != best_fit &&
-        ChargedWith(charged, *ests[best_any]) > budget_bytes) {
-      Configuration best_recovered;
+        ChargedWith(charged, ids.estimate(pool[best_any])) > budget_bytes) {
+      std::vector<Id> best_recovered;
       double best_recovered_cost = std::numeric_limits<double>::infinity();
-      Configuration work = config;
-      work.Add(*ests[best_any]);
+      std::vector<Id> work = config;
+      work.push_back(pool[best_any]);
       for (int round = 0; round < 8; ++round) {
-        // Viable swaps are gathered serially (cheap size/signature checks),
+        // Viable swaps are gathered serially (cheap size/structure checks),
         // the in-budget ones are what-if costed across the pool, and the
         // winner is reduced in (member, replacement) scan order — the exact
-        // tie-breaking of the serial loop.
-        std::vector<Configuration> fit_swaps;
+        // tie-breaking of the serial loop. A swap erases the member and
+        // appends its replacement: costs depend on member order.
+        std::vector<std::vector<Id>> fit_swaps;
         int reduce_member = -1, reduce_repl = -1;
         double reduce_amount = 0.0;
-        const auto& members = work.indexes();
-        for (int m = 0; m < static_cast<int>(members.size()); ++m) {
-          const PhysicalIndexEstimate& member = members[m];
-          const std::string& member_signature = work.signature(m);
-          const std::string& member_structure = structure_of(member_signature);
+        for (int m = 0; m < static_cast<int>(work.size()); ++m) {
+          const PhysicalIndexEstimate& member = ids.estimate(work[m]);
           for (int p = 0; p < static_cast<int>(pool.size()); ++p) {
-            if (structures[p] != member_structure) continue;
-            if (signatures[p] == member_signature) continue;
-            const PhysicalIndexEstimate& repl_est = *ests[p];
+            if (ids.structure(pool[p]) != ids.structure(work[m])) continue;
+            if (pool[p] == work[m]) continue;
+            const PhysicalIndexEstimate& repl_est = ids.estimate(pool[p]);
             if (repl_est.bytes >= member.bytes) continue;
-            Configuration trial = work;
-            CAPD_CHECK(trial.Remove(member_signature));
-            trial.Add(repl_est);
-            if (ChargedBytes(trial) <= budget_bytes) {
+            std::vector<Id> trial = work;
+            trial.erase(trial.begin() + m);
+            trial.push_back(pool[p]);
+            if (ChargedBytes(ids, trial) <= budget_bytes) {
               fit_swaps.push_back(std::move(trial));
             } else if (member.bytes - repl_est.bytes > reduce_amount) {
               reduce_amount = member.bytes - repl_est.bytes;
@@ -425,25 +414,30 @@ Configuration Advisor::Enumerate(
           break;
         }
         if (reduce_member < 0) break;  // no further swaps possible
-        const std::string gone = work.signature(reduce_member);
-        work.Remove(gone);
-        work.Add(*ests[reduce_repl]);
+        work.erase(work.begin() + reduce_member);
+        work.push_back(pool[reduce_repl]);
       }
       if (options_.trace) {
-        std::fprintf(stderr, "[enum] backtrack: recovered=%s cost=%.1f vs fit=%.1f cur=%.1f\n",
-                     best_recovered.size() > 0 ? best_recovered.ToString().c_str() : "-",
-                     best_recovered_cost, best_fit_cost, current_cost);
+        const std::string recovered =
+            best_recovered.empty()
+                ? "-"
+                : ids.ToConfiguration(best_recovered).ToString();
+        std::fprintf(stderr,
+                     "[enum] backtrack: recovered=%s cost=%.1f vs fit=%.1f "
+                     "cur=%.1f\n",
+                     recovered.c_str(), best_recovered_cost, best_fit_cost,
+                     current_cost);
       }
-      if (best_recovered.size() > 0 &&
+      if (!best_recovered.empty() &&
           best_recovered_cost < std::min(best_fit_cost, current_cost)) {
-        config = best_recovered;
+        config = std::move(best_recovered);
         current_cost = best_recovered_cost;
         continue;
       }
     }
 
     if (best_fit < 0) break;
-    config.Add(*ests[best_fit]);
+    config.push_back(pool[best_fit]);
     current_cost = best_fit_cost;
   }
   return config;
@@ -479,20 +473,23 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
   ReportProgress("estimation");
   if (cancelled()) return result;
 
-  // The per-statement what-if cost cache lives for the whole run: nothing
-  // within one Tune invalidates a statement cost (database and sizes are
-  // fixed), and the single-index costings of candidate selection double as
-  // warm-up for the first enumeration step.
+  // Every sized candidate is interned once, before any fan-out; the search
+  // names candidates by id from here on. The per-statement what-if cost
+  // cache lives for the whole run: nothing within one Tune invalidates a
+  // statement cost (database and sizes are fixed), and the single-index
+  // costings of candidate selection double as warm-up for the first
+  // enumeration step.
+  CandidateIds ids(*db_, *optimizer_, workload);
+  for (const auto& [signature, est] : sizes) ids.Intern(signature, est);
   std::unique_ptr<StatementCostCache> cost_cache;
   if (options_.cost_cache) {
-    cost_cache =
-        std::make_unique<StatementCostCache>(*db_, *optimizer_, workload);
+    cost_cache = std::make_unique<StatementCostCache>(ids);
   }
 
   // 3. Per-query candidate selection (top-k or skyline).
   t0 = Clock::now();
-  std::vector<IndexDef> selected =
-      SelectCandidates(workload, candidates, sizes, cost_cache.get(), &result);
+  std::vector<Id> pool =
+      SelectCandidates(candidates, ids, cost_cache.get(), &result);
   result.selection_ms += millis_since(t0);
   ReportProgress("selection");
   if (cancelled()) {
@@ -504,6 +501,8 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
   }
 
   // 4. Index merging over the selected pool.
+  std::vector<IndexDef> selected;
+  for (const Id id : pool) selected.push_back(ids.estimate(id).def);
   const std::vector<IndexDef> merged = generator.MergeCandidates(selected);
   if (!merged.empty()) {
     t0 = Clock::now();
@@ -511,17 +510,24 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
         EstimateSizes(merged, &result);
     result.estimation_ms += millis_since(t0);
     // A cancel inside the merged batch leaves merged_sizes short; merged
-    // candidates are only admitted when every one of them was sized.
+    // candidates are only admitted when every one of them was sized. A
+    // merged signature sized before keeps its map node, and so its id.
     if (!CancelRequested()) {
-      for (const IndexDef& def : merged) selected.push_back(def);
-      for (const auto& [sig, est] : merged_sizes) sizes[sig] = est;
+      for (const auto& [sig, est] : merged_sizes) {
+        const auto it = sizes.insert_or_assign(sig, est).first;
+        ids.Intern(it->first, it->second);
+      }
+      for (const IndexDef& def : merged) {
+        pool.push_back(ids.Find(def.Signature()));
+      }
     }
   }
-  result.num_candidates = selected.size();
+  result.num_candidates = pool.size();
   if (options_.trace) {
-    for (const IndexDef& def : selected) {
-      std::fprintf(stderr, "[pool] %s ~%.0fKB\n", def.ToString().c_str(),
-                   sizes.at(def.Signature()).bytes / 1024.0);
+    for (const Id id : pool) {
+      const PhysicalIndexEstimate& est = ids.estimate(id);
+      std::fprintf(stderr, "[pool] %s ~%.0fKB\n", est.def.ToString().c_str(),
+                   est.bytes / 1024.0);
     }
   }
   ReportProgress("merging");
@@ -537,12 +543,11 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
   // a cancelled result carries real initial/final costs for its partial
   // configuration.
   t0 = Clock::now();
-  const Configuration empty;
-  result.initial_cost = WorkloadCost(workload, empty, cost_cache.get(), &result);
-  result.config = Enumerate(workload, selected, sizes, budget_bytes,
-                            cost_cache.get(), &result);
-  result.final_cost =
-      WorkloadCost(workload, result.config, cost_cache.get(), &result);
+  result.initial_cost = WorkloadCost(ids, {}, cost_cache.get(), &result);
+  const std::vector<Id> config =
+      Enumerate(pool, ids, budget_bytes, cost_cache.get(), &result);
+  result.final_cost = WorkloadCost(ids, config, cost_cache.get(), &result);
+  result.config = ids.ToConfiguration(config);
   result.charged_bytes = ChargedBytes(result.config);
   result.enumeration_ms += millis_since(t0);
   ReportProgress("enumeration");

@@ -90,28 +90,30 @@ class Advisor {
   std::map<std::string, PhysicalIndexEstimate> EstimateSizes(
       const std::vector<IndexDef>& candidates, AdvisorResult* result);
 
-  // Per-query candidate selection: keep candidates that appear in the
-  // query's top-k configurations or on its size/cost skyline. The
-  // single-index costings go through `cost_cache` (may be null), where
-  // they double as warm-up for the first enumeration step; they fan out
-  // over the search pool and are reduced serially in (query, candidate)
-  // order, so the selected pool is bit-identical at any thread count.
-  // Public for tests and tooling.
-  std::vector<IndexDef> SelectCandidates(
-      const Workload& workload, const std::vector<IndexDef>& candidates,
-      const std::map<std::string, PhysicalIndexEstimate>& sizes,
+  // Per-query candidate selection over `ids.workload()`: keep candidates
+  // that appear in the query's top-k configurations or on its size/cost
+  // skyline, and return their ids, each once, in the order first kept.
+  // Every candidate must be interned in `ids`. The single-index costings
+  // go through `cost_cache` (may be null), where they double as warm-up
+  // for the first enumeration step; they fan out over the search pool and
+  // are reduced serially in (query, candidate) order, so the selected pool
+  // is bit-identical at any thread count. Public for tests and tooling.
+  std::vector<CandidateIds::Id> SelectCandidates(
+      const std::vector<IndexDef>& candidates, const CandidateIds& ids,
       StatementCostCache* cost_cache, AdvisorResult* result) const;
 
  private:
-  // Greedy enumeration with optional backtracking. `cost_cache` may be
-  // null (uncached costing); trial evaluations run on the search pool.
-  Configuration Enumerate(
-      const Workload& workload, const std::vector<IndexDef>& pool,
-      const std::map<std::string, PhysicalIndexEstimate>& sizes,
+  // Greedy enumeration with optional backtracking over the candidates
+  // `pool` names; returns the chosen ids in configuration order.
+  // `cost_cache` may be null (uncached costing); trial evaluations run on
+  // the search pool.
+  std::vector<CandidateIds::Id> Enumerate(
+      const std::vector<CandidateIds::Id>& pool, const CandidateIds& ids,
       double budget_bytes, StatementCostCache* cost_cache,
       AdvisorResult* result) const;
 
-  double WorkloadCost(const Workload& workload, const Configuration& config,
+  double WorkloadCost(const CandidateIds& ids,
+                      const std::vector<CandidateIds::Id>& config,
                       StatementCostCache* cost_cache,
                       AdvisorResult* result) const;
 
@@ -121,6 +123,10 @@ class Advisor {
   double PooledWorkloadCost(const Workload& workload,
                             const Configuration& config,
                             AdvisorResult* result) const;
+
+  // ChargedBytes of the configuration `config` lists.
+  double ChargedBytes(const CandidateIds& ids,
+                      const std::vector<CandidateIds::Id>& config) const;
 
   // `charged` plus `idx`'s own charge: ChargedBytes(config + idx) ==
   // ChargedWith(ChargedBytes(config), idx), to the bit.

@@ -47,6 +47,14 @@ TuningResponse AdvisorEngine::Tune(const TuningRequest& request) {
     response.error = "invalid budget: value must be finite and >= 0";
     return response;
   }
+  // A NaN, infinite or negative weight would poison every workload cost.
+  for (const Statement& stmt : request.workload.statements) {
+    if (std::isfinite(stmt.weight) && stmt.weight >= 0.0) continue;
+    response.status = TuningResponse::Status::kError;
+    response.error = "invalid weight of statement " + stmt.id + ": " +
+                     std::to_string(stmt.weight) + ", must be finite and >= 0";
+    return response;
+  }
   const double budget_bytes = request.budget.ResolveBytes(
       static_cast<double>(db_->BaseDataBytes()));
   response.budget_bytes = budget_bytes;

@@ -103,6 +103,8 @@ struct TuningBudget {
 };
 
 struct TuningRequest {
+  // Every statement weight must be finite and >= 0; otherwise the request
+  // fails with a kError naming the statement.
   Workload workload;
   // Strategy name resolved via StrategyRegistry::Global(); unknown names
   // yield a kError response listing the built-in names.
@@ -149,8 +151,8 @@ struct TuningResponse {
   // With status == kError: true when the failure was a TransientTuningError
   // (nothing about the engine or database is wrong — retrying the same
   // request may succeed). The TuningService retries these with backoff;
-  // terminal errors (unknown strategy, invalid budget, logic errors) never
-  // set it.
+  // terminal errors (unknown strategy, invalid budget or weight, logic
+  // errors) never set it.
   bool retryable = false;
 
   // Valid when status != kError. On kCancelled this is the best partial

@@ -7,6 +7,22 @@
 #include "common/logging.h"
 
 namespace capd {
+namespace {
+
+// Rows of `table` that `filter` matches, each tested on the filter's column
+// alone.
+uint64_t CountMatches(const Table& table, const ColumnFilter& filter) {
+  const size_t c = table.schema().ColumnIndex(filter.column);
+  uint64_t hits = 0;
+  table.ScanBlocks([&](uint64_t, const ColumnBlock& block) {
+    for (uint64_t r = 0; r < block.num_rows(); ++r) {
+      if (filter.MatchesCell(block, c, r)) ++hits;
+    }
+  });
+  return hits;
+}
+
+}  // namespace
 
 SampleCfResult SampleCfEstimator::Estimate(const IndexDef& def, double f) {
   return EstimateGroup({def}, f).front();
@@ -98,25 +114,17 @@ double SampleCfEstimator::EstimateFullTuples(const IndexDef& def, double f) {
   if (!def.filter.has_value()) return full_rows;
   const Table& sample = source_->Sample(def.object, f);
   if (sample.num_rows() == 0) return 0.0;
-  uint64_t hits = 0;
-  sample.ScanRows([&](uint64_t, const Row& r) {
-    if (def.filter->Matches(r, sample.schema())) ++hits;
-  });
+  const uint64_t hits = CountMatches(sample, *def.filter);
   return full_rows * static_cast<double>(hits) /
          static_cast<double>(sample.num_rows());
 }
 
 double SampleCfEstimator::PredictCostPages(const IndexDef& def, double f,
                                            double row_bytes) {
-  uint64_t sample_tuples = 0;
-  if (def.filter.has_value()) {
-    const Table& sample = source_->Sample(def.object, f);
-    sample.ScanRows([&](uint64_t, const Row& r) {
-      if (def.filter->Matches(r, sample.schema())) ++sample_tuples;
-    });
-  } else {
-    sample_tuples = source_->SampleRows(def.object, f);
-  }
+  const uint64_t sample_tuples =
+      def.filter.has_value()
+          ? CountMatches(source_->Sample(def.object, f), *def.filter)
+          : source_->SampleRows(def.object, f);
   return std::max(1.0, std::ceil(static_cast<double>(sample_tuples) *
                                  row_bytes / kPageCapacity));
 }

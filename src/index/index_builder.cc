@@ -34,13 +34,14 @@ FlatPage IndexBuilder::MaterializePage(const IndexDef& def) const {
     positions.push_back(base.ColumnIndex(name));
   }
   const size_t num_keys = def.key_columns.size();
+  const size_t filter_column =
+      def.filter.has_value() ? base.ColumnIndex(def.filter->column) : 0;
 
   // One scan: each kept row's encoded cells go to per-column buffers in
   // scan order, and only its key Values are kept for the sort. Buffers are
   // sized for the first block (all of a small sample), never O(table).
   std::vector<std::string> cells(stored.num_columns());
   std::vector<Value> keys;  // row i's keys at [i * num_keys, (i+1) * num_keys)
-  Row row;                  // a filtered row, for ColumnFilter::Matches
   uint64_t rows = 0;
   table_->ScanBlocks([&](uint64_t first_row, const ColumnBlock& block) {
     if (first_row == 0) {
@@ -50,9 +51,9 @@ FlatPage IndexBuilder::MaterializePage(const IndexDef& def) const {
       keys.reserve(block.num_rows() * num_keys);
     }
     for (uint64_t r = 0; r < block.num_rows(); ++r) {
-      if (def.filter.has_value()) {
-        block.RowAt(r, &row);
-        if (!def.filter->Matches(row, base)) continue;
+      if (def.filter.has_value() &&
+          !def.filter->MatchesCell(block, filter_column, r)) {
+        continue;
       }
       ++rows;
       CAPD_CHECK(max_materialize_rows_ == 0 || rows <= max_materialize_rows_)

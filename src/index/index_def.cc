@@ -5,26 +5,44 @@
 
 #include "common/logging.h"
 #include "compress/null_suppression.h"
+#include "storage/block.h"
 
 namespace capd {
+namespace {
+
+// Whether a value passes `f`, given `compare(bound)`: the value's
+// Value::Compare against a bound of the filter.
+template <typename CompareFn>
+bool Passes(const ColumnFilter& f, CompareFn&& compare) {
+  switch (f.op) {
+    case FilterOp::kEq:
+      return compare(f.lo) == 0;
+    case FilterOp::kLt:
+      return compare(f.lo) < 0;
+    case FilterOp::kLe:
+      return compare(f.lo) <= 0;
+    case FilterOp::kGt:
+      return compare(f.lo) > 0;
+    case FilterOp::kGe:
+      return compare(f.lo) >= 0;
+    case FilterOp::kBetween:
+      return compare(f.lo) >= 0 && compare(f.hi) <= 0;
+  }
+  return false;
+}
+
+}  // namespace
 
 bool ColumnFilter::Matches(const Row& row, const Schema& schema) const {
   const Value& v = row[schema.ColumnIndex(column)];
-  switch (op) {
-    case FilterOp::kEq:
-      return v.Compare(lo) == 0;
-    case FilterOp::kLt:
-      return v.Compare(lo) < 0;
-    case FilterOp::kLe:
-      return v.Compare(lo) <= 0;
-    case FilterOp::kGt:
-      return v.Compare(lo) > 0;
-    case FilterOp::kGe:
-      return v.Compare(lo) >= 0;
-    case FilterOp::kBetween:
-      return v.Compare(lo) >= 0 && v.Compare(hi) <= 0;
-  }
-  return false;
+  return Passes(*this, [&](const Value& bound) { return v.Compare(bound); });
+}
+
+bool ColumnFilter::MatchesCell(const ColumnBlock& block, size_t c,
+                               uint64_t r) const {
+  return Passes(*this, [&](const Value& bound) {
+    return block.Compare(c, r, bound);
+  });
 }
 
 std::string ColumnFilter::ToString() const {
@@ -105,17 +123,20 @@ IndexDef IndexDef::WithCompression(CompressionKind kind) const {
 }
 
 std::string IndexDef::StructureSignature() const {
-  std::ostringstream os;
-  os << object << (clustered ? "|C|" : "|N|");
-  for (const std::string& c : key_columns) os << c << ",";
-  os << "|";
-  for (const std::string& c : include_columns) os << c << ",";
-  if (filter.has_value()) os << "|F:" << filter->ToString();
-  return os.str();
+  std::string out = object;
+  out += clustered ? "|C|" : "|N|";
+  for (const std::string& c : key_columns) out.append(c).push_back(',');
+  out.push_back('|');
+  for (const std::string& c : include_columns) out.append(c).push_back(',');
+  if (filter.has_value()) out.append("|F:").append(filter->ToString());
+  return out;
 }
 
 std::string IndexDef::Signature() const {
-  return StructureSignature() + "|" + CompressionKindName(compression);
+  std::string out = StructureSignature();
+  out.push_back('|');
+  out += CompressionKindName(compression);
+  return out;
 }
 
 std::string IndexDef::ToString() const {

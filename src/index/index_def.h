@@ -17,6 +17,8 @@
 
 namespace capd {
 
+class ColumnBlock;
+
 // Simple single-column range/equality filter used for partial indexes.
 enum class FilterOp : uint8_t { kEq, kLt, kLe, kGt, kGe, kBetween };
 
@@ -27,6 +29,9 @@ struct ColumnFilter {
   Value hi;  // upper bound (kBetween only)
 
   bool Matches(const Row& row, const Schema& schema) const;
+  // Matches for the row whose cell in this filter's column is row `r` of
+  // `block`'s column `c`, tested on that typed cell alone.
+  bool MatchesCell(const ColumnBlock& block, size_t c, uint64_t r) const;
   std::string ToString() const;
 };
 

@@ -15,24 +15,16 @@ void Configuration::Add(PhysicalIndexEstimate idx) {
   signatures_.push_back(std::move(signature));
 }
 
-bool Configuration::Remove(const std::string& signature) {
-  const auto it = std::find(signatures_.begin(), signatures_.end(), signature);
-  if (it == signatures_.end()) return false;
-  indexes_.erase(indexes_.begin() + (it - signatures_.begin()));
-  signatures_.erase(it);
-  return true;
-}
-
 bool Configuration::Contains(const std::string& signature) const {
   return std::find(signatures_.begin(), signatures_.end(), signature) !=
          signatures_.end();
 }
 
-bool Configuration::HasClusteredOn(const std::string& object) const {
-  for (const PhysicalIndexEstimate& idx : indexes_) {
-    if (idx.def.object == object && idx.def.clustered) return true;
-  }
-  return false;
+MemberList Configuration::members() const {
+  MemberList members;
+  members.reserve(indexes_.size());
+  for (const PhysicalIndexEstimate& idx : indexes_) members.push_back(&idx);
+  return members;
 }
 
 std::string Configuration::ToString() const {

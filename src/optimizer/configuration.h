@@ -1,7 +1,11 @@
 // A hypothetical physical configuration: the set of indexes the what-if
 // optimizer costs a statement against, each with its (estimated) size. The
 // estimated size matters doubly — it drives I/O cost AND the storage-budget
-// accounting in enumeration.
+// accounting in enumeration. The costing body reads a configuration as a
+// MemberList of estimate addresses, so the advisor's search can cost its
+// interned candidate ids (cost_cache.h) without copying a Configuration;
+// an owning Configuration is what a tune returns and what reports and
+// tests build.
 #ifndef CAPD_OPTIMIZER_CONFIGURATION_H_
 #define CAPD_OPTIMIZER_CONFIGURATION_H_
 
@@ -21,21 +25,21 @@ struct PhysicalIndexEstimate {
   double pages() const { return bytes / kPageSize; }
 };
 
+// A configuration's indexes by address, in configuration order. Costs
+// depend on that order (best-path ties and floating-point sums follow it).
+using MemberList = std::vector<const PhysicalIndexEstimate*>;
+
 class Configuration {
  public:
   Configuration() = default;
 
-  // Adds `idx`, recording its signature; CHECK-fails on a duplicate.
+  // Appends `idx`; CHECK-fails on a duplicate signature.
   void Add(PhysicalIndexEstimate idx);
-  // Removes the index with this signature; returns true if present.
-  bool Remove(const std::string& signature);
   bool Contains(const std::string& signature) const;
 
   const std::vector<PhysicalIndexEstimate>& indexes() const { return indexes_; }
-  // indexes()[i].def.Signature(), rendered once when the index was added.
-  const std::string& signature(size_t i) const { return signatures_[i]; }
-  // True if some clustered index on `object` is present.
-  bool HasClusteredOn(const std::string& object) const;
+  // indexes() by address; valid until the next Add.
+  MemberList members() const;
 
   size_t size() const { return indexes_.size(); }
 

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <optional>
 
+#include "common/logging.h"
+
 namespace capd {
 namespace {
 
@@ -10,30 +12,19 @@ bool Contains(const std::vector<std::string>& v, const std::string& s) {
   return std::find(v.begin(), v.end(), s) != v.end();
 }
 
-void AppendU32(std::string* out, uint32_t v) {
-  out->push_back(static_cast<char>(v & 0xff));
-  out->push_back(static_cast<char>((v >> 8) & 0xff));
-  out->push_back(static_cast<char>((v >> 16) & 0xff));
-  out->push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
 }  // namespace
 
-StatementCostCache::StatementCostCache(const Database& db,
-                                       const WhatIfOptimizer& optimizer,
-                                       const Workload& workload)
-    : db_(&db),
-      optimizer_(&optimizer),
-      workload_(&workload),
-      shards_(workload.statements.size()) {
+CandidateIds::CandidateIds(const Database& db, const WhatIfOptimizer& optimizer,
+                           const Workload& workload)
+    : db_(&db), optimizer_(&optimizer), workload_(&workload) {
   prepared_.reserve(workload.statements.size());
   for (const Statement& stmt : workload.statements) {
     prepared_.push_back(optimizer.Prepare(stmt));
   }
 }
 
-bool StatementCostCache::ComputeRelevant(size_t stmt_index,
-                                         const IndexDef& idx) const {
+bool CandidateIds::ComputeRelevant(size_t stmt_index,
+                                   const IndexDef& idx) const {
   const PreparedStatement& stmt = prepared_[stmt_index];
   const bool is_insert = stmt.stmt->type == StatementType::kInsert;
   if (!db_->HasTable(idx.object)) {
@@ -87,73 +78,110 @@ bool StatementCostCache::ComputeRelevant(size_t stmt_index,
   return true;
 }
 
-const StatementCostCache::IndexInfo& StatementCostCache::InfoFor(
-    const std::string& signature, const IndexDef& idx) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    const auto it = index_info_.find(signature);
-    // References into the node-based map stay valid across later inserts.
-    if (it != index_info_.end()) return it->second;
+CandidateIds::Id CandidateIds::Intern(const std::string& signature,
+                                      const PhysicalIndexEstimate& est) {
+  const auto [it, inserted] =
+      ids_.emplace(signature, static_cast<Id>(estimates_.size()));
+  if (!inserted) {
+    CAPD_CHECK(estimates_[it->second] == &est)
+        << "two estimates interned as " << signature;
+    return it->second;
   }
-  IndexInfo info;
-  info.relevant.resize(workload_->statements.size());
-  for (size_t i = 0; i < workload_->statements.size(); ++i) {
-    info.relevant[i] = ComputeRelevant(i, idx) ? 1 : 0;
+  estimates_.push_back(&est);
+  // A signature is the structure signature, '|', and the compression
+  // name, which holds no '|'.
+  const std::string_view structure =
+      std::string_view(signature).substr(0, signature.rfind('|'));
+  structures_.push_back(
+      structure_ids_.emplace(structure, structure_ids_.size()).first->second);
+  for (size_t i = 0; i < prepared_.size(); ++i) {
+    relevant_.push_back(ComputeRelevant(i, est.def) ? 1 : 0);
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  // First inserter wins the id; a concurrent compute produced the same
-  // bitmap, so either copy is fine. Ids are only unique labels within this
-  // cache instance — cost values never depend on their numeric order.
-  const auto [it, inserted] = index_info_.emplace(signature, std::move(info));
-  if (inserted) it->second.id = static_cast<uint32_t>(index_info_.size());
   return it->second;
 }
 
-std::vector<const StatementCostCache::IndexInfo*> StatementCostCache::InfosFor(
-    const Configuration& config) {
-  std::vector<const IndexInfo*> infos;
-  infos.reserve(config.size());
-  for (size_t i = 0; i < config.size(); ++i) {
-    infos.push_back(&InfoFor(config.signature(i), config.indexes()[i].def));
+CandidateIds::Id CandidateIds::Find(const std::string& signature) const {
+  const auto it = ids_.find(signature);
+  CAPD_CHECK(it != ids_.end()) << "no candidate " << signature;
+  return it->second;
+}
+
+MemberList CandidateIds::Members(const std::vector<Id>& config) const {
+  MemberList members;
+  members.reserve(config.size() + 1);  // room for a trial's added member
+  for (const Id id : config) members.push_back(estimates_[id]);
+  return members;
+}
+
+Configuration CandidateIds::ToConfiguration(
+    const std::vector<Id>& config) const {
+  Configuration out;
+  for (const Id id : config) out.Add(*estimates_[id]);
+  return out;
+}
+
+double CandidateIds::Cost(size_t stmt_index,
+                          const std::vector<Id>& config) const {
+  return optimizer_->Cost(prepared_[stmt_index], Members(config));
+}
+
+double CandidateIds::WorkloadCost(const std::vector<Id>& config) const {
+  const MemberList members = Members(config);
+  double total = 0.0;
+  for (size_t i = 0; i < prepared_.size(); ++i) {
+    total += workload_->statements[i].weight *
+             optimizer_->Cost(prepared_[i], members);
   }
-  return infos;
+  return total;
 }
 
-bool StatementCostCache::Relevant(size_t stmt_index, const IndexDef& idx) {
-  return InfoFor(idx.Signature(), idx).relevant[stmt_index] != 0;
+StatementCostCache::StatementCostCache(const CandidateIds& ids)
+    : ids_(&ids), shards_(ids.workload().statements.size()) {}
+
+uint32_t StatementCostCache::Child(Shard* shard, uint32_t node, Id id) {
+  const uint64_t edge = uint64_t{node} << 32 | id;
+  const auto it = shard->edges.find(edge);
+  if (it != shard->edges.end()) return it->second;
+  const uint32_t child = static_cast<uint32_t>(shard->nodes.size());
+  shard->nodes.emplace_back();
+  shard->edges.emplace(edge, child);
+  return child;
 }
 
-std::string StatementCostCache::KeyFor(
-    size_t stmt_index, const std::vector<const IndexInfo*>& infos) {
+uint32_t StatementCostCache::Walk(size_t stmt_index,
+                                  const std::vector<Id>& config) {
   // The cost of a statement is a function of the *ordered subsequence* of
   // relevant indexes (best-path ties and floating-point sums follow
-  // configuration order), so the key preserves that order — never sorts.
-  // The statement index itself is the shard, so it never enters the key.
-  std::string key;
-  key.reserve(4 * infos.size());
-  for (const IndexInfo* info : infos) {
-    if (info->relevant[stmt_index]) AppendU32(&key, info->id);
-  }
-  return key;
-}
-
-template <typename ConfigFn>
-double StatementCostCache::CostForKey(size_t stmt_index, std::string key,
-                                      ConfigFn&& config, bool count_hit) {
-  Shard& shard = shards_[stmt_index];
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.costs.find(key);
-    if (it != shard.costs.end()) {
-      if (count_hit) hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
+  // configuration order), so the walk follows that order — never sorts.
+  uint32_t node = 0;
+  for (const Id id : config) {
+    if (ids_->relevant(stmt_index, id)) {
+      node = Child(&shards_[stmt_index], node, id);
     }
   }
-  const double cost = optimizer_->Cost(prepared_[stmt_index], config());
-  std::lock_guard<std::mutex> lock(shard.mu);
-  // Only the inserting call counts as a miss; a concurrent miss that lost
+  return node;
+}
+
+template <typename MembersFn>
+double StatementCostCache::CostAt(size_t stmt_index,
+                                  std::unique_lock<std::mutex> lock,
+                                  uint32_t node, MembersFn&& members,
+                                  bool count_hit) {
+  Shard& shard = shards_[stmt_index];
+  if (shard.nodes[node].costed) {
+    if (count_hit) hits_.fetch_add(1, std::memory_order_relaxed);
+    return shard.nodes[node].cost;
+  }
+  lock.unlock();
+  const double cost =
+      ids_->optimizer().Cost(ids_->prepared(stmt_index), members());
+  lock.lock();
+  // Only the storing call counts as a miss; a concurrent miss that lost
   // the race counts as the hit it would have been serially.
-  if (shard.costs.emplace(std::move(key), cost).second) {
+  Node& entry = shard.nodes[node];
+  if (!entry.costed) {
+    entry.cost = cost;
+    entry.costed = true;
     misses_.fetch_add(1, std::memory_order_relaxed);
   } else if (count_hit) {
     hits_.fetch_add(1, std::memory_order_relaxed);
@@ -162,62 +190,71 @@ double StatementCostCache::CostForKey(size_t stmt_index, std::string key,
 }
 
 double StatementCostCache::Cost(size_t stmt_index,
-                                const Configuration& config) {
-  auto given = [&]() -> const Configuration& { return config; };
-  return CostForKey(stmt_index, KeyFor(stmt_index, InfosFor(config)), given);
+                                const std::vector<Id>& config) {
+  std::unique_lock<std::mutex> lock(shards_[stmt_index].mu);
+  const uint32_t node = Walk(stmt_index, config);
+  return CostAt(stmt_index, std::move(lock), node,
+                [&] { return ids_->Members(config); });
 }
 
-double StatementCostCache::WorkloadCost(const Configuration& config) {
-  // Relevance is looked up once per call, not once per statement.
-  const std::vector<const IndexInfo*> infos = InfosFor(config);
-  auto given = [&]() -> const Configuration& { return config; };
+double StatementCostCache::WorkloadCost(const std::vector<Id>& config) {
+  std::optional<MemberList> members;  // built on the first miss
+  auto given = [&]() -> const MemberList& {
+    if (!members.has_value()) members = ids_->Members(config);
+    return *members;
+  };
+  const Workload& workload = ids_->workload();
   double total = 0.0;
-  for (size_t i = 0; i < workload_->statements.size(); ++i) {
-    const double cost = CostForKey(i, KeyFor(i, infos), given);
-    total += workload_->statements[i].weight * cost;
+  for (size_t i = 0; i < workload.statements.size(); ++i) {
+    std::unique_lock<std::mutex> lock(shards_[i].mu);
+    const uint32_t node = Walk(i, config);
+    total += workload.statements[i].weight *
+             CostAt(i, std::move(lock), node, given);
   }
   return total;
 }
 
 StatementCostCache::Step StatementCostCache::BeginStep(
-    const Configuration& config) {
-  const std::vector<const IndexInfo*> infos = InfosFor(config);
-  auto given = [&]() -> const Configuration& { return config; };
+    const std::vector<Id>& config) {
+  std::optional<MemberList> members;
+  auto given = [&]() -> const MemberList& {
+    if (!members.has_value()) members = ids_->Members(config);
+    return *members;
+  };
   Step step;
   step.config = &config;
-  for (size_t i = 0; i < workload_->statements.size(); ++i) {
-    step.keys.push_back(KeyFor(i, infos));
-    const double cost = CostForKey(i, step.keys[i], given, /*count_hit=*/false);
-    step.costs.push_back(cost);
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    std::unique_lock<std::mutex> lock(shards_[i].mu);
+    step.nodes.push_back(Walk(i, config));
+    step.costs.push_back(CostAt(i, std::move(lock), step.nodes.back(), given,
+                                /*count_hit=*/false));
   }
   return step;
 }
 
-double StatementCostCache::WorkloadCostWith(const Step& step,
-                                            const PhysicalIndexEstimate& added,
-                                            const std::string& signature) {
-  const IndexInfo& info = InfoFor(signature, added.def);
-  std::string id;  // appended to each relevant statement's step key
-  AppendU32(&id, info.id);
-  std::optional<Configuration> trial;
-  auto make_trial = [&]() -> const Configuration& {
+double StatementCostCache::WorkloadCostWith(const Step& step, Id added) {
+  std::optional<MemberList> trial;  // step.config + added, on a miss
+  auto given = [&]() -> const MemberList& {
     if (!trial.has_value()) {
-      trial = *step.config;
-      trial->Add(added);
+      trial = ids_->Members(*step.config);
+      trial->push_back(&ids_->estimate(added));
     }
     return *trial;
   };
   // Same weighted terms in the same statement order as WorkloadCost.
+  const Workload& workload = ids_->workload();
   double total = 0.0;
   uint64_t reused = 0;
-  for (size_t i = 0; i < workload_->statements.size(); ++i) {
+  for (size_t i = 0; i < workload.statements.size(); ++i) {
     double cost = step.costs[i];
-    if (info.relevant[i]) {
-      cost = CostForKey(i, step.keys[i] + id, make_trial);
+    if (ids_->relevant(i, added)) {
+      std::unique_lock<std::mutex> lock(shards_[i].mu);
+      const uint32_t node = Child(&shards_[i], step.nodes[i], added);
+      cost = CostAt(i, std::move(lock), node, given);
     } else {
       ++reused;
     }
-    total += workload_->statements[i].weight * cost;
+    total += workload.statements[i].weight * cost;
   }
   hits_.fetch_add(reused, std::memory_order_relaxed);
   return total;

@@ -1,12 +1,18 @@
-// Per-statement what-if cost cache: the advisor's greedy search costs the
-// whole workload once per trial configuration, but adding one index only
-// changes the cost of statements that can actually see it — every other
-// statement's cost is unchanged from the previous trial. Memoizing
-// Cost(statement, config) by (statement, the ordered subsequence of config
-// indexes relevant to that statement) turns each greedy step from
-// O(pool × workload) full costings into O(pool × affected statements),
-// while staying bit-identical to the uncached optimizer: a hit returns a
-// double produced by the exact computation a miss would run.
+// Candidate ids and the per-statement what-if cost cache of one search.
+//
+// CandidateIds interns each sized candidate of a tune once, before any
+// fan-out: one dense id per distinct signature, naming the candidate's size
+// estimate, its structure (shared by its compressed variants) and the
+// statements it is relevant to. The greedy search holds a configuration as
+// an ordered list of ids, so a trial appends an id instead of copying a
+// Configuration, and costing reads the interned entries without a lock.
+//
+// StatementCostCache memoizes Cost(statement, config) by the ordered
+// subsequence of config ids relevant to that statement. Adding one index
+// only changes the cost of statements that can actually see it, so each
+// greedy step costs O(pool × affected statements) instead of O(pool ×
+// workload), while staying bit-identical to the uncached optimizer: a hit
+// returns a double produced by the exact computation a miss would run.
 //
 // Relevance mirrors the optimizer's own gates conservatively (an index
 // marked relevant may still contribute nothing; an index marked irrelevant
@@ -22,6 +28,7 @@
 #include <cstdint>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -31,6 +38,66 @@
 
 namespace capd {
 
+class CandidateIds {
+ public:
+  using Id = uint32_t;
+
+  // All three referents must outlive this.
+  CandidateIds(const Database& db, const WhatIfOptimizer& optimizer,
+               const Workload& workload);
+
+  // Interns `est`, whose IndexDef::Signature() is `signature`, and returns
+  // its id; a signature interned before keeps its id, and must come with
+  // the same estimate. Both referents must outlive this: a sizes map's key
+  // and value serve. Interning is serial; call it before any fan-out.
+  // Every const member is a lock-free read.
+  Id Intern(const std::string& signature, const PhysicalIndexEstimate& est);
+  // The id interned under `signature`; CHECK-fails if there is none.
+  Id Find(const std::string& signature) const;
+
+  size_t size() const { return estimates_.size(); }
+  const PhysicalIndexEstimate& estimate(Id id) const { return *estimates_[id]; }
+  // Equal exactly for the compressed variants of one structure.
+  uint32_t structure(Id id) const { return structures_[id]; }
+  // True if `id` can influence the cost of statement `stmt_index`.
+  bool relevant(size_t stmt_index, Id id) const {
+    return relevant_[id * prepared_.size() + stmt_index] != 0;
+  }
+
+  const Workload& workload() const { return *workload_; }
+  const WhatIfOptimizer& optimizer() const { return *optimizer_; }
+  // Each statement bound to the catalog once.
+  const PreparedStatement& prepared(size_t stmt_index) const {
+    return prepared_[stmt_index];
+  }
+
+  // The estimates `config` names, in its order.
+  MemberList Members(const std::vector<Id>& config) const;
+  Configuration ToConfiguration(const std::vector<Id>& config) const;
+
+  // Uncached Cost(statement, config) and sum of weight * Cost, computed by
+  // the optimizer; bit-identical to WhatIfOptimizer::Cost/WorkloadCost of
+  // ToConfiguration(config).
+  double Cost(size_t stmt_index, const std::vector<Id>& config) const;
+  double WorkloadCost(const std::vector<Id>& config) const;
+
+ private:
+  bool ComputeRelevant(size_t stmt_index, const IndexDef& idx) const;
+
+  const Database* db_;
+  const WhatIfOptimizer* optimizer_;
+  const Workload* workload_;
+  std::vector<PreparedStatement> prepared_;
+
+  std::unordered_map<std::string_view, Id> ids_;  // by signature
+  std::unordered_map<std::string_view, uint32_t> structure_ids_;
+  // By id: the estimate, its structure, and its relevance to each
+  // statement at [id * statements + statement].
+  std::vector<const PhysicalIndexEstimate*> estimates_;
+  std::vector<uint32_t> structures_;
+  std::vector<char> relevant_;
+};
+
 // Thread-safe: Enumerate's parallel trial evaluations share one cache.
 // Concurrent misses on the same key both run the (pure, deterministic)
 // optimizer and insert the same value, so results are independent of
@@ -38,88 +105,72 @@ namespace capd {
 // number of distinct keys costed, hits() every other call.
 class StatementCostCache {
  public:
-  // All three referents must outlive the cache.
-  StatementCostCache(const Database& db, const WhatIfOptimizer& optimizer,
-                     const Workload& workload);
+  using Id = CandidateIds::Id;
+
+  // `ids` must outlive the cache.
+  explicit StatementCostCache(const CandidateIds& ids);
 
   // Unweighted Cost(statement, config), served from the cache when the
   // relevant subsequence has been costed before.
-  double Cost(size_t stmt_index, const Configuration& config);
+  double Cost(size_t stmt_index, const std::vector<Id>& config);
 
   // Sum of weight * Cost over the workload — bit-identical to
   // WhatIfOptimizer::WorkloadCost (same per-statement terms, summed in the
   // same statement order).
-  double WorkloadCost(const Configuration& config);
+  double WorkloadCost(const std::vector<Id>& config);
 
-  // A greedy step's base: one configuration's per-statement costs and
-  // cache keys. `config` must outlive the step.
+  // A greedy step's base: one configuration's per-statement costs and the
+  // cache entries they sit at. `config` must outlive the step.
   struct Step {
-    const Configuration* config = nullptr;
-    std::vector<double> costs;  // unweighted
-    std::vector<std::string> keys;
+    const std::vector<Id>* config = nullptr;
+    std::vector<uint32_t> nodes;  // per statement, its entry's trie node
+    std::vector<double> costs;    // unweighted
   };
   // Reads back `config`'s costs. Cached statements (all of them, for a
   // configuration costed before) are not counted; others are costed and
   // counted as misses.
-  Step BeginStep(const Configuration& config);
+  Step BeginStep(const std::vector<Id>& config);
 
-  // WorkloadCost(step.config + added) to the bit; `signature` is added's.
-  // Only statements `added` is relevant to are looked up, building the
-  // extended Configuration only on a miss; every other statement reuses
-  // the step's cost and counts as the hit its lookup would have been.
-  double WorkloadCostWith(const Step& step, const PhysicalIndexEstimate& added,
-                          const std::string& signature);
+  // WorkloadCost(*step.config + added) to the bit. Only statements `added`
+  // is relevant to are looked up, one trie edge from the step's entry; every
+  // other statement reuses the step's cost and counts as the hit its lookup
+  // would have been.
+  double WorkloadCostWith(const Step& step, Id added);
 
   // Statement costings served from the cache / computed by the optimizer.
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
 
-  // True if `idx` can influence the cost of statement `stmt_index`
-  // (exposed for tests; memoized by index signature).
-  bool Relevant(size_t stmt_index, const IndexDef& idx);
-
  private:
-  // Interned per distinct index signature: a compact id for key building
-  // plus the per-statement relevance bitmap. Cache keys are byte strings of
-  // ids, so building one costs no signature re-rendering.
-  struct IndexInfo {
-    uint32_t id = 0;
-    std::vector<char> relevant;  // indexed by statement
+  // One statement's costs, sharded per statement so the selection and
+  // enumeration fan-out contends per statement. Entries form a trie over
+  // relevant ids: node 0 is the empty subsequence, and the edge (node, id)
+  // leads to that subsequence extended by id. A lookup walks one edge per
+  // relevant member, so a hit builds no key and allocates nothing.
+  struct Node {
+    double cost = 0.0;
+    bool costed = false;
   };
-
-  bool ComputeRelevant(size_t stmt_index, const IndexDef& idx) const;
-  const IndexInfo& InfoFor(const std::string& signature, const IndexDef& idx);
-  // InfoFor of every index of `config`, by its recorded signature.
-  std::vector<const IndexInfo*> InfosFor(const Configuration& config);
-  // Byte key of the relevant subsequence of `infos` for one statement.
-  static std::string KeyFor(size_t stmt_index,
-                            const std::vector<const IndexInfo*>& infos);
-  // Cost of a statement under the configuration `key` describes, which
-  // `config()` yields on a miss; with `count_hit` false a hit is uncounted.
-  template <typename ConfigFn>
-  double CostForKey(size_t stmt_index, std::string key, ConfigFn&& config,
-                    bool count_hit = true);
-
-  const Database* db_;
-  const WhatIfOptimizer* optimizer_;
-  const Workload* workload_;
-  // Each statement bound to the catalog once: the misses cost from it and
-  // the relevance gates read its table scopes.
-  std::vector<PreparedStatement> prepared_;
-
-  // Cost entries are sharded per statement (the statement index is the
-  // natural partition of every key), so the selection/enumeration fan-out
-  // contends per statement instead of on one global mutex. The id/relevance
-  // interner keeps its own lock; its traffic is one lookup per distinct
-  // index per trial configuration.
   struct Shard {
     std::mutex mu;
-    std::unordered_map<std::string, double> costs;  // byte key -> cost
+    std::unordered_map<uint64_t, uint32_t> edges;  // node << 32 | id -> node
+    std::vector<Node> nodes = std::vector<Node>(1);
   };
-  std::vector<Shard> shards_;  // one per workload statement
 
-  std::mutex mu_;
-  std::unordered_map<std::string, IndexInfo> index_info_;  // by signature
+  // Both under the shard's lock: the node one edge below `node` along `id`,
+  // and the node of `config`'s relevant subsequence; each adds the nodes
+  // it passes through.
+  static uint32_t Child(Shard* shard, uint32_t node, Id id);
+  uint32_t Walk(size_t stmt_index, const std::vector<Id>& config);
+  // Cost of statement `stmt_index` at `node`, given its shard's `lock`;
+  // `members()` yields the configuration on a miss. With `count_hit`
+  // false a hit is uncounted.
+  template <typename MembersFn>
+  double CostAt(size_t stmt_index, std::unique_lock<std::mutex> lock,
+                uint32_t node, MembersFn&& members, bool count_hit = true);
+
+  const CandidateIds* ids_;
+  std::vector<Shard> shards_;  // one per workload statement
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
 };

@@ -227,19 +227,22 @@ std::optional<WhatIfOptimizer::Plan> WhatIfOptimizer::IndexAccessCost(
 }
 
 WhatIfOptimizer::Plan WhatIfOptimizer::BestTableAccess(
-    const PreparedTable& table, const Configuration& config) const {
+    const PreparedTable& table, const MemberList& members) const {
   const std::string& name = table.table->name();
   Plan best;
   bool have = false;
   // The heap exists unless a clustered index replaced it.
-  if (!config.HasClusteredOn(name)) {
+  if (std::none_of(members.begin(), members.end(),
+                   [&](const PhysicalIndexEstimate* idx) {
+                     return idx->def.clustered && idx->def.object == name;
+                   })) {
     best = Plan{table.heap_io, table.heap_cpu, Plan::Path::kHeapScan,
                 table.table, nullptr};
     have = true;
   }
-  for (const PhysicalIndexEstimate& idx : config.indexes()) {
-    if (idx.def.object != name) continue;
-    std::optional<Plan> c = IndexAccessCost(table, idx);
+  for (const PhysicalIndexEstimate* idx : members) {
+    if (idx->def.object != name) continue;
+    std::optional<Plan> c = IndexAccessCost(table, *idx);
     if (c.has_value() && (!have || c->total() < best.total())) {
       best = *c;
       have = true;
@@ -251,16 +254,16 @@ WhatIfOptimizer::Plan WhatIfOptimizer::BestTableAccess(
 }
 
 WhatIfOptimizer::Plan WhatIfOptimizer::CostSelect(
-    const PreparedStatement& stmt, const Configuration& config) const {
+    const PreparedStatement& stmt, const MemberList& members) const {
   const SelectQuery& q = stmt.stmt->select;
   const PreparedTable& root = stmt.tables.front();
   // Base relational plan: root access + one join at a time.
-  Plan plan = BestTableAccess(root, config);
+  Plan plan = BestTableAccess(root, members);
   const double root_rows = root.rows * stmt.root_sel;
 
   for (size_t j = 0; j < q.joins.size(); ++j) {
     const PreparedTable& dim = stmt.tables[stmt.join_tables[j]];
-    const Plan dim_scan = BestTableAccess(dim, config);
+    const Plan dim_scan = BestTableAccess(dim, members);
     // Hash join: build on the dimension side, probe with root rows.
     Plan hash = dim_scan;
     hash.cpu += params_.cpu_per_tuple_read * (dim.rows + root_rows);
@@ -269,15 +272,15 @@ WhatIfOptimizer::Plan WhatIfOptimizer::CostSelect(
     // join key, if the configuration has one.
     Plan nl;
     nl.io = std::numeric_limits<double>::infinity();
-    for (const PhysicalIndexEstimate& idx : config.indexes()) {
-      if (idx.def.object != q.joins[j].dim_table) continue;
-      if (idx.def.key_columns.empty() ||
-          idx.def.key_columns[0] != q.joins[j].dim_key)
+    for (const PhysicalIndexEstimate* idx : members) {
+      if (idx->def.object != q.joins[j].dim_table) continue;
+      if (idx->def.key_columns.empty() ||
+          idx->def.key_columns[0] != q.joins[j].dim_key)
         continue;
-      if (idx.def.filter.has_value()) continue;
+      if (idx->def.filter.has_value()) continue;
       Plan c;
       c.io = root_rows * params_.random_page_io;
-      const double beta = params_.Beta(idx.def.compression);
+      const double beta = params_.Beta(idx->def.compression);
       c.cpu = root_rows * (params_.cpu_per_tuple_read +
                            static_cast<double>(dim.cols_used.size()) * beta);
       if (c.total() < nl.total()) nl = c;
@@ -295,11 +298,12 @@ WhatIfOptimizer::Plan WhatIfOptimizer::CostSelect(
 
   // Alternative: answer the whole query from an MV index.
   if (mv_matcher_ != nullptr) {
-    for (const PhysicalIndexEstimate& idx : config.indexes()) {
-      std::optional<MVMatcher::MVAccess> access = mv_matcher_->Match(idx.def, q);
+    for (const PhysicalIndexEstimate* idx : members) {
+      std::optional<MVMatcher::MVAccess> access =
+          mv_matcher_->Match(idx->def, q);
       if (!access.has_value()) continue;
       Plan mv_plan;
-      const double mv_pages = std::max(idx.pages(), 1.0);
+      const double mv_pages = std::max(idx->pages(), 1.0);
       const double frac = access->selected_frac;
       if (access->leading_key_seek && frac < 1.0) {
         mv_plan.io = params_.random_page_io * 2.0 +
@@ -307,12 +311,12 @@ WhatIfOptimizer::Plan WhatIfOptimizer::CostSelect(
       } else {
         mv_plan.io = params_.seq_page_io * mv_pages;
       }
-      const double beta = params_.Beta(idx.def.compression);
+      const double beta = params_.Beta(idx->def.compression);
       mv_plan.cpu = access->mv_tuples * frac *
                     (params_.cpu_per_tuple_read +
                      static_cast<double>(access->used_columns) * beta);
       mv_plan.path = Plan::Path::kMV;
-      mv_plan.index = &idx.def;
+      mv_plan.index = &idx->def;
       if (mv_plan.total() < plan.total()) plan = mv_plan;
     }
   }
@@ -320,7 +324,7 @@ WhatIfOptimizer::Plan WhatIfOptimizer::CostSelect(
 }
 
 WhatIfOptimizer::Plan WhatIfOptimizer::CostInsert(
-    const PreparedStatement& stmt, const Configuration& config) const {
+    const PreparedStatement& stmt, const MemberList& members) const {
   const InsertStatement& ins = stmt.stmt->insert;
   const Table& t = *stmt.tables.front().table;
   const double rows = static_cast<double>(ins.num_rows);
@@ -333,7 +337,8 @@ WhatIfOptimizer::Plan WhatIfOptimizer::CostInsert(
   plan.io = params_.seq_page_io * rows * heap_row_bytes / kPageCapacity;
   plan.cpu = params_.cpu_per_tuple_write * rows;
 
-  for (const PhysicalIndexEstimate& idx : config.indexes()) {
+  for (const PhysicalIndexEstimate* member : members) {
+    const PhysicalIndexEstimate& idx = *member;
     if (idx.def.object != ins.table) {
       // Indexes on MVs over this fact table must be maintained too: each
       // inserted row updates one group (count/sums) in the MV.
@@ -367,9 +372,9 @@ WhatIfOptimizer::Plan WhatIfOptimizer::CostInsert(
 }
 
 WhatIfOptimizer::Plan WhatIfOptimizer::CostPlan(
-    const PreparedStatement& stmt, const Configuration& config) const {
-  return stmt.stmt->type == StatementType::kInsert ? CostInsert(stmt, config)
-                                                   : CostSelect(stmt, config);
+    const PreparedStatement& stmt, const MemberList& members) const {
+  return stmt.stmt->type == StatementType::kInsert ? CostInsert(stmt, members)
+                                                   : CostSelect(stmt, members);
 }
 
 PlanCost WhatIfOptimizer::CostWithPlan(const Statement& stmt,
@@ -377,7 +382,7 @@ PlanCost WhatIfOptimizer::CostWithPlan(const Statement& stmt,
   static const char* const kPathPrefix[] = {  // indexed by Plan::Path
       "heap scan(", "index scan(", "index seek(", "index seek+lookup(", "MV ",
       "bulk insert("};
-  const Plan plan = CostPlan(Prepare(stmt), config);
+  const Plan plan = CostPlan(Prepare(stmt), config.members());
   PlanCost cost;
   cost.io = plan.io;
   cost.cpu = plan.cpu;
@@ -389,20 +394,21 @@ PlanCost WhatIfOptimizer::CostWithPlan(const Statement& stmt,
 }
 
 double WhatIfOptimizer::Cost(const PreparedStatement& stmt,
-                             const Configuration& config) const {
-  return CostPlan(stmt, config).total();
+                             const MemberList& members) const {
+  return CostPlan(stmt, members).total();
 }
 
 double WhatIfOptimizer::Cost(const Statement& stmt,
                              const Configuration& config) const {
-  return Cost(Prepare(stmt), config);
+  return Cost(Prepare(stmt), config.members());
 }
 
 double WhatIfOptimizer::WorkloadCost(const Workload& workload,
                                      const Configuration& config) const {
+  const MemberList members = config.members();
   double total = 0.0;
   for (const Statement& s : workload.statements) {
-    total += s.weight * Cost(s, config);
+    total += s.weight * Cost(Prepare(s), members);
   }
   return total;
 }

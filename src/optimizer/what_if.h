@@ -3,7 +3,9 @@
 // heap scan, (covering) index scan, index seek with optional RID lookups,
 // partial-index use when the query's predicates subsume the index filter,
 // and MV-index answering via a pluggable matcher (implemented in src/mv).
-// The cost model is compression aware per Appendix A.
+// The cost model is compression aware per Appendix A. One costing body
+// reads a prepared statement and the configuration's MemberList; the
+// Configuration overloads prepare and forward to it.
 #ifndef CAPD_OPTIMIZER_WHAT_IF_H_
 #define CAPD_OPTIMIZER_WHAT_IF_H_
 
@@ -93,10 +95,11 @@ class WhatIfOptimizer {
   PreparedStatement Prepare(const Statement& stmt) const;
 
   // Optimizer-estimated cost of the statement under the configuration
-  // (unweighted; callers apply Statement::weight). The prepared overload
-  // does no catalog, histogram or string work; all three agree to the bit.
+  // (unweighted; callers apply Statement::weight). The prepared overload is
+  // the costing body: it does no catalog, histogram or string work, and
+  // the others forward to it, so all three agree to the bit.
   double Cost(const Statement& stmt, const Configuration& config) const;
-  double Cost(const PreparedStatement& stmt, const Configuration& config) const;
+  double Cost(const PreparedStatement& stmt, const MemberList& members) const;
   PlanCost CostWithPlan(const Statement& stmt, const Configuration& config) const;
 
   // Sum of weight * Cost over the workload.
@@ -126,16 +129,15 @@ class WhatIfOptimizer {
     double total() const { return io + cpu; }
   };
 
-  Plan CostPlan(const PreparedStatement& stmt,
-                const Configuration& config) const;
+  Plan CostPlan(const PreparedStatement& stmt, const MemberList& members) const;
   Plan CostSelect(const PreparedStatement& stmt,
-                  const Configuration& config) const;
+                  const MemberList& members) const;
   Plan CostInsert(const PreparedStatement& stmt,
-                  const Configuration& config) const;
+                  const MemberList& members) const;
 
   // Cheapest access path producing this table's portion of the query.
   Plan BestTableAccess(const PreparedTable& table,
-                       const Configuration& config) const;
+                       const MemberList& members) const;
   // Cost of using `idx` for this table's portion, or nullopt if unusable.
   std::optional<Plan> IndexAccessCost(const PreparedTable& table,
                                       const PhysicalIndexEstimate& idx) const;

@@ -84,6 +84,26 @@ double ColumnBlock::NumericKey(size_t c, uint64_t r) const {
   return static_cast<double>(col.ints[r]);
 }
 
+int ColumnBlock::Compare(size_t c, uint64_t r, const Value& v) const {
+  const TypedColumn& col = At(c, r);
+  CAPD_CHECK(col.type == v.type())
+      << "cross-type compare: " << ValueTypeName(col.type) << " vs "
+      << ValueTypeName(v.type());
+  if (col.type == ValueType::kString) {
+    const std::string& a = col.strings[r];
+    const std::string& b = v.AsString();
+    return a < b ? -1 : (a > b ? 1 : 0);
+  }
+  if (col.type == ValueType::kDouble) {
+    const double a = col.doubles[r];
+    const double b = v.AsDouble();
+    return a < b ? -1 : (a > b ? 1 : 0);
+  }
+  const int64_t a = col.ints[r];
+  const int64_t b = v.AsInt64();
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
 void ColumnBlock::RowAt(uint64_t r, Row* out) const {
   out->clear();
   out->reserve(cols_.size());

@@ -29,10 +29,10 @@ inline constexpr uint64_t kDefaultBlockRows = 8192;
 // array (int64_t for INT64 and DATE, double for DOUBLE, std::string for
 // STRING). A source sizes the block with Resize and writes every cell
 // through the typed setters; a resident table appends with AppendRow.
-// Only ValueAt and RowAt build Values. Const reads share no scratch, so
-// threads may read one block concurrently. Resize keeps every column's
-// capacity, so a scan reusing one scratch block settles into zero
-// steady-state allocation churn.
+// Only ValueAt and RowAt build Values; the other readers work on the
+// typed cell. Const reads share no scratch, so threads may read one block
+// concurrently. Resize keeps every column's capacity, so a scan reusing
+// one scratch block settles into zero steady-state allocation churn.
 class ColumnBlock {
  public:
   explicit ColumnBlock(const Schema& schema);
@@ -67,6 +67,9 @@ class ColumnBlock {
                   std::string* out) const;
   // The cell's Value::NumericKey, without building the Value.
   double NumericKey(size_t c, uint64_t r) const;
+  // The cell's Value::Compare(v), without building the Value; CHECK-fails
+  // across types as Compare does.
+  int Compare(size_t c, uint64_t r, const Value& v) const;
 
   // Reconstructs block-local row `r` into *out (cleared first). Taking a
   // scratch Row lets tight scan loops reuse one allocation.

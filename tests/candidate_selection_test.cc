@@ -45,12 +45,17 @@ class CandidateSelectionTest : public ::testing::Test {
   std::vector<IndexDef> Select(const Workload& w, AdvisorOptions options,
                                bool with_cache) {
     Advisor advisor(db_, *optimizer_, estimator_.get(), mvs_.get(), options);
+    CandidateIds ids(db_, *optimizer_, w);
+    for (const auto& [signature, est] : sizes_) ids.Intern(signature, est);
     std::unique_ptr<StatementCostCache> cache;
-    if (with_cache) {
-      cache = std::make_unique<StatementCostCache>(db_, *optimizer_, w);
+    if (with_cache) cache = std::make_unique<StatementCostCache>(ids);
+    const std::vector<CandidateIds::Id> chosen =
+        advisor.SelectCandidates(candidates_, ids, cache.get(), nullptr);
+    std::vector<IndexDef> selected;
+    for (const CandidateIds::Id id : chosen) {
+      selected.push_back(ids.estimate(id).def);
     }
-    return advisor.SelectCandidates(w, candidates_, sizes_, cache.get(),
-                                    nullptr);
+    return selected;
   }
 
   // Fresh stack per run, mirroring bench_common's wiring (per-key sample

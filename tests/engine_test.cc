@@ -14,6 +14,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -301,6 +302,26 @@ TEST_F(EngineTest, InvalidBudgetErrors) {
   EXPECT_EQ(engine.Tune(request).status, TuningResponse::Status::kError);
   request.budget = TuningBudget::Bytes(-1.0);
   EXPECT_EQ(engine.Tune(request).status, TuningResponse::Status::kError);
+}
+
+TEST_F(EngineTest, InvalidWeightErrorsNamingTheStatement) {
+  AdvisorEngine engine(*built_.db);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double weight : {nan, inf, -inf, -1.0}) {
+    TuningRequest request = MakeRequest("dtac-both");
+    request.workload.statements.front().weight = weight;
+    const std::string& id = request.workload.statements.front().id;
+    const TuningResponse r = engine.Tune(request);
+    EXPECT_EQ(r.status, TuningResponse::Status::kError) << weight;
+    EXPECT_FALSE(r.retryable) << weight;
+    EXPECT_NE(r.error.find(id), std::string::npos) << r.error;
+    EXPECT_NE(r.error.find("weight"), std::string::npos) << r.error;
+  }
+  // A zero weight is valid, and the engine still serves requests.
+  TuningRequest zero = MakeRequest("dtac-both");
+  zero.workload.statements.front().weight = 0.0;
+  EXPECT_EQ(engine.Tune(zero).status, TuningResponse::Status::kOk);
 }
 
 TEST_F(EngineTest, InvalidThreadCountErrors) {

@@ -155,8 +155,13 @@ Batches DtacBothBatches(const workloads::BuiltWorkload& built) {
       generator.GenerateForWorkload(built.workload);
   const std::map<std::string, PhysicalIndexEstimate> estimates =
       advisor.EstimateSizes(candidates, nullptr);
-  const std::vector<IndexDef> selected = advisor.SelectCandidates(
-      built.workload, candidates, estimates, nullptr, nullptr);
+  CandidateIds ids(*built.db, optimizer, built.workload);
+  for (const auto& [signature, est] : estimates) ids.Intern(signature, est);
+  std::vector<IndexDef> selected;
+  for (const CandidateIds::Id id :
+       advisor.SelectCandidates(candidates, ids, nullptr, nullptr)) {
+    selected.push_back(ids.estimate(id).def);
+  }
   Batches batches;
   batches.initial = Compressed(candidates);
   batches.merged = Compressed(generator.MergeCandidates(selected));

@@ -1,6 +1,8 @@
 // Tests for index definitions and the physical index builder (ground-truth
 // sizes the estimation framework is judged against).
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -75,6 +77,51 @@ TEST(ColumnFilterTest, MatchOperators) {
   EXPECT_TRUE(f.Matches(row, t.schema()));
   f = ColumnFilter{"b", FilterOp::kEq, Value::String("red"), {}};
   EXPECT_TRUE(f.Matches(row, t.schema()));
+}
+
+TEST(ColumnFilterTest, CellCheckAgreesWithRowCheck) {
+  // Per column type, the cells every filter is tried on; each one also
+  // serves as a bound, so every operator meets equality at its bounds.
+  const double kNaN = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<Value>> cells = {
+      {Value::Int64(-7), Value::Int64(0), Value::Int64(3), Value::Int64(4),
+       Value::Int64(INT64_MAX)},
+      {Value::Date(-1), Value::Date(0), Value::Date(10957), Value::Date(10958),
+       Value::Date(20000)},
+      {Value::Double(-2.5), Value::Double(-0.0), Value::Double(0.0),
+       Value::Double(1.5), Value::Double(kNaN)},
+      {Value::String(""), Value::String("ab"), Value::String("abc"),
+       Value::String("b"), Value::String("\xff")}};
+  Table t("t", Schema({{"i", ValueType::kInt64, 8},
+                       {"d", ValueType::kDate, 4},
+                       {"x", ValueType::kDouble, 8},
+                       {"s", ValueType::kString, 4}}));
+  for (size_t r = 0; r < cells[0].size(); ++r) {
+    t.AddRow({cells[0][r], cells[1][r], cells[2][r], cells[3][r]});
+  }
+  const FilterOp kOps[] = {FilterOp::kEq, FilterOp::kLt, FilterOp::kLe,
+                           FilterOp::kGt, FilterOp::kGe, FilterOp::kBetween};
+  int checked = 0;
+  t.ScanBlocks([&](uint64_t, const ColumnBlock& block) {
+    Row row;
+    for (size_t c = 0; c < cells.size(); ++c) {
+      for (const FilterOp op : kOps) {
+        for (const Value& lo : cells[c]) {
+          for (const Value& hi : cells[c]) {
+            const ColumnFilter f{t.schema().column(c).name, op, lo, hi};
+            for (uint64_t r = 0; r < block.num_rows(); ++r) {
+              block.RowAt(r, &row);
+              const bool by_row = f.Matches(row, t.schema());
+              EXPECT_EQ(f.MatchesCell(block, c, r), by_row)
+                  << f.ToString() << " on row " << r;
+              ++checked;
+            }
+          }
+        }
+      }
+    }
+  });
+  EXPECT_EQ(checked, 4 * 6 * 5 * 5 * 5);
 }
 
 TEST(IndexBuilderTest, MaterializedPageIsSortedByKey) {

@@ -389,7 +389,9 @@ TEST(ScaleWorkloadTest, ColdTuneJsonIsIdenticalAcrossEstimationThreads) {
 
 // A warm request re-plans the estimation graph and re-runs the greedy
 // search, but every SampleCF leaf is served from the engine's cache, so
-// its allocations count planning and what-if overhead, not sampling.
+// its allocations count planning and what-if overhead, not sampling. The
+// budget sits within 10% of the measured count (24,658 in Release), so
+// string work returning to the search fails here, not only in a timing.
 TEST(AllocationGate, WarmTpchTuneStaysUnderAllocationBudget) {
   workloads::WorkloadSpec spec;
   spec.name = "tpch";
@@ -410,7 +412,7 @@ TEST(AllocationGate, WarmTpchTuneStaysUnderAllocationBudget) {
   ASSERT_TRUE(warm.ok()) << warm.error;
   std::printf("warm tpch dtac-both tune: %llu allocations\n",
               static_cast<unsigned long long>(allocs));
-  constexpr uint64_t kAllocBudget = 50000;
+  constexpr uint64_t kAllocBudget = 27000;
   EXPECT_LE(allocs, kAllocBudget);
 }
 

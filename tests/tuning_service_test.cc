@@ -11,6 +11,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -166,6 +167,24 @@ TEST_F(TuningServiceTest, WatermarkBackpressureDegradesAndRecords) {
   }
   EXPECT_FALSE(service.degraded_mode());
   EXPECT_EQ(service.stats().degraded, 3u);
+}
+
+TEST_F(TuningServiceTest, InvalidWeightIsATerminalError) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.high_watermark = 0;
+  options.max_attempts = 3;
+  TuningService service(engine_.get(), options);
+
+  ServiceRequest request = MakeRequest("dtac-both");
+  Statement& first = request.tuning.workload.statements.front();
+  first.weight = std::numeric_limits<double>::quiet_NaN();
+  const ServiceResponse r = service.Tune(request);
+  EXPECT_EQ(r.status, ServiceStatus::kError);
+  EXPECT_EQ(r.attempts, 1);  // not retried
+  EXPECT_FALSE(r.tuning.retryable);
+  EXPECT_NE(r.error.find(first.id), std::string::npos) << r.error;
+  EXPECT_EQ(service.Tune(MakeRequest("dtac-topk")).status, ServiceStatus::kOk);
 }
 
 TEST_F(TuningServiceTest, DeadlineMidTuneReturnsBestSoFarFlagged) {

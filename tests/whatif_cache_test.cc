@@ -1,9 +1,12 @@
-// Tests for the per-statement what-if cost cache: cached WorkloadCost and
-// the greedy trials' delta path must match the uncached optimizer to the
-// bit on randomized configurations, and the relevance gates must mirror
-// the optimizer's own usability rules.
+// Tests for candidate ids and the per-statement what-if cost cache: cached
+// costs of random id configurations, the greedy trials' delta path and
+// concurrent costing must match the uncached optimizer to the bit, and the
+// relevance gates must mirror the optimizer's own usability rules.
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -15,6 +18,13 @@
 namespace capd {
 namespace {
 
+using Id = CandidateIds::Id;
+
+// memcmp, not ==: the criterion is bit-identical doubles.
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
 class WhatIfCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -23,6 +33,13 @@ class WhatIfCacheTest : public ::testing::Test {
     tpch::Build(&db_, opt);
     workload_ = tpch::MakeWorkload(db_, opt);
     optimizer_ = std::make_unique<WhatIfOptimizer>(db_, CostModelParams{});
+    ids_ = std::make_unique<CandidateIds>(db_, *optimizer_, workload_);
+    // Interned the way Tune does: through a sizes map keyed by signature,
+    // so the two candidates with one signature share a node and an id.
+    for (const PhysicalIndexEstimate& est : CandidatePool()) {
+      const auto it = sizes_.emplace(est.def.Signature(), est).first;
+      pool_.push_back(ids_->Intern(it->first, it->second));
+    }
   }
 
   static PhysicalIndexEstimate Est(std::string table,
@@ -40,8 +57,10 @@ class WhatIfCacheTest : public ::testing::Test {
   }
 
   // A deterministic pool of index estimates spanning every workload table,
-  // several widths and compressions, plus a clustered index.
-  std::vector<PhysicalIndexEstimate> CandidatePool() const {
+  // several widths and compressions, plus a clustered index. The
+  // next-to-last entry is a compressed variant of the first; the last one
+  // repeats the first one's signature.
+  static std::vector<PhysicalIndexEstimate> CandidatePool() {
     std::vector<PhysicalIndexEstimate> pool;
     pool.push_back(Est("lineitem", {"l_shipdate"}, CompressionKind::kRow,
                        false, 240000));
@@ -64,21 +83,37 @@ class WhatIfCacheTest : public ::testing::Test {
                        CompressionKind::kRow, false, 20000));
     pool.push_back(Est("customer", {"c_acctbal", "c_nationkey"},
                        CompressionKind::kNone, false, 30000));
+    pool.push_back(Est("lineitem", {"l_shipdate"}, CompressionKind::kPage,
+                       false, 200000));
+    pool.push_back(Est("lineitem", {"l_shipdate"}, CompressionKind::kRow,
+                       false, 240000));
     return pool;
   }
 
-  // Random subset of the pool (unique signatures), in random order.
-  Configuration RandomConfig(const std::vector<PhysicalIndexEstimate>& pool,
-                             Random* rng) const {
-    std::vector<size_t> order(pool.size());
-    for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+  // The distinct ids of the pool, in pool order.
+  std::vector<Id> DistinctIds() const {
+    std::vector<Id> out;
+    for (const Id id : pool_) {
+      if (std::find(out.begin(), out.end(), id) == out.end()) {
+        out.push_back(id);
+      }
+    }
+    return out;
+  }
+
+  // A random subset of the distinct ids, in random order.
+  std::vector<Id> RandomConfig(Random* rng) const {
+    std::vector<Id> order = DistinctIds();
     for (size_t i = order.size(); i > 1; --i) {
       std::swap(order[i - 1], order[rng->Next(i)]);
     }
-    const size_t n = rng->Next(pool.size() + 1);
-    Configuration config;
-    for (size_t i = 0; i < n; ++i) config.Add(pool[order[i]]);
-    return config;
+    order.resize(rng->Next(order.size() + 1));
+    return order;
+  }
+
+  // Uncached reference: the optimizer on the equivalent Configuration.
+  double Reference(const std::vector<Id>& config) const {
+    return optimizer_->WorkloadCost(workload_, ids_->ToConfiguration(config));
   }
 
   size_t StatementIndex(const std::string& id) const {
@@ -92,54 +127,83 @@ class WhatIfCacheTest : public ::testing::Test {
   Database db_;
   Workload workload_;
   std::unique_ptr<WhatIfOptimizer> optimizer_;
+  std::map<std::string, PhysicalIndexEstimate> sizes_;
+  std::unique_ptr<CandidateIds> ids_;
+  std::vector<Id> pool_;  // parallel to CandidatePool()
 };
 
+TEST_F(WhatIfCacheTest, OneSignatureSharesOneId) {
+  EXPECT_EQ(pool_.front(), pool_.back());
+  EXPECT_EQ(ids_->size(), pool_.size() - 1);
+  EXPECT_EQ(ids_->Find(CandidatePool().back().def.Signature()), pool_.front());
+  // Compressed variants share a structure; a clustered index or other
+  // keys make another one.
+  EXPECT_NE(pool_[0], pool_[10]);
+  EXPECT_EQ(ids_->structure(pool_[0]), ids_->structure(pool_[10]));
+  EXPECT_NE(ids_->structure(pool_[0]), ids_->structure(pool_[1]));
+  EXPECT_NE(ids_->structure(pool_[0]), ids_->structure(pool_[4]));
+}
+
 TEST_F(WhatIfCacheTest, CachedMatchesUncachedOnRandomConfigs) {
-  StatementCostCache cache(db_, *optimizer_, workload_);
-  const std::vector<PhysicalIndexEstimate> pool = CandidatePool();
+  StatementCostCache cache(*ids_);
   Random rng(20260729);
   for (int trial = 0; trial < 60; ++trial) {
-    const Configuration config = RandomConfig(pool, &rng);
-    const double cached = cache.WorkloadCost(config);
-    const double direct = optimizer_->WorkloadCost(workload_, config);
-    // memcmp, not ==: the criterion is bit-identical doubles.
-    EXPECT_EQ(std::memcmp(&cached, &direct, sizeof(double)), 0)
-        << "trial " << trial << " config " << config.ToString();
-    // Per statement, every costing entry point agrees to the bit: costing a
-    // prepared statement and skipping the access-path string must not
-    // change the number.
-    for (const Statement& stmt : workload_.statements) {
-      const double cost = optimizer_->Cost(stmt, config);
-      const double prepared =
-          optimizer_->Cost(optimizer_->Prepare(stmt), config);
-      const double planned = optimizer_->CostWithPlan(stmt, config).total();
-      EXPECT_EQ(std::memcmp(&cost, &prepared, sizeof(double)), 0)
-          << "trial " << trial << " " << stmt.id;
-      EXPECT_EQ(std::memcmp(&cost, &planned, sizeof(double)), 0)
-          << "trial " << trial << " " << stmt.id;
+    SCOPED_TRACE(trial);
+    std::vector<Id> config = RandomConfig(&rng);
+    // Every other trial swaps one member the way backtracking does: erase
+    // it, then append a replacement outside the configuration.
+    if (trial % 2 == 1 && !config.empty()) {
+      for (const Id id : DistinctIds()) {
+        if (std::find(config.begin(), config.end(), id) != config.end()) {
+          continue;
+        }
+        config.erase(config.begin() + rng.Next(config.size()));
+        config.push_back(id);
+        break;
+      }
+    }
+    const Configuration owned = ids_->ToConfiguration(config);
+    const double direct = optimizer_->WorkloadCost(workload_, owned);
+    EXPECT_TRUE(SameBits(cache.WorkloadCost(config), direct))
+        << owned.ToString();
+    EXPECT_TRUE(SameBits(ids_->WorkloadCost(config), direct));
+    // Per statement, every costing entry point agrees to the bit: the
+    // cached and uncached ids, the prepared body over member pointers, and
+    // the plan renderer.
+    const MemberList members = ids_->Members(config);
+    for (size_t i = 0; i < workload_.statements.size(); ++i) {
+      const Statement& stmt = workload_.statements[i];
+      SCOPED_TRACE(stmt.id);
+      const double cost = optimizer_->Cost(stmt, owned);
+      const PreparedStatement prepared = optimizer_->Prepare(stmt);
+      const PlanCost plan = optimizer_->CostWithPlan(stmt, owned);
+      EXPECT_TRUE(SameBits(cost, optimizer_->Cost(prepared, members)));
+      EXPECT_TRUE(SameBits(cost, plan.total()));
+      EXPECT_TRUE(SameBits(cost, cache.Cost(i, config)));
+      EXPECT_TRUE(SameBits(cost, ids_->Cost(i, config)));
     }
     // The delta path: every one-entry extension costs the uncached double
     // to the bit and, on fresh caches, advances hits and misses exactly as
     // costing the whole extended configuration does.
-    StatementCostCache delta(db_, *optimizer_, workload_);
-    StatementCostCache whole(db_, *optimizer_, workload_);
+    StatementCostCache delta(*ids_);
+    StatementCostCache whole(*ids_);
     delta.WorkloadCost(config);
     whole.WorkloadCost(config);
     const StatementCostCache::Step step = cache.BeginStep(config);
     const StatementCostCache::Step fresh_step = delta.BeginStep(config);
-    for (const PhysicalIndexEstimate& entry : pool) {
-      const std::string signature = entry.def.Signature();
-      if (config.Contains(signature)) continue;
-      Configuration extended = config;
-      extended.Add(entry);
-      const double with = cache.WorkloadCostWith(step, entry, signature);
-      const double reference = optimizer_->WorkloadCost(workload_, extended);
-      EXPECT_EQ(std::memcmp(&with, &reference, sizeof(double)), 0)
-          << "trial " << trial << " + " << entry.def.ToString();
-      delta.WorkloadCostWith(fresh_step, entry, signature);
+    for (const Id id : pool_) {
+      if (std::find(config.begin(), config.end(), id) != config.end()) {
+        continue;
+      }
+      std::vector<Id> extended = config;
+      extended.push_back(id);
+      const double with = cache.WorkloadCostWith(step, id);
+      EXPECT_TRUE(SameBits(with, Reference(extended)))
+          << "+ " << ids_->estimate(id).def.ToString();
+      delta.WorkloadCostWith(fresh_step, id);
       whole.WorkloadCost(extended);
-      EXPECT_EQ(delta.hits(), whole.hits()) << "trial " << trial;
-      EXPECT_EQ(delta.misses(), whole.misses()) << "trial " << trial;
+      EXPECT_EQ(delta.hits(), whole.hits());
+      EXPECT_EQ(delta.misses(), whole.misses());
     }
   }
   // The random-order configs revisit relevant subsequences, so the cache
@@ -147,12 +211,68 @@ TEST_F(WhatIfCacheTest, CachedMatchesUncachedOnRandomConfigs) {
   EXPECT_GT(cache.hits(), 0u);
 }
 
+TEST_F(WhatIfCacheTest, ConcurrentCostingMatchesSerialUncached) {
+  // Each thread costs its own random configurations, their one-entry
+  // extensions and their per-statement costs on one shared cache; a
+  // serial pass then costs the same sequence uncached.
+  constexpr int kThreads = 4;
+  constexpr int kConfigs = 40;
+  std::vector<std::vector<std::vector<Id>>> configs(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    Random rng(1000 + t);
+    for (int c = 0; c < kConfigs; ++c) configs[t].push_back(RandomConfig(&rng));
+  }
+  const std::vector<Id> all = DistinctIds();
+  auto absent = [&](const std::vector<Id>& config, Id id) {
+    return std::find(config.begin(), config.end(), id) == config.end();
+  };
+
+  StatementCostCache cache(*ids_);
+  std::vector<std::vector<double>> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (const std::vector<Id>& config : configs[t]) {
+        got[t].push_back(cache.WorkloadCost(config));
+        const StatementCostCache::Step step = cache.BeginStep(config);
+        for (const Id id : all) {
+          if (absent(config, id)) {
+            got[t].push_back(cache.WorkloadCostWith(step, id));
+          }
+        }
+        for (size_t i = 0; i < workload_.statements.size(); ++i) {
+          got[t].push_back(cache.Cost(i, config));
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    std::vector<double> want;
+    for (const std::vector<Id>& config : configs[t]) {
+      want.push_back(Reference(config));
+      for (const Id id : all) {
+        if (!absent(config, id)) continue;
+        std::vector<Id> extended = config;
+        extended.push_back(id);
+        want.push_back(Reference(extended));
+      }
+      const Configuration owned = ids_->ToConfiguration(config);
+      for (const Statement& stmt : workload_.statements) {
+        want.push_back(optimizer_->Cost(stmt, owned));
+      }
+    }
+    ASSERT_EQ(got[t].size(), want.size()) << "thread " << t;
+    for (size_t k = 0; k < want.size(); ++k) {
+      EXPECT_TRUE(SameBits(got[t][k], want[k])) << "thread " << t << " " << k;
+    }
+  }
+}
+
 TEST_F(WhatIfCacheTest, RepeatedQueryIsServedFromCache) {
-  StatementCostCache cache(db_, *optimizer_, workload_);
-  const std::vector<PhysicalIndexEstimate> pool = CandidatePool();
-  Configuration config;
-  config.Add(pool[0]);
-  config.Add(pool[5]);
+  StatementCostCache cache(*ids_);
+  const std::vector<Id> config = {pool_[0], pool_[5]};
 
   const double first = cache.WorkloadCost(config);
   const uint64_t misses_after_first = cache.misses();
@@ -160,55 +280,49 @@ TEST_F(WhatIfCacheTest, RepeatedQueryIsServedFromCache) {
   EXPECT_EQ(cache.hits(), 0u);
 
   const double second = cache.WorkloadCost(config);
-  EXPECT_EQ(std::memcmp(&first, &second, sizeof(double)), 0);
+  EXPECT_TRUE(SameBits(first, second));
   EXPECT_EQ(cache.misses(), misses_after_first);
   EXPECT_EQ(cache.hits(), workload_.statements.size());
 }
 
 TEST_F(WhatIfCacheTest, IrrelevantIndexReusesStatementCosts) {
-  StatementCostCache cache(db_, *optimizer_, workload_);
-  const std::vector<PhysicalIndexEstimate> pool = CandidatePool();
-  Configuration config;
-  config.Add(pool[0]);  // lineitem(l_shipdate)
+  StatementCostCache cache(*ids_);
+  const std::vector<Id> config = {pool_[0]};  // lineitem(l_shipdate)
   cache.WorkloadCost(config);
   const uint64_t misses_before = cache.misses();
 
   // Adding a supplier-only index can only affect statements that touch
   // supplier (Q2, Q5, Q11 in this workload) — everything else must hit.
-  Configuration extended = config;
-  extended.Add(pool[8]);
+  const std::vector<Id> extended = {pool_[0], pool_[8]};
   const double cached = cache.WorkloadCost(extended);
-  const double direct = optimizer_->WorkloadCost(workload_, extended);
-  EXPECT_EQ(std::memcmp(&cached, &direct, sizeof(double)), 0);
+  EXPECT_TRUE(SameBits(cached, Reference(extended)));
   EXPECT_LT(cache.misses() - misses_before, workload_.statements.size() / 2);
 }
 
 TEST_F(WhatIfCacheTest, RelevanceMirrorsOptimizerGates) {
-  StatementCostCache cache(db_, *optimizer_, workload_);
-  const std::vector<PhysicalIndexEstimate> pool = CandidatePool();
   // Q1 reads lineitem only (l_returnflag/l_linestatus/l_quantity/
   // l_extendedprice/l_shipdate), no joins.
   const size_t q1 = StatementIndex("Q1");
   // Seekable: predicate on l_shipdate matches the leading key.
-  EXPECT_TRUE(cache.Relevant(q1, pool[0].def));
+  EXPECT_TRUE(ids_->relevant(q1, pool_[0]));
   // Neither seekable nor covering for Q1: keyed on l_partkey.
-  EXPECT_FALSE(cache.Relevant(q1, pool[2].def));
+  EXPECT_FALSE(ids_->relevant(q1, pool_[2]));
   // Clustered indexes replace the heap: always relevant on their table.
-  EXPECT_TRUE(cache.Relevant(q1, pool[4].def));
+  EXPECT_TRUE(ids_->relevant(q1, pool_[4]));
   // Other tables never matter to Q1.
-  EXPECT_FALSE(cache.Relevant(q1, pool[6].def));
-  EXPECT_FALSE(cache.Relevant(q1, pool[8].def));
+  EXPECT_FALSE(ids_->relevant(q1, pool_[6]));
+  EXPECT_FALSE(ids_->relevant(q1, pool_[8]));
 
   // Q8 joins part on p_partkey: the part PK index serves index-NL.
   const size_t q8 = StatementIndex("Q8");
-  EXPECT_TRUE(cache.Relevant(q8, pool[6].def));
+  EXPECT_TRUE(ids_->relevant(q8, pool_[6]));
 
   // A bulk INSERT maintains every index on the loaded table and nothing
   // else.
   const size_t bulk = StatementIndex("BULK_LINEITEM");
-  EXPECT_TRUE(cache.Relevant(bulk, pool[2].def));
-  EXPECT_TRUE(cache.Relevant(bulk, pool[4].def));
-  EXPECT_FALSE(cache.Relevant(bulk, pool[6].def));
+  EXPECT_TRUE(ids_->relevant(bulk, pool_[2]));
+  EXPECT_TRUE(ids_->relevant(bulk, pool_[4]));
+  EXPECT_FALSE(ids_->relevant(bulk, pool_[6]));
 }
 
 }  // namespace
