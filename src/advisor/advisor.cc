@@ -511,10 +511,11 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
     result.estimation_ms += millis_since(t0);
     // A cancel inside the merged batch leaves merged_sizes short; merged
     // candidates are only admitted when every one of them was sized. A
-    // merged signature sized before keeps its map node, and so its id.
+    // merged signature sized before keeps its first estimate, which
+    // selection already charged and costed, and so its id.
     if (!CancelRequested()) {
       for (const auto& [sig, est] : merged_sizes) {
-        const auto it = sizes.insert_or_assign(sig, est).first;
+        const auto it = sizes.emplace(sig, est).first;
         ids.Intern(it->first, it->second);
       }
       for (const IndexDef& def : merged) {

@@ -3,12 +3,53 @@
 #include <cmath>
 #include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "advisor/report.h"
 #include "advisor/report_json.h"
 #include "common/logging.h"
 
 namespace capd {
+namespace {
+
+// What `stmt` names that `db` lacks, or "" when every name resolves. The
+// catalog and query layers CHECK-fail on an unknown name, so requests are
+// checked here, before any strategy runs.
+std::string UnresolvedName(const Database& db, const Statement& stmt) {
+  if (stmt.type == StatementType::kInsert) {
+    if (db.HasTable(stmt.insert.table)) return "";
+    return "unknown table " + stmt.insert.table;
+  }
+  const SelectQuery& q = stmt.select;
+  if (!db.HasTable(q.table)) return "unknown table " + q.table;
+  const Schema& root = db.table(q.table).schema();
+  std::vector<const Schema*> schemas = {&root};
+  for (const JoinClause& j : q.joins) {
+    if (!db.HasTable(j.dim_table)) return "unknown table " + j.dim_table;
+    const Schema& dim = db.table(j.dim_table).schema();
+    if (!root.HasColumn(j.fk_column)) {
+      return "unknown join column " + q.table + "." + j.fk_column;
+    }
+    if (!dim.HasColumn(j.dim_key)) {
+      return "unknown join column " + j.dim_table + "." + j.dim_key;
+    }
+    schemas.push_back(&dim);
+  }
+  std::vector<const std::string*> columns;
+  for (const ColumnFilter& p : q.predicates) columns.push_back(&p.column);
+  for (const std::string& c : q.projected) columns.push_back(&c);
+  for (const AggExpr& a : q.aggregates) columns.push_back(&a.column);
+  for (const std::string& c : q.group_by) columns.push_back(&c);
+  for (const std::string& c : q.order_by) columns.push_back(&c);
+  for (const std::string* c : columns) {
+    bool resolves = false;
+    for (const Schema* s : schemas) resolves = resolves || s->HasColumn(*c);
+    if (!resolves) return "unknown column " + *c;
+  }
+  return "";
+}
+
+}  // namespace
 
 AdvisorEngine::AdvisorEngine(const Database& db, EngineOptions options)
     : db_(&db),
@@ -47,13 +88,22 @@ TuningResponse AdvisorEngine::Tune(const TuningRequest& request) {
     response.error = "invalid budget: value must be finite and >= 0";
     return response;
   }
-  // A NaN, infinite or negative weight would poison every workload cost.
+  // A NaN, infinite or negative weight would poison every workload cost,
+  // and an unknown name would abort the process.
   for (const Statement& stmt : request.workload.statements) {
-    if (std::isfinite(stmt.weight) && stmt.weight >= 0.0) continue;
-    response.status = TuningResponse::Status::kError;
-    response.error = "invalid weight of statement " + stmt.id + ": " +
-                     std::to_string(stmt.weight) + ", must be finite and >= 0";
-    return response;
+    if (!std::isfinite(stmt.weight) || stmt.weight < 0.0) {
+      response.status = TuningResponse::Status::kError;
+      response.error = "invalid weight of statement " + stmt.id + ": " +
+                       std::to_string(stmt.weight) +
+                       ", must be finite and >= 0";
+      return response;
+    }
+    const std::string unresolved = UnresolvedName(*db_, stmt);
+    if (!unresolved.empty()) {
+      response.status = TuningResponse::Status::kError;
+      response.error = "invalid statement " + stmt.id + ": " + unresolved;
+      return response;
+    }
   }
   const double budget_bytes = request.budget.ResolveBytes(
       static_cast<double>(db_->BaseDataBytes()));

@@ -16,12 +16,15 @@
 // Determinism contract: concurrent Tune() calls on one engine are safe,
 // and every response — the AdvisorResult, the text report, and the JSON
 // report, bytes included — is identical to running that request alone on
-// a freshly wired stack. Shared caches only memoize pure computations
-// (samples are seeded per cache key; the estimation cache memoizes
-// SampleCF leaves at the fraction an uncached run would pick; the
-// statement cost cache is per-request), and the shared pools only change
-// who runs a costing, never the order it is reduced in, so warmth and
-// thread counts change latency, never results.
+// a freshly wired stack. Shared caches only memoize pure computations:
+// samples are seeded per cache key; the estimation cache serves whole
+// estimation batches keyed by every input they read, and otherwise
+// SampleCF leaves keyed by signature, object identity and the bits of the
+// fraction an uncached run picks; the statement cost cache is
+// per-request. The shared pools only change who runs a costing, never the
+// order it is reduced in, so warmth and thread counts change latency,
+// never results. Every cached entry is a function of the engine's
+// Database too, which therefore must not change under the engine.
 //
 // The raw Advisor (advisor/advisor.h) remains the low-level layer for
 // callers that need to hand-wire collaborators; TuneWithOptions() is the
@@ -167,8 +170,9 @@ struct TuningResponse {
 
 class AdvisorEngine {
  public:
-  // `db` must outlive the engine and stay unchanged while it serves (the
-  // what-if stack reads it concurrently).
+  // `db` must outlive the engine and stay unchanged while it serves: the
+  // what-if stack reads it concurrently, and the estimation cache keys a
+  // base table by its name alone.
   explicit AdvisorEngine(const Database& db,
                          EngineOptions options = EngineOptions());
 
@@ -197,7 +201,8 @@ class AdvisorEngine {
   SampleManager* samples() { return &samples_; }
   MVRegistry* mvs() { return &mvs_; }
   const WhatIfOptimizer& optimizer() const { return optimizer_; }
-  // The cross-request estimation cache every Tune shares; never null.
+  // The cross-request estimation cache every Tune shares; never null. It
+  // never evicts: one entry per distinct batch and per sampled leaf.
   const std::shared_ptr<EstimationCache>& estimation_cache() const {
     return estimation_cache_;
   }

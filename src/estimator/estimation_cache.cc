@@ -1,13 +1,16 @@
 #include "estimator/estimation_cache.h"
 
+#include <utility>
+
 #include "common/math_util.h"
 
 namespace capd {
 
 std::optional<SampleCfResult> EstimationCache::Lookup(
-    const std::string& signature, double f) const {
+    const std::string& signature, const std::string& identity, double f) const {
+  const uint64_t bits = FractionBits(f);
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = entries_.find({signature, FractionBits(f)});
+  const auto it = entries_.find(std::tie(signature, identity, bits));
   if (it == entries_.end()) {
     ++misses_;
     return std::nullopt;
@@ -16,15 +19,38 @@ std::optional<SampleCfResult> EstimationCache::Lookup(
   return it->second;
 }
 
-void EstimationCache::Insert(const std::string& signature, double f,
+void EstimationCache::Insert(const std::string& signature,
+                             const std::string& identity, double f,
                              const SampleCfResult& r) {
   std::lock_guard<std::mutex> lock(mu_);
-  entries_[{signature, FractionBits(f)}] = r;
+  entries_[std::make_tuple(signature, identity, FractionBits(f))] = r;
+}
+
+std::optional<EstimationBatch> EstimationCache::LookupBatch(
+    const std::string& key) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = batches_.find(key);
+  if (it == batches_.end()) return std::nullopt;
+  hits_ += it->second.num_sampled;
+  EstimationBatch batch = it->second;
+  batch.cache_hits = batch.num_sampled;
+  return batch;
+}
+
+void EstimationCache::InsertBatch(std::string key,
+                                  const EstimationBatch& batch) {
+  std::lock_guard<std::mutex> lock(mu_);
+  batches_.emplace(std::move(key), batch);
 }
 
 size_t EstimationCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return entries_.size();
+}
+
+size_t EstimationCache::batches() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return batches_.size();
 }
 
 uint64_t EstimationCache::hits() const {

@@ -508,7 +508,9 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
       continue;
     }
     if (cache != nullptr) {
-      results[i] = cache->Lookup(nodes_[i].def.Signature(), f);
+      const IndexDef& def = nodes_[i].def;
+      results[i] = cache->Lookup(def.Signature(),
+                                 source_->ObjectIdentity(def.object), f);
       if (results[i].has_value()) {
         if (cache_hits != nullptr) ++(*cache_hits);
         continue;
@@ -566,7 +568,9 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
       const size_t i = groups[g][m];
       results[i] = group_results[g][m];
       if (cache != nullptr && !nodes_[i].is_existing) {
-        cache->Insert(nodes_[i].def.Signature(), f, group_results[g][m]);
+        const IndexDef& def = nodes_[i].def;
+        cache->Insert(def.Signature(), source_->ObjectIdentity(def.object), f,
+                      group_results[g][m]);
       }
     }
   }

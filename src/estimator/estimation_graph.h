@@ -100,13 +100,15 @@ class EstimationGraph {
   // self-contained and the shared sample caches seed per key, not per draw
   // order.
   //
-  // With a cache, SAMPLED leaves are memoized at exactly (signature, f):
-  // a hit skips the index build and a miss fills the cache. Because a
-  // SampleCF run at a fixed fraction is a pure function of the definition
-  // (samples are seeded per cache key), serving a hit is bit-identical to
-  // recomputing — the plan, the chosen fraction, and every estimate match
-  // an uncached run exactly. Deduced values are never cached: they depend
-  // on the batch's plan, not on (signature, f) alone. `cache_hits` (may be
+  // With a cache, SAMPLED leaves are memoized at exactly (signature,
+  // object identity, f): a hit skips the index build and a miss fills the
+  // cache. Because a SampleCF run at a fixed fraction is a pure function of
+  // the definition and its object (samples are seeded per cache key), and
+  // SampleSource::ObjectIdentity renders the object exactly, serving a
+  // hit is bit-identical to recomputing — the plan, the chosen fraction,
+  // and every estimate match an uncached run exactly. Deduced values are
+  // not cached here: they depend on the batch's plan, not on the leaf key
+  // alone (SizeEstimator memoizes whole batches). `cache_hits` (may be
   // null) is incremented once per served leaf.
   std::map<std::string, SampleCfResult> Execute(double f,
                                                 ThreadPool* pool = nullptr,

@@ -47,6 +47,14 @@ class SampleSource {
   // Schema of the object (MVs may exist only as samples, not in the
   // catalog, so schema resolution goes through the source).
   virtual const Schema& ObjectSchema(const std::string& object) = 0;
+  // Everything the object's rows depend on, rendered exactly. Estimation
+  // cache keys carry it beside an index signature, so two objects that
+  // share a name but not a definition never share an estimate. A base
+  // table is its name (the Database stays unchanged under an engine); MV
+  // sources render the view's definition.
+  virtual std::string ObjectIdentity(const std::string& object) const {
+    return object;
+  }
 };
 
 // SampleSource over base tables.

@@ -1,25 +1,70 @@
 #include "estimator/size_estimator.h"
 
 #include <limits>
+#include <optional>
+#include <type_traits>
+#include <utility>
 
 #include "common/logging.h"
+#include "common/math_util.h"
 
 namespace capd {
 
 SizeEstimator::BatchResult SizeEstimator::EstimateAll(
     const std::vector<IndexDef>& targets) {
-  BatchResult result;
-  if (targets.empty()) return result;
+  if (targets.empty()) return BatchResult();
+  EstimationCache* cache = options_.cache.get();
+  // A batch that starts cancelled returns what Plan returns: nothing.
+  if (cache == nullptr || Cancelled()) return Plan(targets);
+  std::string key = BatchKey(targets);
+  if (std::optional<BatchResult> hit = cache->LookupBatch(key)) {
+    return std::move(*hit);
+  }
+  BatchResult result = Plan(targets);
+  // A cancelled batch may be partial; it is never stored.
+  if (!Cancelled()) cache->InsertBatch(std::move(key), result);
+  return result;
+}
 
+std::string SizeEstimator::BatchKey(
+    const std::vector<IndexDef>& targets) const {
+  std::string key;
+  auto add_bits = [&key](double v) {
+    const uint64_t bits = FractionBits(v);
+    key.append(reinterpret_cast<const char*>(&bits), sizeof(bits));
+  };
+  // Length-prefixed, so consecutive strings never run together.
+  auto add_string = [&key](const std::string& s) {
+    key.append(std::to_string(s.size())).append(":").append(s);
+  };
+  add_bits(options_.e);
+  add_bits(options_.q);
+  key.append(std::to_string(options_.fractions.size())).append(":");
+  for (double f : options_.fractions) add_bits(f);
+  key.push_back(options_.use_deduction ? '1' : '0');
+  key.push_back(options_.enable_sort_order_deduction ? '1' : '0');
+  // The coefficients are plain doubles, so their bytes are their bits.
+  using Coefficients = ErrorModel::Coefficients;
+  static_assert(std::is_trivially_copyable_v<Coefficients> &&
+                    sizeof(Coefficients) % sizeof(double) == 0,
+                "the batch key reads ErrorModel::Coefficients as doubles");
+  const Coefficients& c = model_.coefficients();
+  key.append(reinterpret_cast<const char*>(&c), sizeof(c));
+  for (const IndexDef& t : targets) {
+    add_string(t.Signature());
+    add_string(source_->ObjectIdentity(t.object));
+  }
+  return key;
+}
+
+SizeEstimator::BatchResult SizeEstimator::Plan(
+    const std::vector<IndexDef>& targets) {
+  BatchResult result;
   EstimationGraph graph(*db_, source_, model_);
   // Must precede AddTargets: deduction candidates are generated there.
   graph.set_enable_sort_order(options_.enable_sort_order_deduction);
   graph.AddTargets(targets);
   graph.set_cancel(options_.cancel.get());
-  auto cancelled = [this] {
-    return options_.cancel != nullptr &&
-           options_.cancel->load(std::memory_order_relaxed);
-  };
 
   // Runs the assigned plan at f. The cache memoizes its SampleCF leaves
   // only, at exactly (signature, f): the fraction search above it ran as
@@ -38,14 +83,14 @@ SizeEstimator::BatchResult SizeEstimator::EstimateAll(
     // does — matching the paper's "even All misses it" tolerance).
     double best_f = options_.fractions.back();
     for (double f : options_.fractions) {
-      if (cancelled()) return result;  // deadline binds between probes
+      if (Cancelled()) return result;  // deadline binds between probes
       graph.SampleAllTargets(f, options_.pool);
       if (graph.AssignmentSatisfies(options_.e, options_.q, f)) {
         best_f = f;
         break;
       }
     }
-    if (cancelled()) return result;
+    if (Cancelled()) return result;
     result.total_cost_pages = graph.SampleAllTargets(best_f, options_.pool);
     execute_plan(best_f);
     result.num_deduced = 0;
@@ -65,7 +110,7 @@ SizeEstimator::BatchResult SizeEstimator::EstimateAll(
     // (nothing yet): partial plans are worthless, and the advisor discards
     // the batch anyway. The graph also polls inside its own probe and leaf
     // loops, so a deadline binds mid-fraction, not just between fractions.
-    if (cancelled()) return result;
+    if (Cancelled()) return result;
     const double cost = graph.Greedy(f, options_.e, options_.q, options_.pool);
     if (!graph.AssignmentSatisfies(options_.e, options_.q, f)) continue;
     if (cost < best_cost) {
@@ -73,7 +118,7 @@ SizeEstimator::BatchResult SizeEstimator::EstimateAll(
       best_f = f;
     }
   }
-  if (cancelled()) return result;
+  if (Cancelled()) return result;
   // Re-run the winning plan (the graph holds the last run's states).
   result.total_cost_pages =
       graph.Greedy(best_f, options_.e, options_.q, options_.pool);
@@ -100,10 +145,7 @@ std::vector<SampleCfResult> SizeEstimator::UncompressedSizeAll(
       options_.pool, defs.size(), [&](size_t i) {
         // Skipped entries come back zeroed; a cancelled advisor run
         // discards the whole batch, so they are never read.
-        if (options_.cancel != nullptr &&
-            options_.cancel->load(std::memory_order_relaxed)) {
-          return SampleCfResult{};
-        }
+        if (Cancelled()) return SampleCfResult{};
         return UncompressedSize(defs[i]);
       });
 }

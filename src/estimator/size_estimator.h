@@ -6,7 +6,6 @@
 #define CAPD_ESTIMATOR_SIZE_ESTIMATOR_H_
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -34,10 +33,16 @@ struct SizeEstimationOptions {
   // gives byte-identical results: samples are seeded per cache key.
   ThreadPool* pool = nullptr;
   // Optional cross-round cache, shared and thread-safe (see
-  // estimation_cache.h). Every target still enters the graph and the
-  // fraction search runs as if the cache were cold; only the SampleCF
-  // leaves are memoized, at (signature, chosen f). So a batch is
-  // bit-identical to an uncached run whatever the cache already holds.
+  // estimation_cache.h), at two levels. A batch whose exact inputs were
+  // estimated before (same targets in the same order on the same objects,
+  // same e, q, fractions, switches and error model) is served whole. Any
+  // other batch enters the graph and searches fractions as if the cache
+  // were cold; only its SampleCF leaves are served, at (signature, object
+  // identity, chosen f). So a batch is bit-identical to an uncached run
+  // whatever the cache already holds. One cache serves one Database and
+  // one sample seed (an engine's): both are inputs of every entry, so the
+  // Database must not change while the cache is in use. It never evicts:
+  // one entry per distinct batch and per sampled leaf.
   std::shared_ptr<EstimationCache> cache;
   // Cooperative cancellation, polled inside the batch itself (per fraction
   // probe and per SampleCF leaf) so a deadline binds within a long
@@ -59,18 +64,13 @@ class SizeEstimator {
         model_(std::move(model)),
         options_(std::move(options)) {}
 
-  struct BatchResult {
-    std::map<std::string, SampleCfResult> estimates;  // by IndexDef signature
-    double chosen_f = 0.0;
-    double total_cost_pages = 0.0;
-    size_t num_sampled = 0;
-    size_t num_deduced = 0;
-    // SampleCF leaves (targets or helper nodes) served from the cache.
-    size_t cache_hits = 0;
-  };
+  using BatchResult = EstimationBatch;
 
   // Estimates sizes of all (compressed) targets. Uncompressed targets are
-  // sized deterministically and never enter the graph.
+  // sized deterministically and never enter the graph. With a cache, a
+  // batch already estimated under the same key (BatchKey) is returned as
+  // stored; otherwise the batch is planned and run, and stored unless the
+  // cancel flag is up.
   BatchResult EstimateAll(const std::vector<IndexDef>& targets);
 
   // Deterministic size of an uncompressed index.
@@ -87,6 +87,22 @@ class SizeEstimator {
   const ErrorModel& model() const { return model_; }
 
  private:
+  // Plans and runs the batch (Section 5.2): builds the graph, picks the
+  // fraction, executes the plan (its leaves through the cache, if any).
+  BatchResult Plan(const std::vector<IndexDef>& targets);
+
+  // Every input Plan reads: the bits of e, q and each fraction, the two
+  // planning switches, the bits of the error model's coefficients, then
+  // each target's signature (the name every estimate is keyed by) and
+  // object identity, in input order (the order fixes node ids, and so the
+  // greedy's ties).
+  std::string BatchKey(const std::vector<IndexDef>& targets) const;
+
+  bool Cancelled() const {
+    return options_.cancel != nullptr &&
+           options_.cancel->load(std::memory_order_relaxed);
+  }
+
   const Database* db_;
   SampleSource* source_;
   ErrorModel model_;

@@ -4,9 +4,33 @@
 #include <sstream>
 
 #include "common/logging.h"
+#include "common/math_util.h"
 #include "stats/join_synopsis.h"
 
 namespace capd {
+namespace {
+
+// `v` type-tagged and exact: integers and dates in decimal, a double by its
+// bits, a string length-prefixed.
+void AppendExact(const Value& v, std::string* out) {
+  switch (v.type()) {
+    case ValueType::kInt64:
+      out->append("i").append(std::to_string(v.AsInt64()));
+      return;
+    case ValueType::kDate:
+      out->append("d").append(std::to_string(v.AsInt64()));
+      return;
+    case ValueType::kDouble:
+      out->append("f").append(std::to_string(FractionBits(v.AsDouble())));
+      return;
+    case ValueType::kString:
+      out->append("s").append(std::to_string(v.AsString().size()));
+      out->append(":").append(v.AsString());
+      return;
+  }
+}
+
+}  // namespace
 
 std::string MVDef::AggColumnName(const AggExpr& agg) {
   std::string fn = agg.func;
@@ -49,6 +73,42 @@ std::string MVDef::ToString() const {
   }
   os << " GROUP BY ...";
   return os.str();
+}
+
+std::string MVDef::Identity() const {
+  // Every field is length-prefixed and every list counted, so no two
+  // definitions concatenate to the same string.
+  std::string out = "MV";
+  auto field = [&out](const std::string& s) {
+    out.append("|").append(std::to_string(s.size())).append(":").append(s);
+  };
+  auto count = [&out](size_t n) {
+    out.append("#").append(std::to_string(n));
+  };
+  field(fact_table);
+  count(joins.size());
+  for (const JoinClause& j : joins) {
+    field(j.dim_table);
+    field(j.fk_column);
+    field(j.dim_key);
+  }
+  count(predicates.size());
+  for (const ColumnFilter& p : predicates) {
+    field(p.column);
+    out.append("|").append(std::to_string(static_cast<int>(p.op)));
+    out.append("|");
+    AppendExact(p.lo, &out);
+    out.append("|");
+    AppendExact(p.hi, &out);
+  }
+  count(group_by.size());
+  for (const std::string& g : group_by) field(g);
+  count(aggregates.size());
+  for (const AggExpr& a : aggregates) {
+    field(a.func);
+    field(a.column);
+  }
+  return out;
 }
 
 std::unique_ptr<Table> AggregateRows(const Table& input, const MVDef& def,

@@ -32,7 +32,13 @@ struct MVDef {
   // double per aggregate, and the hidden count column.
   Schema OutputSchema(const Database& db) const;
 
+  // For people: drops the join keys and prints literals rounded.
   std::string ToString() const;
+  // Everything the view's rows depend on, rendered exactly and
+  // unambiguously: fact table, joins with their keys, predicates with
+  // exact literals, group-by columns and aggregates (not the name). Two
+  // definitions render alike only if they define the same rows.
+  std::string Identity() const;
 };
 
 // Materializes the MV exactly over the full database (ground truth for the

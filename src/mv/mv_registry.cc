@@ -179,6 +179,12 @@ const Schema& MVRegistry::ObjectSchema(const std::string& object) {
   return table_source_.ObjectSchema(object);
 }
 
+std::string MVRegistry::ObjectIdentity(const std::string& object) const {
+  const MVDef* def = Find(object);
+  return def == nullptr ? table_source_.ObjectIdentity(object)
+                        : def->Identity();
+}
+
 std::optional<MVMatcher::MVAccess> MVRegistry::Match(
     const IndexDef& idx, const SelectQuery& query) const {
   const MVDef* def = Find(idx.object);

@@ -54,6 +54,9 @@ class MVRegistry : public SampleSource, public MVMatcher {
   uint64_t SampleRows(const std::string& object, double f) override;
   double FullTuples(const std::string& object) override;
   const Schema& ObjectSchema(const std::string& object) override;
+  // MVs: MVDef::Identity, so a view re-registered under the same name with
+  // another definition (say, in a later request) keys apart.
+  std::string ObjectIdentity(const std::string& object) const override;
 
   // Full Appendix B.3 estimation detail for one MV.
   MVTupleEstimates EstimateTuples(const MVDef& def, double f);

@@ -1,8 +1,13 @@
 // Tests for the physical-design tool: candidate generation, skyline
 // selection, enumeration with backtracking, and the DTA/DTAc presets.
+#include <cstring>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "advisor/advisor.h"
+#include "engine/advisor_engine.h"
+#include "workloads/registry.h"
 #include "workloads/tpch.h"
 
 namespace capd {
@@ -169,6 +174,48 @@ TEST_F(AdvisorTest, MergingProducesWiderIndexes) {
   EXPECT_NE(std::find(stored.begin(), stored.end(), "l_extendedprice"),
             stored.end());
   EXPECT_NE(std::find(stored.begin(), stored.end(), "l_quantity"), stored.end());
+}
+
+// A merged candidate the first batch already sized keeps that first
+// estimate: selection charged and costed it, and the statement cost cache
+// keeps those costings. So the cached search and the uncached one
+// (cost_cache = false) price every candidate alike and agree to the bit.
+TEST(AdvisorCostCacheTest, CachedSearchMatchesUncachedSearch) {
+  for (const char* name : {"tpch", "tpcds-lite"}) {
+    workloads::WorkloadSpec spec;
+    spec.name = name;
+    spec.rows = 2000;
+    workloads::BuiltWorkload built;
+    std::string error;
+    ASSERT_TRUE(workloads::Build(spec, &built, &error)) << error;
+    AdvisorEngine engine(*built.db);
+    const AdvisorOptions cached =
+        StrategyRegistry::Global().Find("dtac-topk")->MakeOptions();
+    AdvisorOptions uncached = cached;
+    uncached.cost_cache = false;
+    for (const double fraction : {0.05, 0.10, 0.20, 0.30}) {
+      SCOPED_TRACE(std::string(name) + " " + std::to_string(fraction));
+      const double budget =
+          fraction * static_cast<double>(built.db->BaseDataBytes());
+      const AdvisorResult a =
+          engine.TuneWithOptions(built.workload, budget, cached);
+      const AdvisorResult b =
+          engine.TuneWithOptions(built.workload, budget, uncached);
+      EXPECT_EQ(std::memcmp(&a.initial_cost, &b.initial_cost, sizeof(double)),
+                0);
+      EXPECT_EQ(std::memcmp(&a.final_cost, &b.final_cost, sizeof(double)), 0);
+      EXPECT_EQ(
+          std::memcmp(&a.charged_bytes, &b.charged_bytes, sizeof(double)), 0);
+      EXPECT_EQ(a.what_if_calls, b.what_if_calls);
+      ASSERT_EQ(a.config.size(), b.config.size());
+      for (size_t i = 0; i < a.config.size(); ++i) {
+        const PhysicalIndexEstimate& x = a.config.indexes()[i];
+        const PhysicalIndexEstimate& y = b.config.indexes()[i];
+        EXPECT_EQ(x.def.Signature(), y.def.Signature());
+        EXPECT_EQ(std::memcmp(&x.bytes, &y.bytes, sizeof(double)), 0);
+      }
+    }
+  }
 }
 
 }  // namespace

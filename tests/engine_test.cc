@@ -11,11 +11,13 @@
 // Regenerate the JSON goldens after an intentional change with:
 //   CAPD_UPDATE_GOLDEN=1 ./build/engine_test
 #include <algorithm>
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -482,6 +484,200 @@ TEST_F(EngineTest, MvEnabledRequestsDoNotLeakAcrossRequests) {
   const AdvisorResult fresh = advisor.Tune(second, BudgetBytes());
 
   ExpectBitIdentical(fresh, served);
+}
+
+// MV candidates are named after statement ids ("mv_Q1"), and the engine's
+// estimation cache outlives requests. Two requests whose views share a name
+// and columns but pin different predicates must not share an estimate: the
+// cache keys each leaf and batch on the object's identity (the view's exact
+// definition), not on the index signature alone. Keyed by signature, a
+// leaf would hand the 1992 view's estimate (0 entries) to the 1998 request.
+TEST(EngineMvCacheTest, ViewEstimatesDoNotLeakAcrossRequests) {
+  workloads::WorkloadSpec spec;
+  spec.name = "tpch";
+  spec.rows = 6000;
+  workloads::BuiltWorkload built;
+  std::string error;
+  ASSERT_TRUE(workloads::Build(spec, &built, &error)) << error;
+  auto request_for = [&](const std::string& date) {
+    const std::optional<Statement> stmt = ParseSql(
+        "SELECT l_partkey, l_suppkey, SUM(l_quantity) FROM lineitem "
+        "WHERE l_shipdate <= DATE '" +
+            date + "' GROUP BY l_partkey, l_suppkey",
+        *built.db, &error);
+    EXPECT_TRUE(stmt.has_value()) << error;
+    TuningRequest request;
+    request.workload.statements.push_back(*stmt);
+    request.workload.statements.back().id = "Q1";
+    request.enable_mv = 1;
+    return request;
+  };
+
+  AdvisorEngine warm(*built.db);
+  ASSERT_TRUE(warm.Tune(request_for("1992-06-01")).ok());
+  const TuningResponse served = warm.Tune(request_for("1998-09-02"));
+  AdvisorEngine fresh(*built.db);
+  const TuningResponse reference = fresh.Tune(request_for("1998-09-02"));
+  ASSERT_TRUE(served.ok()) << served.error;
+  ASSERT_TRUE(reference.ok()) << reference.error;
+  ASSERT_NE(reference.json.find("mv_Q1"), std::string::npos)
+      << "the reference design should index the view";
+  ExpectBitIdentical(reference.result, served.result);
+  EXPECT_EQ(reference.report, served.report);
+  EXPECT_EQ(reference.json, served.json);
+}
+
+// Unknown names are rejected before any strategy runs: past the front door
+// the catalog and query layers CHECK-fail on them, killing the process.
+// Each failure is terminal and names the statement.
+class EngineNameCheckTest : public EngineTest {
+ protected:
+  // The first SELECT of the workload that joins a dimension table.
+  Statement JoinedSelect() const {
+    for (const Statement& stmt : built_.workload.statements) {
+      if (stmt.type == StatementType::kSelect && !stmt.select.joins.empty()) {
+        return stmt;
+      }
+    }
+    ADD_FAILURE() << "tpch has no joined SELECT";
+    return Statement();
+  }
+
+  // Tunes a workload of `stmt` alone; expects a terminal kError naming the
+  // statement and mentioning `name`, then a valid request on the same
+  // engine.
+  void ExpectRejected(const Statement& stmt, const std::string& name) {
+    AdvisorEngine engine(*built_.db);
+    TuningRequest request = MakeRequest("dtac-both");
+    request.workload.statements = {stmt};
+    const TuningResponse r = engine.Tune(request);
+    EXPECT_EQ(r.status, TuningResponse::Status::kError) << name;
+    EXPECT_FALSE(r.retryable) << name;
+    EXPECT_NE(r.error.find("statement " + stmt.id), std::string::npos)
+        << r.error;
+    EXPECT_NE(r.error.find(name), std::string::npos) << r.error;
+    EXPECT_TRUE(engine.Tune(MakeRequest("dtac-both")).ok());
+  }
+};
+
+TEST_F(EngineNameCheckTest, UnknownSelectTableErrors) {
+  Statement root = JoinedSelect();
+  root.select.table = "no_such_root";
+  ExpectRejected(root, "unknown table no_such_root");
+  Statement join = JoinedSelect();
+  join.select.joins.back().dim_table = "no_such_dim";
+  ExpectRejected(join, "unknown table no_such_dim");
+}
+
+TEST_F(EngineNameCheckTest, UnknownJoinKeyErrors) {
+  Statement fk = JoinedSelect();
+  fk.select.joins.front().fk_column = "no_such_fk";
+  ExpectRejected(fk, "unknown join column " + fk.select.table + ".no_such_fk");
+  Statement key = JoinedSelect();
+  key.select.joins.front().dim_key = "no_such_key";
+  ExpectRejected(key, "unknown join column " +
+                          key.select.joins.front().dim_table + ".no_such_key");
+}
+
+TEST_F(EngineNameCheckTest, UnknownQueryColumnErrors) {
+  const Statement base = JoinedSelect();
+  std::vector<Statement> bad(5, base);
+  ColumnFilter filter;
+  filter.column = "no_such_column";
+  filter.lo = Value::Int64(1);
+  bad[0].select.predicates.push_back(filter);
+  bad[1].select.projected.push_back("no_such_column");
+  bad[2].select.aggregates.push_back(AggExpr{"no_such_column", "SUM"});
+  bad[3].select.group_by.push_back("no_such_column");
+  bad[4].select.order_by.push_back("no_such_column");
+  for (const Statement& stmt : bad) {
+    ExpectRejected(stmt, "unknown column no_such_column");
+  }
+}
+
+TEST_F(EngineNameCheckTest, UnknownInsertTargetErrors) {
+  const Statement insert = Statement::Insert(
+      "BULK_NOWHERE", InsertStatement{"no_such_table", 100});
+  ExpectRejected(insert, "unknown table no_such_table");
+}
+
+// The nine (strategy, budget) pairs of the e2ebench service-closed mix on
+// one warm engine, in shuffled order, serially and from 4 concurrent
+// clients: requests that differ only in budget or strategy share whole
+// estimation batches, and every response matches a fresh stack's bytes.
+TEST_F(EngineTest, ServiceMixOnOneEngineMatchesFreshStacks) {
+  std::vector<std::pair<std::string, double>> pairs;
+  for (const char* strategy : {"dtac-both", "dtac-skyline", "dtac-topk"}) {
+    for (const double budget : {0.20, 0.05, 0.10}) {
+      pairs.emplace_back(strategy, budget);
+    }
+  }
+  auto request_for = [&](const std::pair<std::string, double>& pair) {
+    TuningRequest request = MakeRequest(pair.first);
+    request.budget = TuningBudget::Fraction(pair.second);
+    return request;
+  };
+  std::vector<std::string> fresh;
+  for (const auto& pair : pairs) {
+    const double bytes = TuningBudget::Fraction(pair.second).ResolveBytes(
+        static_cast<double>(built_.db->BaseDataBytes()));
+    fresh.push_back(
+        RunOnFreshStack(*built_.db, built_.workload, pair.first, bytes).json);
+  }
+  // A fixed shuffle: every pair once, budgets and strategies interleaved.
+  const std::vector<size_t> order = {4, 8, 0, 6, 2, 7, 3, 1, 5};
+
+  AdvisorEngine serial(*built_.db);
+  for (const size_t i : order) {
+    const TuningResponse r = serial.Tune(request_for(pairs[i]));
+    ASSERT_TRUE(r.ok()) << r.error;
+    EXPECT_EQ(r.json, fresh[i]) << pairs[i].first << " " << pairs[i].second;
+  }
+  // One first batch, plus one merged batch per selection mode (dtac-both
+  // and dtac-skyline select by skyline, dtac-topk by top-k): budgets and
+  // enumeration modes leave the batches alone.
+  EXPECT_EQ(serial.estimation_cache()->batches(), 3u);
+
+  AdvisorEngine shared(*built_.db);
+  constexpr int kClients = 4;
+  std::vector<std::string> json(pairs.size());
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (size_t k = c; k < order.size(); k += kClients) {
+        json[order[k]] = shared.Tune(request_for(pairs[order[k]])).json;
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(json[i], fresh[i]) << pairs[i].first << " " << pairs[i].second;
+  }
+}
+
+// A cancel landing anywhere in a request, mid-estimation included, leaves
+// nothing behind that changes the next request: a cancelled batch is never
+// stored, so the same request sent again matches a fresh engine's bytes.
+TEST_F(EngineTest, CancelledRequestLeavesTheCacheConsistent) {
+  const TuningResponse reference =
+      AdvisorEngine(*built_.db).Tune(MakeRequest("dtac-both"));
+  ASSERT_TRUE(reference.ok()) << reference.error;
+  for (const int delay_us : {0, 300, 1000, 3000, 10000}) {
+    AdvisorEngine engine(*built_.db);
+    TuningRequest request = MakeRequest("dtac-both");
+    CancellationToken token = request.cancel;
+    std::thread canceller([token, delay_us]() mutable {
+      std::this_thread::sleep_for(std::chrono::microseconds(delay_us));
+      token.RequestCancel();
+    });
+    const TuningResponse cancelled = engine.Tune(request);
+    canceller.join();
+    EXPECT_NE(cancelled.status, TuningResponse::Status::kError);
+    const TuningResponse again = engine.Tune(MakeRequest("dtac-both"));
+    ASSERT_TRUE(again.ok()) << again.error;
+    EXPECT_EQ(again.json, reference.json) << "cancel after " << delay_us;
+    EXPECT_EQ(again.report, reference.report) << "cancel after " << delay_us;
+  }
 }
 
 // A CHAR(300) column is wider than the codecs' NS field limit: structures

@@ -86,6 +86,39 @@ TEST_F(MVTest, SampleSourceRoutesMVs) {
             db_.table("lineitem").schema().num_columns());
 }
 
+TEST_F(MVTest, IdentityRendersEveryPartOfTheDefinitionExactly) {
+  MVDef base = ShipdateMV();
+  base.joins = {{"part", "l_partkey", "p_partkey"}};
+  base.predicates = {{"l_discount", FilterOp::kLe, Value::Double(0.05), {}}};
+  MVDef renamed = base;
+  renamed.name = "mv_other";
+  EXPECT_EQ(base.Identity(), renamed.Identity());  // the rows, not the name
+  // ToString drops join keys and rounds literals; Identity keeps both.
+  MVDef join_key = base;
+  join_key.joins[0].dim_key = "p_size";
+  MVDef literal = base;
+  literal.predicates[0].lo = Value::Double(0.0500000001);
+  MVDef op = base;
+  op.predicates[0].op = FilterOp::kLt;
+  MVDef typed = base;
+  typed.predicates[0].lo = Value::String("0.05");
+  MVDef aggregate = base;
+  aggregate.aggregates[0].func = "MAX";
+  MVDef grouped = base;
+  grouped.group_by.push_back("l_shipmode");
+  for (const MVDef* other :
+       {&join_key, &literal, &op, &typed, &aggregate, &grouped}) {
+    EXPECT_NE(base.Identity(), other->Identity()) << other->Identity();
+  }
+  EXPECT_EQ(base.ToString(), join_key.ToString());
+  EXPECT_EQ(base.ToString(), literal.ToString());
+
+  // The registry keys estimates on it; base tables on their name.
+  registry_->Register(base);
+  EXPECT_EQ(registry_->ObjectIdentity("mv_ship"), base.Identity());
+  EXPECT_EQ(registry_->ObjectIdentity("lineitem"), "lineitem");
+}
+
 TEST_F(MVTest, SampleRowsMatchesDrawnSamples) {
   registry_->Register(ShipdateMV());
   // Base tables resolve size-only through the registry: nothing is drawn.

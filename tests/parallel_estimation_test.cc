@@ -2,12 +2,17 @@
 // estimation cache. Parallel EstimateAll must be byte-identical to serial
 // at any borrowed pool size. The cache has one contract: whatever it
 // already holds, a batch is byte-identical to an uncached run (same
-// fraction, plan, cost and counts); a warm cache only saves the SampleCF
-// leaf builds it serves.
+// fraction, plan, cost and counts); a warm cache only saves the work it
+// serves — a whole batch under its exact key, else the SampleCF leaf
+// builds.
+#include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +22,50 @@
 
 namespace capd {
 namespace {
+
+// Counts the calls an estimator makes into its sample source, and raises
+// `cancel` (when given) on call number `fire_at`. A batch served whole
+// from the cache builds no graph, so it makes none.
+class CountingSampleSource : public SampleSource {
+ public:
+  explicit CountingSampleSource(
+      SampleSource* inner, std::shared_ptr<std::atomic<bool>> cancel = nullptr,
+      int fire_at = 0)
+      : inner_(inner), cancel_(std::move(cancel)), fire_at_(fire_at) {}
+
+  const Table& Sample(const std::string& object, double f) override {
+    Count();
+    return inner_->Sample(object, f);
+  }
+  void DrawSample(const std::string& object, double f,
+                  ThreadPool* pool) override {
+    Count();
+    inner_->DrawSample(object, f, pool);
+  }
+  uint64_t SampleRows(const std::string& object, double f) override {
+    Count();
+    return inner_->SampleRows(object, f);
+  }
+  double FullTuples(const std::string& object) override {
+    Count();
+    return inner_->FullTuples(object);
+  }
+  const Schema& ObjectSchema(const std::string& object) override {
+    Count();
+    return inner_->ObjectSchema(object);
+  }
+  int calls() const { return calls_.load(); }
+
+ private:
+  void Count() {
+    if (++calls_ == fire_at_ && cancel_ != nullptr) cancel_->store(true);
+  }
+
+  SampleSource* inner_;
+  std::shared_ptr<std::atomic<bool>> cancel_;
+  int fire_at_;
+  std::atomic<int> calls_{0};
+};
 
 class ParallelEstimationTest : public ::testing::Test {
  protected:
@@ -49,10 +98,18 @@ class ParallelEstimationTest : public ::testing::Test {
   // draws its own samples (per-key seeding makes them identical anyway).
   SizeEstimator::BatchResult RunBatch(SizeEstimationOptions options,
                                       uint64_t seed = 1234) {
+    return RunBatchOf(Targets(), std::move(options), ErrorModel(), seed);
+  }
+
+  SizeEstimator::BatchResult RunBatchOf(const std::vector<IndexDef>& targets,
+                                        SizeEstimationOptions options,
+                                        ErrorModel model,
+                                        uint64_t seed = 1234) {
     SampleManager samples(seed);
     TableSampleSource source(db_, &samples);
-    SizeEstimator estimator(db_, &source, ErrorModel(), std::move(options));
-    return estimator.EstimateAll(Targets());
+    SizeEstimator estimator(db_, &source, std::move(model),
+                            std::move(options));
+    return estimator.EstimateAll(targets);
   }
 
   // Estimator options that read and fill `cache`.
@@ -156,11 +213,118 @@ TEST_F(ParallelEstimationTest, WarmCacheServesEveryLeafOfARepeatedBatch) {
   EXPECT_EQ(cache->size(), first.num_sampled);  // one entry per leaf
   ExpectBitIdentical(RunBatch(SizeEstimationOptions{}), first);
 
-  // The repeat plans the same batch and builds no sample index: every
-  // SampleCF leaf comes from the cache.
+  // A batch with another key (one target listed twice) is planned again,
+  // to the same plan, and builds no sample index: every SampleCF leaf
+  // comes from the cache.
+  std::vector<IndexDef> repeated = Targets();
+  repeated.push_back(repeated.front());
+  const SizeEstimator::BatchResult second = estimator.EstimateAll(repeated);
+  ExpectBitIdentical(first, second);
+  EXPECT_EQ(second.cache_hits, first.num_sampled);
+  EXPECT_EQ(cache->batches(), 2u);
+}
+
+TEST_F(ParallelEstimationTest, RepeatedBatchIsServedWhole) {
+  auto cache = std::make_shared<EstimationCache>();
+  SampleManager samples(1234);
+  TableSampleSource inner(db_, &samples);
+  CountingSampleSource source(&inner);
+  SizeEstimator estimator(db_, &source, ErrorModel(), Cached(cache));
+
+  const SizeEstimator::BatchResult first = estimator.EstimateAll(Targets());
+  ExpectBitIdentical(RunBatch(SizeEstimationOptions{}), first);
+  EXPECT_EQ(cache->batches(), 1u);
+  const size_t leaves = cache->size();
+  const uint64_t hits = cache->hits();
+  const uint64_t misses = cache->misses();
+  const int calls = source.calls();
+
+  // The repeat builds no graph, probes no fraction and draws nothing, yet
+  // counts one leaf hit per SampleCF leaf of the plan, as a re-plan would.
   const SizeEstimator::BatchResult second = estimator.EstimateAll(Targets());
   ExpectBitIdentical(first, second);
   EXPECT_EQ(second.cache_hits, first.num_sampled);
+  EXPECT_EQ(cache->hits(), hits + first.num_sampled);
+  EXPECT_EQ(cache->misses(), misses);
+  EXPECT_EQ(source.calls(), calls);
+  EXPECT_EQ(cache->size(), leaves);
+  EXPECT_EQ(cache->batches(), 1u);
+}
+
+TEST_F(ParallelEstimationTest, ChangingAnyKeyInputMisses) {
+  auto cache = std::make_shared<EstimationCache>();
+  SampleManager samples(1234);
+  TableSampleSource source(db_, &samples);
+  SizeEstimator(db_, &source, ErrorModel(), Cached(cache))
+      .EstimateAll(Targets());
+  ASSERT_EQ(cache->batches(), 1u);
+
+  struct Variant {
+    const char* name;
+    std::vector<IndexDef> targets;
+    SizeEstimationOptions options;
+    ErrorModel::Coefficients model;
+  };
+  std::vector<Variant> variants;
+  auto add = [&](const char* name) -> Variant& {
+    variants.push_back({name, Targets(), SizeEstimationOptions{}, {}});
+    return variants.back();
+  };
+  std::vector<IndexDef>& reversed = add("target order").targets;
+  std::reverse(reversed.begin(), reversed.end());
+  add("one target").targets.back().compression = CompressionKind::kRow;
+  add("e").options.e = 0.4;
+  add("one fraction").options.fractions.back() = 0.2;
+  add("use_deduction").options.use_deduction = false;
+  add("sort-order deduction").options.enable_sort_order_deduction = true;
+  add("error model").model.colext_ld_stddev = 0.05;
+
+  for (const Variant& v : variants) {
+    SCOPED_TRACE(v.name);
+    const size_t batches = cache->batches();
+    SizeEstimationOptions options = v.options;
+    options.cache = cache;
+    SizeEstimator estimator(db_, &source, ErrorModel(v.model), options);
+    const SizeEstimator::BatchResult served = estimator.EstimateAll(v.targets);
+    EXPECT_EQ(cache->batches(), batches + 1) << "a changed input must miss";
+    ExpectBitIdentical(
+        RunBatchOf(v.targets, v.options, ErrorModel(v.model)), served);
+    // ... and the variant's own repeat hits.
+    ExpectBitIdentical(served, estimator.EstimateAll(v.targets));
+    EXPECT_EQ(cache->batches(), batches + 1);
+  }
+}
+
+TEST_F(ParallelEstimationTest, CancelledBatchIsNotStored) {
+  const SizeEstimator::BatchResult uncached = RunBatch(SizeEstimationOptions{});
+  int batch_calls = 0;
+  {
+    SampleManager samples(1234);
+    TableSampleSource inner(db_, &samples);
+    CountingSampleSource counting(&inner);
+    SizeEstimator(db_, &counting, ErrorModel(), SizeEstimationOptions{})
+        .EstimateAll(Targets());
+    batch_calls = counting.calls();
+  }
+  ASSERT_GT(batch_calls, 4);
+
+  // The flag goes up halfway through the batch's calls into its source.
+  auto cache = std::make_shared<EstimationCache>();
+  auto flag = std::make_shared<std::atomic<bool>>(false);
+  SampleManager samples(1234);
+  TableSampleSource inner(db_, &samples);
+  CountingSampleSource firing(&inner, flag, batch_calls / 2);
+  SizeEstimationOptions options = Cached(cache);
+  options.cancel = flag;
+  SizeEstimator estimator(db_, &firing, ErrorModel(), options);
+  estimator.EstimateAll(Targets());
+  ASSERT_TRUE(flag->load());
+  EXPECT_EQ(cache->batches(), 0u);
+
+  // The same batch, uncancelled, is planned afresh and matches.
+  flag->store(false);
+  ExpectBitIdentical(uncached, estimator.EstimateAll(Targets()));
+  EXPECT_EQ(cache->batches(), 1u);
 }
 
 TEST_F(ParallelEstimationTest, CacheSharedAcrossEstimators) {
@@ -186,16 +350,34 @@ TEST(EstimationCacheTest, EntriesAreKeyedByFraction) {
   EstimationCache cache;
   SampleCfResult coarse;
   coarse.est_bytes = 100.0;
-  cache.Insert("idx", 0.01, coarse);
-  const std::optional<SampleCfResult> hit = cache.Lookup("idx", 0.01);
+  cache.Insert("idx", "t", 0.01, coarse);
+  const std::optional<SampleCfResult> hit = cache.Lookup("idx", "t", 0.01);
   ASSERT_TRUE(hit.has_value());
   EXPECT_DOUBLE_EQ(hit->est_bytes, 100.0);
-  EXPECT_FALSE(cache.Lookup("idx", 0.10).has_value());
+  EXPECT_FALSE(cache.Lookup("idx", "t", 0.10).has_value());
   // Keyed on the exact double, not on a rounded rendering of it.
-  EXPECT_FALSE(cache.Lookup("idx", 0.010000001).has_value());
-  EXPECT_FALSE(cache.Lookup("other", 0.01).has_value());
+  EXPECT_FALSE(cache.Lookup("idx", "t", 0.010000001).has_value());
+  EXPECT_FALSE(cache.Lookup("other", "t", 0.01).has_value());
   EXPECT_EQ(cache.hits(), 1u);
   EXPECT_EQ(cache.misses(), 3u);
+}
+
+TEST(EstimationCacheTest, EntriesAreKeyedByObjectIdentity) {
+  // One signature on two objects that share a name but not a definition
+  // (a view re-registered with another predicate) keeps two entries.
+  EstimationCache cache;
+  SampleCfResult before;
+  before.est_bytes = 1.0;
+  SampleCfResult after;
+  after.est_bytes = 2.0;
+  cache.Insert("mv_Q1(a)|ROW", "MV|old", 0.01, before);
+  EXPECT_FALSE(cache.Lookup("mv_Q1(a)|ROW", "MV|new", 0.01).has_value());
+  cache.Insert("mv_Q1(a)|ROW", "MV|new", 0.01, after);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_DOUBLE_EQ(cache.Lookup("mv_Q1(a)|ROW", "MV|old", 0.01)->est_bytes,
+                   1.0);
+  EXPECT_DOUBLE_EQ(cache.Lookup("mv_Q1(a)|ROW", "MV|new", 0.01)->est_bytes,
+                   2.0);
 }
 
 }  // namespace

@@ -387,11 +387,12 @@ TEST(ScaleWorkloadTest, ColdTuneJsonIsIdenticalAcrossEstimationThreads) {
   }
 }
 
-// A warm request re-plans the estimation graph and re-runs the greedy
-// search, but every SampleCF leaf is served from the engine's cache, so
-// its allocations count planning and what-if overhead, not sampling. The
-// budget sits within 10% of the measured count (24,658 in Release), so
-// string work returning to the search fails here, not only in a timing.
+// A warm request is served both its estimation batches whole from the
+// engine's cache and re-runs the greedy search, so its allocations count
+// candidate generation, merging and what-if overhead, not planning or
+// sampling. The budget sits within 10% of the measured count (17,766 in
+// Release), so re-planning a repeated batch or string work returning to
+// the search fails here, not only in a timing.
 TEST(AllocationGate, WarmTpchTuneStaysUnderAllocationBudget) {
   workloads::WorkloadSpec spec;
   spec.name = "tpch";
@@ -412,7 +413,7 @@ TEST(AllocationGate, WarmTpchTuneStaysUnderAllocationBudget) {
   ASSERT_TRUE(warm.ok()) << warm.error;
   std::printf("warm tpch dtac-both tune: %llu allocations\n",
               static_cast<unsigned long long>(allocs));
-  constexpr uint64_t kAllocBudget = 27000;
+  constexpr uint64_t kAllocBudget = 19500;
   EXPECT_LE(allocs, kAllocBudget);
 }
 

@@ -187,6 +187,26 @@ TEST_F(TuningServiceTest, InvalidWeightIsATerminalError) {
   EXPECT_EQ(service.Tune(MakeRequest("dtac-topk")).status, ServiceStatus::kOk);
 }
 
+TEST_F(TuningServiceTest, UnknownNameIsATerminalError) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.high_watermark = 0;
+  options.max_attempts = 3;
+  TuningService service(engine_.get(), options);
+
+  ServiceRequest request = MakeRequest("dtac-both");
+  Statement& first = request.tuning.workload.statements.front();
+  ASSERT_EQ(first.type, StatementType::kSelect);
+  first.select.projected.push_back("no_such_column");
+  const ServiceResponse r = service.Tune(request);
+  EXPECT_EQ(r.status, ServiceStatus::kError);
+  EXPECT_EQ(r.attempts, 1);  // not retried
+  EXPECT_FALSE(r.tuning.retryable);
+  EXPECT_NE(r.error.find(first.id), std::string::npos) << r.error;
+  EXPECT_NE(r.error.find("no_such_column"), std::string::npos) << r.error;
+  EXPECT_EQ(service.Tune(MakeRequest("dtac-topk")).status, ServiceStatus::kOk);
+}
+
 TEST_F(TuningServiceTest, DeadlineMidTuneReturnsBestSoFarFlagged) {
   ServiceOptions options;
   options.num_workers = 1;
