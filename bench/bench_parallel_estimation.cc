@@ -2,8 +2,9 @@
 // estimation workload (full candidate set of the all-features tool over
 // TPC-H) executed with 1/2/4/8 worker threads, verifying byte-identical
 // results at every thread count, plus the cross-round estimation cache: a
-// second round plans the same batch (same fraction, same plan cost) and
-// serves every SampleCF leaf from the cache instead of re-building it.
+// second round of the same batch is served whole from the cache (same
+// fraction, same plan cost, one hit per sampled leaf) instead of being
+// planned and built again.
 #include <cstring>
 
 #include "advisor/candidates.h"

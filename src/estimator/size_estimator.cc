@@ -66,9 +66,9 @@ SizeEstimator::BatchResult SizeEstimator::Plan(
   graph.AddTargets(targets);
   graph.set_cancel(options_.cancel.get());
 
-  // Runs the assigned plan at f. The cache memoizes its SampleCF leaves
-  // only, at exactly (signature, f): the fraction search above it ran as
-  // if the cache were cold.
+  // Runs the assigned plan at f. Its SampleCF leaves go through the cache
+  // at exactly (signature, object identity, f): the fraction search above
+  // it ran as if the cache were cold.
   auto execute_plan = [&](double f) {
     result.chosen_f = f;
     result.estimates = graph.Execute(f, options_.pool, options_.cache.get(),

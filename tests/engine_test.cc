@@ -207,9 +207,9 @@ TEST(EngineFreshDatabaseTest, ConcurrentFirstTunesMatchSerialReferences) {
 
 TEST_F(EngineTest, WarmEngineRendersIdenticalBytes) {
   // Request N is served from caches request N-1 filled; the rendered
-  // report must not change (the estimation cache only serves SampleCF
-  // leaves at the fraction a cold run picks; the cost cache is per
-  // request).
+  // report must not change (the estimation cache serves whole batches
+  // under their exact inputs and SampleCF leaves at the fraction a cold
+  // run picks; the cost cache is per request).
   AdvisorEngine engine(*built_.db);
   const TuningResponse cold = engine.Tune(MakeRequest("dtac-skyline"));
   ASSERT_TRUE(cold.ok()) << cold.error;
