@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -37,6 +38,43 @@ inline double Millis(std::chrono::steady_clock::time_point a,
                      std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
 }
+
+// Wall time of a tune's phases, cut at the AdvisorOptions::progress
+// callbacks the way e2ebench's harness cuts its spans: each phase runs from
+// the previous callback (or from Watch) to its own.
+class PhaseTimer {
+ public:
+  // Points `options->progress` at this timer and starts the clock; call it
+  // just before the tune. The timer must outlive the tune.
+  void Watch(AdvisorOptions* options) {
+    ms_.clear();
+    last_ = std::chrono::steady_clock::now();
+    options->progress = [this](const std::string& phase) {
+      const auto now = std::chrono::steady_clock::now();
+      ms_[phase] += Millis(last_, now);
+      last_ = now;
+    };
+  }
+
+  // Candidate generation, both estimation batches and merging, plus the
+  // staged baseline's stage 2 (mostly its re-estimation).
+  double estimation_ms() const {
+    return Ms("candidates") + Ms("estimation") + Ms("merging") +
+           Ms("staged-recompress");
+  }
+  double selection_ms() const { return Ms("selection"); }
+  // Enumeration with the initial and final workload costings.
+  double enumeration_ms() const { return Ms("enumeration"); }
+
+ private:
+  double Ms(const std::string& phase) const {
+    const auto it = ms_.find(phase);
+    return it == ms_.end() ? 0.0 : it->second;
+  }
+
+  std::chrono::steady_clock::time_point last_;
+  std::map<std::string, double> ms_;
+};
 
 // Shared main() for every bench binary: parses the uniform
 // --rows/--seed/--threads/--json flag set, applies the bench's default

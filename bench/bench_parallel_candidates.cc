@@ -1,12 +1,12 @@
 // Scaling benchmark for the parallel candidate-selection phase (and the
-// staged baseline's stage 2): full DTAc tuning runs over the TPC-H
-// workload with a per-phase wall-time breakdown — size estimation /
-// per-query candidate selection / enumeration — plus the
-// stmt_costs_{computed,cached} counters showing the selection-phase
-// costings warming (and hitting) the shared StatementCostCache. Every run
-// is checked bit-identical to the serial baseline, and the counters match
-// the serial run at every thread count too (only the inserting miss of a
-// cache key counts as computed).
+// staged baseline): full DTAc tuning runs over the TPC-H workload with a
+// per-phase wall-time breakdown — size estimation / per-query candidate
+// selection / enumeration, cut at the progress callbacks (PhaseTimer) —
+// plus the stmt_costs_{computed,cached} counters showing the
+// selection-phase costings warming (and hitting) the shared
+// StatementCostCache. Every run is checked bit-identical to the serial
+// baseline, and the counters match the serial run at every thread count
+// too (only the inserting miss of a cache key counts as computed).
 #include <cstring>
 
 #include "bench/bench_common.h"
@@ -29,10 +29,11 @@ bool SameRecommendation(const AdvisorResult& a, const AdvisorResult& b) {
   return true;
 }
 
-void PrintRow(const char* label, const AdvisorResult& r, bool identical) {
+void PrintRow(const char* label, const AdvisorResult& r,
+              const PhaseTimer& t, bool identical) {
   std::printf("%-10s %10.1f %10.1f %10.1f %10.1f %10zu %10zu %10s\n", label,
-              r.estimation_ms, r.selection_ms, r.enumeration_ms,
-              r.estimation_ms + r.selection_ms + r.enumeration_ms,
+              t.estimation_ms(), t.selection_ms(), t.enumeration_ms(),
+              t.estimation_ms() + t.selection_ms() + t.enumeration_ms(),
               r.stmt_costs_computed, r.stmt_costs_cached,
               identical ? "yes" : "NO");
 }
@@ -44,10 +45,10 @@ void PrintPhaseHeader() {
 }
 
 void RecordRow(BenchContext* ctx, const std::string& key,
-               const AdvisorResult& r, bool identical) {
-  ctx->report.AddTimeMs("estimation_ms" + key, r.estimation_ms);
-  ctx->report.AddTimeMs("selection_ms" + key, r.selection_ms);
-  ctx->report.AddTimeMs("enumeration_ms" + key, r.enumeration_ms);
+               const AdvisorResult& r, const PhaseTimer& t, bool identical) {
+  ctx->report.AddTimeMs("estimation_ms" + key, t.estimation_ms());
+  ctx->report.AddTimeMs("selection_ms" + key, t.selection_ms());
+  ctx->report.AddTimeMs("enumeration_ms" + key, t.enumeration_ms());
   ctx->report.AddCounter("stmt_costs_computed" + key, r.stmt_costs_computed);
   ctx->report.AddCounter("stmt_costs_cached" + key, r.stmt_costs_cached);
   ctx->report.AddCounter("identical" + key, identical ? 1 : 0);
@@ -69,16 +70,18 @@ void Run(BenchContext& ctx) {
       "Per-phase breakdown (threads=1): selection costings hit the shared "
       "cost cache");
   PrintPhaseHeader();
+  PhaseTimer timer;
   AdvisorResult serial;
   for (bool use_cache : {false, true}) {
     AdvisorOptions options = base;
     options.cost_cache = use_cache;
+    timer.Watch(&options);
     const AdvisorResult r = s.Tune(options, budget, w);
     if (!use_cache) serial = r;
     const bool identical = SameRecommendation(serial, r);
-    PrintRow(use_cache ? "cache-on" : "cache-off", r, identical);
+    PrintRow(use_cache ? "cache-on" : "cache-off", r, timer, identical);
     RecordRow(&ctx, std::string("[cache=") + (use_cache ? "on" : "off") + "]",
-              r, identical);
+              r, timer, identical);
   }
 
   PrintHeader("Candidate selection + enumeration thread scaling (cache on)");
@@ -87,20 +90,23 @@ void Run(BenchContext& ctx) {
     AdvisorOptions options = base;
     options.cost_cache = true;
     options.pool = s.engine->PoolFor(threads);
+    timer.Watch(&options);
     const AdvisorResult r = s.Tune(options, budget, w);
     char label[16];
     std::snprintf(label, sizeof(label), "t=%d", threads);
     const bool identical = SameRecommendation(serial, r);
-    PrintRow(label, r, identical);
-    RecordRow(&ctx, "[threads=" + std::to_string(threads) + "]", r, identical);
+    PrintRow(label, r, timer, identical);
+    RecordRow(&ctx, "[threads=" + std::to_string(threads) + "]", r, timer,
+              identical);
   }
 
-  PrintHeader("Staged baseline (stage 1 + stage 2 on the pool)");
+  PrintHeader("Staged baseline (stage 1 on the pool, then stage 2)");
   PrintPhaseHeader();
   AdvisorResult staged_serial;
   for (int threads : {1, 4}) {
     AdvisorOptions options = base;
     options.pool = s.engine->PoolFor(threads);
+    timer.Watch(&options);
     SizeEstimator estimator(*s.db, s.mvs(), ErrorModel(),
                             options.size_options);
     Advisor advisor(*s.db, s.optimizer(), &estimator, s.mvs(), options);
@@ -111,9 +117,9 @@ void Run(BenchContext& ctx) {
     char label[16];
     std::snprintf(label, sizeof(label), "staged t=%d", threads);
     const bool identical = SameRecommendation(staged_serial, r);
-    PrintRow(label, r, identical);
+    PrintRow(label, r, timer, identical);
     RecordRow(&ctx, "[staged,threads=" + std::to_string(threads) + "]", r,
-              identical);
+              timer, identical);
   }
 }
 

@@ -66,6 +66,8 @@ void RunScalePoint(BenchContext& ctx, uint64_t rows) {
       1.0, static_cast<double>(kTargetSampleRows) / static_cast<double>(rows));
   options.size_options.fractions = {f};
 
+  PhaseTimer phases;
+  phases.Watch(&options);
   const uint64_t alloc0 = AllocCount();
   const auto t0 = std::chrono::steady_clock::now();
   const AdvisorResult r = s.Tune(options, /*budget_frac=*/0.15, s.workload);
@@ -98,9 +100,9 @@ void RunScalePoint(BenchContext& ctx, uint64_t rows) {
   ctx.report.AddValue("estimation_cost_pages" + key, r.estimation_cost_pages);
   // Wall times and RSS: report-only (machine-dependent).
   ctx.report.AddTimeMs("build_ms" + key, build_ms);
-  ctx.report.AddTimeMs("estimation_ms" + key, r.estimation_ms);
-  ctx.report.AddTimeMs("selection_ms" + key, r.selection_ms);
-  ctx.report.AddTimeMs("enumeration_ms" + key, r.enumeration_ms);
+  ctx.report.AddTimeMs("estimation_ms" + key, phases.estimation_ms());
+  ctx.report.AddTimeMs("selection_ms" + key, phases.selection_ms());
+  ctx.report.AddTimeMs("enumeration_ms" + key, phases.enumeration_ms());
   ctx.report.AddTimeMs("tune_ms" + key, tune_ms);
   ctx.report.AddTimeMs("peak_rss_mb" + key, PeakRssMb());
   // Heap allocations per sampled row over the whole Tune call (alloc_tracker

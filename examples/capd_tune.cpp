@@ -10,6 +10,8 @@
 //
 // --json prints the versioned JSON report (report_json.h) and nothing
 // else, so the output pipes straight into `python3 -m json.tool`, jq, etc.
+// --trace prints each advisor phase and its wall time to stderr as the
+// progress hook reports it; stdout is unchanged.
 // Bad flags, unknown workloads and unknown strategies exit 2 with a usage
 // message, as does any request the engine rejects (e.g. --threads above
 // its 1024-thread bound).
@@ -19,9 +21,11 @@
 // mid-tune still prints the best-so-far design, but the process exits 3 —
 // as it does on kOverloaded — so scripts can tell a degraded answer from a
 // complete one.
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "engine/advisor_engine.h"
@@ -48,6 +52,7 @@ void Usage() {
       "  estimation pools (0 = hardware concurrency, at most 1024).\n"
       "  --mv/--partial add MV and partial-index candidates on top of the\n"
       "  chosen strategy.\n"
+      "  --trace prints each phase and its wall time to stderr.\n"
       "  --timeout-ms/--priority run through the TuningService: a deadline\n"
       "  that fires mid-tune prints the best-so-far design and exits 3\n"
       "  (as does an overloaded rejection).\n"
@@ -224,12 +229,20 @@ int main(int argc, char** argv) {
   request.workload = built.workload.WithInsertWeight(insert_weight);
   request.strategy = strategy;
   request.budget = budget;
-  request.enable_mv = enable_mv ? 1 : -1;
-  request.enable_partial = enable_partial ? 1 : -1;
-  request.trace = trace;
-  if (trace && !json) {
-    request.progress = [](const std::string& phase) {
-      std::fprintf(stderr, "[capd_tune] phase done: %s\n", phase.c_str());
+  request.enable_mv = enable_mv;
+  request.enable_partial = enable_partial;
+  if (trace) {
+    // Shared, because the staged baseline's stage 1 runs on a copy of the
+    // hook: each phase's time runs from the previous call on any copy.
+    using Clock = std::chrono::steady_clock;
+    auto last = std::make_shared<Clock::time_point>(Clock::now());
+    request.progress = [last](const std::string& phase) {
+      const Clock::time_point now = Clock::now();
+      std::fprintf(stderr, "[capd_tune] phase done: %s %.1f ms\n",
+                   phase.c_str(),
+                   std::chrono::duration<double, std::milli>(now - *last)
+                       .count());
+      *last = now;
     };
   }
 

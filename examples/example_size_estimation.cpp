@@ -43,7 +43,7 @@ int main() {
   };
 
   SizeEstimator estimator(db, &source, ErrorModel(), SizeEstimationOptions{});
-  const SizeEstimator::BatchResult batch = estimator.EstimateAll(targets);
+  const EstimationBatch batch = estimator.EstimateAll(targets);
 
   std::printf("chosen sampling fraction f = %.1f%%\n", batch.chosen_f * 100);
   std::printf("total estimation cost      = %.0f sample pages\n",

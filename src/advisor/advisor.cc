@@ -1,8 +1,6 @@
 #include "advisor/advisor.h"
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <limits>
 
 #include "common/logging.h"
@@ -41,9 +39,6 @@ bool Advisor::CancelRequested() const {
 }
 
 void Advisor::ReportProgress(const char* phase) const {
-  // Fault hooks run first so an injected fault (thrown TransientTuningError
-  // or a flipped cancel flag) lands before observers hear about the phase.
-  if (options_.fault_hook) options_.fault_hook(phase);
   if (options_.progress) options_.progress(phase);
 }
 
@@ -60,30 +55,6 @@ double Advisor::WorkloadCost(const CandidateIds& ids,
   }
   if (cost_cache != nullptr) return cost_cache->WorkloadCost(config);
   return ids.WorkloadCost(config);
-}
-
-double Advisor::PooledWorkloadCost(const Workload& workload,
-                                   const Configuration& config,
-                                   AdvisorResult* result) const {
-  if (result != nullptr) {
-    result->what_if_calls += workload.statements.size();
-    result->stmt_costs_computed += workload.statements.size();
-  }
-  const std::vector<double> costs = ParallelMap<double>(
-      options_.pool, workload.statements.size(), [&](size_t i) {
-        // Remaining costings are skipped once a cancel fires; the partial
-        // sum is meaningless, so callers must re-check CancelRequested()
-        // before consuming the total.
-        if (CancelRequested()) return 0.0;
-        return optimizer_->Cost(workload.statements[i], config);
-      });
-  // Same weighted terms summed in the same statement order as
-  // WhatIfOptimizer::WorkloadCost — bit-identical at any thread count.
-  double total = 0.0;
-  for (size_t i = 0; i < workload.statements.size(); ++i) {
-    total += workload.statements[i].weight * costs[i];
-  }
-  return total;
 }
 
 std::map<std::string, PhysicalIndexEstimate> Advisor::EstimateSizes(
@@ -104,7 +75,7 @@ std::map<std::string, PhysicalIndexEstimate> Advisor::EstimateSizes(
     est.tuples = plain[i].est_tuples;
     sizes[uncompressed[i].Signature()] = est;
   }
-  const SizeEstimator::BatchResult batch = sizes_->EstimateAll(compressed);
+  const EstimationBatch batch = sizes_->EstimateAll(compressed);
   for (const IndexDef& def : compressed) {
     const auto it = batch.estimates.find(def.Signature());
     if (it == batch.estimates.end()) {
@@ -341,14 +312,6 @@ std::vector<Id> Advisor::Enumerate(const std::vector<Id>& pool,
       }
     }
 
-    if (options_.trace) {
-      auto name = [&](int i) {
-        return i >= 0 ? ids.estimate(pool[i]).def.ToString() : "-";
-      };
-      std::fprintf(stderr, "[enum] step: best_fit=%s best_any=%s\n",
-                   name(best_fit).c_str(), name(best_any).c_str());
-    }
-
     // Backtracking (Section 6.2): if the overall-best choice is oversized,
     // try to recover it by swapping one or more members for compressed
     // variants. Swaps are applied greedily until the configuration fits:
@@ -417,17 +380,6 @@ std::vector<Id> Advisor::Enumerate(const std::vector<Id>& pool,
         work.erase(work.begin() + reduce_member);
         work.push_back(pool[reduce_repl]);
       }
-      if (options_.trace) {
-        const std::string recovered =
-            best_recovered.empty()
-                ? "-"
-                : ids.ToConfiguration(best_recovered).ToString();
-        std::fprintf(stderr,
-                     "[enum] backtrack: recovered=%s cost=%.1f vs fit=%.1f "
-                     "cur=%.1f\n",
-                     recovered.c_str(), best_recovered_cost, best_fit_cost,
-                     current_cost);
-      }
       if (!best_recovered.empty() &&
           best_recovered_cost < std::min(best_fit_cost, current_cost)) {
         config = std::move(best_recovered);
@@ -446,11 +398,6 @@ std::vector<Id> Advisor::Enumerate(const std::vector<Id>& pool,
 AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
   AdvisorResult result;
   CandidateGenerator generator(*db_, *optimizer_, mvs_, options_);
-  using Clock = std::chrono::steady_clock;
-  auto millis_since = [](Clock::time_point t0) {
-    return std::chrono::duration<double, std::milli>(Clock::now() - t0)
-        .count();
-  };
 
   // Cancellation can land between any two phases; the partial result (best
   // configuration so far, flagged `cancelled`) is always coherent.
@@ -461,7 +408,6 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
   };
 
   // 1. Syntactically relevant candidates + compressed variants.
-  auto t0 = Clock::now();
   std::vector<IndexDef> candidates = generator.GenerateForWorkload(workload);
   ReportProgress("candidates");
   if (cancelled()) return result;
@@ -469,7 +415,6 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
   // 2. Size estimation for every candidate (Section 5 framework).
   std::map<std::string, PhysicalIndexEstimate> sizes =
       EstimateSizes(candidates, &result);
-  result.estimation_ms += millis_since(t0);
   ReportProgress("estimation");
   if (cancelled()) return result;
 
@@ -487,10 +432,8 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
   }
 
   // 3. Per-query candidate selection (top-k or skyline).
-  t0 = Clock::now();
   std::vector<Id> pool =
       SelectCandidates(candidates, ids, cost_cache.get(), &result);
-  result.selection_ms += millis_since(t0);
   ReportProgress("selection");
   if (cancelled()) {
     if (cost_cache != nullptr) {
@@ -505,10 +448,8 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
   for (const Id id : pool) selected.push_back(ids.estimate(id).def);
   const std::vector<IndexDef> merged = generator.MergeCandidates(selected);
   if (!merged.empty()) {
-    t0 = Clock::now();
     const std::map<std::string, PhysicalIndexEstimate> merged_sizes =
         EstimateSizes(merged, &result);
-    result.estimation_ms += millis_since(t0);
     // A cancel inside the merged batch leaves merged_sizes short; merged
     // candidates are only admitted when every one of them was sized. A
     // merged signature sized before keeps its first estimate, which
@@ -524,13 +465,6 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
     }
   }
   result.num_candidates = pool.size();
-  if (options_.trace) {
-    for (const Id id : pool) {
-      const PhysicalIndexEstimate& est = ids.estimate(id);
-      std::fprintf(stderr, "[pool] %s ~%.0fKB\n", est.def.ToString().c_str(),
-                   est.bytes / 1024.0);
-    }
-  }
   ReportProgress("merging");
   if (cancelled()) {
     if (cost_cache != nullptr) {
@@ -543,14 +477,12 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
   // 5. Enumeration. A cancel inside Enumerate still falls through here, so
   // a cancelled result carries real initial/final costs for its partial
   // configuration.
-  t0 = Clock::now();
   result.initial_cost = WorkloadCost(ids, {}, cost_cache.get(), &result);
   const std::vector<Id> config =
       Enumerate(pool, ids, budget_bytes, cost_cache.get(), &result);
   result.final_cost = WorkloadCost(ids, config, cost_cache.get(), &result);
   result.config = ids.ToConfiguration(config);
   result.charged_bytes = ChargedBytes(result.config);
-  result.enumeration_ms += millis_since(t0);
   ReportProgress("enumeration");
   if (cost_cache != nullptr) {
     result.stmt_costs_computed += cost_cache->misses();
@@ -567,7 +499,7 @@ AdvisorResult Advisor::TuneStagedBaseline(const Workload& workload,
   // options_.size_options.cache is set, its cross-round EstimationCache)
   // are reused by the stage-2 re-estimation instead of re-drawn.
   AdvisorOptions staged_options = options_;
-  staged_options.enable_compression = false;
+  staged_options.compression_variants.clear();
   Advisor stage1(*db_, *optimizer_, sizes_, mvs_, staged_options);
   AdvisorResult result = stage1.Tune(workload, budget_bytes);
   if (result.cancelled || CancelRequested()) {
@@ -576,10 +508,8 @@ AdvisorResult Advisor::TuneStagedBaseline(const Workload& workload,
   }
 
   // Stage 2: compress every chosen index the codecs can store, re-estimating
-  // sizes (one batch across the estimation pool) and re-costing the workload
-  // with the per-statement costings fanned across the enumeration pool.
-  using Clock = std::chrono::steady_clock;
-  auto t0 = Clock::now();
+  // sizes (one batch across the estimation pool) and re-costing the one
+  // compressed configuration.
   std::vector<IndexDef> compressed;
   for (const PhysicalIndexEstimate& idx : result.config.indexes()) {
     const Schema& schema = mvs_ != nullptr
@@ -591,30 +521,20 @@ AdvisorResult Advisor::TuneStagedBaseline(const Workload& workload,
   }
   const std::map<std::string, PhysicalIndexEstimate> sizes =
       EstimateSizes(compressed, &result);
-  result.estimation_ms +=
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  // A cancel anywhere in stage 2 (mid-estimation or mid-re-cost) keeps the
-  // coherent stage-1 design: `sizes` may be short and a pooled sum that
-  // skipped statements is meaningless, so result.config/final_cost are only
-  // overwritten once stage 2 finished clean.
+  // A cancel during the re-estimation keeps the coherent stage-1 design:
+  // `sizes` may be short. The re-costing below is exact whenever it runs.
   if (CancelRequested()) {
     result.cancelled = true;
     return result;  // stage-1 design, uncompressed
   }
-  Configuration config;
+  CandidateIds ids(*db_, *optimizer_, workload);
+  std::vector<Id> config;
   for (const IndexDef& def : compressed) {
-    config.Add(sizes.at(def.Signature()));
+    const auto it = sizes.find(def.Signature());
+    config.push_back(ids.Intern(it->first, it->second));
   }
-  t0 = Clock::now();
-  const double final_cost = PooledWorkloadCost(workload, config, &result);
-  result.enumeration_ms +=
-      std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
-  if (CancelRequested()) {
-    result.cancelled = true;
-    return result;  // stage-1 design, uncompressed
-  }
-  result.config = std::move(config);
-  result.final_cost = final_cost;
+  result.final_cost = WorkloadCost(ids, config, nullptr, &result);
+  result.config = ids.ToConfiguration(config);
   result.charged_bytes = ChargedBytes(result.config);
   ReportProgress("staged-recompress");
   return result;

@@ -40,14 +40,6 @@ struct AdvisorResult {
   size_t stmt_costs_computed = 0;
   size_t stmt_costs_cached = 0;
 
-  // Per-phase wall times of the run (candidate generation + size
-  // estimation / per-query candidate selection / enumeration incl. the
-  // initial+final workload costings). Informational only — never part of
-  // the determinism contract or the rendered report.
-  double estimation_ms = 0.0;
-  double selection_ms = 0.0;
-  double enumeration_ms = 0.0;
-
   // True when a cooperative cancel (AdvisorOptions::cancel) stopped the
   // run early; config then holds the best configuration found so far.
   bool cancelled = false;
@@ -116,13 +108,6 @@ class Advisor {
                       const std::vector<CandidateIds::Id>& config,
                       StatementCostCache* cost_cache,
                       AdvisorResult* result) const;
-
-  // Uncached workload costing with the per-statement optimizer calls
-  // fanned across the search pool; the weighted sum is reduced in statement
-  // order, reproducing WhatIfOptimizer::WorkloadCost to the bit.
-  double PooledWorkloadCost(const Workload& workload,
-                            const Configuration& config,
-                            AdvisorResult* result) const;
 
   // ChargedBytes of the configuration `config` lists.
   double ChargedBytes(const CandidateIds& ids,

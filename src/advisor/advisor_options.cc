@@ -7,7 +7,7 @@ namespace capd {
 
 AdvisorOptions AdvisorOptions::DTA() {
   AdvisorOptions o;
-  o.enable_compression = false;
+  o.compression_variants.clear();
   o.selection = CandidateSelectionMode::kTopK;
   o.backtracking = false;
   return o;

@@ -19,11 +19,11 @@ namespace capd {
 
 // A recoverable mid-tune failure: the run died but nothing about the
 // database, the workload, or the engine state is wrong, so retrying the
-// same request may succeed. Thrown by fault hooks (fault injection, or a
-// real transient resource: an evicted sample, a briefly unavailable
-// statistics source); the AdvisorEngine reports it as an error with
-// TuningResponse::retryable set, which the TuningService turns into a
-// backoff-and-retry instead of a terminal failure.
+// same request may succeed. Thrown from a progress hook (the service's
+// fault injection, or a real transient resource: an evicted sample, a
+// briefly unavailable statistics source); the AdvisorEngine reports it as
+// an error with TuningResponse::retryable set, which the TuningService
+// turns into a backoff-and-retry instead of a terminal failure.
 class TransientTuningError : public std::runtime_error {
  public:
   explicit TransientTuningError(const std::string& what)
@@ -44,7 +44,8 @@ enum class EnumerationMode {
 };
 
 struct AdvisorOptions {
-  bool enable_compression = true;
+  // Compressed variants generated per candidate; empty = no compression
+  // (classic DTA and the staged baseline's stage 1).
   std::vector<CompressionKind> compression_variants = {
       CompressionKind::kRow, CompressionKind::kPage};
 
@@ -55,9 +56,9 @@ struct AdvisorOptions {
 
   // --- search-loop performance knobs ---
   // Borrowed pool for the advisor's independent what-if costings: the
-  // per-query single-index costings of SelectCandidates, Enumerate's trial
-  // evaluations (the main candidate loop and the backtracking swap
-  // search), and the staged baseline's stage-2 re-costing. Null = serial.
+  // per-query single-index costings of SelectCandidates and Enumerate's
+  // trial evaluations (the main candidate loop and the backtracking swap
+  // search). Null = serial.
   // Results are bit-identical at any pool size: costings are reduced
   // serially in pool order. Independent of size_options.pool.
   ThreadPool* pool = nullptr;
@@ -73,15 +74,13 @@ struct AdvisorOptions {
   // the best configuration found so far with AdvisorResult::cancelled set.
   std::shared_ptr<const std::atomic<bool>> cancel;
   // Phase progress hook, invoked serially from the tuning thread after
-  // each phase ("candidates", "estimation", "selection", "merging",
-  // "enumeration"; the staged baseline reports its stage-1 phases too).
+  // each phase: "candidates", "estimation", "selection", "merging",
+  // "enumeration", and then "staged-recompress" for the staged baseline
+  // (whose stage 1 reports the first five). It is the only way a tune
+  // reports its phases: callers time the phases between calls, and the
+  // TuningService's fault injection runs inside it, so the hook may throw
+  // TransientTuningError or fire the cancel flag.
   std::function<void(const std::string& phase)> progress;
-  // Fault hook, invoked at the same phase boundaries just before
-  // `progress`. Deterministic fault injection hangs here: the hook may
-  // throw TransientTuningError (retryable failure), fire a cancellation
-  // flag (forced timeout / spurious cancel), or do nothing. Unset in
-  // production paths; see src/service/fault_injector.h.
-  std::function<void(const std::string& phase)> fault_hook;
 
   bool enable_partial = false;  // partial-index candidates
   bool enable_mv = false;       // MV + MV-index candidates
@@ -96,9 +95,6 @@ struct AdvisorOptions {
   // Callers that construct the SizeEstimator themselves must build it from
   // this struct for the knobs to take effect (see bench/bench_common.h).
   SizeEstimationOptions size_options;
-
-  // Prints greedy/backtracking decisions to stderr (debugging aid).
-  bool trace = false;
 
   // --- presets ---
   static AdvisorOptions DTA();          // original tool, no compression

@@ -156,7 +156,7 @@ std::vector<IndexDef> CandidateGenerator::GenerateForWorkload(
 
 void CandidateGenerator::AddVariants(const IndexDef& def,
                                      std::vector<IndexDef>* out) const {
-  if (!options_->enable_compression) return;
+  if (options_->compression_variants.empty()) return;
   CAPD_CHECK(def.compression == CompressionKind::kNone);
   const Schema& schema = mvs_ != nullptr ? mvs_->ObjectSchema(def.object)
                                          : db_->table(def.object).schema();

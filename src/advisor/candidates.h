@@ -34,8 +34,8 @@ class CandidateGenerator {
   std::vector<IndexDef> GenerateForQuery(const SelectQuery& q,
                                          const std::string& query_id);
 
-  // All candidates for the workload, deduplicated, with compressed variants
-  // appended when compression is enabled.
+  // All candidates for the workload, deduplicated, each followed by its
+  // compressed variants (AdvisorOptions::compression_variants).
   std::vector<IndexDef> GenerateForWorkload(const Workload& workload);
 
   // Index merging: pairwise merges of same-table candidates sharing a

@@ -134,18 +134,14 @@ TuningResponse AdvisorEngine::Tune(const TuningRequest& request) {
   options.pool = PoolFor(search_threads);
   options.size_options.pool = PoolFor(estimation_threads);
   options.size_options.cache = estimation_cache_;
-  if (request.enable_mv >= 0) options.enable_mv = request.enable_mv != 0;
-  if (request.enable_partial >= 0) {
-    options.enable_partial = request.enable_partial != 0;
-  }
-  options.trace = options.trace || request.trace;
+  options.enable_mv = request.enable_mv;
+  options.enable_partial = request.enable_partial;
   options.cancel = request.cancel.flag();
   // Deep cancellation: the estimation batches poll the same flag inside
   // their fraction probes and SampleCF leaves, so a deadline binds within
   // a long estimation phase, not just at its boundary.
   options.size_options.cancel = options.cancel;
   options.progress = request.progress;
-  options.fault_hook = request.fault_hook;
 
   RequestScope scope = ScopeFor(options);
   try {

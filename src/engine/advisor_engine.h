@@ -114,29 +114,23 @@ struct TuningRequest {
   std::string strategy = "dtac-both";
   TuningBudget budget;  // default: 20% of base data
 
-  // --- knobs (engine / strategy defaults when negative) ---
-  // Thread counts as in EngineOptions; above kMaxTuningThreads the request
-  // fails with kError.
+  // --- knobs ---
+  // Thread counts as in EngineOptions (engine default when negative);
+  // above kMaxTuningThreads the request fails with kError.
   int search_threads = -1;
   int estimation_threads = -1;
-  // Candidate-class toggles overlaying the strategy's base options
-  // (-1 = strategy default, 0 = off, 1 = on). MV-enabled requests tune
-  // against a request-private MV registry, so their workload-derived view
-  // definitions never leak into later requests.
-  int enable_mv = -1;
-  int enable_partial = -1;
-  // Prints the advisor's candidate-pool / greedy decisions to stderr
-  // (AdvisorOptions::trace; debugging aid).
-  bool trace = false;
+  // MV and partial-index candidate classes; no strategy preset enables
+  // either. MV-enabled requests tune against a request-private MV
+  // registry, so their workload-derived view definitions never leak into
+  // later requests.
+  bool enable_mv = false;
+  bool enable_partial = false;
 
-  // Invoked serially from the tuning thread after each advisor phase
-  // ("candidates", "estimation", "selection", "merging", "enumeration").
+  // AdvisorOptions::progress: invoked serially from the tuning thread after
+  // each advisor phase ("candidates", "estimation", "selection",
+  // "merging", "enumeration"; "staged-recompress" for staged strategies).
+  // A TransientTuningError it throws becomes a retryable kError.
   std::function<void(const std::string& phase)> progress;
-  // Fault hook (AdvisorOptions::fault_hook): runs at the same phase
-  // boundaries just before `progress` and may throw TransientTuningError
-  // (reported as a retryable kError) or fire a cancellation flag. Used by
-  // the TuningService's deterministic FaultInjector; unset otherwise.
-  std::function<void(const std::string& phase)> fault_hook;
   // Cancel handle; keep a copy and call RequestCancel() to stop the run at
   // the next phase boundary or enumeration step. Also polled inside the
   // batch-estimation fraction probes / SampleCF leaves and the pooled

@@ -32,9 +32,7 @@ std::optional<EstimationBatch> EstimationCache::LookupBatch(
   const auto it = batches_.find(key);
   if (it == batches_.end()) return std::nullopt;
   hits_ += it->second.num_sampled;
-  EstimationBatch batch = it->second;
-  batch.cache_hits = batch.num_sampled;
-  return batch;
+  return it->second;
 }
 
 void EstimationCache::InsertBatch(std::string key,

@@ -43,8 +43,6 @@ struct EstimationBatch {
   double total_cost_pages = 0.0;
   size_t num_sampled = 0;
   size_t num_deduced = 0;
-  // SampleCF leaves (targets or helper nodes) served from the cache.
-  size_t cache_hits = 0;
 };
 
 class EstimationCache {
@@ -60,7 +58,7 @@ class EstimationCache {
 
   // The batch stored under `key`, if any. A hit counts one hit per
   // SampleCF leaf of the stored plan (its num_sampled), as re-running the
-  // batch on this cache would, and returns cache_hits set to match.
+  // batch on this cache would.
   std::optional<EstimationBatch> LookupBatch(const std::string& key) const;
 
   // Stores a completed batch; a key already stored keeps its batch.
@@ -68,7 +66,8 @@ class EstimationCache {
 
   size_t size() const;     // leaf entries
   size_t batches() const;  // batch entries
-  // Leaf hits and misses, including the leaves batch hits stand in for.
+  // Leaf hits and misses, including the leaves batch hits stand in for:
+  // the one count of SampleCF leaves served from this cache.
   uint64_t hits() const;
   uint64_t misses() const;
 

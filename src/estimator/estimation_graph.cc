@@ -52,7 +52,7 @@ size_t EstimationGraph::AddNode(const IndexDef& def, bool is_target) {
     node.columns.push_back(column);
     node.column_bits[column / 64] |= uint64_t{1} << (column % 64);
   }
-  if (def.filter.has_value()) node.filter = def.filter->ToString();
+  if (def.filter.has_value()) node.filter = def.filter->Key();
   node.row_bytes = sampler_.RowBytes(def);
   const size_t id = nodes_.size();
   if (!def.clustered && def.key_columns.size() == 1 &&
@@ -488,7 +488,7 @@ double EstimationGraph::Optimal(double f, double e, double q,
 }
 
 std::map<std::string, SampleCfResult> EstimationGraph::Execute(
-    double f, ThreadPool* pool, EstimationCache* cache, size_t* cache_hits) {
+    double f, ThreadPool* pool, EstimationCache* cache) {
   std::vector<std::optional<SampleCfResult>> results(nodes_.size());
   DeductionEngine engine(*db_, source_, f);
 
@@ -511,10 +511,7 @@ std::map<std::string, SampleCfResult> EstimationGraph::Execute(
       const IndexDef& def = nodes_[i].def;
       results[i] = cache->Lookup(def.Signature(),
                                  source_->ObjectIdentity(def.object), f);
-      if (results[i].has_value()) {
-        if (cache_hits != nullptr) ++(*cache_hits);
-        continue;
-      }
+      if (results[i].has_value()) continue;
     }
     const std::string key = nodes_[i].def.StructureSignature();
     const auto it = group_of.find(key);

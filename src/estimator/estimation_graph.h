@@ -50,7 +50,7 @@ struct IndexNode {
   // Interned by AddNode; planning compares these, never rendered strings.
   std::vector<size_t> columns;        // stored columns, as schema positions
   std::vector<uint64_t> column_bits;  // the same set, one bit per position
-  std::string filter;                 // rendered partial-index filter or ""
+  std::string filter;                 // partial-index filter's Key() or ""
   double row_bytes = 0.0;             // uncompressed stored row width
 };
 
@@ -108,12 +108,10 @@ class EstimationGraph {
   // hit is bit-identical to recomputing — the plan, the chosen fraction,
   // and every estimate match an uncached run exactly. Deduced values are
   // not cached here: they depend on the batch's plan, not on the leaf key
-  // alone (SizeEstimator memoizes whole batches). `cache_hits` (may be
-  // null) is incremented once per served leaf.
-  std::map<std::string, SampleCfResult> Execute(double f,
-                                                ThreadPool* pool = nullptr,
-                                                EstimationCache* cache = nullptr,
-                                                size_t* cache_hits = nullptr);
+  // alone (SizeEstimator memoizes whole batches). The cache counts each
+  // served leaf as a hit (EstimationCache::hits).
+  std::map<std::string, SampleCfResult> Execute(
+      double f, ThreadPool* pool = nullptr, EstimationCache* cache = nullptr);
 
   // Composed error of node i under the current assignment.
   ErrorStats NodeError(size_t i, double f) const;

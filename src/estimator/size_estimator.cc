@@ -10,17 +10,17 @@
 
 namespace capd {
 
-SizeEstimator::BatchResult SizeEstimator::EstimateAll(
+EstimationBatch SizeEstimator::EstimateAll(
     const std::vector<IndexDef>& targets) {
-  if (targets.empty()) return BatchResult();
+  if (targets.empty()) return EstimationBatch();
   EstimationCache* cache = options_.cache.get();
   // A batch that starts cancelled returns what Plan returns: nothing.
   if (cache == nullptr || Cancelled()) return Plan(targets);
   std::string key = BatchKey(targets);
-  if (std::optional<BatchResult> hit = cache->LookupBatch(key)) {
+  if (std::optional<EstimationBatch> hit = cache->LookupBatch(key)) {
     return std::move(*hit);
   }
-  BatchResult result = Plan(targets);
+  EstimationBatch result = Plan(targets);
   // A cancelled batch may be partial; it is never stored.
   if (!Cancelled()) cache->InsertBatch(std::move(key), result);
   return result;
@@ -57,9 +57,8 @@ std::string SizeEstimator::BatchKey(
   return key;
 }
 
-SizeEstimator::BatchResult SizeEstimator::Plan(
-    const std::vector<IndexDef>& targets) {
-  BatchResult result;
+EstimationBatch SizeEstimator::Plan(const std::vector<IndexDef>& targets) {
+  EstimationBatch result;
   EstimationGraph graph(*db_, source_, model_);
   // Must precede AddTargets: deduction candidates are generated there.
   graph.set_enable_sort_order(options_.enable_sort_order_deduction);
@@ -71,8 +70,7 @@ SizeEstimator::BatchResult SizeEstimator::Plan(
   // it ran as if the cache were cold.
   auto execute_plan = [&](double f) {
     result.chosen_f = f;
-    result.estimates = graph.Execute(f, options_.pool, options_.cache.get(),
-                                     &result.cache_hits);
+    result.estimates = graph.Execute(f, options_.pool, options_.cache.get());
     result.num_sampled = graph.NumSampled();
     result.num_deduced = graph.NumDeduced();
   };

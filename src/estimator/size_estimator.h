@@ -64,14 +64,12 @@ class SizeEstimator {
         model_(std::move(model)),
         options_(std::move(options)) {}
 
-  using BatchResult = EstimationBatch;
-
   // Estimates sizes of all (compressed) targets. Uncompressed targets are
   // sized deterministically and never enter the graph. With a cache, a
   // batch already estimated under the same key (BatchKey) is returned as
   // stored; otherwise the batch is planned and run, and stored unless the
   // cancel flag is up.
-  BatchResult EstimateAll(const std::vector<IndexDef>& targets);
+  EstimationBatch EstimateAll(const std::vector<IndexDef>& targets);
 
   // Deterministic size of an uncompressed index.
   SampleCfResult UncompressedSize(const IndexDef& def);
@@ -89,7 +87,7 @@ class SizeEstimator {
  private:
   // Plans and runs the batch (Section 5.2): builds the graph, picks the
   // fraction, executes the plan (its leaves through the cache, if any).
-  BatchResult Plan(const std::vector<IndexDef>& targets);
+  EstimationBatch Plan(const std::vector<IndexDef>& targets);
 
   // Every input Plan reads: the bits of e, q and each fraction, the two
   // planning switches, the bits of the error model's coefficients, then

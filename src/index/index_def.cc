@@ -1,6 +1,7 @@
 #include "index/index_def.h"
 
 #include <algorithm>
+#include <charconv>
 #include <sstream>
 
 #include "common/logging.h"
@@ -31,6 +32,34 @@ bool Passes(const ColumnFilter& f, CompareFn&& compare) {
   return false;
 }
 
+// `f` rendered with `literal(bound)` for each bound.
+template <typename LiteralFn>
+std::string Render(const ColumnFilter& f, LiteralFn&& literal) {
+  std::ostringstream os;
+  os << f.column;
+  switch (f.op) {
+    case FilterOp::kEq:
+      os << "=" << literal(f.lo);
+      break;
+    case FilterOp::kLt:
+      os << "<" << literal(f.lo);
+      break;
+    case FilterOp::kLe:
+      os << "<=" << literal(f.lo);
+      break;
+    case FilterOp::kGt:
+      os << ">" << literal(f.lo);
+      break;
+    case FilterOp::kGe:
+      os << ">=" << literal(f.lo);
+      break;
+    case FilterOp::kBetween:
+      os << " BETWEEN " << literal(f.lo) << " AND " << literal(f.hi);
+      break;
+  }
+  return os.str();
+}
+
 }  // namespace
 
 bool ColumnFilter::Matches(const Row& row, const Schema& schema) const {
@@ -46,29 +75,16 @@ bool ColumnFilter::MatchesCell(const ColumnBlock& block, size_t c,
 }
 
 std::string ColumnFilter::ToString() const {
-  std::ostringstream os;
-  os << column;
-  switch (op) {
-    case FilterOp::kEq:
-      os << "=" << lo.ToString();
-      break;
-    case FilterOp::kLt:
-      os << "<" << lo.ToString();
-      break;
-    case FilterOp::kLe:
-      os << "<=" << lo.ToString();
-      break;
-    case FilterOp::kGt:
-      os << ">" << lo.ToString();
-      break;
-    case FilterOp::kGe:
-      os << ">=" << lo.ToString();
-      break;
-    case FilterOp::kBetween:
-      os << " BETWEEN " << lo.ToString() << " AND " << hi.ToString();
-      break;
-  }
-  return os.str();
+  return Render(*this, [](const Value& v) { return v.ToString(); });
+}
+
+std::string ColumnFilter::Key() const {
+  return Render(*this, [](const Value& v) {
+    if (v.type() != ValueType::kDouble) return v.ToString();
+    char buf[32];
+    char* end = std::to_chars(buf, buf + sizeof(buf), v.AsDouble()).ptr;
+    return std::string(buf, end);
+  });
 }
 
 std::vector<std::string> IndexDef::StoredColumns(
@@ -128,7 +144,7 @@ std::string IndexDef::StructureSignature() const {
   for (const std::string& c : key_columns) out.append(c).push_back(',');
   out.push_back('|');
   for (const std::string& c : include_columns) out.append(c).push_back(',');
-  if (filter.has_value()) out.append("|F:").append(filter->ToString());
+  if (filter.has_value()) out.append("|F:").append(filter->Key());
   return out;
 }
 

@@ -32,7 +32,12 @@ struct ColumnFilter {
   // Matches for the row whose cell in this filter's column is row `r` of
   // `block`'s column `c`, tested on that typed cell alone.
   bool MatchesCell(const ColumnBlock& block, size_t c, uint64_t r) const;
+  // Report form: doubles print with six decimals (Value::ToString).
   std::string ToString() const;
+  // ToString, except that a double literal prints its shortest round-trip
+  // digits, so distinct filters never share a key. Signatures and MV
+  // predicate matching compare filters by it.
+  std::string Key() const;
 };
 
 struct IndexDef {

@@ -209,13 +209,13 @@ std::optional<MVMatcher::MVAccess> MVRegistry::Match(
   for (const ColumnFilter& qp : query.predicates) {
     const bool pinned = std::any_of(
         def->predicates.begin(), def->predicates.end(),
-        [&](const ColumnFilter& mp) { return mp.ToString() == qp.ToString(); });
+        [&](const ColumnFilter& mp) { return mp.Key() == qp.Key(); });
     if (!pinned) residual.push_back(qp);
   }
   for (const ColumnFilter& mp : def->predicates) {
     const bool matched = std::any_of(
         query.predicates.begin(), query.predicates.end(),
-        [&](const ColumnFilter& qp) { return qp.ToString() == mp.ToString(); });
+        [&](const ColumnFilter& qp) { return qp.Key() == mp.Key(); });
     if (!matched) return std::nullopt;
   }
   for (const ColumnFilter& rp : residual) {

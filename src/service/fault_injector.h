@@ -5,7 +5,9 @@
 // property that makes a fault-injected service run byte-reproducible
 // (same seed -> same faults -> same response stream).
 //
-// Faults fire at advisor phase boundaries (AdvisorOptions::fault_hook):
+// Faults fire at advisor phase boundaries: for each attempt with
+// injection enabled, the TuningService wraps the request's progress hook
+// (AdvisorOptions::progress) so the injector runs before the caller's hook:
 //   kTransient      — throw TransientTuningError; the engine reports a
 //                     retryable kError and the service retries with backoff.
 //   kForcedTimeout  — fire the attempt's cancellation flag attributed as a

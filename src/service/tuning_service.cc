@@ -272,25 +272,31 @@ void TuningService::Execute(const std::shared_ptr<Job>& job, bool degraded) {
     TuningRequest attempt_request = base;
     attempt_request.cancel = run_token;
     if (injector_.options().enabled()) {
+      // The injector runs first in the progress hook, so an injected fault
+      // (a thrown TransientTuningError or a fired cancel flag) lands before
+      // the caller's hook hears about the phase.
       const uint64_t id = job->id;
-      attempt_request.fault_hook = [this, id, attempt, cause, run_token](
-                                       const std::string& phase) mutable {
+      const auto& caller = base.progress;
+      attempt_request.progress = [this, id, attempt, cause, run_token, caller](
+                                     const std::string& phase) mutable {
         const FaultKind kind = injector_.Decide(id, attempt, phase);
-        if (kind == FaultKind::kNone) return;
-        {
-          std::lock_guard<std::mutex> lock(stats_mu_);
-          ++stats_.faults_injected;
+        if (kind != FaultKind::kNone) {
+          {
+            std::lock_guard<std::mutex> lock(stats_mu_);
+            ++stats_.faults_injected;
+          }
+          if (kind == FaultKind::kTransient) {
+            throw TransientTuningError(std::string("injected fault at '") +
+                                       phase + "'");
+          }
+          int expected = static_cast<int>(CancelCause::kNone);
+          const CancelCause as_cause = kind == FaultKind::kForcedTimeout
+                                           ? CancelCause::kForcedTimeout
+                                           : CancelCause::kSpurious;
+          cause->compare_exchange_strong(expected, static_cast<int>(as_cause));
+          run_token.RequestCancel();
         }
-        if (kind == FaultKind::kTransient) {
-          throw TransientTuningError(std::string("injected fault at '") +
-                                     phase + "'");
-        }
-        int expected = static_cast<int>(CancelCause::kNone);
-        const CancelCause as_cause = kind == FaultKind::kForcedTimeout
-                                         ? CancelCause::kForcedTimeout
-                                         : CancelCause::kSpurious;
-        cause->compare_exchange_strong(expected, static_cast<int>(as_cause));
-        run_token.RequestCancel();
+        if (caller) caller(phase);
       };
     }
 

@@ -139,7 +139,7 @@ struct ServiceStats {
   uint64_t errors = 0;
   uint64_t degraded = 0;
   uint64_t retries = 0;          // attempts beyond the first
-  uint64_t faults_injected = 0;  // fault-hook firings that did something
+  uint64_t faults_injected = 0;  // phase boundaries where a fault fired
 };
 
 class TuningService {

@@ -267,7 +267,6 @@ TEST_F(EngineTest, StrategyTableHoldsTheBuiltInPresets) {
     const AdvisorOptions want = preset();
     EXPECT_EQ(got.selection, want.selection) << name;
     EXPECT_EQ(got.backtracking, want.backtracking) << name;
-    EXPECT_EQ(got.enable_compression, want.enable_compression) << name;
     EXPECT_EQ(got.compression_variants, want.compression_variants) << name;
     EXPECT_EQ(got.size_options.enable_sort_order_deduction,
               want.size_options.enable_sort_order_deduction)
@@ -509,7 +508,7 @@ TEST(EngineMvCacheTest, ViewEstimatesDoNotLeakAcrossRequests) {
     TuningRequest request;
     request.workload.statements.push_back(*stmt);
     request.workload.statements.back().id = "Q1";
-    request.enable_mv = 1;
+    request.enable_mv = true;
     return request;
   };
 

@@ -244,7 +244,7 @@ TEST_F(EstimatorTest, SizeEstimatorBatchesAndChoosesF) {
   const std::vector<IndexDef> targets = {
       Idx({"l_shipdate"}), Idx({"l_shipdate", "l_shipmode"}),
       Idx({"l_partkey"}, CompressionKind::kPage)};
-  const SizeEstimator::BatchResult batch = estimator.EstimateAll(targets);
+  const EstimationBatch batch = estimator.EstimateAll(targets);
   EXPECT_EQ(batch.estimates.size(), 3u);
   EXPECT_GT(batch.chosen_f, 0.0);
   EXPECT_GT(batch.total_cost_pages, 0.0);
@@ -343,14 +343,14 @@ TEST_F(EstimatorTest, FractionSearchDrawsOnlyTheChosenSample) {
   SizeEstimationOptions options;
   options.pool = &pool;
   SizeEstimator size_only(db_, source_.get(), ErrorModel(), options);
-  const SizeEstimator::BatchResult a = size_only.EstimateAll(targets);
+  const EstimationBatch a = size_only.EstimateAll(targets);
   EXPECT_EQ(samples_->num_samples(), 2u) << "one sample per object";
 
   SampleManager eager_samples(1234);
   TableSampleSource eager_inner(db_, &eager_samples);
   DrawingSampleSource eager(&eager_inner);
   SizeEstimator drawing(db_, &eager, ErrorModel(), SizeEstimationOptions{});
-  const SizeEstimator::BatchResult b = drawing.EstimateAll(targets);
+  const EstimationBatch b = drawing.EstimateAll(targets);
   EXPECT_EQ(eager_samples.num_samples(), 2 * options.fractions.size());
 
   EXPECT_EQ(std::memcmp(&a.chosen_f, &b.chosen_f, sizeof(double)), 0);

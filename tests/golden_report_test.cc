@@ -61,8 +61,8 @@ struct GoldenStack {
     request.strategy = StrategyFor(tag);
     request.budget = TuningBudget::Fraction(kBudgetFrac);
     if (mv_and_partial) {
-      request.enable_mv = 1;
-      request.enable_partial = 1;
+      request.enable_mv = true;
+      request.enable_partial = true;
     }
     const TuningResponse response = engine.Tune(request);
     EXPECT_TRUE(response.ok()) << response.error;

@@ -2,6 +2,7 @@
 // synopses, Adaptive-Estimator tuple counts (Appendix B), and MV matching.
 #include <cmath>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -223,6 +224,30 @@ TEST_F(MVTest, MatchRejectsMissingAggregate) {
   idx.object = "mv_ship";
   idx.key_columns = {"l_shipdate"};
   EXPECT_FALSE(registry_->Match(idx, stmt->select).has_value());
+}
+
+TEST_F(MVTest, MatchComparesPinnedDoublesExactly) {
+  // 0.0299999 and 0.0300001 print alike at six decimals, but an MV pinned
+  // on one may hold rows a query pinned on the other must not see.
+  MVDef def = ShipdateMV();
+  def.predicates = {
+      ColumnFilter{"l_discount", FilterOp::kLe, Value::Double(0.0300001), {}}};
+  registry_->Register(def);
+  IndexDef idx;
+  idx.object = "mv_ship";
+  idx.key_columns = {"l_shipdate"};
+  for (const char* bound : {"0.0300001", "0.0299999"}) {
+    std::string err;
+    auto stmt = ParseSql(
+        std::string("SELECT l_shipdate, SUM(l_extendedprice) FROM lineitem "
+                    "WHERE l_discount <= ") +
+            bound + " GROUP BY l_shipdate",
+        db_, &err);
+    ASSERT_TRUE(stmt.has_value()) << err;
+    EXPECT_EQ(registry_->Match(idx, stmt->select).has_value(),
+              std::string(bound) == "0.0300001")
+        << bound;
+  }
 }
 
 TEST_F(MVTest, FactTableOfReportsMVOwner) {

@@ -96,15 +96,14 @@ class ParallelEstimationTest : public ::testing::Test {
 
   // Runs EstimateAll on a fresh SampleManager/estimator pair so every run
   // draws its own samples (per-key seeding makes them identical anyway).
-  SizeEstimator::BatchResult RunBatch(SizeEstimationOptions options,
-                                      uint64_t seed = 1234) {
+  EstimationBatch RunBatch(SizeEstimationOptions options,
+                           uint64_t seed = 1234) {
     return RunBatchOf(Targets(), std::move(options), ErrorModel(), seed);
   }
 
-  SizeEstimator::BatchResult RunBatchOf(const std::vector<IndexDef>& targets,
-                                        SizeEstimationOptions options,
-                                        ErrorModel model,
-                                        uint64_t seed = 1234) {
+  EstimationBatch RunBatchOf(const std::vector<IndexDef>& targets,
+                             SizeEstimationOptions options, ErrorModel model,
+                             uint64_t seed = 1234) {
     SampleManager samples(seed);
     TableSampleSource source(db_, &samples);
     SizeEstimator estimator(db_, &source, std::move(model),
@@ -119,8 +118,8 @@ class ParallelEstimationTest : public ::testing::Test {
     return options;
   }
 
-  static void ExpectBitIdentical(const SizeEstimator::BatchResult& a,
-                                 const SizeEstimator::BatchResult& b) {
+  static void ExpectBitIdentical(const EstimationBatch& a,
+                                 const EstimationBatch& b) {
     ASSERT_EQ(a.estimates.size(), b.estimates.size());
     EXPECT_EQ(std::memcmp(&a.chosen_f, &b.chosen_f, sizeof(double)), 0);
     EXPECT_EQ(
@@ -143,7 +142,7 @@ class ParallelEstimationTest : public ::testing::Test {
 };
 
 TEST_F(ParallelEstimationTest, ParallelEstimateAllBitIdenticalToSerial) {
-  const SizeEstimator::BatchResult base = RunBatch(SizeEstimationOptions{});
+  const EstimationBatch base = RunBatch(SizeEstimationOptions{});
   EXPECT_EQ(base.estimates.size(), Targets().size());
 
   for (int threads : {2, 4, 8}) {
@@ -157,7 +156,7 @@ TEST_F(ParallelEstimationTest, ParallelEstimateAllBitIdenticalToSerial) {
 TEST_F(ParallelEstimationTest, ParallelIdenticalInNoDeductionMode) {
   SizeEstimationOptions serial;
   serial.use_deduction = false;
-  const SizeEstimator::BatchResult base = RunBatch(serial);
+  const EstimationBatch base = RunBatch(serial);
   ThreadPool pool(4);
   SizeEstimationOptions parallel = serial;
   parallel.pool = &pool;
@@ -168,7 +167,7 @@ TEST_F(ParallelEstimationTest, HardwareConcurrencyPoolWorks) {
   ThreadPool pool;  // hardware concurrency
   SizeEstimationOptions options;
   options.pool = &pool;
-  const SizeEstimator::BatchResult r = RunBatch(options);
+  const EstimationBatch r = RunBatch(options);
   EXPECT_EQ(r.estimates.size(), Targets().size());
 }
 
@@ -185,20 +184,21 @@ TEST_F(ParallelEstimationTest, PartlyWarmCacheDoesNotChangeTheBatch) {
   // A cache warmed by a different batch must not steer the fraction
   // search: every target still enters the graph, so the full batch plans,
   // costs and estimates exactly as an uncached run does.
-  const SizeEstimator::BatchResult uncached = RunBatch(SizeEstimationOptions{});
+  const EstimationBatch uncached = RunBatch(SizeEstimationOptions{});
 
   auto cache = std::make_shared<EstimationCache>();
   SampleManager samples(1234);
   TableSampleSource source(db_, &samples);
   SizeEstimator estimator(db_, &source, ErrorModel(), Cached(cache));
-  const SizeEstimator::BatchResult warm =
+  const EstimationBatch warm =
       estimator.EstimateAll({Idx({"l_shipdate"}), Idx({"l_shipmode"})});
   ASSERT_GT(warm.num_sampled, 0u);
   ASSERT_GT(cache->size(), 0u);
 
-  const SizeEstimator::BatchResult batch = estimator.EstimateAll(Targets());
+  const uint64_t hits = cache->hits();
+  const EstimationBatch batch = estimator.EstimateAll(Targets());
   ExpectBitIdentical(uncached, batch);
-  EXPECT_LE(batch.cache_hits, batch.num_sampled);
+  EXPECT_LE(cache->hits() - hits, batch.num_sampled);
 }
 
 TEST_F(ParallelEstimationTest, WarmCacheServesEveryLeafOfARepeatedBatch) {
@@ -207,8 +207,8 @@ TEST_F(ParallelEstimationTest, WarmCacheServesEveryLeafOfARepeatedBatch) {
   TableSampleSource source(db_, &samples);
   SizeEstimator estimator(db_, &source, ErrorModel(), Cached(cache));
 
-  const SizeEstimator::BatchResult first = estimator.EstimateAll(Targets());
-  EXPECT_EQ(first.cache_hits, 0u);
+  const EstimationBatch first = estimator.EstimateAll(Targets());
+  EXPECT_EQ(cache->hits(), 0u);
   EXPECT_GT(first.total_cost_pages, 0.0);
   EXPECT_EQ(cache->size(), first.num_sampled);  // one entry per leaf
   ExpectBitIdentical(RunBatch(SizeEstimationOptions{}), first);
@@ -218,9 +218,9 @@ TEST_F(ParallelEstimationTest, WarmCacheServesEveryLeafOfARepeatedBatch) {
   // comes from the cache.
   std::vector<IndexDef> repeated = Targets();
   repeated.push_back(repeated.front());
-  const SizeEstimator::BatchResult second = estimator.EstimateAll(repeated);
+  const EstimationBatch second = estimator.EstimateAll(repeated);
   ExpectBitIdentical(first, second);
-  EXPECT_EQ(second.cache_hits, first.num_sampled);
+  EXPECT_EQ(cache->hits(), first.num_sampled);
   EXPECT_EQ(cache->batches(), 2u);
 }
 
@@ -231,7 +231,7 @@ TEST_F(ParallelEstimationTest, RepeatedBatchIsServedWhole) {
   CountingSampleSource source(&inner);
   SizeEstimator estimator(db_, &source, ErrorModel(), Cached(cache));
 
-  const SizeEstimator::BatchResult first = estimator.EstimateAll(Targets());
+  const EstimationBatch first = estimator.EstimateAll(Targets());
   ExpectBitIdentical(RunBatch(SizeEstimationOptions{}), first);
   EXPECT_EQ(cache->batches(), 1u);
   const size_t leaves = cache->size();
@@ -241,9 +241,8 @@ TEST_F(ParallelEstimationTest, RepeatedBatchIsServedWhole) {
 
   // The repeat builds no graph, probes no fraction and draws nothing, yet
   // counts one leaf hit per SampleCF leaf of the plan, as a re-plan would.
-  const SizeEstimator::BatchResult second = estimator.EstimateAll(Targets());
+  const EstimationBatch second = estimator.EstimateAll(Targets());
   ExpectBitIdentical(first, second);
-  EXPECT_EQ(second.cache_hits, first.num_sampled);
   EXPECT_EQ(cache->hits(), hits + first.num_sampled);
   EXPECT_EQ(cache->misses(), misses);
   EXPECT_EQ(source.calls(), calls);
@@ -285,7 +284,7 @@ TEST_F(ParallelEstimationTest, ChangingAnyKeyInputMisses) {
     SizeEstimationOptions options = v.options;
     options.cache = cache;
     SizeEstimator estimator(db_, &source, ErrorModel(v.model), options);
-    const SizeEstimator::BatchResult served = estimator.EstimateAll(v.targets);
+    const EstimationBatch served = estimator.EstimateAll(v.targets);
     EXPECT_EQ(cache->batches(), batches + 1) << "a changed input must miss";
     ExpectBitIdentical(
         RunBatchOf(v.targets, v.options, ErrorModel(v.model)), served);
@@ -296,7 +295,7 @@ TEST_F(ParallelEstimationTest, ChangingAnyKeyInputMisses) {
 }
 
 TEST_F(ParallelEstimationTest, CancelledBatchIsNotStored) {
-  const SizeEstimator::BatchResult uncached = RunBatch(SizeEstimationOptions{});
+  const EstimationBatch uncached = RunBatch(SizeEstimationOptions{});
   int batch_calls = 0;
   {
     SampleManager samples(1234);
@@ -331,7 +330,7 @@ TEST_F(ParallelEstimationTest, CacheSharedAcrossEstimators) {
   auto cache = std::make_shared<EstimationCache>();
   SampleManager samples(1234);
   TableSampleSource source(db_, &samples);
-  SizeEstimator::BatchResult first;
+  EstimationBatch first;
   {
     SizeEstimator estimator(db_, &source, ErrorModel(), Cached(cache));
     first = estimator.EstimateAll(Targets());
@@ -340,10 +339,34 @@ TEST_F(ParallelEstimationTest, CacheSharedAcrossEstimators) {
   SizeEstimationOptions options = Cached(cache);
   options.pool = &pool;
   SizeEstimator second(db_, &source, ErrorModel(), options);
-  const SizeEstimator::BatchResult r = second.EstimateAll(Targets());
+  const EstimationBatch r = second.EstimateAll(Targets());
   ExpectBitIdentical(first, r);
-  EXPECT_EQ(r.cache_hits, first.num_sampled);
   EXPECT_EQ(cache->hits(), first.num_sampled);
+}
+
+TEST_F(ParallelEstimationTest, FiltersThatPrintAlikeStayDistinct) {
+  // Two partial indexes whose double literals print alike at six decimals
+  // are two indexes: through one shared cache, each estimates exactly as a
+  // fresh estimator does.
+  auto partial = [&](double bound) {
+    IndexDef def = Idx({"l_shipdate"});
+    def.include_columns = {"l_quantity"};
+    def.filter =
+        ColumnFilter{"l_discount", FilterOp::kLe, Value::Double(bound), {}};
+    return def;
+  };
+  ASSERT_EQ(partial(0.0299999).ToString(), partial(0.0300001).ToString());
+  SampleManager samples(1234);
+  TableSampleSource source(db_, &samples);
+  SizeEstimator shared(db_, &source, ErrorModel(),
+                       Cached(std::make_shared<EstimationCache>()));
+  for (double bound : {0.0299999, 0.0300001}) {
+    SCOPED_TRACE(bound);
+    const std::vector<IndexDef> targets = {partial(bound)};
+    ExpectBitIdentical(
+        RunBatchOf(targets, SizeEstimationOptions{}, ErrorModel()),
+        shared.EstimateAll(targets));
+  }
 }
 
 TEST(EstimationCacheTest, EntriesAreKeyedByFraction) {

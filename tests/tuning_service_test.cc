@@ -391,6 +391,57 @@ TEST_F(TuningServiceTest, SeededFaultInjectionIsByteDeterministic) {
   EXPECT_EQ(StreamBytes(first), StreamBytes(second));
 }
 
+TEST_F(TuningServiceTest, InjectorRunsBeforeTheCallersProgressHook) {
+  // With injection on, the service wraps each attempt's progress hook and
+  // runs the injector first: a clean attempt's hook hears the five phases
+  // in order, and a phase where a transient fault ends the attempt is
+  // never heard. The schedule is replayed from an injector with the same
+  // options, since it is a pure hash of (request id, attempt, phase).
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.high_watermark = 0;
+  options.max_attempts = 6;
+  options.backoff_base_ms = 0.5;
+  options.backoff_cap_ms = 1.0;
+  options.faults.seed = 11;
+  options.faults.transient_rate = 0.15;
+  const FaultInjector injector(options.faults);
+  const std::vector<std::string> phases = {
+      "candidates", "estimation", "selection", "merging", "enumeration"};
+  TuningService service(engine_.get(), options);
+
+  int faulted_attempts = 0;
+  int clean_requests = 0;
+  for (int i = 0; i < 6; ++i) {
+    auto heard = std::make_shared<std::vector<std::string>>();
+    ServiceRequest request = MakeRequest("dtac-topk");
+    request.tuning.progress = [heard](const std::string& phase) {
+      heard->push_back(phase);
+    };
+    const ServiceResponse r = service.Tune(request);
+    std::vector<std::string> want;
+    for (int attempt = 1; attempt <= r.attempts; ++attempt) {
+      for (const std::string& phase : phases) {
+        if (injector.Decide(r.request_id, attempt, phase) ==
+            FaultKind::kTransient) {
+          ++faulted_attempts;
+          break;
+        }
+        want.push_back(phase);
+      }
+    }
+    EXPECT_EQ(*heard, want) << "request " << r.request_id;
+    if (r.status == ServiceStatus::kOk) {
+      ++clean_requests;
+      ASSERT_GE(heard->size(), 5u);
+      const std::vector<std::string> clean(heard->end() - 5, heard->end());
+      EXPECT_EQ(clean, phases);
+    }
+  }
+  EXPECT_GT(faulted_attempts, 0);
+  EXPECT_GT(clean_requests, 0);
+}
+
 // Three workers share one cold engine, its SampleManager and its 2-thread
 // estimation pool: a request drawing a sample across the pool holds the
 // manager's lock while other requests' leaves may block on it from the
@@ -499,7 +550,7 @@ TEST_F(TuningServiceTest, CancellationBindsInsideBatchEstimation) {
   SizeEstimationOptions options;
   options.cancel = flag;
   SizeEstimator estimator(*built_.db, &firing, ErrorModel(), options);
-  const SizeEstimator::BatchResult result =
+  const EstimationBatch result =
       estimator.EstimateAll(CompressedLineitemTargets());
 
   // The flag fired on the very first sample resolution, deep inside the
@@ -523,8 +574,8 @@ TEST_F(TuningServiceTest, UnfiredCancelFlagIsBitIdentical) {
     SizeEstimator estimator(*built_.db, &source, ErrorModel(), options);
     return estimator.EstimateAll(targets);
   };
-  const SizeEstimator::BatchResult with = run(true);
-  const SizeEstimator::BatchResult without = run(false);
+  const EstimationBatch with = run(true);
+  const EstimationBatch without = run(false);
 
   EXPECT_EQ(std::memcmp(&with.chosen_f, &without.chosen_f, sizeof(double)), 0);
   EXPECT_EQ(std::memcmp(&with.total_cost_pages, &without.total_cost_pages,
