@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -121,6 +122,23 @@ inline int BenchMain(int argc, char* const* argv, const char* bench_name,
     return 1;
   }
   return 0;
+}
+
+// True when two tunes recommend the same design: the same final cost to the
+// bit and the same index signatures in the same order.
+inline bool SameRecommendation(const AdvisorResult& a,
+                               const AdvisorResult& b) {
+  if (std::memcmp(&a.final_cost, &b.final_cost, sizeof(double)) != 0) {
+    return false;
+  }
+  if (a.config.size() != b.config.size()) return false;
+  for (size_t i = 0; i < a.config.indexes().size(); ++i) {
+    if (a.config.indexes()[i].def.Signature() !=
+        b.config.indexes()[i].def.Signature()) {
+      return false;
+    }
+  }
+  return true;
 }
 
 // Compact deterministic rendering of a double for use inside metric names
@@ -265,7 +283,7 @@ inline void PrintHeader(const std::string& title) {
 // Figures 12-17. Each (variant, budget) cell records its improvement (a
 // deterministic value), the what-if / statement-costing counters, and its
 // tuning wall time into ctx's report; every variant borrows the engine's
-// search pool for ctx.flags.threads workers.
+// estimation pool for ctx.flags.threads workers.
 struct Variant {
   std::string name;
   AdvisorOptions options;
@@ -283,7 +301,7 @@ inline void RunImprovementTable(BenchContext* ctx, Stack* s, const Workload& w,
     std::printf("%3.0f%% (%4.0fKB)", frac * 100, kb);
     for (const Variant& v : variants) {
       AdvisorOptions options = v.options;
-      options.pool = s->engine->PoolFor(ctx->flags.threads);
+      options.size_options.pool = s->engine->PoolFor(ctx->flags.threads);
       const auto t0 = std::chrono::steady_clock::now();
       const AdvisorResult r = s->Tune(options, frac, w);
       const double ms = Millis(t0, std::chrono::steady_clock::now());

@@ -23,8 +23,7 @@ RunStats RunOnce(bool use_deduction, const BenchContext& ctx) {
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
   options.enable_partial = true;
   options.enable_mv = true;
-  options.pool = s.engine->PoolFor(ctx.flags.threads);
-  options.size_options.pool = options.pool;
+  options.size_options.pool = s.engine->PoolFor(ctx.flags.threads);
   options.size_options.use_deduction = use_deduction;
   // Tighter accuracy than the defaults so the choice of method matters
   // (with e very loose, a 1%-sample SampleCF passes everywhere and both

@@ -1,32 +1,15 @@
-// Scaling benchmark for the parallel + incremental advisor search loop:
-// the full tuning run (DTAc with skyline + backtracking) over the TPC-H
-// workload, measuring (a) how many full-workload statement costings the
-// per-statement cost cache saves per greedy step, and (b) enumeration
-// wall-time at 1/2/4/8 worker threads — verifying the recommendation is
-// bit-identical in every configuration. A shared estimation cache prices
-// the candidate pool once up front, so the timed runs re-plan size
-// estimation but never re-build a sample index; the search loop dominates.
-#include <cstring>
-
+// Benchmark for the incremental advisor search loop: the full tuning run
+// (DTAc with skyline + backtracking) over the TPC-H workload, measuring how
+// many full-workload statement costings the per-statement cost cache saves
+// per greedy step, and checking the cached recommendation is bit-identical
+// to the uncached one. A shared estimation cache prices the candidate pool
+// once up front, so the timed runs never re-build a sample index; the
+// search loop dominates. The search runs on the tuning thread.
 #include "bench/bench_common.h"
 
 namespace capd {
 namespace bench {
 namespace {
-
-bool SameRecommendation(const AdvisorResult& a, const AdvisorResult& b) {
-  if (std::memcmp(&a.final_cost, &b.final_cost, sizeof(double)) != 0) {
-    return false;
-  }
-  if (a.config.size() != b.config.size()) return false;
-  for (size_t i = 0; i < a.config.indexes().size(); ++i) {
-    if (a.config.indexes()[i].def.Signature() !=
-        b.config.indexes()[i].def.Signature()) {
-      return false;
-    }
-  }
-  return true;
-}
 
 void Run(BenchContext& ctx) {
   Stack s = MakeTpchStack(ctx.flags.rows, 0.0, ctx.flags.seed);
@@ -40,7 +23,7 @@ void Run(BenchContext& ctx) {
   base.size_options.cache = std::make_shared<EstimationCache>();
   s.Tune(base, budget, w);  // warm samples + estimation cache
 
-  PrintHeader("Statement-cost cache: workload costings saved (threads=1)");
+  PrintHeader("Statement-cost cache: workload costings saved");
   std::printf("%-10s %12s %12s %12s %10s %10s\n", "cache", "what-if",
               "computed", "cached", "saved", "time");
   AdvisorResult uncached, cached;
@@ -69,26 +52,6 @@ void Run(BenchContext& ctx) {
   const bool cache_identical = SameRecommendation(uncached, cached);
   std::printf("identical recommendation: %s\n", cache_identical ? "yes" : "NO");
   ctx.report.AddCounter("identical[cache=on]", cache_identical ? 1 : 0);
-
-  PrintHeader("Enumeration thread scaling (cost cache on)");
-  std::printf("%-8s %12s %10s %10s\n", "threads", "time", "speedup",
-              "identical");
-  double serial_ms = 0.0;
-  for (int threads : {1, 2, 4, 8}) {
-    AdvisorOptions options = base;
-    options.cost_cache = true;
-    options.pool = s.engine->PoolFor(threads);
-    const auto t0 = std::chrono::steady_clock::now();
-    const AdvisorResult r = s.Tune(options, budget, w);
-    const double ms = Millis(t0, std::chrono::steady_clock::now());
-    if (threads == 1) serial_ms = ms;
-    const bool identical = SameRecommendation(uncached, r);
-    std::printf("%-8d %9.1f ms %9.2fx %10s\n", threads, ms,
-                serial_ms / std::max(ms, 1e-9), identical ? "yes" : "NO");
-    const std::string key = "[threads=" + std::to_string(threads) + "]";
-    ctx.report.AddTimeMs("tune_ms" + key, ms);
-    ctx.report.AddCounter("identical" + key, identical ? 1 : 0);
-  }
 }
 
 }  // namespace

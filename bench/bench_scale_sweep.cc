@@ -57,8 +57,7 @@ void RunScalePoint(BenchContext& ctx, uint64_t rows) {
   const double build_ms = Millis(b0, std::chrono::steady_clock::now());
 
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.pool = s.engine->PoolFor(ctx.flags.threads);
-  options.size_options.pool = options.pool;
+  options.size_options.pool = s.engine->PoolFor(ctx.flags.threads);
   // Constant absolute sample size across the sweep. Without this the
   // default fraction list would make the sample (and the estimation work)
   // grow linearly with the table, burying the sublinearity claim.

@@ -12,16 +12,22 @@
 // else, so the output pipes straight into `python3 -m json.tool`, jq, etc.
 // --trace prints each advisor phase and its wall time to stderr as the
 // progress hook reports it; stdout is unchanged.
-// Bad flags, unknown workloads and unknown strategies exit 2 with a usage
-// message, as does any request the engine rejects (e.g. --threads above
-// its 1024-thread bound).
+// --threads sizes the estimation pool only (0 = hardware concurrency, at
+// most 1024); the search runs on the request's thread, and no thread count
+// changes the answer.
+// Bad flags (negative or out-of-range numbers included), unknown workloads
+// and unknown strategies exit 2 with a usage message, as does any request
+// the engine rejects.
 //
 // --timeout-ms / --priority route the request through the TuningService
 // (deadline enforcement, priority scheduling): a deadline that fires
 // mid-tune still prints the best-so-far design, but the process exits 3 —
 // as it does on kOverloaded — so scripts can tell a degraded answer from a
 // complete one.
+#include <cerrno>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -48,8 +54,9 @@ void Usage() {
       "\n"
       "  --budget accepts a percentage of the base data size (\"15%%\") or\n"
       "  an absolute byte count (\"1048576\"); --budget-frac takes the\n"
-      "  fraction as a float. --threads drives both the search and the\n"
-      "  estimation pools (0 = hardware concurrency, at most 1024).\n"
+      "  fraction as a float. --threads sizes the size-estimation pool\n"
+      "  (0 = hardware concurrency, at most 1024); the search runs on one\n"
+      "  thread.\n"
       "  --mv/--partial add MV and partial-index candidates on top of the\n"
       "  chosen strategy.\n"
       "  --trace prints each phase and its wall time to stderr.\n"
@@ -61,11 +68,16 @@ void Usage() {
 
 // Strict numeric parsers: the whole value must parse, or we exit 2 — a
 // silently truncated \"10k\" must not become 10 (or 0 = workload default).
+// Unsigned flags take plain digits that fit in 64 bits: strtoull would
+// negate a '-' and saturate on overflow.
 uint64_t ParseUint64Flag(const char* flag, const char* text,
-                         uint64_t min_value = 0) {
+                         uint64_t min_value = 0,
+                         uint64_t max_value = UINT64_MAX) {
   char* end = nullptr;
+  errno = 0;
   const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0' || value < min_value) {
+  if (text[0] < '0' || text[0] > '9' || *end != '\0' || errno == ERANGE ||
+      value < min_value || value > max_value) {
     std::fprintf(stderr, "bad %s value '%s'\n", flag, text);
     Usage();
     std::exit(2);
@@ -84,16 +96,17 @@ double ParseDoubleFlag(const char* flag, const char* text) {
   return value;
 }
 
-// Strict signed integer (priorities may be negative); same exit-2 contract.
-int64_t ParseInt64Flag(const char* flag, const char* text) {
+// Strict signed int (priorities may be negative); same exit-2 contract,
+// and a value outside int's range is rejected rather than wrapped.
+int ParseIntFlag(const char* flag, const char* text) {
   char* end = nullptr;
   const long long value = std::strtoll(text, &end, 10);
-  if (end == text || *end != '\0') {
+  if (end == text || *end != '\0' || value < INT_MIN || value > INT_MAX) {
     std::fprintf(stderr, "bad %s value '%s'\n", flag, text);
     Usage();
     std::exit(2);
   }
-  return value;
+  return static_cast<int>(value);
 }
 
 // "15%" -> fraction, plain number -> absolute bytes. False on junk.
@@ -168,7 +181,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--budget-frac") {
       budget = TuningBudget::Fraction(ParseDoubleFlag("--budget-frac", next()));
     } else if (arg == "--threads") {
-      threads = static_cast<int>(ParseUint64Flag("--threads", next()));
+      threads = static_cast<int>(
+          ParseUint64Flag("--threads", next(), 0, kMaxTuningThreads));
     } else if (arg == "--insert-weight") {
       insert_weight = ParseDoubleFlag("--insert-weight", next());
     } else if (arg == "--timeout-ms") {
@@ -180,7 +194,7 @@ int main(int argc, char** argv) {
       }
       use_service = true;
     } else if (arg == "--priority") {
-      priority = static_cast<int>(ParseInt64Flag("--priority", next()));
+      priority = ParseIntFlag("--priority", next());
       use_service = true;
     } else if (arg == "--mv") {
       enable_mv = true;
@@ -221,7 +235,6 @@ int main(int argc, char** argv) {
   }
 
   EngineOptions engine_options;
-  engine_options.search_threads = threads;
   engine_options.estimation_threads = threads;
   AdvisorEngine engine(*built.db, engine_options);
 

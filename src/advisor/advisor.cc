@@ -110,21 +110,6 @@ std::vector<Id> Advisor::SelectCandidates(
   std::vector<Id> selected;
   std::vector<char> kept(ids.size());  // by id
 
-  // Every costing the loop below needs is independent: per SELECT query,
-  // its base (empty-configuration) cost plus one single-index cost per
-  // candidate. Fan them all across the pool — concurrent misses warm the
-  // shared StatementCostCache for the first enumeration step — then reduce
-  // serially in (query, candidate) order so the selected pool matches the
-  // serial loop to the bit at any thread count.
-  std::vector<size_t> selects;
-  selects.reserve(workload.statements.size());
-  for (size_t si = 0; si < workload.statements.size(); ++si) {
-    if (workload.statements[si].type == StatementType::kSelect) {
-      selects.push_back(si);
-    }
-  }
-  const size_t stride = 1 + candidates.size();  // base cost + one per index
-
   // Each candidate's one-index configuration and its budget charge, built
   // once and shared by every query. Candidates with one signature share
   // one id, so each is kept once.
@@ -148,35 +133,30 @@ std::vector<Id> Advisor::SelectCandidates(
                                  : ids.Cost(stmt_index, config);
   };
   const std::vector<Id> empty;
-  const std::vector<double> costs = ParallelMap<double>(
-      options_.pool, selects.size() * stride, [&](size_t j) {
-        // Skipped costings yield 0.0, which makes every candidate look
-        // irrelevant (cost >= base_cost) — harmless, because Tune discards
-        // the selection as soon as it sees the cancel flag. The cost cache
-        // is never fed skipped values.
-        if (CancelRequested()) return 0.0;
-        const size_t si = selects[j / stride];
-        const size_t c = j % stride;
-        return stmt_cost(si, c == 0 ? empty : singles[c - 1]);
-      });
-  if (result != nullptr) {
-    result->what_if_calls += selects.size() * candidates.size();
-    if (cost_cache == nullptr) {
-      result->stmt_costs_computed += selects.size() * stride;
-    }
-  }
+  struct Entry {
+    size_t c;  // candidate position
+    double cost;
+    double bytes;
+  };
+  std::vector<Entry> entries;
 
-  for (size_t q = 0; q < selects.size(); ++q) {
-    // Serial reduction over this query's precomputed costs.
-    struct Entry {
-      size_t c;  // candidate position
-      double cost;
-      double bytes;
-    };
-    std::vector<Entry> entries;
-    const double base_cost = costs[q * stride];
+  // Per SELECT query: its base (empty-configuration) cost, then one
+  // single-index cost per candidate, which double as warm-up of the cost
+  // cache for the first enumeration step.
+  for (size_t si = 0; si < workload.statements.size(); ++si) {
+    if (workload.statements[si].type != StatementType::kSelect) continue;
+    // Tune discards the selection as soon as it sees the cancel flag.
+    if (CancelRequested()) break;
+    if (result != nullptr) {
+      result->what_if_calls += candidates.size();
+      if (cost_cache == nullptr) {
+        result->stmt_costs_computed += 1 + candidates.size();
+      }
+    }
+    entries.clear();
+    const double base_cost = stmt_cost(si, empty);
     for (size_t c = 0; c < candidates.size(); ++c) {
-      const double cost = costs[q * stride + 1 + c];
+      const double cost = stmt_cost(si, singles[c]);
       if (cost >= base_cost) continue;  // irrelevant to this query
       // Size dimension of the skyline is the *budget charge*: a clustered
       // index replaces the heap, so its effective footprint can be tiny (or
@@ -219,70 +199,20 @@ std::vector<Id> Advisor::Enumerate(const std::vector<Id>& pool,
   std::vector<Id> config;
   double current_cost = WorkloadCost(ids, config, cost_cache, result);
 
-  // Trial costing, callable from pool workers (the cache and the optimizer
-  // are both thread-safe). what_if accounting happens serially afterwards
-  // so AdvisorResult is never touched concurrently.
-  auto trial_cost = [&](const std::vector<Id>& trial) {
-    return cost_cache != nullptr ? cost_cache->WorkloadCost(trial)
-                                 : ids.WorkloadCost(trial);
+  // Cooperative cancel: the configuration is coherent between trials, so
+  // stopping at any of these checks leaves the best design found so far.
+  auto cancelled = [&]() {
+    if (!CancelRequested()) return false;
+    if (result != nullptr) result->cancelled = true;
+    return true;
   };
-  auto charge_calls = [&](size_t trials) {
-    if (result == nullptr) return;
-    result->what_if_calls += trials * statements;
-    if (cost_cache == nullptr) {
-      result->stmt_costs_computed += trials * statements;
-    }
-  };
-  ThreadPool* workers = options_.pool;
 
   while (true) {
-    // Cooperative cancel: between greedy steps the configuration is always
-    // coherent, so stopping here leaves the best design found so far.
-    if (CancelRequested()) {
-      if (result != nullptr) result->cancelled = true;
-      break;
-    }
-    // An entry is addable unless a member shares its structure (the entry
-    // itself, or a compressed variant: those compete and are never useful
-    // together for our optimizer) or it is a second clustered index.
-    std::vector<size_t> addable;
-    addable.reserve(pool.size());
-    for (size_t i = 0; i < pool.size(); ++i) {
-      const IndexDef& def = ids.estimate(pool[i]).def;
-      const bool blocked =
-          std::any_of(config.begin(), config.end(), [&](Id m) {
-            const IndexDef& member = ids.estimate(m).def;
-            return ids.structure(m) == ids.structure(pool[i]) ||
-                   (def.clustered && member.clustered &&
-                    member.object == def.object);
-          });
-      if (!blocked) addable.push_back(i);
-    }
-    // Evaluate every addable candidate. The trials are independent, so
-    // they fan out across the pool; the reduction below walks them in pool
-    // order with the same comparisons as the serial loop, which makes the
-    // parallel result bit-identical at any thread count. Cached trials
-    // re-cost only the statements their added entry is relevant to.
+    if (cancelled()) return config;
+    // Evaluate every addable candidate in pool order. Cached trials re-cost
+    // only the statements their added entry is relevant to.
     StatementCostCache::Step step;
     if (cost_cache != nullptr) step = cost_cache->BeginStep(config);
-    const std::vector<double> trial_costs =
-        ParallelMap<double>(workers, addable.size(), [&](size_t k) {
-          // Infinity reads as "no benefit", so skipped trials can never be
-          // picked; the next loop iteration then observes the flag and
-          // breaks with the coherent best-so-far configuration.
-          if (CancelRequested()) {
-            return std::numeric_limits<double>::infinity();
-          }
-          const Id added = pool[addable[k]];
-          if (cost_cache != nullptr) {
-            return cost_cache->WorkloadCostWith(step, added);
-          }
-          std::vector<Id> trial = config;
-          trial.push_back(added);
-          return ids.WorkloadCost(trial);
-        });
-    charge_calls(addable.size());
-
     const double charged = ChargedBytes(ids, config);
     int best_fit = -1;       // best candidate that fits the budget
     double best_fit_score = 0.0;
@@ -290,10 +220,30 @@ std::vector<Id> Advisor::Enumerate(const std::vector<Id>& pool,
     int best_any = -1;       // best candidate ignoring the budget
     double best_any_benefit = 0.0;
 
-    for (size_t k = 0; k < addable.size(); ++k) {
-      const size_t i = addable[k];
+    for (size_t i = 0; i < pool.size(); ++i) {
+      // An entry is addable unless a member shares its structure (the
+      // entry itself, or a compressed variant: those compete and are never
+      // useful together for our optimizer) or it is a second clustered
+      // index.
       const PhysicalIndexEstimate& est = ids.estimate(pool[i]);
-      const double cost = trial_costs[k];
+      const bool blocked =
+          std::any_of(config.begin(), config.end(), [&](Id m) {
+            const IndexDef& member = ids.estimate(m).def;
+            return ids.structure(m) == ids.structure(pool[i]) ||
+                   (est.def.clustered && member.clustered &&
+                    member.object == est.def.object);
+          });
+      if (blocked) continue;
+      if (cancelled()) return config;
+      double cost;
+      if (cost_cache != nullptr) {
+        if (result != nullptr) result->what_if_calls += statements;
+        cost = cost_cache->WorkloadCostWith(step, pool[i]);
+      } else {
+        std::vector<Id> trial = config;
+        trial.push_back(pool[i]);
+        cost = WorkloadCost(ids, trial, nullptr, result);
+      }
       const double benefit = current_cost - cost;
       if (benefit <= 1e-9) continue;
       const bool fits = ChargedWith(charged, est) <= budget_bytes;
@@ -319,17 +269,14 @@ std::vector<Id> Advisor::Enumerate(const std::vector<Id>& pool,
     // otherwise the one freeing the most space (to converge).
     if (options_.backtracking && best_any >= 0 && best_any != best_fit &&
         ChargedWith(charged, ids.estimate(pool[best_any])) > budget_bytes) {
-      std::vector<Id> best_recovered;
-      double best_recovered_cost = std::numeric_limits<double>::infinity();
+      std::vector<Id> recovered;  // cheapest in-budget swap, once found
+      double recovered_cost = std::numeric_limits<double>::infinity();
       std::vector<Id> work = config;
       work.push_back(pool[best_any]);
       for (int round = 0; round < 8; ++round) {
-        // Viable swaps are gathered serially (cheap size/structure checks),
-        // the in-budget ones are what-if costed across the pool, and the
-        // winner is reduced in (member, replacement) scan order — the exact
-        // tie-breaking of the serial loop. A swap erases the member and
-        // appends its replacement: costs depend on member order.
-        std::vector<std::vector<Id>> fit_swaps;
+        // Swaps are scanned in (member, replacement) order and the first
+        // cheapest in-budget one wins. A swap erases the member and appends
+        // its replacement: costs depend on member order.
         int reduce_member = -1, reduce_repl = -1;
         double reduce_amount = 0.0;
         for (int m = 0; m < static_cast<int>(work.size()); ++m) {
@@ -343,7 +290,12 @@ std::vector<Id> Advisor::Enumerate(const std::vector<Id>& pool,
             trial.erase(trial.begin() + m);
             trial.push_back(pool[p]);
             if (ChargedBytes(ids, trial) <= budget_bytes) {
-              fit_swaps.push_back(std::move(trial));
+              if (cancelled()) return config;
+              const double cost = WorkloadCost(ids, trial, cost_cache, result);
+              if (cost < recovered_cost) {
+                recovered_cost = cost;
+                recovered = std::move(trial);
+              }
             } else if (member.bytes - repl_est.bytes > reduce_amount) {
               reduce_amount = member.bytes - repl_est.bytes;
               reduce_member = m;
@@ -351,48 +303,24 @@ std::vector<Id> Advisor::Enumerate(const std::vector<Id>& pool,
             }
           }
         }
-        const std::vector<double> swap_costs =
-            ParallelMap<double>(workers, fit_swaps.size(), [&](size_t k) {
-              // Infinite swap costs can never beat best_fit/current, so a
-              // cancel mid-backtrack leaves the configuration untouched.
-              if (CancelRequested()) {
-                return std::numeric_limits<double>::infinity();
-              }
-              return trial_cost(fit_swaps[k]);
-            });
-        charge_calls(fit_swaps.size());
-        int fit_swap = -1;
-        double fit_swap_cost = std::numeric_limits<double>::infinity();
-        for (size_t k = 0; k < fit_swaps.size(); ++k) {
-          if (swap_costs[k] < fit_swap_cost) {
-            fit_swap_cost = swap_costs[k];
-            fit_swap = static_cast<int>(k);
-          }
-        }
-        if (fit_swap >= 0) {
-          if (fit_swap_cost < best_recovered_cost) {
-            best_recovered_cost = fit_swap_cost;
-            best_recovered = std::move(fit_swaps[fit_swap]);
-          }
-          break;
-        }
-        if (reduce_member < 0) break;  // no further swaps possible
+        // Stop at the first round with an in-budget swap, or when no
+        // further swap frees space.
+        if (!recovered.empty() || reduce_member < 0) break;
         work.erase(work.begin() + reduce_member);
         work.push_back(pool[reduce_repl]);
       }
-      if (!best_recovered.empty() &&
-          best_recovered_cost < std::min(best_fit_cost, current_cost)) {
-        config = std::move(best_recovered);
-        current_cost = best_recovered_cost;
+      if (!recovered.empty() &&
+          recovered_cost < std::min(best_fit_cost, current_cost)) {
+        config = std::move(recovered);
+        current_cost = recovered_cost;
         continue;
       }
     }
 
-    if (best_fit < 0) break;
+    if (best_fit < 0) return config;
     config.push_back(pool[best_fit]);
     current_cost = best_fit_cost;
   }
-  return config;
 }
 
 AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
@@ -418,28 +346,30 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
   ReportProgress("estimation");
   if (cancelled()) return result;
 
-  // Every sized candidate is interned once, before any fan-out; the search
-  // names candidates by id from here on. The per-statement what-if cost
-  // cache lives for the whole run: nothing within one Tune invalidates a
-  // statement cost (database and sizes are fixed), and the single-index
-  // costings of candidate selection double as warm-up for the first
-  // enumeration step.
+  // Every sized candidate is interned once; the search names candidates by
+  // id from here on. The per-statement what-if cost cache lives for the
+  // whole run: nothing within one Tune invalidates a statement cost
+  // (database and sizes are fixed), and the single-index costings of
+  // candidate selection double as warm-up for the first enumeration step.
   CandidateIds ids(*db_, *optimizer_, workload);
   for (const auto& [signature, est] : sizes) ids.Intern(signature, est);
   std::unique_ptr<StatementCostCache> cost_cache;
   if (options_.cost_cache) {
     cost_cache = std::make_unique<StatementCostCache>(ids);
   }
+  // The cost cache's counters land in the result on every later exit.
+  auto tally_cost_cache = [&]() {
+    if (cost_cache == nullptr) return;
+    result.stmt_costs_computed += cost_cache->misses();
+    result.stmt_costs_cached += cost_cache->hits();
+  };
 
   // 3. Per-query candidate selection (top-k or skyline).
   std::vector<Id> pool =
       SelectCandidates(candidates, ids, cost_cache.get(), &result);
   ReportProgress("selection");
   if (cancelled()) {
-    if (cost_cache != nullptr) {
-      result.stmt_costs_computed += cost_cache->misses();
-      result.stmt_costs_cached += cost_cache->hits();
-    }
+    tally_cost_cache();
     return result;
   }
 
@@ -467,10 +397,7 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
   result.num_candidates = pool.size();
   ReportProgress("merging");
   if (cancelled()) {
-    if (cost_cache != nullptr) {
-      result.stmt_costs_computed += cost_cache->misses();
-      result.stmt_costs_cached += cost_cache->hits();
-    }
+    tally_cost_cache();
     return result;
   }
 
@@ -484,10 +411,7 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
   result.config = ids.ToConfiguration(config);
   result.charged_bytes = ChargedBytes(result.config);
   ReportProgress("enumeration");
-  if (cost_cache != nullptr) {
-    result.stmt_costs_computed += cost_cache->misses();
-    result.stmt_costs_cached += cost_cache->hits();
-  }
+  tally_cost_cache();
   return result;
 }
 

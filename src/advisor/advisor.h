@@ -2,6 +2,9 @@
 // per-query candidate selection (top-k or skyline) → merging → size
 // estimation (Section 5 framework) → enumeration (greedy, optionally
 // density-based, optionally with the Section 6.2 backtracking recovery).
+// Size estimation may run on a borrowed pool (size_options.pool); the
+// search — selection, enumeration and backtracking — runs its what-if
+// costings in plain loops on the calling thread.
 #ifndef CAPD_ADVISOR_ADVISOR_H_
 #define CAPD_ADVISOR_ADVISOR_H_
 
@@ -12,7 +15,6 @@
 
 #include "advisor/advisor_options.h"
 #include "advisor/candidates.h"
-#include "common/thread_pool.h"
 #include "estimator/size_estimator.h"
 #include "optimizer/cost_cache.h"
 #include "optimizer/what_if.h"
@@ -86,10 +88,9 @@ class Advisor {
   // that appear in the query's top-k configurations or on its size/cost
   // skyline, and return their ids, each once, in the order first kept.
   // Every candidate must be interned in `ids`. The single-index costings
-  // go through `cost_cache` (may be null), where they double as warm-up
-  // for the first enumeration step; they fan out over the search pool and
-  // are reduced serially in (query, candidate) order, so the selected pool
-  // is bit-identical at any thread count. Public for tests and tooling.
+  // run in (query, candidate) order through `cost_cache` (may be null),
+  // where they double as warm-up for the first enumeration step. Public
+  // for tests and tooling.
   std::vector<CandidateIds::Id> SelectCandidates(
       const std::vector<IndexDef>& candidates, const CandidateIds& ids,
       StatementCostCache* cost_cache, AdvisorResult* result) const;
@@ -97,8 +98,8 @@ class Advisor {
  private:
   // Greedy enumeration with optional backtracking over the candidates
   // `pool` names; returns the chosen ids in configuration order.
-  // `cost_cache` may be null (uncached costing); trial evaluations run on
-  // the search pool.
+  // `cost_cache` may be null (uncached costing). A cancel stops it between
+  // trials with the configuration of the last completed step.
   std::vector<CandidateIds::Id> Enumerate(
       const std::vector<CandidateIds::Id>& pool, const CandidateIds& ids,
       double budget_bytes, StatementCostCache* cost_cache,

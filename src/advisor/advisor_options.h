@@ -54,14 +54,10 @@ struct AdvisorOptions {
   EnumerationMode enumeration = EnumerationMode::kGreedy;
   bool backtracking = true;  // Section 6.2 oversize recovery
 
-  // --- search-loop performance knobs ---
-  // Borrowed pool for the advisor's independent what-if costings: the
-  // per-query single-index costings of SelectCandidates and Enumerate's
-  // trial evaluations (the main candidate loop and the backtracking swap
-  // search). Null = serial.
-  // Results are bit-identical at any pool size: costings are reduced
-  // serially in pool order. Independent of size_options.pool.
-  ThreadPool* pool = nullptr;
+  // --- search-loop performance knob ---
+  // The search's what-if costings (selection, enumeration, backtracking)
+  // run on the tuning thread; only size estimation takes a pool
+  // (size_options.pool).
   // Per-statement what-if cost cache: adding an index only changes the
   // cost of statements touching its object, so unchanged statements reuse
   // cached costs across trials (bit-identical to uncached costing). The

@@ -1,5 +1,6 @@
 #include "common/bench_report.h"
 
+#include <cerrno>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -153,11 +154,14 @@ bool BenchReport::WriteJsonFile(const std::string& path,
 
 namespace {
 
+// Plain decimal digits that fit in 64 bits: strtoull would also take a
+// sign (negating the value after a '-') and saturate on overflow.
 bool ParseU64(const char* s, uint64_t* out) {
-  if (s == nullptr || *s == '\0') return false;
+  if (s == nullptr || *s < '0' || *s > '9') return false;
   char* end = nullptr;
+  errno = 0;
   const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == nullptr || *end != '\0') return false;
+  if (end == nullptr || *end != '\0' || errno == ERANGE) return false;
   *out = static_cast<uint64_t>(v);
   return true;
 }

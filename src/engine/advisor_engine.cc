@@ -109,29 +109,20 @@ TuningResponse AdvisorEngine::Tune(const TuningRequest& request) {
       static_cast<double>(db_->BaseDataBytes()));
   response.budget_bytes = budget_bytes;
 
-  // Bound the thread counts before any pool exists (kMaxTuningThreads).
-  const int search_threads = request.search_threads >= 0
-                                 ? request.search_threads
-                                 : options_.search_threads;
+  // Bound the thread count before any pool exists (kMaxTuningThreads).
   const int estimation_threads = request.estimation_threads >= 0
                                      ? request.estimation_threads
                                      : options_.estimation_threads;
-  auto too_many = [&](const char* field, int threads) {
-    if (threads <= kMaxTuningThreads) return false;
+  if (estimation_threads > kMaxTuningThreads) {
     response.status = TuningResponse::Status::kError;
-    response.error = std::string("invalid ") + field + ": " +
-                     std::to_string(threads) + " threads, at most " +
+    response.error = "invalid estimation_threads: " +
+                     std::to_string(estimation_threads) + " threads, at most " +
                      std::to_string(kMaxTuningThreads);
-    return true;
-  };
-  if (too_many("search_threads", search_threads) ||
-      too_many("estimation_threads", estimation_threads)) {
     return response;
   }
 
   // Strategy base options + request knobs + engine-owned collaborators.
   AdvisorOptions options = strategy->MakeOptions();
-  options.pool = PoolFor(search_threads);
   options.size_options.pool = PoolFor(estimation_threads);
   options.size_options.cache = estimation_cache_;
   options.enable_mv = request.enable_mv;

@@ -21,10 +21,11 @@
 // estimation batches keyed by every input they read, and otherwise
 // SampleCF leaves keyed by signature, object identity and the bits of the
 // fraction an uncached run picks; the statement cost cache is
-// per-request. The shared pools only change who runs a costing, never the
-// order it is reduced in, so warmth and thread counts change latency,
-// never results. Every cached entry is a function of the engine's
-// Database too, which therefore must not change under the engine.
+// per-request and lives on the request's thread, which runs the whole
+// search. The shared estimation pools only change who samples a leaf,
+// never the order results are reduced in, so warmth and thread counts
+// change latency, never results. Every cached entry is a function of the
+// engine's Database too, which therefore must not change under the engine.
 //
 // The raw Advisor (advisor/advisor.h) remains the low-level layer for
 // callers that need to hand-wire collaborators; TuneWithOptions() is the
@@ -46,18 +47,18 @@
 
 namespace capd {
 
-// Upper bound on a request's resolved search or estimation thread count.
-// Each count becomes a pool of that many OS threads, and a failed thread
-// spawn aborts the process, so Tune rejects larger counts with a kError.
+// Upper bound on a request's resolved estimation thread count. Each count
+// becomes a pool of that many OS threads, and a failed thread spawn aborts
+// the process, so Tune rejects larger counts with a kError.
 inline constexpr int kMaxTuningThreads = 1024;
 
 struct EngineOptions {
-  // Default worker threads for a request's search loop (what-if costings)
-  // and estimation batches; 1 = serial, 0 = hardware concurrency, at most
-  // kMaxTuningThreads. Requests may override per call. Each count maps to
-  // an engine-owned pool (PoolFor) shared across concurrent requests
-  // (results stay bit-identical at any thread count).
-  int search_threads = 1;
+  // Default worker threads for a request's estimation batches; 1 = serial,
+  // 0 = hardware concurrency, at most kMaxTuningThreads. Requests may
+  // override per call. Each count maps to an engine-owned pool (PoolFor)
+  // shared across concurrent requests (results stay bit-identical at any
+  // thread count). The search's what-if costings always run on the
+  // request's own thread.
   int estimation_threads = 1;
 
   // Seed of the engine-owned SampleManager. Samples are seeded per cache
@@ -115,9 +116,8 @@ struct TuningRequest {
   TuningBudget budget;  // default: 20% of base data
 
   // --- knobs ---
-  // Thread counts as in EngineOptions (engine default when negative);
-  // above kMaxTuningThreads the request fails with kError.
-  int search_threads = -1;
+  // Estimation threads as in EngineOptions (engine default when
+  // negative); above kMaxTuningThreads the request fails with kError.
   int estimation_threads = -1;
   // MV and partial-index candidate classes; no strategy preset enables
   // either. MV-enabled requests tune against a request-private MV
@@ -133,7 +133,7 @@ struct TuningRequest {
   std::function<void(const std::string& phase)> progress;
   // Cancel handle; keep a copy and call RequestCancel() to stop the run at
   // the next phase boundary or enumeration step. Also polled inside the
-  // batch-estimation fraction probes / SampleCF leaves and the pooled
+  // batch-estimation fraction probes / SampleCF leaves and the search's
   // costing loops, so a cancel binds within long phases too.
   CancellationToken cancel;
 };
@@ -179,9 +179,9 @@ class AdvisorEngine {
 
   // Low-level escape hatch: run Advisor::Tune with caller-built options on
   // the engine-owned stack. The options are used exactly as given: their
-  // pools (null = serial) and their estimation cache (null = none), not
-  // the engine's. Callers borrow engine pools through PoolFor. Benches use
-  // this for ablation variants no built-in strategy covers.
+  // estimation pool (null = serial) and their estimation cache (null =
+  // none), not the engine's. Callers borrow engine pools through PoolFor.
+  // Benches use this for ablation variants no built-in strategy covers.
   AdvisorResult TuneWithOptions(const Workload& workload, double budget_bytes,
                                 const AdvisorOptions& options);
 

@@ -136,15 +136,16 @@ double CandidateIds::WorkloadCost(const std::vector<Id>& config) const {
 }
 
 StatementCostCache::StatementCostCache(const CandidateIds& ids)
-    : ids_(&ids), shards_(ids.workload().statements.size()) {}
+    : ids_(&ids), tries_(ids.workload().statements.size()) {}
 
-uint32_t StatementCostCache::Child(Shard* shard, uint32_t node, Id id) {
+uint32_t StatementCostCache::Child(size_t stmt_index, uint32_t node, Id id) {
+  Trie& trie = tries_[stmt_index];
   const uint64_t edge = uint64_t{node} << 32 | id;
-  const auto it = shard->edges.find(edge);
-  if (it != shard->edges.end()) return it->second;
-  const uint32_t child = static_cast<uint32_t>(shard->nodes.size());
-  shard->nodes.emplace_back();
-  shard->edges.emplace(edge, child);
+  const auto it = trie.edges.find(edge);
+  if (it != trie.edges.end()) return it->second;
+  const uint32_t child = static_cast<uint32_t>(trie.nodes.size());
+  trie.nodes.emplace_back();
+  trie.edges.emplace(edge, child);
   return child;
 }
 
@@ -155,45 +156,28 @@ uint32_t StatementCostCache::Walk(size_t stmt_index,
   // configuration order), so the walk follows that order — never sorts.
   uint32_t node = 0;
   for (const Id id : config) {
-    if (ids_->relevant(stmt_index, id)) {
-      node = Child(&shards_[stmt_index], node, id);
-    }
+    if (ids_->relevant(stmt_index, id)) node = Child(stmt_index, node, id);
   }
   return node;
 }
 
 template <typename MembersFn>
-double StatementCostCache::CostAt(size_t stmt_index,
-                                  std::unique_lock<std::mutex> lock,
-                                  uint32_t node, MembersFn&& members,
-                                  bool count_hit) {
-  Shard& shard = shards_[stmt_index];
-  if (shard.nodes[node].costed) {
-    if (count_hit) hits_.fetch_add(1, std::memory_order_relaxed);
-    return shard.nodes[node].cost;
+double StatementCostCache::CostAt(size_t stmt_index, uint32_t node,
+                                  MembersFn&& members, bool count_hit) {
+  Node& entry = tries_[stmt_index].nodes[node];
+  if (entry.costed) {
+    if (count_hit) ++hits_;
+    return entry.cost;
   }
-  lock.unlock();
-  const double cost =
-      ids_->optimizer().Cost(ids_->prepared(stmt_index), members());
-  lock.lock();
-  // Only the storing call counts as a miss; a concurrent miss that lost
-  // the race counts as the hit it would have been serially.
-  Node& entry = shard.nodes[node];
-  if (!entry.costed) {
-    entry.cost = cost;
-    entry.costed = true;
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  } else if (count_hit) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return cost;
+  entry.cost = ids_->optimizer().Cost(ids_->prepared(stmt_index), members());
+  entry.costed = true;
+  ++misses_;
+  return entry.cost;
 }
 
 double StatementCostCache::Cost(size_t stmt_index,
                                 const std::vector<Id>& config) {
-  std::unique_lock<std::mutex> lock(shards_[stmt_index].mu);
-  const uint32_t node = Walk(stmt_index, config);
-  return CostAt(stmt_index, std::move(lock), node,
+  return CostAt(stmt_index, Walk(stmt_index, config),
                 [&] { return ids_->Members(config); });
 }
 
@@ -206,10 +190,7 @@ double StatementCostCache::WorkloadCost(const std::vector<Id>& config) {
   const Workload& workload = ids_->workload();
   double total = 0.0;
   for (size_t i = 0; i < workload.statements.size(); ++i) {
-    std::unique_lock<std::mutex> lock(shards_[i].mu);
-    const uint32_t node = Walk(i, config);
-    total += workload.statements[i].weight *
-             CostAt(i, std::move(lock), node, given);
+    total += workload.statements[i].weight * CostAt(i, Walk(i, config), given);
   }
   return total;
 }
@@ -223,11 +204,10 @@ StatementCostCache::Step StatementCostCache::BeginStep(
   };
   Step step;
   step.config = &config;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    std::unique_lock<std::mutex> lock(shards_[i].mu);
+  for (size_t i = 0; i < tries_.size(); ++i) {
     step.nodes.push_back(Walk(i, config));
-    step.costs.push_back(CostAt(i, std::move(lock), step.nodes.back(), given,
-                                /*count_hit=*/false));
+    step.costs.push_back(
+        CostAt(i, step.nodes.back(), given, /*count_hit=*/false));
   }
   return step;
 }
@@ -244,19 +224,15 @@ double StatementCostCache::WorkloadCostWith(const Step& step, Id added) {
   // Same weighted terms in the same statement order as WorkloadCost.
   const Workload& workload = ids_->workload();
   double total = 0.0;
-  uint64_t reused = 0;
   for (size_t i = 0; i < workload.statements.size(); ++i) {
     double cost = step.costs[i];
     if (ids_->relevant(i, added)) {
-      std::unique_lock<std::mutex> lock(shards_[i].mu);
-      const uint32_t node = Child(&shards_[i], step.nodes[i], added);
-      cost = CostAt(i, std::move(lock), node, given);
+      cost = CostAt(i, Child(i, step.nodes[i], added), given);
     } else {
-      ++reused;
+      ++hits_;
     }
     total += workload.statements[i].weight * cost;
   }
-  hits_.fetch_add(reused, std::memory_order_relaxed);
   return total;
 }
 

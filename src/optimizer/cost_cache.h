@@ -1,11 +1,10 @@
 // Candidate ids and the per-statement what-if cost cache of one search.
 //
-// CandidateIds interns each sized candidate of a tune once, before any
-// fan-out: one dense id per distinct signature, naming the candidate's size
-// estimate, its structure (shared by its compressed variants) and the
-// statements it is relevant to. The greedy search holds a configuration as
-// an ordered list of ids, so a trial appends an id instead of copying a
-// Configuration, and costing reads the interned entries without a lock.
+// CandidateIds interns each sized candidate of a tune once: one dense id
+// per distinct signature, naming the candidate's size estimate, its
+// structure (shared by its compressed variants) and the statements it is
+// relevant to. The greedy search holds a configuration as an ordered list
+// of ids, so a trial appends an id instead of copying a Configuration.
 //
 // StatementCostCache memoizes Cost(statement, config) by the ordered
 // subsequence of config ids relevant to that statement. Adding one index
@@ -13,6 +12,8 @@
 // greedy step costs O(pool × affected statements) instead of O(pool ×
 // workload), while staying bit-identical to the uncached optimizer: a hit
 // returns a double produced by the exact computation a miss would run.
+// Each Tune builds its own cache and uses it from the tuning thread only,
+// so it takes no lock; the optimizer it calls is shared and thread-safe.
 //
 // Relevance mirrors the optimizer's own gates conservatively (an index
 // marked relevant may still contribute nothing; an index marked irrelevant
@@ -24,9 +25,7 @@
 #ifndef CAPD_OPTIMIZER_COST_CACHE_H_
 #define CAPD_OPTIMIZER_COST_CACHE_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -49,8 +48,7 @@ class CandidateIds {
   // Interns `est`, whose IndexDef::Signature() is `signature`, and returns
   // its id; a signature interned before keeps its id, and must come with
   // the same estimate. Both referents must outlive this: a sizes map's key
-  // and value serve. Interning is serial; call it before any fan-out.
-  // Every const member is a lock-free read.
+  // and value serve.
   Id Intern(const std::string& signature, const PhysicalIndexEstimate& est);
   // The id interned under `signature`; CHECK-fails if there is none.
   Id Find(const std::string& signature) const;
@@ -98,11 +96,8 @@ class CandidateIds {
   std::vector<char> relevant_;
 };
 
-// Thread-safe: Enumerate's parallel trial evaluations share one cache.
-// Concurrent misses on the same key both run the (pure, deterministic)
-// optimizer and insert the same value, so results are independent of
-// thread count and interleaving. So are the counters: misses() is the
-// number of distinct keys costed, hits() every other call.
+// Single-threaded. misses() is the number of distinct keys costed, hits()
+// every other call.
 class StatementCostCache {
  public:
   using Id = CandidateIds::Id;
@@ -138,41 +133,38 @@ class StatementCostCache {
   double WorkloadCostWith(const Step& step, Id added);
 
   // Statement costings served from the cache / computed by the optimizer.
-  uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
-  uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
 
  private:
-  // One statement's costs, sharded per statement so the selection and
-  // enumeration fan-out contends per statement. Entries form a trie over
-  // relevant ids: node 0 is the empty subsequence, and the edge (node, id)
-  // leads to that subsequence extended by id. A lookup walks one edge per
-  // relevant member, so a hit builds no key and allocates nothing.
+  // One statement's costs. Entries form a trie over relevant ids: node 0
+  // is the empty subsequence, and the edge (node, id) leads to that
+  // subsequence extended by id. A lookup walks one edge per relevant
+  // member, so a hit builds no key and allocates nothing.
   struct Node {
     double cost = 0.0;
     bool costed = false;
   };
-  struct Shard {
-    std::mutex mu;
+  struct Trie {
     std::unordered_map<uint64_t, uint32_t> edges;  // node << 32 | id -> node
     std::vector<Node> nodes = std::vector<Node>(1);
   };
 
-  // Both under the shard's lock: the node one edge below `node` along `id`,
-  // and the node of `config`'s relevant subsequence; each adds the nodes
-  // it passes through.
-  static uint32_t Child(Shard* shard, uint32_t node, Id id);
+  // The node one edge below `node` along `id` in statement `stmt_index`'s
+  // trie, and the node of `config`'s relevant subsequence; each adds the
+  // nodes it passes through.
+  uint32_t Child(size_t stmt_index, uint32_t node, Id id);
   uint32_t Walk(size_t stmt_index, const std::vector<Id>& config);
-  // Cost of statement `stmt_index` at `node`, given its shard's `lock`;
-  // `members()` yields the configuration on a miss. With `count_hit`
-  // false a hit is uncounted.
+  // Cost of statement `stmt_index` at `node`; `members()` yields the
+  // configuration on a miss. With `count_hit` false a hit is uncounted.
   template <typename MembersFn>
-  double CostAt(size_t stmt_index, std::unique_lock<std::mutex> lock,
-                uint32_t node, MembersFn&& members, bool count_hit = true);
+  double CostAt(size_t stmt_index, uint32_t node, MembersFn&& members,
+                bool count_hit = true);
 
   const CandidateIds* ids_;
-  std::vector<Shard> shards_;  // one per workload statement
-  std::atomic<uint64_t> hits_{0};
-  std::atomic<uint64_t> misses_{0};
+  std::vector<Trie> tries_;  // one per workload statement
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
 };
 
 }  // namespace capd

@@ -179,7 +179,9 @@ TEST_F(AdvisorTest, MergingProducesWiderIndexes) {
 // A merged candidate the first batch already sized keeps that first
 // estimate: selection charged and costed it, and the statement cost cache
 // keeps those costings. So the cached search and the uncached one
-// (cost_cache = false) price every candidate alike and agree to the bit.
+// (cost_cache = false) price every candidate alike and agree to the bit,
+// with the same logical what-if traffic; the cache only serves some of the
+// costings instead of running the optimizer.
 TEST(AdvisorCostCacheTest, CachedSearchMatchesUncachedSearch) {
   for (const char* name : {"tpch", "tpcds-lite"}) {
     workloads::WorkloadSpec spec;
@@ -189,30 +191,38 @@ TEST(AdvisorCostCacheTest, CachedSearchMatchesUncachedSearch) {
     std::string error;
     ASSERT_TRUE(workloads::Build(spec, &built, &error)) << error;
     AdvisorEngine engine(*built.db);
-    const AdvisorOptions cached =
-        StrategyRegistry::Global().Find("dtac-topk")->MakeOptions();
-    AdvisorOptions uncached = cached;
-    uncached.cost_cache = false;
-    for (const double fraction : {0.05, 0.10, 0.20, 0.30}) {
-      SCOPED_TRACE(std::string(name) + " " + std::to_string(fraction));
-      const double budget =
-          fraction * static_cast<double>(built.db->BaseDataBytes());
-      const AdvisorResult a =
-          engine.TuneWithOptions(built.workload, budget, cached);
-      const AdvisorResult b =
-          engine.TuneWithOptions(built.workload, budget, uncached);
-      EXPECT_EQ(std::memcmp(&a.initial_cost, &b.initial_cost, sizeof(double)),
-                0);
-      EXPECT_EQ(std::memcmp(&a.final_cost, &b.final_cost, sizeof(double)), 0);
-      EXPECT_EQ(
-          std::memcmp(&a.charged_bytes, &b.charged_bytes, sizeof(double)), 0);
-      EXPECT_EQ(a.what_if_calls, b.what_if_calls);
-      ASSERT_EQ(a.config.size(), b.config.size());
-      for (size_t i = 0; i < a.config.size(); ++i) {
-        const PhysicalIndexEstimate& x = a.config.indexes()[i];
-        const PhysicalIndexEstimate& y = b.config.indexes()[i];
-        EXPECT_EQ(x.def.Signature(), y.def.Signature());
-        EXPECT_EQ(std::memcmp(&x.bytes, &y.bytes, sizeof(double)), 0);
+    for (const char* strategy : {"dtac-topk", "dtac-both"}) {
+      const AdvisorOptions cached =
+          StrategyRegistry::Global().Find(strategy)->MakeOptions();
+      AdvisorOptions uncached = cached;
+      uncached.cost_cache = false;
+      for (const double fraction : {0.05, 0.10, 0.20, 0.30}) {
+        SCOPED_TRACE(std::string(name) + " " + strategy + " " +
+                     std::to_string(fraction));
+        const double budget =
+            fraction * static_cast<double>(built.db->BaseDataBytes());
+        const AdvisorResult a =
+            engine.TuneWithOptions(built.workload, budget, cached);
+        const AdvisorResult b =
+            engine.TuneWithOptions(built.workload, budget, uncached);
+        EXPECT_EQ(
+            std::memcmp(&a.initial_cost, &b.initial_cost, sizeof(double)), 0);
+        EXPECT_EQ(std::memcmp(&a.final_cost, &b.final_cost, sizeof(double)),
+                  0);
+        EXPECT_EQ(
+            std::memcmp(&a.charged_bytes, &b.charged_bytes, sizeof(double)),
+            0);
+        EXPECT_EQ(a.what_if_calls, b.what_if_calls);
+        EXPECT_GT(a.stmt_costs_cached, 0u);
+        EXPECT_LT(a.stmt_costs_computed, b.stmt_costs_computed);
+        ASSERT_EQ(a.config.size(), b.config.size());
+        for (size_t i = 0; i < a.config.size(); ++i) {
+          const PhysicalIndexEstimate& x = a.config.indexes()[i];
+          const PhysicalIndexEstimate& y = b.config.indexes()[i];
+          EXPECT_EQ(x.def.Signature(), y.def.Signature());
+          EXPECT_EQ(std::memcmp(&x.bytes, &y.bytes, sizeof(double)), 0);
+          EXPECT_EQ(std::memcmp(&x.tuples, &y.tuples, sizeof(double)), 0);
+        }
       }
     }
   }

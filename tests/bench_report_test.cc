@@ -203,6 +203,9 @@ TEST(ParseBenchFlagsTest, RejectsBadValues) {
       {"b", "--rows"},             // missing argument
       {"b", "--rows", "abc"},      // non-numeric
       {"b", "--rows", "0"},        // zero invalid (0 is "unset", not a size)
+      {"b", "--rows", "-5"},       // signed: strtoull would wrap it
+      {"b", "--seed", "-1"},       // signed
+      {"b", "--seed", "99999999999999999999"},  // past 2^64: would saturate
       {"b", "--threads", "0"},     // below minimum
       {"b", "--threads", "9999"},  // above maximum
       {"b", "--frobnicate"},       // unknown flag

@@ -1,9 +1,9 @@
-// Determinism and invariant tests for the parallel per-query candidate
-// selection phase (and the staged baseline's stage 2): any thread count,
-// cache on or off, must reproduce the serial selection to the bit; the
-// skyline must be mutually non-dominated in (budget charge, cost); top-k
-// must be a prefix of the cost-sorted improving candidates; and the staged
-// baseline must never beat DTAc on total workload cost.
+// Determinism and invariant tests for the per-query candidate selection
+// phase (and the staged baseline's stage 2): the cost cache on must
+// reproduce the uncached selection and tune to the bit; the skyline must be
+// mutually non-dominated in (budget charge, cost); top-k must be a prefix
+// of the cost-sorted improving candidates; and the staged baseline must
+// never beat DTAc on total workload cost.
 #include <algorithm>
 #include <cstring>
 #include <limits>
@@ -31,7 +31,7 @@ class CandidateSelectionTest : public ::testing::Test {
     optimizer_->set_mv_matcher(mvs_.get());
 
     // One candidate pool + size map shared by every selection run: the
-    // inputs are fixed, only the thread count / cache wiring varies.
+    // inputs are fixed, only the cache wiring varies.
     const AdvisorOptions options = AdvisorOptions::DTAcBoth();
     estimator_ = std::make_unique<SizeEstimator>(db_, mvs_.get(), ErrorModel(),
                                                  options.size_options);
@@ -114,29 +114,17 @@ class CandidateSelectionTest : public ::testing::Test {
   std::map<std::string, PhysicalIndexEstimate> sizes_;
 };
 
-TEST_F(CandidateSelectionTest, ParallelSelectionIdenticalToSerial) {
+TEST_F(CandidateSelectionTest, CachedSelectionMatchesUncached) {
   for (CandidateSelectionMode mode :
        {CandidateSelectionMode::kSkyline, CandidateSelectionMode::kTopK}) {
-    AdvisorOptions serial = AdvisorOptions::DTAcBoth();
-    serial.selection = mode;
-    const std::vector<IndexDef> base = Select(workload_, serial, false);
+    AdvisorOptions options = AdvisorOptions::DTAcBoth();
+    options.selection = mode;
+    const std::vector<IndexDef> base = Select(workload_, options, false);
     EXPECT_GT(base.size(), 0u);
-
-    for (int threads : {1, 2, 4, 8}) {
-      // One thread means serial: no pool.
-      const std::unique_ptr<ThreadPool> pool =
-          threads == 1 ? nullptr : std::make_unique<ThreadPool>(threads);
-      for (bool cache : {false, true}) {
-        AdvisorOptions options = serial;
-        options.pool = pool.get();
-        const std::vector<IndexDef> got = Select(workload_, options, cache);
-        ASSERT_EQ(base.size(), got.size())
-            << "threads=" << threads << " cache=" << cache;
-        for (size_t i = 0; i < base.size(); ++i) {
-          EXPECT_EQ(base[i].Signature(), got[i].Signature())
-              << "threads=" << threads << " cache=" << cache << " i=" << i;
-        }
-      }
+    const std::vector<IndexDef> got = Select(workload_, options, true);
+    ASSERT_EQ(base.size(), got.size());
+    for (size_t i = 0; i < base.size(); ++i) {
+      EXPECT_EQ(base[i].Signature(), got[i].Signature()) << i;
     }
   }
 }
@@ -223,36 +211,27 @@ TEST_F(CandidateSelectionTest, StagedBaselineNeverBeatsDTAc) {
   }
 }
 
-TEST_F(CandidateSelectionTest, StagedBaselineParallelIdenticalToSerial) {
-  AdvisorOptions serial = AdvisorOptions::DTAcNone();
-  serial.cost_cache = false;
-  const AdvisorResult base = Tune(serial, 0.15, /*staged=*/true);
-
-  for (int threads : {2, 4, 8}) {
-    ThreadPool pool(threads);
-    for (bool cache : {false, true}) {
-      AdvisorOptions parallel = serial;
-      parallel.cost_cache = cache;
-      parallel.pool = &pool;
-      ExpectBitIdentical(base, Tune(parallel, 0.15, /*staged=*/true));
-    }
-  }
+TEST_F(CandidateSelectionTest, CachedStagedBaselineMatchesUncached) {
+  AdvisorOptions uncached = AdvisorOptions::DTAcNone();
+  uncached.cost_cache = false;
+  AdvisorOptions cached = uncached;
+  cached.cost_cache = true;
+  ExpectBitIdentical(Tune(uncached, 0.15, /*staged=*/true),
+                     Tune(cached, 0.15, /*staged=*/true));
 }
 
-TEST_F(CandidateSelectionTest, FullTuneParallelIdenticalToSerial) {
-  AdvisorOptions serial = AdvisorOptions::DTAcBoth();
-  serial.cost_cache = false;
-  const AdvisorResult base = Tune(serial, 0.12);
-
-  for (int threads : {2, 4, 8}) {
-    ThreadPool pool(threads);
-    AdvisorOptions parallel = serial;
-    parallel.cost_cache = true;
-    parallel.pool = &pool;
-    const AdvisorResult r = Tune(parallel, 0.12);
-    ExpectBitIdentical(base, r);
-    // Selection costings now flow through the shared cost cache and warm
-    // it for enumeration.
+TEST_F(CandidateSelectionTest, CachedFullTuneMatchesUncached) {
+  for (EnumerationMode mode :
+       {EnumerationMode::kGreedy, EnumerationMode::kDensityGreedy}) {
+    AdvisorOptions uncached = AdvisorOptions::DTAcBoth();
+    uncached.enumeration = mode;
+    uncached.cost_cache = false;
+    AdvisorOptions cached = uncached;
+    cached.cost_cache = true;
+    const AdvisorResult r = Tune(cached, 0.12);
+    ExpectBitIdentical(Tune(uncached, 0.12), r);
+    // Selection costings flow through the cost cache and warm it for
+    // enumeration.
     EXPECT_GT(r.stmt_costs_cached, 0u);
   }
 }

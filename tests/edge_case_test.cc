@@ -135,14 +135,12 @@ TEST_F(AdvisorEdgeCase, EmptyWorkload) {
   EXPECT_DOUBLE_EQ(r.improvement_percent(), 0.0);
 }
 
-TEST_F(AdvisorEdgeCase, EmptyWorkloadParallelAndStaged) {
-  // The parallel selection/enumeration fan-out and the staged baseline's
-  // stage 2 must survive a workload with no statements (zero-shard cost
-  // cache, zero costing jobs).
-  ThreadPool pool(4);
-  AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.pool = &pool;
-  Advisor advisor(db_, *optimizer_, sizes_.get(), nullptr, options);
+TEST_F(AdvisorEdgeCase, EmptyWorkloadTunedAndStaged) {
+  // Selection, enumeration and the staged baseline's stage 2 must survive
+  // a workload with no statements (a cost cache with no tries, no
+  // costings).
+  Advisor advisor(db_, *optimizer_, sizes_.get(), nullptr,
+                  AdvisorOptions::DTAcBoth());
   const AdvisorResult tuned = advisor.Tune(Workload{}, 1e9);
   EXPECT_EQ(tuned.config.size(), 0u);
   const AdvisorResult staged =
@@ -154,40 +152,33 @@ TEST_F(AdvisorEdgeCase, EmptyWorkloadParallelAndStaged) {
 TEST_F(AdvisorEdgeCase, ZeroStorageBudget) {
   // At a 0-byte budget only configurations that free space (compressed
   // clustered indexes replacing the heap) may be charged.
-  ThreadPool pool(2);
-  AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.pool = &pool;
-  Advisor advisor(db_, *optimizer_, sizes_.get(), nullptr, options);
-  const AdvisorResult r = advisor.Tune(workload_, 0.0);
+  const AdvisorResult r = advisor_->Tune(workload_, 0.0);
   EXPECT_LE(r.charged_bytes, 1.0);
   EXPECT_LE(r.final_cost, r.initial_cost);
 }
 
-TEST_F(AdvisorEdgeCase, SingleStatementWorkloadParallelMatchesSerial) {
+TEST_F(AdvisorEdgeCase, SingleStatementWorkloadCachedMatchesUncached) {
   Workload single;
   single.statements.push_back(workload_.statements.front());
   ASSERT_EQ(single.statements.front().type, StatementType::kSelect);
 
-  const AdvisorOptions serial = AdvisorOptions::DTAcBoth();
-  Advisor a1(db_, *optimizer_, sizes_.get(), nullptr, serial);
+  AdvisorOptions uncached = AdvisorOptions::DTAcBoth();
+  uncached.cost_cache = false;
+  Advisor a1(db_, *optimizer_, sizes_.get(), nullptr, uncached);
   const AdvisorResult base = a1.Tune(single, 1e9);
 
-  ThreadPool pool(8);  // more workers than costing jobs per query
-  AdvisorOptions parallel = serial;
-  parallel.pool = &pool;
-  Advisor a2(db_, *optimizer_, sizes_.get(), nullptr, parallel);
+  Advisor a2(db_, *optimizer_, sizes_.get(), nullptr,
+             AdvisorOptions::DTAcBoth());
   const AdvisorResult r = a2.Tune(single, 1e9);
   EXPECT_DOUBLE_EQ(base.final_cost, r.final_cost);
   EXPECT_EQ(base.config.size(), r.config.size());
 }
 
-TEST_F(AdvisorEdgeCase, UnboundedEstimationCacheWithThreads) {
-  // The cache must compose with both borrowed pools (estimation + search)
-  // without crashing or drifting.
-  ThreadPool search_pool(4);
+TEST_F(AdvisorEdgeCase, UnboundedEstimationCacheWithEstimationPool) {
+  // The cache must compose with a borrowed estimation pool without
+  // crashing or drifting.
   ThreadPool estimation_pool(2);
   AdvisorOptions options = AdvisorOptions::DTAcBoth();
-  options.pool = &search_pool;
   options.size_options.pool = &estimation_pool;
   options.size_options.cache = std::make_shared<EstimationCache>();
   SizeEstimator estimator(db_, source_.get(), ErrorModel(),

@@ -329,18 +329,12 @@ TEST_F(EngineTest, InvalidThreadCountErrors) {
   // Each count becomes a pool of that many OS threads; an unbounded one
   // would exhaust the process's threads and abort it.
   AdvisorEngine engine(*built_.db);
-  TuningRequest search = MakeRequest("dtac-topk");
-  search.search_threads = 1 << 20;
-  const TuningResponse a = engine.Tune(search);
-  EXPECT_EQ(a.status, TuningResponse::Status::kError);
-  EXPECT_NE(a.error.find("search_threads"), std::string::npos) << a.error;
-  EXPECT_FALSE(a.retryable);
-
   TuningRequest estimation = MakeRequest("dtac-topk");
   estimation.estimation_threads = 1 << 20;
   const TuningResponse b = engine.Tune(estimation);
   EXPECT_EQ(b.status, TuningResponse::Status::kError);
   EXPECT_NE(b.error.find("estimation_threads"), std::string::npos) << b.error;
+  EXPECT_FALSE(b.retryable);
 
   // The engine survives and serves a valid request.
   const TuningResponse ok = engine.Tune(MakeRequest("dtac-topk"));
@@ -367,7 +361,7 @@ TEST_F(EngineTest, CancellationMidTuneReturnsFlaggedResponse) {
   EXPECT_TRUE(engine.Tune(MakeRequest("dtac-skyline")).ok());
 }
 
-TEST_F(EngineTest, CancellationBeforeStartAndMidEnumeration) {
+TEST_F(EngineTest, CancellationBeforeStartAndBeforeEnumeration) {
   AdvisorEngine engine(*built_.db);
   // Pre-cancelled: flagged immediately, nothing recommended.
   TuningRequest pre = MakeRequest("dtac-topk");
@@ -375,8 +369,10 @@ TEST_F(EngineTest, CancellationBeforeStartAndMidEnumeration) {
   const TuningResponse early = engine.Tune(pre);
   EXPECT_TRUE(early.cancelled());
   EXPECT_EQ(early.result.config.size(), 0u);
-  // Cancelled between selection and enumeration: the partial result still
-  // carries coherent costs (Enumerate falls through to the final costing).
+  // Cancelled from the "merging" hook: Tune returns at that phase boundary,
+  // before Enumerate runs, so the response is flagged and carries no
+  // design and no workload costs. CancelledRequestLeavesTheCacheConsistent
+  // covers cancels that land inside enumeration.
   TuningRequest mid = MakeRequest("dtac-topk");
   CancellationToken token = mid.cancel;
   mid.progress = [&](const std::string& phase) {
@@ -384,6 +380,9 @@ TEST_F(EngineTest, CancellationBeforeStartAndMidEnumeration) {
   };
   const TuningResponse response = engine.Tune(mid);
   EXPECT_TRUE(response.cancelled());
+  EXPECT_EQ(response.result.config.size(), 0u);
+  EXPECT_EQ(response.result.initial_cost, 0.0);
+  EXPECT_EQ(response.result.final_cost, 0.0);
 }
 
 TEST_F(EngineTest, BudgetFractionAndBytesAgree) {
@@ -432,13 +431,11 @@ TEST_F(EngineTest, ZeroAndFullBudgetEdges) {
 
 TEST_F(EngineTest, RequestKnobsOverrideEngineDefaults) {
   EngineOptions options;
-  options.search_threads = 1;
   options.estimation_threads = 1;
   AdvisorEngine engine(*built_.db, options);
   const FreshRun reference = RunOnFreshStack(*built_.db, built_.workload,
                                              "dtac-skyline", BudgetBytes());
   TuningRequest request = MakeRequest("dtac-skyline");
-  request.search_threads = 4;
   request.estimation_threads = 2;
   const TuningResponse response = engine.Tune(request);
   ASSERT_TRUE(response.ok()) << response.error;
@@ -657,11 +654,21 @@ TEST_F(EngineTest, ServiceMixOnOneEngineMatchesFreshStacks) {
 // A cancel landing anywhere in a request, mid-estimation included, leaves
 // nothing behind that changes the next request: a cancelled batch is never
 // stored, so the same request sent again matches a fresh engine's bytes.
+// Every cancelled response is a coherent design too: within budget, and,
+// when it recommends anything, with a final cost the optimizer reproduces
+// to the bit. The cancel delays step through a whole cold tune, so they
+// land in every phase, the selection and enumeration loops included.
 TEST_F(EngineTest, CancelledRequestLeavesTheCacheConsistent) {
+  const auto start = std::chrono::steady_clock::now();
   const TuningResponse reference =
       AdvisorEngine(*built_.db).Tune(MakeRequest("dtac-both"));
+  const auto tune_us = std::chrono::duration_cast<std::chrono::microseconds>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
   ASSERT_TRUE(reference.ok()) << reference.error;
-  for (const int delay_us : {0, 300, 1000, 3000, 10000}) {
+  constexpr int kSteps = 20;
+  for (int step = 0; step <= kSteps + 3; ++step) {
+    const auto delay_us = tune_us * step / kSteps;
     AdvisorEngine engine(*built_.db);
     TuningRequest request = MakeRequest("dtac-both");
     CancellationToken token = request.cancel;
@@ -672,6 +679,17 @@ TEST_F(EngineTest, CancelledRequestLeavesTheCacheConsistent) {
     const TuningResponse cancelled = engine.Tune(request);
     canceller.join();
     EXPECT_NE(cancelled.status, TuningResponse::Status::kError);
+    if (cancelled.cancelled()) {
+      const AdvisorResult& result = cancelled.result;
+      EXPECT_LE(result.charged_bytes, cancelled.budget_bytes)
+          << "cancel after " << delay_us;
+      if (result.config.size() > 0) {
+        const double cost =
+            engine.optimizer().WorkloadCost(request.workload, result.config);
+        EXPECT_EQ(std::memcmp(&cost, &result.final_cost, sizeof(double)), 0)
+            << "cancel after " << delay_us;
+      }
+    }
     const TuningResponse again = engine.Tune(MakeRequest("dtac-both"));
     ASSERT_TRUE(again.ok()) << again.error;
     EXPECT_EQ(again.json, reference.json) << "cancel after " << delay_us;
