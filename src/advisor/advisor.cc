@@ -213,6 +213,15 @@ std::vector<Id> Advisor::Enumerate(const std::vector<Id>& pool,
     // only the statements their added entry is relevant to.
     StatementCostCache::Step step;
     if (cost_cache != nullptr) step = cost_cache->BeginStep(config);
+    auto trial_cost = [&](Id added) {
+      if (cost_cache == nullptr) {
+        std::vector<Id> trial = config;
+        trial.push_back(added);
+        return WorkloadCost(ids, trial, nullptr, result);
+      }
+      if (result != nullptr) result->what_if_calls += statements;
+      return cost_cache->WorkloadCostWith(step, added);
+    };
     const double charged = ChargedBytes(ids, config);
     int best_fit = -1;       // best candidate that fits the budget
     double best_fit_score = 0.0;
@@ -235,15 +244,7 @@ std::vector<Id> Advisor::Enumerate(const std::vector<Id>& pool,
           });
       if (blocked) continue;
       if (cancelled()) return config;
-      double cost;
-      if (cost_cache != nullptr) {
-        if (result != nullptr) result->what_if_calls += statements;
-        cost = cost_cache->WorkloadCostWith(step, pool[i]);
-      } else {
-        std::vector<Id> trial = config;
-        trial.push_back(pool[i]);
-        cost = WorkloadCost(ids, trial, nullptr, result);
-      }
+      const double cost = trial_cost(pool[i]);
       const double benefit = current_cost - cost;
       if (benefit <= 1e-9) continue;
       const bool fits = ChargedWith(charged, est) <= budget_bytes;
