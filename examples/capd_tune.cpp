@@ -15,9 +15,9 @@
 // --threads sizes the estimation pool only (0 = hardware concurrency, at
 // most 1024); the search runs on the request's thread, and no thread count
 // changes the answer.
-// Bad flags (negative or out-of-range numbers included), unknown workloads
-// and unknown strategies exit 2 with a usage message, as does any request
-// the engine rejects.
+// Bad flags (negative, out-of-range or non-finite numbers included),
+// unknown workloads and unknown strategies exit 2 with a usage message, as
+// does any request the engine rejects.
 //
 // --timeout-ms / --priority route the request through the TuningService
 // (deadline enforcement, priority scheduling): a deadline that fires
@@ -27,6 +27,7 @@
 #include <cerrno>
 #include <chrono>
 #include <climits>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -85,10 +86,12 @@ uint64_t ParseUint64Flag(const char* flag, const char* text,
   return value;
 }
 
+// Strict finite double: "inf", "nan" and overflowing literals such as
+// "1e400" (which strtod returns as inf) take the same exit-2 path as junk.
 double ParseDoubleFlag(const char* flag, const char* text) {
   char* end = nullptr;
   const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0') {
+  if (end == text || *end != '\0' || !std::isfinite(value)) {
     std::fprintf(stderr, "bad %s value '%s'\n", flag, text);
     Usage();
     std::exit(2);

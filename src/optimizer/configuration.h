@@ -1,11 +1,10 @@
 // A hypothetical physical configuration: the set of indexes the what-if
 // optimizer costs a statement against, each with its (estimated) size. The
 // estimated size matters doubly — it drives I/O cost AND the storage-budget
-// accounting in enumeration. The costing body reads a configuration as a
-// MemberList of estimate addresses, so the advisor's search can cost its
-// interned candidate ids (cost_cache.h) without copying a Configuration;
-// an owning Configuration is what a tune returns and what reports and
-// tests build.
+// accounting in enumeration. An owning Configuration is what a tune
+// returns and what reports and tests build; a MemberList names one by
+// estimate addresses. The advisor's search builds neither: it costs its
+// interned candidate ids from per-candidate uses (cost_cache.h).
 #ifndef CAPD_OPTIMIZER_CONFIGURATION_H_
 #define CAPD_OPTIMIZER_CONFIGURATION_H_
 

@@ -1,7 +1,6 @@
 #include "optimizer/cost_cache.h"
 
 #include <algorithm>
-#include <optional>
 
 #include "common/logging.h"
 
@@ -10,6 +9,13 @@ namespace {
 
 bool Contains(const std::vector<std::string>& v, const std::string& s) {
   return std::find(v.begin(), v.end(), s) != v.end();
+}
+
+// Fibonacci hashing of the edge (node, id): the product's high half mixes
+// both halves of the key.
+size_t EdgeHash(uint32_t node, uint32_t id) {
+  const uint64_t key = uint64_t{node} << 32 | id;
+  return static_cast<size_t>((key * 0x9E3779B97F4A7C15ull) >> 32);
 }
 
 }  // namespace
@@ -94,8 +100,19 @@ CandidateIds::Id CandidateIds::Intern(const std::string& signature,
       std::string_view(signature).substr(0, signature.rfind('|'));
   structures_.push_back(
       structure_ids_.emplace(structure, structure_ids_.size()).first->second);
+  // The candidate's uses go in one array of exactly their count: growing a
+  // shared array would copy every earlier use at each doubling.
+  const size_t first = use_at_.size();
+  uint32_t count = 0;
   for (size_t i = 0; i < prepared_.size(); ++i) {
-    relevant_.push_back(ComputeRelevant(i, est.def) ? 1 : 0);
+    use_at_.push_back(ComputeRelevant(i, est.def) ? count++ : kIrrelevant);
+  }
+  std::vector<IndexUse>& uses = uses_.emplace_back();
+  uses.reserve(count);
+  for (size_t i = 0; i < prepared_.size(); ++i) {
+    if (use_at_[first + i] != kIrrelevant) {
+      uses.push_back(optimizer_->Use(prepared_[i], est));
+    }
   }
   return it->second;
 }
@@ -106,13 +123,6 @@ CandidateIds::Id CandidateIds::Find(const std::string& signature) const {
   return it->second;
 }
 
-MemberList CandidateIds::Members(const std::vector<Id>& config) const {
-  MemberList members;
-  members.reserve(config.size() + 1);  // room for a trial's added member
-  for (const Id id : config) members.push_back(estimates_[id]);
-  return members;
-}
-
 Configuration CandidateIds::ToConfiguration(
     const std::vector<Id>& config) const {
   Configuration out;
@@ -120,17 +130,27 @@ Configuration CandidateIds::ToConfiguration(
   return out;
 }
 
+double CandidateIds::Cost(size_t stmt_index, const std::vector<Id>& config,
+                          Id added, UseList* uses) const {
+  uses->clear();
+  for (const Id id : config) {
+    if (relevant(stmt_index, id)) uses->push_back(&use(stmt_index, id));
+  }
+  if (added != kNoId) uses->push_back(&use(stmt_index, added));
+  return optimizer_->Cost(prepared_[stmt_index], *uses);
+}
+
 double CandidateIds::Cost(size_t stmt_index,
                           const std::vector<Id>& config) const {
-  return optimizer_->Cost(prepared_[stmt_index], Members(config));
+  UseList uses;
+  return Cost(stmt_index, config, kNoId, &uses);
 }
 
 double CandidateIds::WorkloadCost(const std::vector<Id>& config) const {
-  const MemberList members = Members(config);
+  UseList uses;
   double total = 0.0;
   for (size_t i = 0; i < prepared_.size(); ++i) {
-    total += workload_->statements[i].weight *
-             optimizer_->Cost(prepared_[i], members);
+    total += workload_->statements[i].weight * Cost(i, config, kNoId, &uses);
   }
   return total;
 }
@@ -140,13 +160,29 @@ StatementCostCache::StatementCostCache(const CandidateIds& ids)
 
 uint32_t StatementCostCache::Child(size_t stmt_index, uint32_t node, Id id) {
   Trie& trie = tries_[stmt_index];
-  const uint64_t edge = uint64_t{node} << 32 | id;
-  const auto it = trie.edges.find(edge);
-  if (it != trie.edges.end()) return it->second;
-  const uint32_t child = static_cast<uint32_t>(trie.nodes.size());
-  trie.nodes.emplace_back();
-  trie.edges.emplace(edge, child);
-  return child;
+  // Keep the table at most half full once this edge is added: a trie of n
+  // nodes has n - 1 edges.
+  if (2 * trie.nodes.size() > trie.edges.size()) {
+    const std::vector<Edge> old = std::move(trie.edges);
+    trie.edges.assign(std::max<size_t>(16, 2 * old.size()), Edge{});
+    const size_t mask = trie.edges.size() - 1;
+    for (const Edge& edge : old) {
+      if (edge.child == 0) continue;
+      size_t slot = EdgeHash(edge.node, edge.id) & mask;
+      while (trie.edges[slot].child != 0) slot = (slot + 1) & mask;
+      trie.edges[slot] = edge;
+    }
+  }
+  const size_t mask = trie.edges.size() - 1;
+  for (size_t slot = EdgeHash(node, id) & mask;; slot = (slot + 1) & mask) {
+    Edge& edge = trie.edges[slot];
+    if (edge.child == 0) {
+      edge = Edge{node, id, static_cast<uint32_t>(trie.nodes.size())};
+      trie.nodes.emplace_back();
+      return edge.child;
+    }
+    if (edge.node == node && edge.id == id) return edge.child;
+  }
 }
 
 uint32_t StatementCostCache::Walk(size_t stmt_index,
@@ -161,15 +197,15 @@ uint32_t StatementCostCache::Walk(size_t stmt_index,
   return node;
 }
 
-template <typename MembersFn>
 double StatementCostCache::CostAt(size_t stmt_index, uint32_t node,
-                                  MembersFn&& members, bool count_hit) {
+                                  const std::vector<Id>& config, Id added,
+                                  bool count_hit) {
   Node& entry = tries_[stmt_index].nodes[node];
   if (entry.costed) {
     if (count_hit) ++hits_;
     return entry.cost;
   }
-  entry.cost = ids_->optimizer().Cost(ids_->prepared(stmt_index), members());
+  entry.cost = ids_->Cost(stmt_index, config, added, &uses_);
   entry.costed = true;
   ++misses_;
   return entry.cost;
@@ -177,57 +213,38 @@ double StatementCostCache::CostAt(size_t stmt_index, uint32_t node,
 
 double StatementCostCache::Cost(size_t stmt_index,
                                 const std::vector<Id>& config) {
-  return CostAt(stmt_index, Walk(stmt_index, config),
-                [&] { return ids_->Members(config); });
+  return CostAt(stmt_index, Walk(stmt_index, config), config);
 }
 
 double StatementCostCache::WorkloadCost(const std::vector<Id>& config) {
-  std::optional<MemberList> members;  // built on the first miss
-  auto given = [&]() -> const MemberList& {
-    if (!members.has_value()) members = ids_->Members(config);
-    return *members;
-  };
   const Workload& workload = ids_->workload();
   double total = 0.0;
   for (size_t i = 0; i < workload.statements.size(); ++i) {
-    total += workload.statements[i].weight * CostAt(i, Walk(i, config), given);
+    total += workload.statements[i].weight * CostAt(i, Walk(i, config), config);
   }
   return total;
 }
 
 StatementCostCache::Step StatementCostCache::BeginStep(
     const std::vector<Id>& config) {
-  std::optional<MemberList> members;
-  auto given = [&]() -> const MemberList& {
-    if (!members.has_value()) members = ids_->Members(config);
-    return *members;
-  };
   Step step;
   step.config = &config;
   for (size_t i = 0; i < tries_.size(); ++i) {
     step.nodes.push_back(Walk(i, config));
-    step.costs.push_back(
-        CostAt(i, step.nodes.back(), given, /*count_hit=*/false));
+    step.costs.push_back(CostAt(i, step.nodes.back(), config,
+                                CandidateIds::kNoId, /*count_hit=*/false));
   }
   return step;
 }
 
 double StatementCostCache::WorkloadCostWith(const Step& step, Id added) {
-  std::optional<MemberList> trial;  // step.config + added, on a miss
-  auto given = [&]() -> const MemberList& {
-    if (!trial.has_value()) {
-      trial = ids_->Members(*step.config);
-      trial->push_back(&ids_->estimate(added));
-    }
-    return *trial;
-  };
   // Same weighted terms in the same statement order as WorkloadCost.
   const Workload& workload = ids_->workload();
   double total = 0.0;
   for (size_t i = 0; i < workload.statements.size(); ++i) {
     double cost = step.costs[i];
     if (ids_->relevant(i, added)) {
-      cost = CostAt(i, Child(i, step.nodes[i], added), given);
+      cost = CostAt(i, Child(i, step.nodes[i], added), *step.config, added);
     } else {
       ++hits_;
     }

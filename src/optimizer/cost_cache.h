@@ -2,9 +2,13 @@
 //
 // CandidateIds interns each sized candidate of a tune once: one dense id
 // per distinct signature, naming the candidate's size estimate, its
-// structure (shared by its compressed variants) and the statements it is
-// relevant to. The greedy search holds a configuration as an ordered list
-// of ids, so a trial appends an id instead of copying a Configuration.
+// structure (shared by its compressed variants) and, for every statement
+// it is relevant to, its IndexUse (what_if.h): everything it contributes
+// to that statement's cost under any configuration, computed once here.
+// The greedy search holds a configuration as an ordered list of ids, so a
+// trial appends an id instead of copying a Configuration, and a costing
+// combines the uses of the configuration's relevant members, in
+// configuration order, with no catalog, string or matcher work.
 //
 // StatementCostCache memoizes Cost(statement, config) by the ordered
 // subsequence of config ids relevant to that statement. Adding one index
@@ -17,11 +21,13 @@
 //
 // Relevance mirrors the optimizer's own gates conservatively (an index
 // marked relevant may still contribute nothing; an index marked irrelevant
-// provably cannot change the plan): an index is relevant to a SELECT iff
-// it sits on a touched table and is clustered (replaces the heap), usable
-// as an access path (seekable prefix or covering, partial filter
-// subsumed), or usable for an index-nested-loops join; it is relevant to
-// an INSERT iff it must be maintained (same table, or an MV over it).
+// provably cannot change the plan, so leaving its use out of a costing
+// changes no bit): an index is relevant to a SELECT iff it sits on a
+// touched table and is clustered (replaces the heap), usable as an access
+// path (seekable prefix or covering, partial filter subsumed), or usable
+// for an index-nested-loops join, or it is an MV index under a matcher; it
+// is relevant to an INSERT iff it must be maintained (same table, or an MV
+// over it).
 #ifndef CAPD_OPTIMIZER_COST_CACHE_H_
 #define CAPD_OPTIMIZER_COST_CACHE_H_
 
@@ -59,7 +65,12 @@ class CandidateIds {
   uint32_t structure(Id id) const { return structures_[id]; }
   // True if `id` can influence the cost of statement `stmt_index`.
   bool relevant(size_t stmt_index, Id id) const {
-    return relevant_[id * prepared_.size() + stmt_index] != 0;
+    return use_at_[id * prepared_.size() + stmt_index] != kIrrelevant;
+  }
+  // What `id` contributes to statement `stmt_index`, which it must be
+  // relevant to.
+  const IndexUse& use(size_t stmt_index, Id id) const {
+    return uses_[id][use_at_[id * prepared_.size() + stmt_index]];
   }
 
   const Workload& workload() const { return *workload_; }
@@ -69,17 +80,24 @@ class CandidateIds {
     return prepared_[stmt_index];
   }
 
-  // The estimates `config` names, in its order.
-  MemberList Members(const std::vector<Id>& config) const;
+  // The configuration `config` names, in its order.
   Configuration ToConfiguration(const std::vector<Id>& config) const;
 
-  // Uncached Cost(statement, config) and sum of weight * Cost, computed by
-  // the optimizer; bit-identical to WhatIfOptimizer::Cost/WorkloadCost of
-  // ToConfiguration(config).
+  // Uncached Cost(statement, config) and sum of weight * Cost, combined
+  // from the uses of `config`'s relevant members; bit-identical to
+  // WhatIfOptimizer::Cost/WorkloadCost of ToConfiguration(config).
   double Cost(size_t stmt_index, const std::vector<Id>& config) const;
   double WorkloadCost(const std::vector<Id>& config) const;
+  // Cost(stmt_index, config + added), or of config alone when `added` is
+  // kNoId, gathering the uses into the scratch list `uses`. An `added` id
+  // must be relevant to the statement.
+  static constexpr Id kNoId = UINT32_MAX;
+  double Cost(size_t stmt_index, const std::vector<Id>& config, Id added,
+              UseList* uses) const;
 
  private:
+  static constexpr uint32_t kIrrelevant = UINT32_MAX;
+
   bool ComputeRelevant(size_t stmt_index, const IndexDef& idx) const;
 
   const Database* db_;
@@ -89,11 +107,13 @@ class CandidateIds {
 
   std::unordered_map<std::string_view, Id> ids_;  // by signature
   std::unordered_map<std::string_view, uint32_t> structure_ids_;
-  // By id: the estimate, its structure, and its relevance to each
-  // statement at [id * statements + statement].
+  // By id: the estimate, its structure, and its uses, one per statement
+  // it is relevant to; at [id * statements + statement], that statement's
+  // entry in uses_[id], or kIrrelevant.
   std::vector<const PhysicalIndexEstimate*> estimates_;
   std::vector<uint32_t> structures_;
-  std::vector<char> relevant_;
+  std::vector<std::vector<IndexUse>> uses_;
+  std::vector<uint32_t> use_at_;
 };
 
 // Single-threaded. misses() is the number of distinct keys costed, hits()
@@ -145,8 +165,17 @@ class StatementCostCache {
     double cost = 0.0;
     bool costed = false;
   };
+  // The edges live in one open-addressing table, linearly probed and at
+  // most half full, so adding an edge allocates nothing but the table's
+  // and the nodes' occasional doubling. A slot whose child is 0 is empty:
+  // node 0 is no edge's child.
+  struct Edge {
+    uint32_t node = 0;
+    Id id = 0;
+    uint32_t child = 0;
+  };
   struct Trie {
-    std::unordered_map<uint64_t, uint32_t> edges;  // node << 32 | id -> node
+    std::vector<Edge> edges;  // size 0 or a power of two
     std::vector<Node> nodes = std::vector<Node>(1);
   };
 
@@ -155,14 +184,16 @@ class StatementCostCache {
   // nodes it passes through.
   uint32_t Child(size_t stmt_index, uint32_t node, Id id);
   uint32_t Walk(size_t stmt_index, const std::vector<Id>& config);
-  // Cost of statement `stmt_index` at `node`; `members()` yields the
-  // configuration on a miss. With `count_hit` false a hit is uncounted.
-  template <typename MembersFn>
-  double CostAt(size_t stmt_index, uint32_t node, MembersFn&& members,
+  // Cost of statement `stmt_index` at `node`, the entry of `config`'s
+  // relevant subsequence, followed by `added` unless it is kNoId. With
+  // `count_hit` false a hit is uncounted.
+  double CostAt(size_t stmt_index, uint32_t node,
+                const std::vector<Id>& config, Id added = CandidateIds::kNoId,
                 bool count_hit = true);
 
   const CandidateIds* ids_;
   std::vector<Trie> tries_;  // one per workload statement
+  UseList uses_;             // a miss's relevant uses
   uint64_t hits_ = 0;
   uint64_t misses_ = 0;
 };

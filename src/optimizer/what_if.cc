@@ -115,10 +115,17 @@ PreparedStatement WhatIfOptimizer::Prepare(const Statement& stmt) const {
     return prepared;
   }
   bind(stmt.select.table);
-  for (const JoinClause& j : stmt.select.joins) {
-    const size_t t = bind(j.dim_table);
-    prepared.tables[t].join_keys.push_back(j.dim_key);
+  const std::vector<JoinClause>& joins = stmt.select.joins;
+  for (size_t j = 0; j < joins.size(); ++j) {
+    const size_t t = bind(joins[j].dim_table);
+    prepared.tables[t].join_keys.push_back(joins[j].dim_key);
     prepared.join_tables.push_back(t);
+    size_t first = 0;
+    while (prepared.join_tables[first] != t ||
+           joins[first].dim_key != joins[j].dim_key) {
+      ++first;
+    }
+    prepared.join_first.push_back(first);
   }
   for (const double s : prepared.tables.front().pred_sel) {
     prepared.root_sel *= s;
@@ -126,7 +133,7 @@ PreparedStatement WhatIfOptimizer::Prepare(const Statement& stmt) const {
   return prepared;
 }
 
-std::optional<WhatIfOptimizer::Plan> WhatIfOptimizer::IndexAccessCost(
+std::optional<AccessPlan> WhatIfOptimizer::IndexAccessCost(
     const PreparedTable& table, const PhysicalIndexEstimate& idx) const {
   const std::vector<ColumnFilter>& preds = table.preds;
 
@@ -188,21 +195,21 @@ std::optional<WhatIfOptimizer::Plan> WhatIfOptimizer::IndexAccessCost(
   const double pages = std::max(idx.pages(), 1.0);
   const double beta = params_.Beta(idx.def.compression);
 
-  Plan best;
+  AccessPlan best;
   best.io = std::numeric_limits<double>::infinity();
 
   if (covering) {
-    Plan scan;
+    AccessPlan scan;
     scan.io = params_.seq_page_io * pages;
     scan.cpu = tuples * (params_.cpu_per_tuple_read +
                          static_cast<double>(used_in_index) * beta);
-    scan.path = Plan::Path::kIndexScan;
+    scan.path = AccessPlan::Path::kIndexScan;
     if (scan.total() < best.total()) best = scan;
   }
 
   if (seekable) {
     const double entries = tuples * prefix_frac;
-    Plan seek;
+    AccessPlan seek;
     seek.io = params_.random_page_io * 2.0 +
               params_.seq_page_io * std::max(1.0, pages * prefix_frac);
     seek.cpu = entries * (params_.cpu_per_tuple_read +
@@ -211,12 +218,12 @@ std::optional<WhatIfOptimizer::Plan> WhatIfOptimizer::IndexAccessCost(
       // One WAH expansion + rank/select AND per sargable equality key.
       seek.cpu += params_.bitmap_probe_cpu * static_cast<double>(sargable);
     }
-    seek.path = Plan::Path::kIndexSeek;
+    seek.path = AccessPlan::Path::kIndexSeek;
     if (!covering) {
       const double lookups = tuples * std::min(1.0, stored_frac);
       seek.io += params_.random_page_io * lookups;
       seek.cpu += params_.cpu_per_tuple_read * lookups;
-      seek.path = Plan::Path::kIndexSeekLookup;
+      seek.path = AccessPlan::Path::kIndexSeekLookup;
     }
     if (seek.total() < best.total()) best = seek;
   }
@@ -226,67 +233,147 @@ std::optional<WhatIfOptimizer::Plan> WhatIfOptimizer::IndexAccessCost(
   return best;
 }
 
-WhatIfOptimizer::Plan WhatIfOptimizer::BestTableAccess(
-    const PreparedTable& table, const MemberList& members) const {
-  const std::string& name = table.table->name();
-  Plan best;
+IndexUse WhatIfOptimizer::Use(const PreparedStatement& stmt,
+                              const PhysicalIndexEstimate& idx) const {
+  IndexUse use;
+  if (stmt.stmt->type == StatementType::kInsert) {
+    const InsertStatement& ins = stmt.stmt->insert;
+    // Every index on the loaded table is maintained, and so is every index
+    // on an MV over it: each inserted row updates one group (count/sums).
+    const bool on_table = idx.def.object == ins.table;
+    if (!on_table && (mv_matcher_ == nullptr ||
+                      mv_matcher_->FactTableOf(idx.def.object) != ins.table)) {
+      return use;
+    }
+    use.maintained = true;
+    // Rows entering the index: a partial index admits its filter's share.
+    double enter_frac = 1.0;
+    if (on_table && idx.def.filter.has_value()) {
+      enter_frac = FilterSelectivity(ins.table, *idx.def.filter);
+    }
+    const double rows_idx = static_cast<double>(ins.num_rows) * enter_frac;
+    const double alpha = params_.Alpha(idx.def.compression);
+    // CPUCost_update = BaseCPUCost + alpha * #tuples_written (Appendix A.1).
+    use.insert_cpu = rows_idx * (params_.cpu_per_tuple_write + alpha);
+    // Sequential write volume of a table index's new entries...
+    if (on_table) {
+      const double bytes_per_tuple = idx.bytes / std::max(idx.tuples, 1.0);
+      use.insert_io =
+          params_.seq_page_io * rows_idx * bytes_per_tuple / kPageCapacity;
+    }
+    // ...plus scattered B-tree leaf maintenance, damped by buffer-pool hits.
+    const double pages = std::max(idx.pages(), 1.0);
+    const double touched = pages * (1.0 - std::exp(-rows_idx / pages));
+    use.maintenance_io = params_.random_page_io * touched *
+                         params_.index_maintenance_io_factor;
+    return use;
+  }
+
+  const SelectQuery& q = stmt.stmt->select;
+  for (uint32_t t = 0; t < stmt.tables.size(); ++t) {
+    if (stmt.tables[t].table->name() == idx.def.object) use.table = t;
+  }
+  if (use.table != IndexUse::kNone) {
+    const PreparedTable& table = stmt.tables[use.table];
+    use.replaces_heap = idx.def.clustered;
+    use.access = IndexAccessCost(table, idx);
+    // Index nested loops: a per-row seek into a dimension index keyed on
+    // the join key. A partial index never serves as the probe.
+    if (!idx.def.filter.has_value() && !idx.def.key_columns.empty()) {
+      for (uint32_t j = 0; j < q.joins.size(); ++j) {
+        if (stmt.join_tables[j] == use.table &&
+            q.joins[j].dim_key == idx.def.key_columns[0]) {
+          use.probe_join = j;
+          break;
+        }
+      }
+    }
+    if (use.probe_join != IndexUse::kNone) {
+      const double root_rows = stmt.tables.front().rows * stmt.root_sel;
+      use.probe.io = root_rows * params_.random_page_io;
+      const double beta = params_.Beta(idx.def.compression);
+      use.probe.cpu =
+          root_rows * (params_.cpu_per_tuple_read +
+                       static_cast<double>(table.cols_used.size()) * beta);
+    }
+  }
+
+  // Alternative: answer the whole query from an MV index.
+  if (mv_matcher_ == nullptr) return use;
+  std::optional<MVMatcher::MVAccess> access = mv_matcher_->Match(idx.def, q);
+  if (!access.has_value()) return use;
+  AccessPlan mv_plan;
+  const double mv_pages = std::max(idx.pages(), 1.0);
+  const double frac = access->selected_frac;
+  if (access->leading_key_seek && frac < 1.0) {
+    mv_plan.io = params_.random_page_io * 2.0 +
+                 params_.seq_page_io * std::max(1.0, mv_pages * frac);
+  } else {
+    mv_plan.io = params_.seq_page_io * mv_pages;
+  }
+  const double beta = params_.Beta(idx.def.compression);
+  mv_plan.cpu = access->mv_tuples * frac *
+                (params_.cpu_per_tuple_read +
+                 static_cast<double>(access->used_columns) * beta);
+  mv_plan.path = AccessPlan::Path::kMV;
+  mv_plan.index = &idx.def;
+  use.mv = mv_plan;
+  return use;
+}
+
+AccessPlan WhatIfOptimizer::BestTableAccess(const PreparedStatement& stmt,
+                                            size_t table,
+                                            const UseList& uses) const {
+  const PreparedTable& t = stmt.tables[table];
+  AccessPlan best;
   bool have = false;
   // The heap exists unless a clustered index replaced it.
-  if (std::none_of(members.begin(), members.end(),
-                   [&](const PhysicalIndexEstimate* idx) {
-                     return idx->def.clustered && idx->def.object == name;
-                   })) {
-    best = Plan{table.heap_io, table.heap_cpu, Plan::Path::kHeapScan,
-                table.table, nullptr};
+  if (std::none_of(uses.begin(), uses.end(), [&](const IndexUse* use) {
+        return use->table == table && use->replaces_heap;
+      })) {
+    best = AccessPlan{t.heap_io, t.heap_cpu, nullptr,
+                      AccessPlan::Path::kHeapScan};
     have = true;
   }
-  for (const PhysicalIndexEstimate* idx : members) {
-    if (idx->def.object != name) continue;
-    std::optional<Plan> c = IndexAccessCost(table, *idx);
-    if (c.has_value() && (!have || c->total() < best.total())) {
-      best = *c;
+  for (const IndexUse* use : uses) {
+    if (use->table != table || !use->access.has_value()) continue;
+    if (!have || use->access->total() < best.total()) {
+      best = *use->access;
       have = true;
     }
   }
-  CAPD_CHECK(have) << "no access path for table " << name
+  CAPD_CHECK(have) << "no access path for table " << t.table->name()
                    << " (clustered index removed the heap but is unusable?)";
   return best;
 }
 
-WhatIfOptimizer::Plan WhatIfOptimizer::CostSelect(
-    const PreparedStatement& stmt, const MemberList& members) const {
+AccessPlan WhatIfOptimizer::CostSelect(const PreparedStatement& stmt,
+                                       const UseList& uses) const {
   const SelectQuery& q = stmt.stmt->select;
   const PreparedTable& root = stmt.tables.front();
   // Base relational plan: root access + one join at a time.
-  Plan plan = BestTableAccess(root, members);
+  AccessPlan plan = BestTableAccess(stmt, 0, uses);
   const double root_rows = root.rows * stmt.root_sel;
 
   for (size_t j = 0; j < q.joins.size(); ++j) {
-    const PreparedTable& dim = stmt.tables[stmt.join_tables[j]];
-    const Plan dim_scan = BestTableAccess(dim, members);
+    const size_t dim_table = stmt.join_tables[j];
+    const PreparedTable& dim = stmt.tables[dim_table];
+    const AccessPlan dim_scan = BestTableAccess(stmt, dim_table, uses);
     // Hash join: build on the dimension side, probe with root rows.
-    Plan hash = dim_scan;
+    AccessPlan hash = dim_scan;
     hash.cpu += params_.cpu_per_tuple_read * (dim.rows + root_rows);
 
-    // Index nested loops: per-row seek into a dimension index keyed on the
-    // join key, if the configuration has one.
-    Plan nl;
+    // Index nested loops, if the configuration has a probe for this join.
+    AccessPlan nl;
     nl.io = std::numeric_limits<double>::infinity();
-    for (const PhysicalIndexEstimate* idx : members) {
-      if (idx->def.object != q.joins[j].dim_table) continue;
-      if (idx->def.key_columns.empty() ||
-          idx->def.key_columns[0] != q.joins[j].dim_key)
-        continue;
-      if (idx->def.filter.has_value()) continue;
-      Plan c;
-      c.io = root_rows * params_.random_page_io;
-      const double beta = params_.Beta(idx->def.compression);
-      c.cpu = root_rows * (params_.cpu_per_tuple_read +
-                           static_cast<double>(dim.cols_used.size()) * beta);
-      if (c.total() < nl.total()) nl = c;
+    for (const IndexUse* use : uses) {
+      if (use->probe_join == stmt.join_first[j] &&
+          use->probe.total() < nl.total()) {
+        nl = use->probe;
+      }
     }
 
-    const Plan& join = nl.total() < hash.total() ? nl : hash;
+    const AccessPlan& join = nl.total() < hash.total() ? nl : hash;
     plan.io += join.io;
     plan.cpu += join.cpu;
   }
@@ -297,105 +384,84 @@ WhatIfOptimizer::Plan WhatIfOptimizer::CostSelect(
   }
 
   // Alternative: answer the whole query from an MV index.
-  if (mv_matcher_ != nullptr) {
-    for (const PhysicalIndexEstimate* idx : members) {
-      std::optional<MVMatcher::MVAccess> access =
-          mv_matcher_->Match(idx->def, q);
-      if (!access.has_value()) continue;
-      Plan mv_plan;
-      const double mv_pages = std::max(idx->pages(), 1.0);
-      const double frac = access->selected_frac;
-      if (access->leading_key_seek && frac < 1.0) {
-        mv_plan.io = params_.random_page_io * 2.0 +
-                     params_.seq_page_io * std::max(1.0, mv_pages * frac);
-      } else {
-        mv_plan.io = params_.seq_page_io * mv_pages;
-      }
-      const double beta = params_.Beta(idx->def.compression);
-      mv_plan.cpu = access->mv_tuples * frac *
-                    (params_.cpu_per_tuple_read +
-                     static_cast<double>(access->used_columns) * beta);
-      mv_plan.path = Plan::Path::kMV;
-      mv_plan.index = &idx->def;
-      if (mv_plan.total() < plan.total()) plan = mv_plan;
+  for (const IndexUse* use : uses) {
+    if (use->mv.has_value() && use->mv->total() < plan.total()) {
+      plan = *use->mv;
     }
   }
   return plan;
 }
 
-WhatIfOptimizer::Plan WhatIfOptimizer::CostInsert(
-    const PreparedStatement& stmt, const MemberList& members) const {
+AccessPlan WhatIfOptimizer::CostInsert(const PreparedStatement& stmt,
+                                       const UseList& uses) const {
   const InsertStatement& ins = stmt.stmt->insert;
   const Table& t = *stmt.tables.front().table;
   const double rows = static_cast<double>(ins.num_rows);
-  Plan plan;
-  plan.path = Plan::Path::kBulkInsert;
-  plan.table = &t;
+  AccessPlan plan;
+  plan.path = AccessPlan::Path::kBulkInsert;
 
   // Heap (or clustered index) append.
   const double heap_row_bytes = t.schema().RowWidth() + kRowOverhead;
   plan.io = params_.seq_page_io * rows * heap_row_bytes / kPageCapacity;
   plan.cpu = params_.cpu_per_tuple_write * rows;
 
-  for (const PhysicalIndexEstimate* member : members) {
-    const PhysicalIndexEstimate& idx = *member;
-    if (idx.def.object != ins.table) {
-      // Indexes on MVs over this fact table must be maintained too: each
-      // inserted row updates one group (count/sums) in the MV.
-      if (mv_matcher_ != nullptr &&
-          mv_matcher_->FactTableOf(idx.def.object) == ins.table) {
-        const double alpha = params_.Alpha(idx.def.compression);
-        plan.cpu += rows * (params_.cpu_per_tuple_write + alpha);
-        const double pages = std::max(idx.pages(), 1.0);
-        const double touched = pages * (1.0 - std::exp(-rows / pages));
-        plan.io += params_.random_page_io * touched * params_.index_maintenance_io_factor;
-      }
-      continue;
-    }
-    double enter_frac = 1.0;
-    if (idx.def.filter.has_value()) {
-      enter_frac = FilterSelectivity(ins.table, *idx.def.filter);
-    }
-    const double rows_idx = rows * enter_frac;
-    const double alpha = params_.Alpha(idx.def.compression);
-    // CPUCost_update = BaseCPUCost + alpha * #tuples_written (Appendix A.1).
-    plan.cpu += rows_idx * (params_.cpu_per_tuple_write + alpha);
-    // Sequential write volume of the new entries...
-    const double bytes_per_tuple = idx.bytes / std::max(idx.tuples, 1.0);
-    plan.io += params_.seq_page_io * rows_idx * bytes_per_tuple / kPageCapacity;
-    // ...plus scattered B-tree leaf maintenance, damped by buffer-pool hits.
-    const double pages = std::max(idx.pages(), 1.0);
-    const double touched = pages * (1.0 - std::exp(-rows_idx / pages));
-    plan.io += params_.random_page_io * touched * params_.index_maintenance_io_factor;
+  // Each maintained index adds its terms in configuration order (x + 0.0
+  // is x for the non-negative io, so an MV index's zero sequential term
+  // changes no bit).
+  for (const IndexUse* use : uses) {
+    if (!use->maintained) continue;
+    plan.cpu += use->insert_cpu;
+    plan.io += use->insert_io;
+    plan.io += use->maintenance_io;
   }
   return plan;
 }
 
-WhatIfOptimizer::Plan WhatIfOptimizer::CostPlan(
-    const PreparedStatement& stmt, const MemberList& members) const {
-  return stmt.stmt->type == StatementType::kInsert ? CostInsert(stmt, members)
-                                                   : CostSelect(stmt, members);
+AccessPlan WhatIfOptimizer::CostPlan(const PreparedStatement& stmt,
+                                     const UseList& uses) const {
+  return stmt.stmt->type == StatementType::kInsert ? CostInsert(stmt, uses)
+                                                   : CostSelect(stmt, uses);
+}
+
+AccessPlan WhatIfOptimizer::CostMembers(const PreparedStatement& stmt,
+                                        const MemberList& members) const {
+  std::vector<IndexUse> uses;
+  uses.reserve(members.size());
+  for (const PhysicalIndexEstimate* idx : members) {
+    uses.push_back(Use(stmt, *idx));
+  }
+  UseList list;
+  list.reserve(uses.size());
+  for (const IndexUse& use : uses) list.push_back(&use);
+  return CostPlan(stmt, list);
 }
 
 PlanCost WhatIfOptimizer::CostWithPlan(const Statement& stmt,
                                        const Configuration& config) const {
-  static const char* const kPathPrefix[] = {  // indexed by Plan::Path
+  static const char* const kPathPrefix[] = {  // indexed by AccessPlan::Path
       "heap scan(", "index scan(", "index seek(", "index seek+lookup(", "MV ",
       "bulk insert("};
-  const Plan plan = CostPlan(Prepare(stmt), config.members());
+  const PreparedStatement prepared = Prepare(stmt);
+  const AccessPlan plan = CostMembers(prepared, config.members());
   PlanCost cost;
   cost.io = plan.io;
   cost.cpu = plan.cpu;
-  cost.access_path =
-      kPathPrefix[static_cast<int>(plan.path)] +
-      (plan.index != nullptr ? plan.index->ToString() : plan.table->name()) +
-      (plan.path == Plan::Path::kMV ? "" : ")");
+  cost.access_path = kPathPrefix[static_cast<int>(plan.path)] +
+                     (plan.index != nullptr
+                          ? plan.index->ToString()
+                          : prepared.tables.front().table->name()) +
+                     (plan.path == AccessPlan::Path::kMV ? "" : ")");
   return cost;
 }
 
 double WhatIfOptimizer::Cost(const PreparedStatement& stmt,
+                             const UseList& uses) const {
+  return CostPlan(stmt, uses).total();
+}
+
+double WhatIfOptimizer::Cost(const PreparedStatement& stmt,
                              const MemberList& members) const {
-  return CostPlan(stmt, members).total();
+  return CostMembers(stmt, members).total();
 }
 
 double WhatIfOptimizer::Cost(const Statement& stmt,

@@ -3,12 +3,23 @@
 // heap scan, (covering) index scan, index seek with optional RID lookups,
 // partial-index use when the query's predicates subsume the index filter,
 // and MV-index answering via a pluggable matcher (implemented in src/mv).
-// The cost model is compression aware per Appendix A. One costing body
-// reads a prepared statement and the configuration's MemberList; the
-// Configuration overloads prepare and forward to it.
+// The cost model is compression aware per Appendix A.
+//
+// Costing runs in two steps, in the manner of INUM (Papadomanolakis, Dash
+// and Ailamaki, VLDB 2007). Use(prepared, estimate) computes everything one
+// index contributes to one prepared statement that no configuration can
+// change: its access plan, its index-NL probe, its MV plan, its INSERT
+// maintenance terms. The one costing body then combines a configuration's
+// uses, in configuration order, with nothing but comparisons and sums. The
+// advisor's search computes the use of each candidate for each statement it
+// is relevant to once per tune (cost_cache.h); the MemberList and
+// Configuration overloads compute their members' uses per call and run the
+// same body, so all agree to the bit.
 #ifndef CAPD_OPTIMIZER_WHAT_IF_H_
 #define CAPD_OPTIMIZER_WHAT_IF_H_
 
+#include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <vector>
@@ -78,8 +89,58 @@ struct PreparedStatement {
   // INSERT: the loaded table.
   std::vector<PreparedTable> tables;
   std::vector<size_t> join_tables;  // per join clause, its entry in tables
+  // Per join clause, the first clause joining the same entry on the same
+  // dimension key: an index-NL probe serves both clauses or neither.
+  std::vector<size_t> join_first;
   double root_sel = 1.0;  // SELECT: product of tables[0].pred_sel, in order
 };
+
+// A costed plan and how it reads its data; only CostWithPlan renders the
+// description into PlanCost::access_path. A heap scan or bulk insert that
+// ends up as a statement's plan is always on its first prepared table.
+struct AccessPlan {
+  enum class Path : uint8_t { kHeapScan, kIndexScan, kIndexSeek,
+                              kIndexSeekLookup, kMV, kBulkInsert };
+  double io = 0.0;
+  double cpu = 0.0;
+  const IndexDef* index = nullptr;  // every path but heap scan/bulk insert
+  Path path = Path::kHeapScan;
+
+  double total() const { return io + cpu; }
+};
+
+// Everything one index contributes to one prepared statement that no
+// configuration can change (WhatIfOptimizer::Use). Holds the address of
+// the index's IndexDef, which must outlive it.
+struct IndexUse {
+  static constexpr uint32_t kNone = std::numeric_limits<uint32_t>::max();
+
+  // SELECT. The index's entry in PreparedStatement::tables (kNone when the
+  // statement does not touch its object), and the first join clause it
+  // serves as an index-NL probe (kNone if none; it serves every clause
+  // whose join_first is this one).
+  uint32_t table = kNone;
+  uint32_t probe_join = kNone;
+  // SELECT. Whether it replaces its entry's heap (a clustered index).
+  bool replaces_heap = false;
+  // INSERT. Whether the index is maintained (it sits on the loaded table,
+  // or on an MV over it).
+  bool maintained = false;
+
+  // SELECT. The access path it offers on its entry, the probe's cost, and
+  // the plan answering the whole query from this MV index.
+  std::optional<AccessPlan> access;
+  AccessPlan probe;
+  std::optional<AccessPlan> mv;
+
+  // INSERT. The terms a maintained index adds to the plan, in order.
+  double insert_cpu = 0.0;
+  double insert_io = 0.0;       // sequential write of new entries; 0 for MVs
+  double maintenance_io = 0.0;  // scattered leaf maintenance
+};
+
+// A configuration's uses for one statement, in configuration order.
+using UseList = std::vector<const IndexUse*>;
 
 class WhatIfOptimizer {
  public:
@@ -94,12 +155,20 @@ class WhatIfOptimizer {
   // columns, row counts and heap-scan costs per touched table.
   PreparedStatement Prepare(const Statement& stmt) const;
 
+  // What `idx` contributes to `stmt` under any configuration. Reads the MV
+  // matcher set now; the use references `stmt`'s tables and `idx.def`.
+  IndexUse Use(const PreparedStatement& stmt,
+               const PhysicalIndexEstimate& idx) const;
+
   // Optimizer-estimated cost of the statement under the configuration
-  // (unweighted; callers apply Statement::weight). The prepared overload is
-  // the costing body: it does no catalog, histogram or string work, and
-  // the others forward to it, so all three agree to the bit.
+  // (unweighted; callers apply Statement::weight). The UseList overload is
+  // the costing body: it combines the uses with comparisons and sums only,
+  // and the others compute their members' uses and call it, so all agree
+  // to the bit. A use left out of `uses` must be one that cannot change
+  // the plan (cost_cache.h leaves out the irrelevant ones).
   double Cost(const Statement& stmt, const Configuration& config) const;
   double Cost(const PreparedStatement& stmt, const MemberList& members) const;
+  double Cost(const PreparedStatement& stmt, const UseList& uses) const;
   PlanCost CostWithPlan(const Statement& stmt, const Configuration& config) const;
 
   // Sum of weight * Cost over the workload.
@@ -115,32 +184,22 @@ class WhatIfOptimizer {
   const CostModelParams& params() const { return params_; }
 
  private:
-  // A costed plan and how it reads its data; only CostWithPlan renders the
-  // description into PlanCost::access_path.
-  struct Plan {
-    enum class Path { kHeapScan, kIndexScan, kIndexSeek, kIndexSeekLookup,
-                      kMV, kBulkInsert };
-    double io = 0.0;
-    double cpu = 0.0;
-    Path path = Path::kHeapScan;
-    const Table* table = nullptr;     // heap scan / bulk insert
-    const IndexDef* index = nullptr;  // every other path
-
-    double total() const { return io + cpu; }
-  };
-
-  Plan CostPlan(const PreparedStatement& stmt, const MemberList& members) const;
-  Plan CostSelect(const PreparedStatement& stmt,
-                  const MemberList& members) const;
-  Plan CostInsert(const PreparedStatement& stmt,
-                  const MemberList& members) const;
-
-  // Cheapest access path producing this table's portion of the query.
-  Plan BestTableAccess(const PreparedTable& table,
-                       const MemberList& members) const;
+  // The costing body over a configuration's uses.
+  AccessPlan CostPlan(const PreparedStatement& stmt, const UseList& uses) const;
+  AccessPlan CostSelect(const PreparedStatement& stmt,
+                        const UseList& uses) const;
+  AccessPlan CostInsert(const PreparedStatement& stmt,
+                        const UseList& uses) const;
+  // Cheapest access path producing the portion of the query on
+  // stmt.tables[table].
+  AccessPlan BestTableAccess(const PreparedStatement& stmt, size_t table,
+                             const UseList& uses) const;
   // Cost of using `idx` for this table's portion, or nullopt if unusable.
-  std::optional<Plan> IndexAccessCost(const PreparedTable& table,
-                                      const PhysicalIndexEstimate& idx) const;
+  std::optional<AccessPlan> IndexAccessCost(
+      const PreparedTable& table, const PhysicalIndexEstimate& idx) const;
+  // CostPlan over the uses of `members`, computed here.
+  AccessPlan CostMembers(const PreparedStatement& stmt,
+                         const MemberList& members) const;
 
   const Database* db_;
   CostModelParams params_;

@@ -107,12 +107,16 @@ std::shared_ptr<TuningService::Ticket> TuningService::Submit(
       job->id = next_id_++;
       job->request = request;
       job->submitted_at = now;
-      if (request.timeout_ms > 0.0) {
+      // A timeout the clock cannot add to `now` (infinite, or beyond half
+      // its remaining range, which leaves room for rounding) sets none.
+      const std::chrono::duration<double, std::milli> timeout(
+          request.timeout_ms);
+      const std::chrono::duration<double, std::milli> limit =
+          (Clock::time_point::max() - now) / 2;
+      if (request.timeout_ms > 0.0 && timeout < limit) {
         job->has_deadline = true;
         job->deadline =
-            now + std::chrono::duration_cast<Clock::duration>(
-                      std::chrono::duration<double, std::milli>(
-                          request.timeout_ms));
+            now + std::chrono::duration_cast<Clock::duration>(timeout);
       }
       job->ticket = ticket;
       queue_[{-static_cast<int64_t>(request.priority), job->id}] = job;

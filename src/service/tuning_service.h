@@ -92,7 +92,9 @@ struct ServiceRequest {
   // Higher dequeues first; ties resolve in submission order.
   int priority = 0;
   // Wall-clock deadline in milliseconds from submission, covering queue
-  // wait and every attempt. 0 = no deadline.
+  // wait and every attempt. No deadline when it is not positive, not
+  // finite, or too long for the clock to hold (beyond half its range from
+  // now: about 146 years on a nanosecond steady clock).
   double timeout_ms = 0.0;
 };
 

@@ -390,9 +390,10 @@ TEST(ScaleWorkloadTest, ColdTuneJsonIsIdenticalAcrossEstimationThreads) {
 // A warm request is served both its estimation batches whole from the
 // engine's cache and re-runs the greedy search, so its allocations count
 // candidate generation, merging and what-if overhead, not planning or
-// sampling. The budget sits within 10% of the measured count (17,766 in
-// Release), so re-planning a repeated batch or string work returning to
-// the search fails here, not only in a timing.
+// sampling. The budget sits within 10% of the measured count (12,982 in
+// Release), so re-planning a repeated batch, an allocation per trie edge
+// or per computed costing, or string work returning to the search fails
+// here, not only in a timing.
 TEST(AllocationGate, WarmTpchTuneStaysUnderAllocationBudget) {
   workloads::WorkloadSpec spec;
   spec.name = "tpch";
@@ -413,7 +414,7 @@ TEST(AllocationGate, WarmTpchTuneStaysUnderAllocationBudget) {
   ASSERT_TRUE(warm.ok()) << warm.error;
   std::printf("warm tpch dtac-both tune: %llu allocations\n",
               static_cast<unsigned long long>(allocs));
-  constexpr uint64_t kAllocBudget = 19500;
+  constexpr uint64_t kAllocBudget = 14250;
   EXPECT_LE(allocs, kAllocBudget);
 }
 

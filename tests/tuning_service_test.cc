@@ -230,6 +230,25 @@ TEST_F(TuningServiceTest, DeadlineMidTuneReturnsBestSoFarFlagged) {
   EXPECT_EQ(service.Tune(MakeRequest("dtac-topk")).status, ServiceStatus::kOk);
 }
 
+// A timeout the clock cannot hold sets no deadline: it neither overflows
+// into a deadline in the past nor cuts the run short.
+TEST_F(TuningServiceTest, UnrepresentableTimeoutSetsNoDeadline) {
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.high_watermark = 0;
+  TuningService service(engine_.get(), options);
+  for (const double timeout_ms :
+       {std::numeric_limits<double>::infinity(), 1e300}) {
+    SCOPED_TRACE(timeout_ms);
+    ServiceRequest request = MakeRequest("dtac-topk");
+    request.timeout_ms = timeout_ms;
+    const ServiceResponse response = service.Tune(request);
+    EXPECT_EQ(response.status, ServiceStatus::kOk) << response.error;
+    EXPECT_FALSE(response.tuning.result.cancelled);
+    EXPECT_GT(response.tuning.result.config.size(), 0u);
+  }
+}
+
 // Shutdown lets in-flight runs finish, and the watchdog stays up until the
 // last of them has: a run still going when the service is destroyed is cut
 // off at its deadline like any other.

@@ -1,7 +1,10 @@
 // Tests for candidate ids and the per-statement what-if cost cache: cached
 // costs of random id configurations (swap-shaped ones included) and the
 // greedy trials' delta path must match the uncached optimizer to the bit,
-// and the relevance gates must mirror the optimizer's own usability rules.
+// on a plain pool and on one exercising every path an IndexUse
+// precomputes (partial, BITMAP, index-NL and MV indexes), and the
+// relevance gates must mirror the optimizer's own usability rules: an id
+// marked irrelevant to a statement never changes its cost.
 #include <algorithm>
 #include <cstring>
 #include <map>
@@ -10,8 +13,11 @@
 
 #include <gtest/gtest.h>
 
+#include "common/logging.h"
 #include "common/random.h"
+#include "mv/mv_registry.h"
 #include "optimizer/cost_cache.h"
+#include "query/sql_parser.h"
 #include "workloads/tpch.h"
 
 namespace capd {
@@ -32,10 +38,17 @@ class WhatIfCacheTest : public ::testing::Test {
     tpch::Build(&db_, opt);
     workload_ = tpch::MakeWorkload(db_, opt);
     optimizer_ = std::make_unique<WhatIfOptimizer>(db_, CostModelParams{});
+    Intern(CandidatePool());
+  }
+
+  // Interns `pool` into fresh ids the way Tune does: through a sizes map
+  // keyed by signature, so two candidates with one signature share a node
+  // and an id.
+  void Intern(const std::vector<PhysicalIndexEstimate>& pool) {
+    pool_.clear();
     ids_ = std::make_unique<CandidateIds>(db_, *optimizer_, workload_);
-    // Interned the way Tune does: through a sizes map keyed by signature,
-    // so the two candidates with one signature share a node and an id.
-    for (const PhysicalIndexEstimate& est : CandidatePool()) {
+    sizes_.clear();
+    for (const PhysicalIndexEstimate& est : pool) {
       const auto it = sizes_.emplace(est.def.Signature(), est).first;
       pool_.push_back(ids_->Intern(it->first, it->second));
     }
@@ -89,6 +102,100 @@ class WhatIfCacheTest : public ::testing::Test {
     return pool;
   }
 
+  // The WHERE predicate of `sql`, a one-predicate query on `db_`.
+  ColumnFilter Predicate(const std::string& sql) const {
+    std::string error;
+    const std::optional<Statement> stmt = ParseSql(sql, db_, &error);
+    CAPD_CHECK(stmt.has_value()) << error;
+    CAPD_CHECK(stmt->select.predicates.size() == 1u) << sql;
+    return stmt->select.predicates.front();
+  }
+
+  // Registers an MV answering workload query `query_id` the way candidate
+  // generation does (the predicates off its group-by columns pinned into
+  // the view) and returns an index on it.
+  PhysicalIndexEstimate MVIndexFor(const std::string& query_id,
+                                   CompressionKind kind, double bytes) {
+    const SelectQuery& q =
+        workload_.statements[StatementIndex(query_id)].select;
+    MVDef def;
+    def.name = "mv_" + query_id;
+    def.fact_table = q.table;
+    def.joins = q.joins;
+    def.group_by = q.group_by;
+    def.aggregates = q.aggregates;
+    for (const ColumnFilter& p : q.predicates) {
+      if (std::find(q.group_by.begin(), q.group_by.end(), p.column) ==
+          q.group_by.end()) {
+        def.predicates.push_back(p);
+      }
+    }
+    if (mvs_->Find(def.name) == nullptr) {
+      mvs_->Register(def);
+      mvs_->FullTuples(def.name);  // as size estimation does before costing
+    }
+    PhysicalIndexEstimate est = Est(def.name, def.group_by, kind, false, bytes);
+    for (const AggExpr& a : def.aggregates) {
+      est.def.include_columns.push_back(MVDef::AggColumnName(a));
+    }
+    est.def.include_columns.push_back(kMVCountColumn);
+    return est;
+  }
+
+  // Interns a second pool, under an MV matcher, for the paths an IndexUse
+  // precomputes:
+  //   0  a partial index Q6, Q7, Q14 and Q15 subsume (l_shipdate in
+  //      1995-96)
+  //   1  a partial index no predicate subsumes (l_discount > 0.09)
+  //   2  a BITMAP structure Q12 seeks by equality (l_shipmode)
+  //   3  a BITMAP structure only range predicates touch (l_shipdate)
+  //   4  part keyed on the join key p_partkey: an index-NL probe
+  //   5  its PAGE variant
+  //   6  a partial index keyed on p_partkey, which never probes a join
+  //   7  an MV index answering Q7, maintained by BULK_LINEITEM
+  //   8  its ROW variant
+  //   9  an MV index answering Q8 (a join), maintained by BULK_LINEITEM
+  //   10 a clustered orders index, maintained by BULK_ORDERS
+  void UseSecondPool() {
+    samples_ = std::make_unique<SampleManager>(88);
+    mvs_ = std::make_unique<MVRegistry>(db_, samples_.get());
+    optimizer_->set_mv_matcher(mvs_.get());
+    std::vector<PhysicalIndexEstimate> pool;
+    pool.push_back(Est("lineitem", {"l_shipdate"}, CompressionKind::kNone,
+                       false, 120000));
+    pool.back().def.include_columns = {"l_extendedprice", "l_discount",
+                                       "l_quantity", "l_shipmode"};
+    pool.back().def.filter = Predicate(
+        "SELECT l_shipdate FROM lineitem WHERE l_shipdate BETWEEN "
+        "DATE '1995-01-01' AND DATE '1996-12-31'");
+    pool.push_back(Est("lineitem", {"l_partkey"}, CompressionKind::kRow,
+                       false, 30000));
+    pool.back().def.filter = Predicate(
+        "SELECT l_partkey FROM lineitem WHERE l_discount > 0.09");
+    pool.push_back(Est("lineitem", {"l_shipmode"}, CompressionKind::kBitmap,
+                       false, 9000));
+    pool.back().def.include_columns = {"l_receiptdate"};
+    pool.push_back(Est("lineitem", {"l_shipdate"}, CompressionKind::kBitmap,
+                       false, 15000));
+    pool.push_back(
+        Est("part", {"p_partkey"}, CompressionKind::kNone, false, 40000));
+    pool.back().def.include_columns = {"p_brand", "p_type"};
+    pool.push_back(
+        Est("part", {"p_partkey"}, CompressionKind::kPage, false, 25000));
+    pool.back().def.include_columns = {"p_brand", "p_type"};
+    pool.push_back(
+        Est("part", {"p_partkey"}, CompressionKind::kNone, false, 12000));
+    pool.back().def.include_columns = {"p_brand"};
+    pool.back().def.filter =
+        Predicate("SELECT p_brand FROM part WHERE p_size >= 20");
+    pool.push_back(MVIndexFor("Q7", CompressionKind::kNone, 8192));
+    pool.push_back(MVIndexFor("Q7", CompressionKind::kRow, 8192));
+    pool.push_back(MVIndexFor("Q8", CompressionKind::kNone, 16384));
+    pool.push_back(
+        Est("orders", {"o_orderdate"}, CompressionKind::kRow, true, 70000));
+    Intern(pool);
+  }
+
   // The distinct ids of the pool, in pool order.
   std::vector<Id> DistinctIds() const {
     std::vector<Id> out;
@@ -123,8 +230,14 @@ class WhatIfCacheTest : public ::testing::Test {
     return 0;
   }
 
+  // Cached, uncached, delta and plan-rendering costings of random
+  // configurations over the pool, all to the bit.
+  void CheckCachedMatchesUncached();
+
   Database db_;
   Workload workload_;
+  std::unique_ptr<SampleManager> samples_;
+  std::unique_ptr<MVRegistry> mvs_;  // the second pool's matcher
   std::unique_ptr<WhatIfOptimizer> optimizer_;
   std::map<std::string, PhysicalIndexEstimate> sizes_;
   std::unique_ptr<CandidateIds> ids_;
@@ -143,7 +256,7 @@ TEST_F(WhatIfCacheTest, OneSignatureSharesOneId) {
   EXPECT_NE(ids_->structure(pool_[0]), ids_->structure(pool_[4]));
 }
 
-TEST_F(WhatIfCacheTest, CachedMatchesUncachedOnRandomConfigs) {
+void WhatIfCacheTest::CheckCachedMatchesUncached() {
   StatementCostCache cache(*ids_);
   Random rng(20260729);
   for (int trial = 0; trial < 60; ++trial) {
@@ -169,7 +282,7 @@ TEST_F(WhatIfCacheTest, CachedMatchesUncachedOnRandomConfigs) {
     // Per statement, every costing entry point agrees to the bit: the
     // cached and uncached ids, the prepared body over member pointers, and
     // the plan renderer.
-    const MemberList members = ids_->Members(config);
+    const MemberList members = owned.members();
     for (size_t i = 0; i < workload_.statements.size(); ++i) {
       const Statement& stmt = workload_.statements[i];
       SCOPED_TRACE(stmt.id);
@@ -208,6 +321,76 @@ TEST_F(WhatIfCacheTest, CachedMatchesUncachedOnRandomConfigs) {
   // The random-order configs revisit relevant subsequences, so the cache
   // must have produced hits — and every one of them matched bitwise above.
   EXPECT_GT(cache.hits(), 0u);
+}
+
+TEST_F(WhatIfCacheTest, CachedMatchesUncachedOnRandomConfigs) {
+  CheckCachedMatchesUncached();
+}
+
+TEST_F(WhatIfCacheTest, CachedMatchesUncachedOnPartialBitmapJoinAndMVPool) {
+  UseSecondPool();
+  // The pool reaches the paths it is meant to: subsumed and unsubsumed
+  // filters, equality-only BITMAP seeks, index-NL probes, MV answering and
+  // MV maintenance.
+  const size_t q6 = StatementIndex("Q6");
+  const size_t q7 = StatementIndex("Q7");
+  const size_t q8 = StatementIndex("Q8");
+  const size_t q12 = StatementIndex("Q12");
+  const size_t bulk = StatementIndex("BULK_LINEITEM");
+  EXPECT_TRUE(ids_->relevant(q6, pool_[0]));
+  EXPECT_FALSE(ids_->relevant(q6, pool_[1]));
+  EXPECT_TRUE(ids_->relevant(q12, pool_[2]));
+  EXPECT_FALSE(ids_->relevant(q8, pool_[6]));
+  EXPECT_TRUE(ids_->relevant(bulk, pool_[1]));
+  EXPECT_FALSE(ids_->relevant(StatementIndex("BULK_ORDERS"), pool_[7]));
+  ASSERT_TRUE(ids_->relevant(q8, pool_[4]));
+  ASSERT_TRUE(ids_->relevant(q7, pool_[7]));
+  ASSERT_TRUE(ids_->relevant(bulk, pool_[7]));
+  EXPECT_EQ(ids_->use(q8, pool_[4]).probe_join, 0u);
+  EXPECT_TRUE(ids_->use(q7, pool_[7]).mv.has_value());
+  EXPECT_TRUE(ids_->use(bulk, pool_[7]).maintained);
+  const Configuration mv = ids_->ToConfiguration({pool_[7]});
+  EXPECT_EQ(optimizer_->CostWithPlan(workload_.statements[q7], mv)
+                .access_path.rfind("MV ", 0),
+            0u);
+  const Configuration partial = ids_->ToConfiguration({pool_[0]});
+  EXPECT_NE(optimizer_->CostWithPlan(workload_.statements[q6], partial)
+                .access_path.find("WHERE"),
+            std::string::npos);
+  CheckCachedMatchesUncached();
+}
+
+// Misses cost only the relevant members' uses, so every id relevant()
+// reports false for a statement must leave that statement's cost, under
+// any configuration, bit-identical.
+TEST_F(WhatIfCacheTest, IrrelevantIdsLeaveCostsBitIdentical) {
+  for (const bool second_pool : {false, true}) {
+    SCOPED_TRACE(second_pool ? "second pool" : "first pool");
+    if (second_pool) UseSecondPool();
+    Random rng(20261020);
+    size_t checked = 0;
+    for (int trial = 0; trial < 20; ++trial) {
+      const std::vector<Id> config = RandomConfig(&rng);
+      const Configuration owned = ids_->ToConfiguration(config);
+      for (size_t i = 0; i < workload_.statements.size(); ++i) {
+        const Statement& stmt = workload_.statements[i];
+        const double cost = optimizer_->Cost(stmt, owned);
+        for (const Id id : DistinctIds()) {
+          if (ids_->relevant(i, id) ||
+              std::find(config.begin(), config.end(), id) != config.end()) {
+            continue;
+          }
+          std::vector<Id> extended = config;
+          extended.push_back(id);
+          EXPECT_TRUE(SameBits(
+              cost, optimizer_->Cost(stmt, ids_->ToConfiguration(extended))))
+              << stmt.id << " + " << ids_->estimate(id).def.ToString();
+          ++checked;
+        }
+      }
+    }
+    EXPECT_GT(checked, 0u);
+  }
 }
 
 TEST_F(WhatIfCacheTest, RepeatedQueryIsServedFromCache) {
