@@ -187,9 +187,8 @@ class StatementCostCache {
   // Cost of statement `stmt_index` at `node`, the entry of `config`'s
   // relevant subsequence, followed by `added` unless it is kNoId. With
   // `count_hit` false a hit is uncounted.
-  double CostAt(size_t stmt_index, uint32_t node,
-                const std::vector<Id>& config, Id added = CandidateIds::kNoId,
-                bool count_hit = true);
+  double CostAt(size_t stmt_index, uint32_t node, const std::vector<Id>& config,
+                Id added = CandidateIds::kNoId, bool count_hit = true);
 
   const CandidateIds* ids_;
   std::vector<Trie> tries_;  // one per workload statement

@@ -109,11 +109,10 @@ std::shared_ptr<TuningService::Ticket> TuningService::Submit(
       job->submitted_at = now;
       // A timeout the clock cannot add to `now` (infinite, or beyond half
       // its remaining range, which leaves room for rounding) sets none.
-      const std::chrono::duration<double, std::milli> timeout(
-          request.timeout_ms);
-      const std::chrono::duration<double, std::milli> limit =
-          (Clock::time_point::max() - now) / 2;
-      if (request.timeout_ms > 0.0 && timeout < limit) {
+      using Millis = std::chrono::duration<double, std::milli>;
+      const Millis timeout(request.timeout_ms);
+      if (request.timeout_ms > 0.0 &&
+          timeout < Millis(Clock::time_point::max() - now) / 2) {
         job->has_deadline = true;
         job->deadline =
             now + std::chrono::duration_cast<Clock::duration>(timeout);

@@ -165,13 +165,13 @@ class WhatIfCacheTest : public ::testing::Test {
                        false, 120000));
     pool.back().def.include_columns = {"l_extendedprice", "l_discount",
                                        "l_quantity", "l_shipmode"};
-    pool.back().def.filter = Predicate(
-        "SELECT l_shipdate FROM lineitem WHERE l_shipdate BETWEEN "
-        "DATE '1995-01-01' AND DATE '1996-12-31'");
+    pool.back().def.filter =
+        Predicate("SELECT l_shipdate FROM lineitem WHERE l_shipdate BETWEEN "
+                  "DATE '1995-01-01' AND DATE '1996-12-31'");
     pool.push_back(Est("lineitem", {"l_partkey"}, CompressionKind::kRow,
                        false, 30000));
-    pool.back().def.filter = Predicate(
-        "SELECT l_partkey FROM lineitem WHERE l_discount > 0.09");
+    pool.back().def.filter =
+        Predicate("SELECT l_partkey FROM lineitem WHERE l_discount > 0.09");
     pool.push_back(Est("lineitem", {"l_shipmode"}, CompressionKind::kBitmap,
                        false, 9000));
     pool.back().def.include_columns = {"l_receiptdate"};
@@ -350,13 +350,13 @@ TEST_F(WhatIfCacheTest, CachedMatchesUncachedOnPartialBitmapJoinAndMVPool) {
   EXPECT_TRUE(ids_->use(q7, pool_[7]).mv.has_value());
   EXPECT_TRUE(ids_->use(bulk, pool_[7]).maintained);
   const Configuration mv = ids_->ToConfiguration({pool_[7]});
-  EXPECT_EQ(optimizer_->CostWithPlan(workload_.statements[q7], mv)
-                .access_path.rfind("MV ", 0),
-            0u);
+  const std::string mv_path =
+      optimizer_->CostWithPlan(workload_.statements[q7], mv).access_path;
+  EXPECT_EQ(mv_path.rfind("MV ", 0), 0u) << mv_path;
   const Configuration partial = ids_->ToConfiguration({pool_[0]});
-  EXPECT_NE(optimizer_->CostWithPlan(workload_.statements[q6], partial)
-                .access_path.find("WHERE"),
-            std::string::npos);
+  const std::string partial_path =
+      optimizer_->CostWithPlan(workload_.statements[q6], partial).access_path;
+  EXPECT_NE(partial_path.find("WHERE"), std::string::npos) << partial_path;
   CheckCachedMatchesUncached();
 }
 
@@ -382,8 +382,8 @@ TEST_F(WhatIfCacheTest, IrrelevantIdsLeaveCostsBitIdentical) {
           }
           std::vector<Id> extended = config;
           extended.push_back(id);
-          EXPECT_TRUE(SameBits(
-              cost, optimizer_->Cost(stmt, ids_->ToConfiguration(extended))))
+          const Configuration with = ids_->ToConfiguration(extended);
+          EXPECT_TRUE(SameBits(cost, optimizer_->Cost(stmt, with)))
               << stmt.id << " + " << ids_->estimate(id).def.ToString();
           ++checked;
         }
