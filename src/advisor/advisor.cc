@@ -352,67 +352,71 @@ AdvisorResult Advisor::Tune(const Workload& workload, double budget_bytes) {
   // whole run: nothing within one Tune invalidates a statement cost
   // (database and sizes are fixed), and the single-index costings of
   // candidate selection double as warm-up for the first enumeration step.
-  CandidateIds ids(*db_, *optimizer_, workload);
-  for (const auto& [signature, est] : sizes) ids.Intern(signature, est);
-  std::unique_ptr<StatementCostCache> cost_cache;
-  if (options_.cost_cache) {
-    cost_cache = std::make_unique<StatementCostCache>(ids);
-  }
-  // The cost cache's counters land in the result on every later exit.
-  auto tally_cost_cache = [&]() {
-    if (cost_cache == nullptr) return;
-    result.stmt_costs_computed += cost_cache->misses();
-    result.stmt_costs_cached += cost_cache->hits();
-  };
+  // Both are freed before the enumeration phase is reported, so the phase
+  // includes their teardown.
+  {
+    CandidateIds ids(*optimizer_, workload);
+    for (const auto& [signature, est] : sizes) ids.Intern(signature, est);
+    std::unique_ptr<StatementCostCache> cost_cache;
+    if (options_.cost_cache) {
+      cost_cache = std::make_unique<StatementCostCache>(ids);
+    }
+    // The cost cache's counters land in the result on every later exit.
+    auto tally_cost_cache = [&]() {
+      if (cost_cache == nullptr) return;
+      result.stmt_costs_computed += cost_cache->misses();
+      result.stmt_costs_cached += cost_cache->hits();
+    };
 
-  // 3. Per-query candidate selection (top-k or skyline).
-  std::vector<Id> pool =
-      SelectCandidates(candidates, ids, cost_cache.get(), &result);
-  ReportProgress("selection");
-  if (cancelled()) {
-    tally_cost_cache();
-    return result;
-  }
+    // 3. Per-query candidate selection (top-k or skyline).
+    std::vector<Id> pool =
+        SelectCandidates(candidates, ids, cost_cache.get(), &result);
+    ReportProgress("selection");
+    if (cancelled()) {
+      tally_cost_cache();
+      return result;
+    }
 
-  // 4. Index merging over the selected pool.
-  std::vector<IndexDef> selected;
-  for (const Id id : pool) selected.push_back(ids.estimate(id).def);
-  const std::vector<IndexDef> merged = generator.MergeCandidates(selected);
-  if (!merged.empty()) {
-    const std::map<std::string, PhysicalIndexEstimate> merged_sizes =
-        EstimateSizes(merged, &result);
-    // A cancel inside the merged batch leaves merged_sizes short; merged
-    // candidates are only admitted when every one of them was sized. A
-    // merged signature sized before keeps its first estimate, which
-    // selection already charged and costed, and so its id.
-    if (!CancelRequested()) {
-      for (const auto& [sig, est] : merged_sizes) {
-        const auto it = sizes.emplace(sig, est).first;
-        ids.Intern(it->first, it->second);
-      }
-      for (const IndexDef& def : merged) {
-        pool.push_back(ids.Find(def.Signature()));
+    // 4. Index merging over the selected pool.
+    std::vector<IndexDef> selected;
+    for (const Id id : pool) selected.push_back(ids.estimate(id).def);
+    const std::vector<IndexDef> merged = generator.MergeCandidates(selected);
+    if (!merged.empty()) {
+      const std::map<std::string, PhysicalIndexEstimate> merged_sizes =
+          EstimateSizes(merged, &result);
+      // A cancel inside the merged batch leaves merged_sizes short; merged
+      // candidates are only admitted when every one of them was sized. A
+      // merged signature sized before keeps its first estimate, which
+      // selection already charged and costed, and so its id.
+      if (!CancelRequested()) {
+        for (const auto& [sig, est] : merged_sizes) {
+          const auto it = sizes.emplace(sig, est).first;
+          ids.Intern(it->first, it->second);
+        }
+        for (const IndexDef& def : merged) {
+          pool.push_back(ids.Find(def.Signature()));
+        }
       }
     }
-  }
-  result.num_candidates = pool.size();
-  ReportProgress("merging");
-  if (cancelled()) {
-    tally_cost_cache();
-    return result;
-  }
+    result.num_candidates = pool.size();
+    ReportProgress("merging");
+    if (cancelled()) {
+      tally_cost_cache();
+      return result;
+    }
 
-  // 5. Enumeration. A cancel inside Enumerate still falls through here, so
-  // a cancelled result carries real initial/final costs for its partial
-  // configuration.
-  result.initial_cost = WorkloadCost(ids, {}, cost_cache.get(), &result);
-  const std::vector<Id> config =
-      Enumerate(pool, ids, budget_bytes, cost_cache.get(), &result);
-  result.final_cost = WorkloadCost(ids, config, cost_cache.get(), &result);
-  result.config = ids.ToConfiguration(config);
-  result.charged_bytes = ChargedBytes(result.config);
+    // 5. Enumeration. A cancel inside Enumerate still falls through here, so
+    // a cancelled result carries real initial/final costs for its partial
+    // configuration.
+    result.initial_cost = WorkloadCost(ids, {}, cost_cache.get(), &result);
+    const std::vector<Id> config =
+        Enumerate(pool, ids, budget_bytes, cost_cache.get(), &result);
+    result.final_cost = WorkloadCost(ids, config, cost_cache.get(), &result);
+    result.config = ids.ToConfiguration(config);
+    result.charged_bytes = ChargedBytes(result.config);
+    tally_cost_cache();
+  }
   ReportProgress("enumeration");
-  tally_cost_cache();
   return result;
 }
 
@@ -452,7 +456,7 @@ AdvisorResult Advisor::TuneStagedBaseline(const Workload& workload,
     result.cancelled = true;
     return result;  // stage-1 design, uncompressed
   }
-  CandidateIds ids(*db_, *optimizer_, workload);
+  CandidateIds ids(*optimizer_, workload);
   std::vector<Id> config;
   for (const IndexDef& def : compressed) {
     const auto it = sizes.find(def.Signature());

@@ -20,13 +20,6 @@ bool Configuration::Contains(const std::string& signature) const {
          signatures_.end();
 }
 
-MemberList Configuration::members() const {
-  MemberList members;
-  members.reserve(indexes_.size());
-  for (const PhysicalIndexEstimate& idx : indexes_) members.push_back(&idx);
-  return members;
-}
-
 std::string Configuration::ToString() const {
   std::ostringstream os;
   os << "{";

@@ -1,10 +1,9 @@
 // A hypothetical physical configuration: the set of indexes the what-if
 // optimizer costs a statement against, each with its (estimated) size. The
 // estimated size matters doubly — it drives I/O cost AND the storage-budget
-// accounting in enumeration. An owning Configuration is what a tune
-// returns and what reports and tests build; a MemberList names one by
-// estimate addresses. The advisor's search builds neither: it costs its
-// interned candidate ids from per-candidate uses (cost_cache.h).
+// accounting in enumeration. A Configuration is what a tune returns and
+// what reports and tests build. The advisor's search builds none: it costs
+// its interned candidate ids from per-candidate uses (cost_cache.h).
 #ifndef CAPD_OPTIMIZER_CONFIGURATION_H_
 #define CAPD_OPTIMIZER_CONFIGURATION_H_
 
@@ -24,10 +23,6 @@ struct PhysicalIndexEstimate {
   double pages() const { return bytes / kPageSize; }
 };
 
-// A configuration's indexes by address, in configuration order. Costs
-// depend on that order (best-path ties and floating-point sums follow it).
-using MemberList = std::vector<const PhysicalIndexEstimate*>;
-
 class Configuration {
  public:
   Configuration() = default;
@@ -36,9 +31,9 @@ class Configuration {
   void Add(PhysicalIndexEstimate idx);
   bool Contains(const std::string& signature) const;
 
+  // In insertion order. Costs depend on that order (best-path ties and
+  // floating-point sums follow it).
   const std::vector<PhysicalIndexEstimate>& indexes() const { return indexes_; }
-  // indexes() by address; valid until the next Add.
-  MemberList members() const;
 
   size_t size() const { return indexes_.size(); }
 

@@ -7,10 +7,6 @@
 namespace capd {
 namespace {
 
-bool Contains(const std::vector<std::string>& v, const std::string& s) {
-  return std::find(v.begin(), v.end(), s) != v.end();
-}
-
 // Fibonacci hashing of the edge (node, id): the product's high half mixes
 // both halves of the key.
 size_t EdgeHash(uint32_t node, uint32_t id) {
@@ -20,68 +16,13 @@ size_t EdgeHash(uint32_t node, uint32_t id) {
 
 }  // namespace
 
-CandidateIds::CandidateIds(const Database& db, const WhatIfOptimizer& optimizer,
+CandidateIds::CandidateIds(const WhatIfOptimizer& optimizer,
                            const Workload& workload)
-    : db_(&db), optimizer_(&optimizer), workload_(&workload) {
+    : optimizer_(&optimizer), workload_(&workload) {
   prepared_.reserve(workload.statements.size());
   for (const Statement& stmt : workload.statements) {
     prepared_.push_back(optimizer.Prepare(stmt));
   }
-}
-
-bool CandidateIds::ComputeRelevant(size_t stmt_index,
-                                   const IndexDef& idx) const {
-  const PreparedStatement& stmt = prepared_[stmt_index];
-  const bool is_insert = stmt.stmt->type == StatementType::kInsert;
-  if (!db_->HasTable(idx.object)) {
-    // Index on a materialized view: invisible to the optimizer without a
-    // matcher; otherwise it may answer any SELECT, and an INSERT maintains
-    // it only when the MV is defined over the inserted table (mirrors
-    // CostSelect/CostInsert exactly).
-    const MVMatcher* matcher = optimizer_->mv_matcher();
-    if (matcher == nullptr) return false;
-    if (!is_insert) return true;
-    return matcher->FactTableOf(idx.object) == stmt.stmt->insert.table;
-  }
-
-  const PreparedTable* ts = nullptr;
-  for (const PreparedTable& t : stmt.tables) {
-    if (t.table->name() == idx.object) ts = &t;
-  }
-  if (ts == nullptr) return false;  // statement never touches the object
-  // Every index on the loaded table is maintained by a bulk INSERT.
-  if (is_insert) return true;
-  // A clustered index replaces the heap, changing the base access path
-  // whether or not it is itself chosen.
-  if (idx.clustered) return true;
-  // Mirror IndexAccessCost's usability gates. A partial index whose filter
-  // the statement's predicates do not subsume is unusable (and the
-  // index-NL join skips filtered indexes too).
-  if (idx.filter.has_value() &&
-      !PredicatesSubsumeFilter(ts->preds, *idx.filter)) {
-    return false;
-  }
-  // Index-nested-loops join probe: leading key equals a join's dim key.
-  if (!idx.filter.has_value() && !idx.key_columns.empty() &&
-      Contains(ts->join_keys, idx.key_columns.front())) {
-    return true;
-  }
-  // Seekable: a predicate on the leading key column (equality-only for
-  // BITMAP structures — mirrors IndexAccessCost's sargable-prefix gate).
-  if (!idx.key_columns.empty()) {
-    const bool bitmap = idx.compression == CompressionKind::kBitmap;
-    for (const ColumnFilter& p : ts->preds) {
-      if (p.column != idx.key_columns.front()) continue;
-      if (bitmap && p.op != FilterOp::kEq) continue;
-      return true;
-    }
-  }
-  // Covering: every column the statement uses on this table is stored.
-  const Schema& base = ts->table->schema();
-  for (const std::string& c : ts->cols_used) {
-    if (!idx.Stores(base, c)) return false;
-  }
-  return true;
 }
 
 CandidateIds::Id CandidateIds::Intern(const std::string& signature,
@@ -100,20 +41,20 @@ CandidateIds::Id CandidateIds::Intern(const std::string& signature,
       std::string_view(signature).substr(0, signature.rfind('|'));
   structures_.push_back(
       structure_ids_.emplace(structure, structure_ids_.size()).first->second);
-  // The candidate's uses go in one array of exactly their count: growing a
-  // shared array would copy every earlier use at each doubling.
-  const size_t first = use_at_.size();
-  uint32_t count = 0;
-  for (size_t i = 0; i < prepared_.size(); ++i) {
-    use_at_.push_back(ComputeRelevant(i, est.def) ? count++ : kIrrelevant);
-  }
-  std::vector<IndexUse>& uses = uses_.emplace_back();
-  uses.reserve(count);
-  for (size_t i = 0; i < prepared_.size(); ++i) {
-    if (use_at_[first + i] != kIrrelevant) {
-      uses.push_back(optimizer_->Use(prepared_[i], est));
+  // The candidate keeps the uses that change a plan, in one array of
+  // exactly their count: growing a shared array would copy every earlier
+  // use at each doubling.
+  kept_.clear();
+  for (const PreparedStatement& stmt : prepared_) {
+    const IndexUse use = optimizer_->Use(stmt, est);
+    if (use.changes_plan()) {
+      use_at_.push_back(static_cast<uint32_t>(kept_.size()));
+      kept_.push_back(use);
+    } else {
+      use_at_.push_back(kIrrelevant);
     }
   }
+  uses_.emplace_back(kept_.begin(), kept_.end());
   return it->second;
 }
 

@@ -19,15 +19,12 @@
 // Each Tune builds its own cache and uses it from the tuning thread only,
 // so it takes no lock; the optimizer it calls is shared and thread-safe.
 //
-// Relevance mirrors the optimizer's own gates conservatively (an index
-// marked relevant may still contribute nothing; an index marked irrelevant
-// provably cannot change the plan, so leaving its use out of a costing
-// changes no bit): an index is relevant to a SELECT iff it sits on a
-// touched table and is clustered (replaces the heap), usable as an access
-// path (seekable prefix or covering, partial filter subsumed), or usable
-// for an index-nested-loops join, or it is an MV index under a matcher; it
-// is relevant to an INSERT iff it must be maintained (same table, or an MV
-// over it).
+// Relevance is the optimizer's own rule, not a copy of its gates: a
+// candidate is relevant to a statement exactly when its use there
+// changes_plan() (it is maintained, replaces the heap, offers an access
+// plan, probes a join or answers from an MV). The costing body reads
+// nothing of any other use, so leaving an irrelevant candidate out of a
+// costing changes no bit.
 #ifndef CAPD_OPTIMIZER_COST_CACHE_H_
 #define CAPD_OPTIMIZER_COST_CACHE_H_
 
@@ -37,7 +34,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "catalog/database.h"
 #include "optimizer/what_if.h"
 #include "query/query.h"
 
@@ -47,9 +43,8 @@ class CandidateIds {
  public:
   using Id = uint32_t;
 
-  // All three referents must outlive this.
-  CandidateIds(const Database& db, const WhatIfOptimizer& optimizer,
-               const Workload& workload);
+  // Both referents must outlive this.
+  CandidateIds(const WhatIfOptimizer& optimizer, const Workload& workload);
 
   // Interns `est`, whose IndexDef::Signature() is `signature`, and returns
   // its id; a signature interned before keeps its id, and must come with
@@ -63,7 +58,7 @@ class CandidateIds {
   const PhysicalIndexEstimate& estimate(Id id) const { return *estimates_[id]; }
   // Equal exactly for the compressed variants of one structure.
   uint32_t structure(Id id) const { return structures_[id]; }
-  // True if `id` can influence the cost of statement `stmt_index`.
+  // True if `id`'s use in statement `stmt_index` changes_plan().
   bool relevant(size_t stmt_index, Id id) const {
     return use_at_[id * prepared_.size() + stmt_index] != kIrrelevant;
   }
@@ -98,9 +93,6 @@ class CandidateIds {
  private:
   static constexpr uint32_t kIrrelevant = UINT32_MAX;
 
-  bool ComputeRelevant(size_t stmt_index, const IndexDef& idx) const;
-
-  const Database* db_;
   const WhatIfOptimizer* optimizer_;
   const Workload* workload_;
   std::vector<PreparedStatement> prepared_;
@@ -114,6 +106,7 @@ class CandidateIds {
   std::vector<uint32_t> structures_;
   std::vector<std::vector<IndexUse>> uses_;
   std::vector<uint32_t> use_at_;
+  std::vector<IndexUse> kept_;  // Intern's scratch: the relevant uses
 };
 
 // Single-threaded. misses() is the number of distinct keys costed, hits()

@@ -118,7 +118,6 @@ PreparedStatement WhatIfOptimizer::Prepare(const Statement& stmt) const {
   const std::vector<JoinClause>& joins = stmt.select.joins;
   for (size_t j = 0; j < joins.size(); ++j) {
     const size_t t = bind(joins[j].dim_table);
-    prepared.tables[t].join_keys.push_back(joins[j].dim_key);
     prepared.join_tables.push_back(t);
     size_t first = 0;
     while (prepared.join_tables[first] != t ||
@@ -296,6 +295,7 @@ IndexUse WhatIfOptimizer::Use(const PreparedStatement& stmt,
           root_rows * (params_.cpu_per_tuple_read +
                        static_cast<double>(table.cols_used.size()) * beta);
     }
+    return use;  // an index on the statement's own table is on no MV
   }
 
   // Alternative: answer the whole query from an MV index.
@@ -424,11 +424,11 @@ AccessPlan WhatIfOptimizer::CostPlan(const PreparedStatement& stmt,
 }
 
 AccessPlan WhatIfOptimizer::CostMembers(const PreparedStatement& stmt,
-                                        const MemberList& members) const {
+                                        const Configuration& config) const {
   std::vector<IndexUse> uses;
-  uses.reserve(members.size());
-  for (const PhysicalIndexEstimate* idx : members) {
-    uses.push_back(Use(stmt, *idx));
+  uses.reserve(config.size());
+  for (const PhysicalIndexEstimate& idx : config.indexes()) {
+    uses.push_back(Use(stmt, idx));
   }
   UseList list;
   list.reserve(uses.size());
@@ -442,7 +442,7 @@ PlanCost WhatIfOptimizer::CostWithPlan(const Statement& stmt,
       "heap scan(", "index scan(", "index seek(", "index seek+lookup(", "MV ",
       "bulk insert("};
   const PreparedStatement prepared = Prepare(stmt);
-  const AccessPlan plan = CostMembers(prepared, config.members());
+  const AccessPlan plan = CostMembers(prepared, config);
   PlanCost cost;
   cost.io = plan.io;
   cost.cpu = plan.cpu;
@@ -459,22 +459,16 @@ double WhatIfOptimizer::Cost(const PreparedStatement& stmt,
   return CostPlan(stmt, uses).total();
 }
 
-double WhatIfOptimizer::Cost(const PreparedStatement& stmt,
-                             const MemberList& members) const {
-  return CostMembers(stmt, members).total();
-}
-
 double WhatIfOptimizer::Cost(const Statement& stmt,
                              const Configuration& config) const {
-  return Cost(Prepare(stmt), config.members());
+  return CostMembers(Prepare(stmt), config).total();
 }
 
 double WhatIfOptimizer::WorkloadCost(const Workload& workload,
                                      const Configuration& config) const {
-  const MemberList members = config.members();
   double total = 0.0;
   for (const Statement& s : workload.statements) {
-    total += s.weight * Cost(Prepare(s), members);
+    total += s.weight * Cost(s, config);
   }
   return total;
 }

@@ -11,10 +11,12 @@
 // change: its access plan, its index-NL probe, its MV plan, its INSERT
 // maintenance terms. The one costing body then combines a configuration's
 // uses, in configuration order, with nothing but comparisons and sums. The
-// advisor's search computes the use of each candidate for each statement it
-// is relevant to once per tune (cost_cache.h); the MemberList and
-// Configuration overloads compute their members' uses per call and run the
-// same body, so all agree to the bit.
+// body reads nothing of a use whose changes_plan() is false, so the use is
+// also the one place that decides which indexes can move a statement's
+// cost. The advisor's search computes the use of each candidate for each
+// statement once per tune and keeps those that change the plan
+// (cost_cache.h); the Configuration overloads compute their members' uses
+// per call and run the same body, so all agree to the bit.
 #ifndef CAPD_OPTIMIZER_WHAT_IF_H_
 #define CAPD_OPTIMIZER_WHAT_IF_H_
 
@@ -74,7 +76,6 @@ struct PreparedTable {
   std::vector<ColumnFilter> preds;  // predicates on this table, query order
   std::vector<double> pred_sel;     // FilterSelectivity of each predicate
   std::vector<std::string> cols_used;
-  std::vector<std::string> join_keys;  // dim keys when joined as dimension
   double rows = 0.0;
   double heap_io = 0.0;  // heap-scan cost
   double heap_cpu = 0.0;
@@ -137,6 +138,14 @@ struct IndexUse {
   double insert_cpu = 0.0;
   double insert_io = 0.0;       // sequential write of new entries; 0 for MVs
   double maintenance_io = 0.0;  // scattered leaf maintenance
+
+  // True if the costing body reads this use: the index is maintained,
+  // replaces a heap, offers an access plan, probes a join or answers from
+  // an MV. Leaving out a use for which this is false changes no cost bit.
+  bool changes_plan() const {
+    return maintained || replaces_heap || access.has_value() ||
+           probe_join != kNone || mv.has_value();
+  }
 };
 
 // A configuration's uses for one statement, in configuration order.
@@ -149,7 +158,6 @@ class WhatIfOptimizer {
 
   // `mv_matcher` may be null (MV indexes in the configuration are ignored).
   void set_mv_matcher(const MVMatcher* matcher) { mv_matcher_ = matcher; }
-  const MVMatcher* mv_matcher() const { return mv_matcher_; }
 
   // Binds `stmt` to the catalog: predicates, their selectivities, used
   // columns, row counts and heap-scan costs per touched table.
@@ -164,10 +172,9 @@ class WhatIfOptimizer {
   // (unweighted; callers apply Statement::weight). The UseList overload is
   // the costing body: it combines the uses with comparisons and sums only,
   // and the others compute their members' uses and call it, so all agree
-  // to the bit. A use left out of `uses` must be one that cannot change
-  // the plan (cost_cache.h leaves out the irrelevant ones).
+  // to the bit. A use left out of `uses` must be one whose changes_plan()
+  // is false (cost_cache.h leaves those out).
   double Cost(const Statement& stmt, const Configuration& config) const;
-  double Cost(const PreparedStatement& stmt, const MemberList& members) const;
   double Cost(const PreparedStatement& stmt, const UseList& uses) const;
   PlanCost CostWithPlan(const Statement& stmt, const Configuration& config) const;
 
@@ -197,9 +204,9 @@ class WhatIfOptimizer {
   // Cost of using `idx` for this table's portion, or nullopt if unusable.
   std::optional<AccessPlan> IndexAccessCost(
       const PreparedTable& table, const PhysicalIndexEstimate& idx) const;
-  // CostPlan over the uses of `members`, computed here.
+  // CostPlan over the uses of `config`'s members, computed here.
   AccessPlan CostMembers(const PreparedStatement& stmt,
-                         const MemberList& members) const;
+                         const Configuration& config) const;
 
   const Database* db_;
   CostModelParams params_;

@@ -45,7 +45,7 @@ class CandidateSelectionTest : public ::testing::Test {
   std::vector<IndexDef> Select(const Workload& w, AdvisorOptions options,
                                bool with_cache) {
     Advisor advisor(db_, *optimizer_, estimator_.get(), mvs_.get(), options);
-    CandidateIds ids(db_, *optimizer_, w);
+    CandidateIds ids(*optimizer_, w);
     for (const auto& [signature, est] : sizes_) ids.Intern(signature, est);
     std::unique_ptr<StatementCostCache> cache;
     if (with_cache) cache = std::make_unique<StatementCostCache>(ids);

@@ -155,7 +155,7 @@ Batches DtacBothBatches(const workloads::BuiltWorkload& built) {
       generator.GenerateForWorkload(built.workload);
   const std::map<std::string, PhysicalIndexEstimate> estimates =
       advisor.EstimateSizes(candidates, nullptr);
-  CandidateIds ids(*built.db, optimizer, built.workload);
+  CandidateIds ids(optimizer, built.workload);
   for (const auto& [signature, est] : estimates) ids.Intern(signature, est);
   std::vector<IndexDef> selected;
   for (const CandidateIds::Id id :

@@ -250,7 +250,7 @@ TEST_F(OptimizerTest, ConfigurationBookkeeping) {
   EXPECT_TRUE(c.Contains(Idx({"l_shipdate"}).Signature()));
   EXPECT_FALSE(c.Contains(Idx({"l_partkey"}).Signature()));
 
-  // Members keep insertion order, and members() lists them by address.
+  // Members keep insertion order.
   const IndexDef a_row = Idx({"l_shipdate"}, {}, CompressionKind::kRow);
   const IndexDef d = Idx({"l_orderkey"}, {}, CompressionKind::kPage);
   c.Add(Est(a_row, kPageSize, 10));
@@ -258,13 +258,8 @@ TEST_F(OptimizerTest, ConfigurationBookkeeping) {
   ASSERT_EQ(c.size(), 3u);
   EXPECT_TRUE(c.Contains(a_row.Signature()));
   EXPECT_TRUE(c.Contains(d.Signature()));
-  const MemberList members = c.members();
-  ASSERT_EQ(members.size(), 3u);
-  for (size_t i = 0; i < c.size(); ++i) {
-    EXPECT_EQ(members[i], &c.indexes()[i]) << i;
-  }
-  EXPECT_EQ(members[1]->def.Signature(), a_row.Signature());
-  EXPECT_EQ(members[2]->def.Signature(), d.Signature());
+  EXPECT_EQ(c.indexes()[1].def.Signature(), a_row.Signature());
+  EXPECT_EQ(c.indexes()[2].def.Signature(), d.Signature());
 }
 
 using OptimizerDeathTest = OptimizerTest;
